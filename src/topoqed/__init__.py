@@ -13,7 +13,6 @@ from .config import ConfigError, RunConfig, load_config
 from .dynamics import (
     FidelityCurve,
     GateSchedule,
-    PropagatorAB,
     analytic_U,
     fidelity_curve,
     ideal_gate_state,

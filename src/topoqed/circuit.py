@@ -82,12 +82,12 @@ class CircuitParams:
         if self.E_J >= self.E_c:
             warnings.warn(
                 "E_J >= E_c: outside the charging regime of the two-level reduction",
-                stacklevel=2,
+                stacklevel=3,
             )
         if self.n_g != 0.5:
             warnings.warn(
                 f"n_g = {self.n_g} is away from the degeneracy point 1/2",
-                stacklevel=2,
+                stacklevel=3,
             )
 
     @property

@@ -19,9 +19,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -40,8 +38,6 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_INVARIANT = 4
 
-_MAX_WORKERS = min(8, os.cpu_count() or 1)
-
 
 def _parse_sweep_flag(text: str) -> SweepSpec:
     parts = text.split(":")
@@ -58,7 +54,7 @@ def _apply_overrides(config: RunConfig, args: argparse.Namespace) -> RunConfig:
     updates = {}
     if getattr(args, "out", None):
         updates["out_dir"] = args.out
-    if getattr(args, "fock", None):
+    if getattr(args, "fock", None) is not None:
         if args.fock < 8:
             raise ConfigError("--fock must be at least 8")
         updates["fock_cutoff"] = args.fock
@@ -80,11 +76,6 @@ def _out_dir(config: RunConfig) -> Path:
     return path
 
 
-def _pool_map(fn, values):
-    with ThreadPoolExecutor(max_workers=_MAX_WORKERS) as pool:
-        return list(pool.map(fn, values))
-
-
 def cmd_spectrum(config: RunConfig) -> int:
     sweep = config.sweep or SweepSpec(variable="eps", min=0.0, max=math.pi, steps=200)
     if sweep.variable != "eps":
@@ -94,7 +85,7 @@ def cmd_spectrum(config: RunConfig) -> int:
         res = wire_splitting(config.wire, eps)
         return (eps, res.Lambda, res.E, res.E / (2.0 * math.pi * 1e9), res.branch)
 
-    rows = _pool_map(row, sweep.values())
+    rows = [row(eps) for eps in sweep.values()]
     out = _out_dir(config)
     write_csv(
         out / "spectrum.csv",
@@ -123,7 +114,7 @@ def cmd_phij(config: RunConfig) -> int:
         exact = _circuit.phi_J_exact(circ, phi, 0.0)
         return (value, series, exact, abs(series - exact))
 
-    rows = _pool_map(row, sweep.values())
+    rows = [row(value) for value in sweep.values()]
     out = _out_dir(config)
     write_csv(
         out / "phij.csv",
@@ -296,13 +287,18 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", metavar="PATH", help="JSON run configuration")
         p.add_argument("--out", metavar="DIR", help="output directory")
-        p.add_argument("--fock", type=int, metavar="N", help="Fock cutoff override")
-        p.add_argument(
-            "--rate-convention",
-            choices=["plain", "angular"],
-            help="decay rates as written (plain) or multiplied by 2*pi (angular)",
-        )
-        p.add_argument("--sweep", metavar="VAR:MIN:MAX:STEPS", help="sweep override")
+        # Each command registers only the flags it uses, so argparse rejects
+        # the others instead of ignoring them.
+        if name in ("gate", "fig2"):
+            p.add_argument("--fock", type=int, metavar="N", help="Fock cutoff override")
+        if name == "gate":
+            p.add_argument(
+                "--rate-convention",
+                choices=["plain", "angular"],
+                help="decay rates as written (plain) or multiplied by 2*pi (angular)",
+            )
+        if name in ("spectrum", "phij"):
+            p.add_argument("--sweep", metavar="VAR:MIN:MAX:STEPS", help="sweep override")
         if name == "validate":
             p.add_argument(
                 "--mutate",

@@ -305,12 +305,22 @@ def parse_config(doc: dict) -> RunConfig:
     )
 
 
+def _finite_number(text: str) -> float:
+    """JSON number hook: NaN, +-Infinity and overflowing literals are errors."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ConfigError(f"non-finite number {text} is not allowed in a config file")
+    return value
+
+
 def load_config(path: Optional[str] = None) -> RunConfig:
     """Parse the config file at ``path``, or the built-in defaults if None."""
     if path is None:
         return parse_config(default_config_dict())
     try:
-        doc = json.loads(Path(path).read_text())
+        doc = json.loads(
+            Path(path).read_text(), parse_float=_finite_number, parse_constant=_finite_number
+        )
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:

@@ -56,7 +56,6 @@ from .qcore import (
 __all__ = [
     "FidelityCurve",
     "GateSchedule",
-    "PropagatorAB",
     "analytic_U",
     "fidelity_curve",
     "ideal_gate_state",
@@ -96,20 +95,6 @@ def propagator_AB(lambda2: float, nu: float, t: float) -> tuple[float, complex]:
     a = -(lambda2**2 / nu) * (t - math.sin(nu * t) / nu)
     b = -1j * (lambda2 / nu) * (cmath.exp(-1j * nu * t) - 1.0)
     return a, b
-
-
-@dataclass(frozen=True)
-class PropagatorAB:
-    """The phase/displacement pair as functions of time for fixed couplings."""
-
-    lambda2: float
-    nu: float
-
-    def A(self, t: float) -> float:
-        return propagator_AB(self.lambda2, self.nu, t)[0]
-
-    def B(self, t: float) -> complex:
-        return propagator_AB(self.lambda2, self.nu, t)[1]
 
 
 def _vacuum_columns(model: HamiltonianModel) -> np.ndarray:

@@ -29,7 +29,7 @@ def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> No
 
 
 def write_json(path: Path, payload: dict) -> None:
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _ticks(lo: float, hi: float, n: int = 6) -> list[float]:

@@ -16,7 +16,8 @@ from dataclasses import replace
 import numpy as np
 
 from . import dynamics as _dyn
-from .circuit import CircuitParams, effective_qubit, phi_J_exact, phi_J_series
+from .circuit import effective_qubit, phi_J_exact, phi_J_series
+from .config import load_config
 from .dynamics import GateSchedule, ideal_gate_state, propagator_AB
 from .interface import CouplingSet, HamiltonianModel, build_H_CT, build_H_I, couplings
 from .qcore import (
@@ -30,21 +31,11 @@ from .qcore import (
     partial_trace,
     state_fidelity,
 )
-from .wire import WireParams, inverse_x_over_tan, wire_splitting
+from .wire import inverse_x_over_tan, wire_splitting
 
 __all__ = ["MUTATIONS", "run_validation"]
 
 MUTATIONS = ("gate-phase-sign",)
-
-_PAPER_WIRE = dict(v_F=1e5, L=5e-6, Delta0=2 * math.pi * 32e9, W=1e-7, T=0.02)
-_PAPER_CIRCUIT = dict(
-    E_J=2 * math.pi * 16e9,
-    E_J0=2 * math.pi * 160e9,
-    E_c=2 * math.pi * 160e9,
-    g=0.01,
-    phi_c=0.5,
-    omega_r=2 * math.pi * 6e9,
-)
 
 
 def _check_schedule_algebra() -> tuple[bool, str]:
@@ -94,8 +85,8 @@ def _check_transcendental_inversion() -> tuple[bool, str]:
 def _check_splitting_continuity() -> tuple[bool, str]:
     # The symmetric difference across the branch point shrinks linearly with
     # the probe width (the splitting has finite slope there); the actual
-    # discontinuity is its Richardson-extrapolated delta -> 0 limit.
-    wire = WireParams(**_PAPER_WIRE)
+    # discontinuity is its linearly extrapolated delta -> 0 limit.
+    wire = load_config(None).wire
     kappa = wire.lambda_scale
     scale = wire.level_spacing
 
@@ -114,7 +105,7 @@ def _check_splitting_continuity() -> tuple[bool, str]:
 
 
 def _check_circuit_series_vs_exact() -> tuple[bool, str]:
-    circ = CircuitParams(**_PAPER_CIRCUIT)
+    circ = load_config(None).circuit
     eta = circ.eta
     worst = 0.0
     for phi_e in np.linspace(0.0, 2 * math.pi, 12, endpoint=False):
@@ -127,8 +118,8 @@ def _check_circuit_series_vs_exact() -> tuple[bool, str]:
 
 
 def _check_switching_exactness() -> tuple[bool, str]:
-    wire = WireParams(**_PAPER_WIRE)
-    circ = CircuitParams(**_PAPER_CIRCUIT)
+    reference = load_config(None)
+    wire, circ = reference.wire, reference.circuit
     lam1_off = couplings(wire, replace(circ, phi_e=0.0)).lambda1
     lam2_off = couplings(wire, replace(circ, phi_e=math.pi)).lambda2
     eff = effective_qubit(replace(circ, phi_e=math.pi))

@@ -71,7 +71,7 @@ class WireParams:
             warnings.warn(
                 f"wire width W={self.W} violates W*Delta0/v_F < 1; "
                 "the single-channel description is unreliable",
-                stacklevel=2,
+                stacklevel=3,
             )
 
     @property
@@ -183,8 +183,10 @@ def _u_over_tanh(u: float) -> float:
 
 
 def _d_u_over_tanh(u: float) -> float:
-    s = math.sinh(u)
-    return (0.5 * math.sinh(2.0 * u) - u) / (s * s)
+    # (sinh u cosh u - u) / sinh(u)**2, with numerator and denominator scaled
+    # by 4 exp(-2u) so that neither overflows for large u.
+    q = math.exp(-2.0 * u)
+    return (-math.expm1(-4.0 * u) - 4.0 * u * q) / math.expm1(-2.0 * u) ** 2
 
 
 def inverse_x_over_tanh(y: float) -> float:
@@ -222,79 +224,42 @@ def wire_splitting(params: WireParams, eps: float) -> SplittingResult:
     return SplittingResult(E=energy, Lambda=lam, branch=branch)
 
 
-def _nearest_kink_distance(phi: float) -> float:
-    """Distance from phi to the nearest zero of sin(phi/2) (a cusp of E)."""
-    two_pi = 2.0 * math.pi
-    r = math.fmod(phi, two_pi)
-    return min(abs(r), two_pi - abs(r))
+def splitting_derivative(params: WireParams, phi: float) -> float:
+    """dE/dphi by implicit differentiation of the quantization condition.
 
-
-def _nearest_branch_distance(params: WireParams, phi: float) -> float:
-    """Distance from phi to the nearest branch point Lambda(phi) = 1.
-
-    The splitting has a jump in curvature (not in value or slope) there, so
-    finite-difference stencils should avoid straddling it.
+    dE/dphi = (v_F/L) * r * dLambda/dphi, where r = dG/dLambda for the reduced
+    splitting G = E*L/v_F: r = (sin x - x cos x) / (sin x cos x - x) on the
+    oscillatory branch and its hyperbolic analogue in u on the evanescent
+    one.  Both tend to -1/2 at the branch point, so the slope is continuous
+    there.  The splitting is even in phi with a cusp at phi = 0 (mod 2*pi);
+    exactly at a cusp the symmetric derivative is 0 and that value is
+    returned.
     """
-    kappa = params.lambda_scale
-    if kappa <= 1.0:
-        return math.inf
-    two_pi = 2.0 * math.pi
-    phi_star = 2.0 * math.asin(1.0 / kappa)
-    r = math.fmod(abs(phi), two_pi)
-    return min(abs(r - phi_star), abs(r - (two_pi - phi_star)))
-
-
-def splitting_derivative(
-    params: WireParams, phi: float, rtol: float = 1e-6, max_levels: int = 10
-) -> float:
-    """dE/dphi by Richardson-extrapolated central differences.
-
-    The splitting is even in phi with a cusp at phi = 0 (mod 2*pi); exactly
-    at a cusp the symmetric derivative is 0 and that value is returned.  Away
-    from it the finite-difference step is capped at half the distance to the
-    nearest cusp and to the nearest branch point, so the stencil stays on a
-    smooth piece of the curve.  The extrapolation's self-reported relative
-    error must fall below ``rtol`` or a ConvergenceError is raised.
-    """
-    dist = _nearest_kink_distance(phi)
-    if dist == 0.0:
+    if math.fmod(phi, 2.0 * math.pi) == 0.0:
         return 0.0
-    branch_dist = _nearest_branch_distance(params, phi)
-    if branch_dist < 1e-6:
-        # Within float noise of the branch point the slope is still defined
-        # (it is continuous): average two clean one-sided neighbours, offset
-        # far enough that they do not recurse into this case themselves.
-        left = splitting_derivative(params, phi - 2e-6, rtol, max_levels)
-        right = splitting_derivative(params, phi + 2e-6, rtol, max_levels)
-        return 0.5 * (left + right)
-    h0 = min(0.05, 0.5 * dist, 0.5 * branch_dist)
-
-    def energy(p: float) -> float:
-        return wire_splitting(params, p).E
-
-    table: list[list[float]] = []
-    best = 0.0
-    best_err = math.inf
-    h = h0
-    for i in range(max_levels):
-        d0 = (energy(phi + h) - energy(phi - h)) / (2.0 * h)
-        row = [d0]
-        for j in range(1, i + 1):
-            factor = 4.0**j
-            row.append((factor * row[j - 1] - table[i - 1][j - 1]) / (factor - 1.0))
-        table.append(row)
-        if i > 0:
-            err = abs(row[-1] - table[i - 1][-1])
-            if err < best_err:
-                best, best_err = row[-1], err
-            scale = max(abs(best), 1e-300)
-            if best_err <= rtol * scale:
-                return best
-        h *= 0.5
-    raise ConvergenceError(
-        f"derivative extrapolation stalled at relative error "
-        f"{best_err / max(abs(best), 1e-300):.3e} (phi={phi!r})"
-    )
+    half_sin = math.sin(0.5 * phi)
+    kappa = params.lambda_scale
+    lam = kappa * abs(half_sin)
+    dlam_dphi = math.copysign(0.5 * kappa, half_sin) * math.cos(0.5 * phi)
+    if lam <= 1.0:
+        x = inverse_x_over_tan(lam, 0)
+        if x < 1e-3:
+            # Numerator and denominator both cancel like x**3 here.
+            r = -0.5 - x * x / 20.0
+        else:
+            s, c = math.sin(x), math.cos(x)
+            r = (s - x * c) / (s * c - x)
+    else:
+        u = inverse_x_over_tanh(lam)
+        if u < 1e-3:
+            r = -0.5 + u * u / 20.0
+        else:
+            # (sinh u - u cosh u) / (sinh u cosh u - u), with numerator and
+            # denominator scaled by 4 exp(-2u) so that neither overflows.
+            q = math.exp(-2.0 * u)
+            r = (2.0 * math.exp(-u) * (-math.expm1(-2.0 * u) - u * (1.0 + q))
+                 / (-math.expm1(-4.0 * u) - 4.0 * u * q))
+    return params.level_spacing * r * dlam_dphi
 
 
 def thermal_leakage(params: WireParams) -> float:

@@ -46,8 +46,9 @@ class TestCircuitParams:
             params(E_c=2 * math.pi * 1e9)
 
     def test_degeneracy_point_warning(self):
-        with pytest.warns(UserWarning):
+        with pytest.warns(UserWarning) as record:
             params(n_g=0.3)
+        assert record[0].filename == __file__
 
 
 class TestPhiJSeries:

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from topoqed.cli import main
 from topoqed.config import ConfigError, default_config_dict, load_config, parse_config
 
 
@@ -101,6 +102,13 @@ class TestConfig:
         with pytest.raises(ConfigError):
             parse_config(doc)
 
+    def test_overflowing_number_rejected(self, tmp_path):
+        text = json.dumps(default_config_dict()).replace('"g": 0.01', '"g": 1e999')
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match="non-finite"):
+            load_config(str(path))
+
     def test_normalized_echo_round_trips(self):
         config = load_config(None)
         echo = config.normalized()
@@ -126,6 +134,20 @@ class TestSpectrumCommand:
         assert res.returncode == 0
         summary = json.loads((tmp_path / "o" / "spectrum_summary.json").read_text())
         assert summary["config"]["wire"]["v_F_m_per_s"] == 1e5
+
+    def test_long_wire_splitting_is_finite(self, tmp_path):
+        # Delta0*L/v_F is about 1005: u/tanh(u) is inverted for u up to 1005,
+        # where sinh(2u) would overflow a double.
+        doc = default_config_dict()
+        doc["wire"]["L_m"] = 5e-4
+        res = run_cli("spectrum", "--config", write_config(tmp_path, doc), "--out", "o", cwd=tmp_path)
+        assert res.returncode == 0, res.stderr
+        energies = [
+            float(line.split(",")[2])
+            for line in (tmp_path / "o" / "spectrum.csv").read_text().strip().splitlines()[1:]
+        ]
+        assert len(energies) == 201
+        assert all(math.isfinite(e) and e >= 0.0 for e in energies)
 
 
 class TestPhijCommand:
@@ -215,6 +237,39 @@ class TestValidateCommand:
 
 
 class TestErrorPaths:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "spectrum --fock 16",
+            "spectrum --rate-convention angular",
+            "phij --fock 16",
+            "phij --rate-convention angular",
+            "couplings --fock 16",
+            "couplings --rate-convention angular",
+            "couplings --sweep eps:0:1:3",
+            "gate --sweep eps:0:1:3",
+            "fig2 --rate-convention angular",
+            "fig2 --sweep eps:0:1:3",
+            "validate --fock 16",
+            "validate --rate-convention angular",
+            "validate --sweep eps:0:1:3",
+            "gate --fock 0",
+        ],
+    )
+    def test_unused_flag_or_bad_value_exits_2(self, argv, tmp_path, monkeypatch, capsys):
+        # A flag a command does not use is rejected by argparse; --fock 0 is
+        # a given value, so it must meet the cutoff check rather than be
+        # taken for an absent flag.
+        monkeypatch.chdir(tmp_path)
+        try:
+            code = main(argv.split())
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments" in err or "--fock must be at least 8" in err
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_config_key_exits_2(self, tmp_path):
         doc = default_config_dict()
         doc["extra"] = 1
@@ -231,6 +286,21 @@ class TestErrorPaths:
         res = run_cli("spectrum", "--sweep", "eps:0:1", cwd=tmp_path)
         assert res.returncode == 2
         assert "configuration error" in res.stderr
+
+    @pytest.mark.parametrize(
+        "command, section, key, value",
+        [
+            ("couplings", "circuit", "g", float("nan")),
+            ("gate", "schedule", "lambda2", {"value": float("inf"), "unit": "MHz", "times_2pi": True}),
+        ],
+    )
+    def test_non_finite_config_value_exits_2(self, command, section, key, value, tmp_path):
+        doc = default_config_dict()
+        doc[section][key] = value
+        res = run_cli(command, "--config", write_config(tmp_path, doc), "--out", "o", cwd=tmp_path)
+        assert res.returncode == 2
+        assert "configuration error" in res.stderr
+        assert not (tmp_path / "o").exists()
 
     def test_gate_at_half_flux_without_pin_exits_2(self, tmp_path):
         doc = default_config_dict()

@@ -7,7 +7,6 @@ import pytest
 from topoqed.dynamics import (
     FidelityCurve,
     GateSchedule,
-    PropagatorAB,
     analytic_U,
     fidelity_curve,
     ideal_gate_state,
@@ -76,11 +75,6 @@ class TestPropagatorAB:
         assert max(bs) <= bound * (1 + 1e-10)
         t_half = math.pi / nu
         assert abs(abs(propagator_AB(LAMBDA2, nu, t_half)[1]) - bound) <= 1e-10 * bound
-
-    def test_wrapper_consistency(self):
-        prop = PropagatorAB(lambda2=LAMBDA2, nu=3.0 * LAMBDA2)
-        a, b = propagator_AB(LAMBDA2, 3.0 * LAMBDA2, 1e-9)
-        assert prop.A(1e-9) == a and prop.B(1e-9) == b
 
     def test_requires_positive_detuning(self):
         with pytest.raises(ValueError):

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from topoqed.qcore import ConvergenceError
 from topoqed.wire import (
     HBAR,
     K_B,
@@ -61,8 +60,10 @@ class TestWireParams:
             WireParams(v_F=-1e5, L=5e-6, Delta0=1e11)
 
     def test_wide_wire_warns(self):
-        with pytest.warns(UserWarning):
+        with pytest.warns(UserWarning) as record:
             WireParams(v_F=1e5, L=5e-6, Delta0=2e11, W=1e-5)
+        # The warning points at the caller, not at the generated __init__.
+        assert record[0].filename == __file__
 
 
 class TestWireSplitting:
@@ -140,11 +141,33 @@ class TestSplittingDerivative:
 
     def test_agrees_with_implicit_form_at_random_phases(self, paper_wire):
         rng = np.random.default_rng(17)
-        for _ in range(20):
-            phi = float(rng.uniform(0.02, math.pi - 0.05))
-            numeric = splitting_derivative(paper_wire, phi)
+        phis = [float(rng.uniform(0.02, math.pi - 0.05)) for _ in range(20)]
+        phi_star = 2.0 * math.asin(1.0 / paper_wire.lambda_scale)
+        # Oscillatory-branch phases (Lambda < 1) besides the random ones.
+        phis += [0.05, 0.1, 0.15, 0.19]
+        h = 1e-6
+        for phi in phis:
+            closed = splitting_derivative(paper_wire, phi)
             implicit = implicit_splitting_derivative(paper_wire, phi)
-            assert abs(numeric - implicit) <= 1e-6 * abs(implicit)
+            assert abs(closed - implicit) <= 1e-6 * abs(implicit)
+            # A central difference of the splitting shares no formula with
+            # the closed form.
+            central = (
+                wire_splitting(paper_wire, phi + h).E - wire_splitting(paper_wire, phi - h).E
+            ) / (2.0 * h)
+            assert abs(closed - central) <= 1e-7 * abs(central)
+        for offset in (1e-9, 1e-8, 1e-7, 1e-6, 1e-5):
+            for phi in (phi_star - offset, phi_star + offset):
+                closed = splitting_derivative(paper_wire, phi)
+                implicit = implicit_splitting_derivative(paper_wire, phi)
+                assert abs(closed - implicit) <= 1e-6 * abs(implicit)
+
+    def test_finite_on_long_wire(self):
+        # Delta0*L/v_F is about 1005, so the evanescent root u reaches 1005,
+        # where sinh(2u) would overflow a double.
+        wire = WireParams(v_F=1e5, L=5e-4, Delta0=2 * math.pi * 32e9, W=1e-7)
+        for phi in np.linspace(-math.pi, math.pi, 41):
+            assert math.isfinite(splitting_derivative(wire, float(phi)))
 
     def test_max_slope_lies_in_expected_window(self, paper_wire):
         # Dense sweep over (0, pi): the largest slope magnitude sits between
@@ -152,10 +175,6 @@ class TestSplittingDerivative:
         phis = np.linspace(1e-3, math.pi - 1e-3, 500)
         peak = max(abs(splitting_derivative(paper_wire, float(p))) for p in phis)
         assert 0.1 * paper_wire.Delta0 <= peak <= 1.0 * paper_wire.Delta0
-
-    def test_reports_nonconvergence(self, paper_wire):
-        with pytest.raises(ConvergenceError):
-            splitting_derivative(paper_wire, 0.5, rtol=1e-16, max_levels=3)
 
 
 class TestThermalLeakage:
