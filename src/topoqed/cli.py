@@ -28,7 +28,7 @@ from . import circuit as _circuit
 from . import validate as _validate
 from .config import ConfigError, RunConfig, SweepSpec, load_config
 from .dynamics import FidelityCurve, GateSchedule, fidelity_curve
-from .interface import CouplingSet, HamiltonianModel, couplings, optimal_working_point
+from .interface import couplings, optimal_working_point
 from .output import write_csv, write_json, write_svg_plot
 from .qcore import ConvergenceError, IntegrationError
 from .wire import thermal_leakage, wire_splitting
@@ -180,14 +180,18 @@ def cmd_couplings(config: RunConfig) -> int:
 
 def _run_curve(config: RunConfig, lambda2: float) -> FidelityCurve:
     schedule = GateSchedule(k=config.k, lambda2=lambda2)
-    model = HamiltonianModel(fock_cutoff=config.fock_cutoff, nu=schedule.nu,
-                             omega_r=config.circuit.omega_r)
-    cs = CouplingSet.pinned(lambda2=lambda2)
     xs = np.arange(config.curve_steps + 1) / config.curve_steps * config.curve_x_max
     # Make sure the gate time itself is on the grid (for k > 1 it sits at
     # lambda2*t/pi = sqrt(k), beyond the default range).
     t_grid = np.union1d(xs * math.pi / lambda2, [schedule.tau])
-    return fidelity_curve(cs, schedule, config.kappa, config.gamma, t_grid, model)
+    # The integration cost grows with the horizon in decay times, while F(t)
+    # has relaxed to its limit after about ten of them.  A subnormal lambda2
+    # puts the horizon at infinity, where the product is NaN.
+    decay_times = (config.kappa + config.gamma) * t_grid[-1]
+    if not (math.isfinite(t_grid[-1]) and decay_times <= 100):
+        raise ConfigError(f"the curve ends at t = {t_grid[-1]:.3g} s, {decay_times:.3g} decay "
+                          "times (kappa + gamma) * t, over 100; raise lambda2 or lower curve.x_max")
+    return fidelity_curve(schedule, config.kappa, config.gamma, t_grid, config.fock_cutoff)
 
 
 def _write_curve(config: RunConfig, curve: FidelityCurve, stem: str, with_svg: bool) -> Path:

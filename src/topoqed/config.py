@@ -313,13 +313,27 @@ def _finite_number(text: str) -> float:
     return value
 
 
+def _finite_int(text: str) -> int:
+    """JSON integer hook: the value stays an int but must fit in a double."""
+    try:
+        value = int(text)
+        float(value)
+    except (ValueError, OverflowError) as exc:
+        raise ConfigError(
+            f"non-finite number: a {len(text)}-digit integer overflows a double") from exc
+    return value
+
+
 def load_config(path: Optional[str] = None) -> RunConfig:
     """Parse the config file at ``path``, or the built-in defaults if None."""
     if path is None:
         return parse_config(default_config_dict())
     try:
         doc = json.loads(
-            Path(path).read_text(), parse_float=_finite_number, parse_constant=_finite_number
+            Path(path).read_text(),
+            parse_float=_finite_number,
+            parse_int=_finite_int,
+            parse_constant=_finite_number,
         )
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc

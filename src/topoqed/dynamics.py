@@ -34,7 +34,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.linalg import expm
@@ -45,6 +45,7 @@ from .qcore import (
     IntegrationError,
     LindbladSpec,
     QuantumState,
+    basis_state,
     expm_hermitian,
     eye,
     integrate_master_equation,
@@ -101,21 +102,15 @@ def _vacuum_columns(model: HamiltonianModel) -> np.ndarray:
     return np.arange(4) * model.fock_cutoff
 
 
-def analytic_U(
-    lambda2: float,
-    nu: float,
-    t: float,
-    model: HamiltonianModel,
-    unitarity_tol: float = 1e-8,
-) -> np.ndarray:
+def analytic_U(lambda2: float, nu: float, t: float, model: HamiltonianModel) -> np.ndarray:
     """Closed-form propagator on the truncated qubit-qubit-cavity space.
 
     The displacement factor is exponentiated (scaling and squaring) as the
     single anti-Hermitian generator (-i B a - i B* a+) J_z, which keeps the
     result unitary at finite cutoff; truncation error then shows up only in
     how faithfully the low-photon sector reproduces the untruncated dynamics.
-    Unitarity on the cavity-vacuum columns is verified against
-    ``unitarity_tol``; a violation means the cutoff is too small.
+    Unitarity on the cavity-vacuum columns is verified to 1e-8; a violation
+    means the cutoff is too small.
     """
     a_r, b = propagator_AB(lambda2, nu, t)
     a_jz = model.a_op @ model.j_z
@@ -124,7 +119,7 @@ def analytic_U(
     cols = _vacuum_columns(model)
     defect = u.conj().T @ u - np.eye(model.dim)
     dev = float(np.max(np.abs(defect[:, cols])))
-    if dev > unitarity_tol:
+    if dev > 1e-8:
         raise IntegrationError(
             f"propagator unitarity deviation {dev:.2e} on the vacuum sector; "
             "increase the Fock cutoff"
@@ -144,27 +139,27 @@ def target_entangled_state() -> QuantumState:
     return QuantumState.pure((plus_plus + 1j * minus_minus) / math.sqrt(2.0), (2, 2))
 
 
-def ideal_gate_state(
-    schedule: GateSchedule, model: Optional[HamiltonianModel] = None
-) -> QuantumState:
+def _gate_start(fock_cutoff: int) -> QuantumState:
+    """|++> with the cavity in vacuum, the initial state of every gate run."""
+    psi0 = np.kron(plus_plus_state().data, basis_state(fock_cutoff, 0))
+    return QuantumState.pure(psi0, (2, 2, fock_cutoff))
+
+
+def ideal_gate_state(schedule: GateSchedule, fock_cutoff: int = 16) -> QuantumState:
     """Closed-system state after one full gate, from |++> and cavity vacuum.
 
     Verifies that the cavity has returned to vacuum (overlap >= 1 - 1e-8) and
     that the qubit pair reaches the entangled target with fidelity
     >= 1 - 1e-8 (global phase discarded).
     """
-    if model is None:
-        model = HamiltonianModel(fock_cutoff=16, nu=schedule.nu)
+    model = HamiltonianModel(fock_cutoff=fock_cutoff, nu=schedule.nu)
     loop_dev = abs(schedule.nu * schedule.tau - 2.0 * math.pi * schedule.k)
     if loop_dev > 1e-9:
         raise ValueError(f"schedule does not close the loop: |nu*tau - 2k*pi| = {loop_dev:.2e}")
-    n = model.fock_cutoff
-    psi0 = np.zeros(4 * n, dtype=complex)
-    psi0[_vacuum_columns(model)] = 0.5
     u = analytic_U(schedule.lambda2, schedule.nu, schedule.tau, model)
-    psi = u @ psi0
+    psi = u @ _gate_start(fock_cutoff).data
     psi = psi / np.linalg.norm(psi)
-    state = QuantumState.pure(psi, (2, 2, n))
+    state = QuantumState.pure(psi, model.dims)
 
     vacuum_weight = float(np.sum(np.abs(psi[_vacuum_columns(model)]) ** 2))
     if vacuum_weight < 1.0 - 1e-8:
@@ -203,30 +198,29 @@ class FidelityCurve:
             object.__setattr__(self, name, arr)
 
 
-def _dissipative_fidelities(
-    cs: CouplingSet,
-    kappa: float,
-    gamma: float,
-    t_grid: np.ndarray,
-    model: HamiltonianModel,
-) -> np.ndarray:
-    n = model.fock_cutoff
-
-    def hamiltonian(t: float) -> np.ndarray:
-        return build_H_I(cs, model, t)
-
+def _gate_spec(schedule: GateSchedule, kappa: float, gamma: float, n: int) -> LindbladSpec:
+    """The schedule's interaction-picture Hamiltonian at Fock cutoff n, with
+    cavity decay kappa and relaxation gamma of each qubit."""
+    model = HamiltonianModel(fock_cutoff=n, nu=schedule.nu)
+    cs = CouplingSet.pinned(lambda2=schedule.lambda2)
     channels = []
     if kappa > 0:
         channels.append((model.a_op, kappa))
     if gamma > 0:
         channels.append((tensor([TAU_MINUS, eye(2), eye(n)]), gamma))
         channels.append((tensor([eye(2), TAU_MINUS, eye(n)]), gamma))
-    spec = LindbladSpec(hamiltonian=hamiltonian, channels=tuple(channels))
+    return LindbladSpec(hamiltonian=lambda t: build_H_I(cs, model, t), channels=tuple(channels))
 
-    psi0 = np.zeros(4 * n, dtype=complex)
-    psi0[_vacuum_columns(model)] = 0.5
-    rho0 = QuantumState.pure(psi0, (2, 2, n))
-    states = integrate_master_equation(spec, rho0, t_grid)
+
+def _dissipative_fidelities(
+    schedule: GateSchedule,
+    kappa: float,
+    gamma: float,
+    t_grid: np.ndarray,
+    fock_cutoff: int,
+) -> np.ndarray:
+    spec = _gate_spec(schedule, kappa, gamma, fock_cutoff)
+    states = integrate_master_equation(spec, _gate_start(fock_cutoff), t_grid)
     target = target_entangled_state()
     return np.array(
         [state_fidelity(partial_trace(s, (0, 1)), target) for s in states]
@@ -234,39 +228,32 @@ def _dissipative_fidelities(
 
 
 def fidelity_curve(
-    cs: CouplingSet,
     schedule: GateSchedule,
     kappa: float,
     gamma: float,
     t_grid: Sequence[float],
-    model: HamiltonianModel,
+    fock_cutoff: int = 16,
 ) -> FidelityCurve:
     """Entangling fidelity under cavity decay and qubit relaxation.
 
     Starts from |++> with the cavity in vacuum, propagates the master
-    equation with the interaction-picture Hamiltonian, and reports
-    F(t) = <target| Tr_cav rho(t) |target> on the grid.  The curve is
-    recomputed at Fock cutoff N + 4 and the maximum fidelity shift must stay
-    below 1e-6, otherwise an IntegrationError is raised.
+    equation with the interaction-picture Hamiltonian of the schedule's
+    lambda2 and nu, and reports F(t) = <target| Tr_cav rho(t) |target> on the
+    grid.  The curve is recomputed at Fock cutoff N + 4 and the maximum
+    fidelity shift must stay below 1e-6, otherwise an IntegrationError is
+    raised.
     """
-    if abs(abs(cs.lambda2) - schedule.lambda2) > 1e-9 * schedule.lambda2:
-        raise ValueError("schedule.lambda2 does not match the coupling set")
-    if abs(model.nu - schedule.nu) > 1e-9 * schedule.nu:
-        raise ValueError("model.nu does not match the schedule detuning")
     if kappa < 0 or gamma < 0:
         raise ValueError("rates must be non-negative")
     t_grid = np.asarray(t_grid, dtype=float)
 
-    fids = _dissipative_fidelities(cs, kappa, gamma, t_grid, model)
-    bigger = HamiltonianModel(
-        fock_cutoff=model.fock_cutoff + 4, nu=model.nu, omega_r=model.omega_r
-    )
-    fids_check = _dissipative_fidelities(cs, kappa, gamma, t_grid, bigger)
+    fids = _dissipative_fidelities(schedule, kappa, gamma, t_grid, fock_cutoff)
+    fids_check = _dissipative_fidelities(schedule, kappa, gamma, t_grid, fock_cutoff + 4)
     delta = float(np.max(np.abs(fids - fids_check)))
     if delta > 1e-6:
         raise IntegrationError(
             f"Fock-cutoff convergence failure: max fidelity shift {delta:.3e} "
-            f"between N={model.fock_cutoff} and N={bigger.fock_cutoff}"
+            f"between N={fock_cutoff} and N={fock_cutoff + 4}"
         )
     return FidelityCurve(
         times_ns=t_grid * 1e9,
@@ -280,7 +267,7 @@ def fidelity_curve(
             "kappa_per_s": kappa,
             "gamma_per_s": gamma,
         },
-        fock_cutoff_used=model.fock_cutoff,
+        fock_cutoff_used=fock_cutoff,
         convergence_delta=delta,
     )
 

@@ -145,33 +145,16 @@ def _check_hermitian_builders() -> tuple[bool, str]:
     return ok, f"hermiticity dev = {dev:.2e}, [H(lambda2=0), n] = {comm:.2e}"
 
 
-def _numeric_columns(lam2: float, nu: float, t_final: float, model: HamiltonianModel) -> np.ndarray:
-    """Fixed-step RK4 integration of the interaction-picture dynamics,
-    applied to the four cavity-vacuum basis columns."""
-    cs = CouplingSet.pinned(lambda2=lam2)
-    dim = model.dim
-    cols = np.zeros((dim, 4), dtype=complex)
-    for j in range(4):
-        cols[j * model.fock_cutoff, j] = 1.0
-    norm_h = 4.0 * lam2 * math.sqrt(model.fock_cutoff)
-    steps = max(64, int(math.ceil(t_final * norm_h / 0.02)))
-    dt = t_final / steps
-    y = cols
-    t = 0.0
-    for _ in range(steps):
-        k1 = -1j * (build_H_I(cs, model, t) @ y)
-        k2 = -1j * (build_H_I(cs, model, t + 0.5 * dt) @ (y + 0.5 * dt * k1))
-        k3 = -1j * (build_H_I(cs, model, t + 0.5 * dt) @ (y + 0.5 * dt * k2))
-        k4 = -1j * (build_H_I(cs, model, t + dt) @ (y + dt * k3))
-        y = y + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        t += dt
-    return y
-
-
 def _check_propagator_oracle(mutations: frozenset) -> tuple[bool, str]:
-    lam2 = 2 * math.pi * 32e6
-    sch = GateSchedule(k=1, lambda2=lam2)
+    # Direct integration of the gate's master equation with no channels (RK45
+    # in qcore) from |++> and vacuum, against U rho0 U+ of the closed form.
+    sch = GateSchedule(k=1, lambda2=2 * math.pi * 32e6)
     model = HamiltonianModel(fock_cutoff=16, nu=sch.nu)
+    start = _dyn._gate_start(model.fock_cutoff)
+    rho0 = start.density_matrix()
+    t_grid = [0.0, 0.31 * sch.tau, 0.77 * sch.tau]
+    spec = _dyn._gate_spec(sch, 0.0, 0.0, model.fock_cutoff)
+    states = integrate_master_equation(spec, start, t_grid)
     original = _dyn.propagator_AB
     if "gate-phase-sign" in mutations:
         def mutated(lambda2, nu, t):
@@ -181,20 +164,18 @@ def _check_propagator_oracle(mutations: frozenset) -> tuple[bool, str]:
         _dyn.propagator_AB = mutated
     try:
         worst = 0.0
-        for frac in (0.31, 0.77):
-            t = frac * sch.tau
-            u = _dyn.analytic_U(lam2, sch.nu, t, model)
-            cols = np.arange(4) * model.fock_cutoff
-            diff = u[:, cols] - _numeric_columns(lam2, sch.nu, t, model)
+        for t, state in zip(t_grid[1:], states[1:]):
+            u = _dyn.analytic_U(sch.lambda2, sch.nu, t, model)
+            diff = u @ rho0 @ u.conj().T - state.data
             worst = max(worst, float(np.max(np.abs(diff))))
     finally:
         _dyn.propagator_AB = original
-    return worst <= 1e-6, f"max |U_analytic - U_numeric| = {worst:.2e} on vacuum columns"
+    return worst <= 1e-6, f"max |U rho0 U+ - rho_integrated| = {worst:.2e}"
 
 
 def _check_closed_gate() -> tuple[bool, str]:
     sch = GateSchedule(k=1, lambda2=2 * math.pi * 32e6)
-    state = ideal_gate_state(sch, HamiltonianModel(fock_cutoff=12, nu=sch.nu))
+    state = ideal_gate_state(sch, fock_cutoff=12)
     fid = state_fidelity(partial_trace(state, (0, 1)), _dyn.target_entangled_state())
     return fid >= 1.0 - 1e-6, f"closed-system gate fidelity = {fid:.10f}"
 

@@ -65,8 +65,8 @@ class WireParams:
     T: float = 0.02
 
     def __post_init__(self):
-        if self.v_F <= 0 or self.L <= 0 or self.Delta0 <= 0:
-            raise ValueError("v_F, L and Delta0 must be positive")
+        if self.v_F <= 0 or self.L <= 0 or self.Delta0 <= 0 or self.T <= 0:
+            raise ValueError("v_F, L, Delta0 and T must be positive")
         if not self.narrow_wire_ok:
             warnings.warn(
                 f"wire width W={self.W} violates W*Delta0/v_F < 1; "
@@ -267,6 +267,4 @@ def thermal_leakage(params: WireParams) -> float:
 
     Returns exp(-hbar*(v_F/L) / (k_B*T)) with CODATA constants.
     """
-    if params.T <= 0:
-        raise ValueError("temperature must be positive")
     return math.exp(-HBAR * params.level_spacing / (K_B * params.T))

@@ -4,12 +4,13 @@ Everything here deliberately avoids the code paths it is used to check:
 roots come from plain bisection, matrix exponentials from a scaling-and-
 squaring Taylor series, propagators from fixed-step Runge-Kutta with step
 doubling, and the splitting derivative from implicit differentiation of the
-quantization condition.
+quantization condition, in double precision or, for long wires, in mpmath.
 """
 
 import math
 
 import numpy as np
+import pytest
 
 
 def bisect_root(f, lo: float, hi: float, iters: int = 200) -> float:
@@ -123,6 +124,31 @@ def implicit_splitting_derivative(params, phi: float) -> float:
             / (math.sinh(u) ** 3 * dlam_du * g)
         )
     return params.level_spacing * dg_dlam * dlam_dphi
+
+
+def mp_splitting_derivative(params, phi: float) -> float:
+    """dE/dphi on the evanescent branch, in mpmath at 30 + int(kappa) digits.
+
+    Solves u/tanh u = Lambda, then differentiates G = sqrt(Lambda^2 - u^2)
+    implicitly: dG/dLambda = (Lambda - u du/dLambda) / G.  On a long wire
+    (kappa = Delta0*L/v_F) Lambda - u is about 2 Lambda exp(-2 Lambda), which
+    rounds to 0 in double precision past Lambda of about 19; the working
+    precision therefore grows with kappa.  The result is rounded to a double
+    only at the end, so it may underflow to a subnormal or to 0.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    kappa = params.lambda_scale
+    with mpmath.workdps(30 + int(kappa)):
+        half = mpmath.mpf(phi) / 2
+        lam = kappa * abs(mpmath.sin(half))
+        if lam == 0:
+            return 0.0
+        assert lam > 1, "the oscillatory branch is implicit_splitting_derivative's"
+        u = mpmath.findroot(lambda t: t / mpmath.tanh(t) - lam, lam)
+        dlam_du = (mpmath.sinh(u) * mpmath.cosh(u) - u) / mpmath.sinh(u) ** 2
+        dg_dlam = (lam - u / dlam_du) / mpmath.sqrt(lam**2 - u**2)
+        dlam_dphi = kappa * mpmath.cos(half) * mpmath.sign(mpmath.sin(half)) / 2
+        return float(params.level_spacing * dg_dlam * dlam_dphi)
 
 
 def random_pure_state(rng: np.random.Generator, dim: int) -> np.ndarray:

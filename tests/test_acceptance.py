@@ -103,7 +103,7 @@ def test_criterion_2_closed_system_gate_exactness():
     model = HamiltonianModel(fock_cutoff=16, nu=sch.nu)
 
     # Analytic propagator route (checks are also enforced internally).
-    state = ideal_gate_state(sch, model)
+    state = ideal_gate_state(sch, fock_cutoff=model.fock_cutoff)
     vac_analytic = float(np.sum(np.abs(state.data[_vacuum_columns(model)]) ** 2))
     fid_analytic = state_fidelity(partial_trace(state, (0, 1)), target_entangled_state())
 
@@ -346,9 +346,7 @@ def test_criterion_10_decoherence_vs_k_trend():
     results = {}
     for k in (1, 4, 9):
         sch = GateSchedule(k=k, lambda2=LAMBDA2)
-        model = HamiltonianModel(fock_cutoff=16, nu=sch.nu)
-        cs = CouplingSet.pinned(lambda2=LAMBDA2)
-        curve = fidelity_curve(cs, sch, KAPPA, GAMMA, [0.0, sch.tau], model)
+        curve = fidelity_curve(sch, KAPPA, GAMMA, [0.0, sch.tau], fock_cutoff=16)
         results[k] = float(curve.fidelities[-1])
     assert results[1] > results[4] > results[9]
     print(f"\nACCEPTANCE 10 PASS - decoherence trend: F(tau) = "

@@ -102,10 +102,22 @@ class TestConfig:
         with pytest.raises(ConfigError):
             parse_config(doc)
 
-    def test_overflowing_number_rejected(self, tmp_path):
-        text = json.dumps(default_config_dict()).replace('"g": 0.01', '"g": 1e999')
+    @pytest.mark.parametrize(
+        "literal, replacement",
+        [
+            pytest.param('"g": 0.01', '"g": 1e999', id="1e999"),
+            # An int that a double cannot hold, and one past Python's
+            # 4300-digit limit for converting text to int.
+            pytest.param('"L_m": 5e-06', '"L_m": 1' + "0" * 400, id="L-401-digits"),
+            pytest.param('"L_m": 5e-06', '"L_m": ' + "7" * 5000, id="L-5000-digits"),
+            pytest.param('"k": 1,', '"k": 1' + "0" * 400 + ",", id="k-401-digits"),
+        ],
+    )
+    def test_overflowing_number_rejected(self, literal, replacement, tmp_path):
+        text = json.dumps(default_config_dict())
+        assert literal in text
         path = tmp_path / "config.json"
-        path.write_text(text)
+        path.write_text(text.replace(literal, replacement))
         with pytest.raises(ConfigError, match="non-finite"):
             load_config(str(path))
 
@@ -292,6 +304,8 @@ class TestErrorPaths:
         [
             ("couplings", "circuit", "g", float("nan")),
             ("gate", "schedule", "lambda2", {"value": float("inf"), "unit": "MHz", "times_2pi": True}),
+            ("couplings", "wire", "T_K", 0.0),
+            ("couplings", "wire", "T_K", -1.0),
         ],
     )
     def test_non_finite_config_value_exits_2(self, command, section, key, value, tmp_path):
@@ -301,6 +315,30 @@ class TestErrorPaths:
         assert res.returncode == 2
         assert "configuration error" in res.stderr
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("lambda2, rate", [(1e-90, 1.0), (1e-320, 0.0)])
+    def test_gate_over_too_many_decay_times_exits_2(self, lambda2, rate, tmp_path):
+        # With lambda2 = 1e-90 rad/s the curve would run to pi/lambda2, about
+        # 1e97 decay times at the default rates, and never finish; a
+        # subnormal lambda2 puts the end at infinity, even without decay.
+        doc = default_config_dict()
+        doc["schedule"]["lambda2"] = {"value": lambda2, "unit": "rad_per_s"}
+        doc["bath"]["kappa"]["value"] = rate
+        doc["bath"]["gamma"]["value"] = rate
+        res = run_cli("gate", "--config", write_config(tmp_path, doc), "--out", "o", cwd=tmp_path)
+        assert res.returncode == 2
+        assert "configuration error" in res.stderr and "decay times" in res.stderr
+        assert not (tmp_path / "o").exists()
+
+    def test_tiny_lambda2_without_decay_runs(self, tmp_path):
+        doc = default_config_dict()
+        doc["schedule"]["lambda2"] = {"value": 1e-90, "unit": "rad_per_s"}
+        doc["bath"]["kappa"]["value"] = 0.0
+        doc["bath"]["gamma"]["value"] = 0.0
+        res = run_cli("gate", "--config", write_config(tmp_path, doc), "--out", "o", cwd=tmp_path)
+        assert res.returncode == 0, res.stderr
+        summary = json.loads((tmp_path / "o" / "gate_summary.json").read_text())
+        assert abs(summary["F_at_tau"] - 1.0) <= 1e-6
 
     def test_gate_at_half_flux_without_pin_exits_2(self, tmp_path):
         doc = default_config_dict()

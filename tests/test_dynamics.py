@@ -159,39 +159,20 @@ class TestIdealGateState:
 class TestFidelityCurve:
     def test_initial_overlap_is_half(self):
         sch = GateSchedule(k=1, lambda2=LAMBDA2)
-        model = HamiltonianModel(fock_cutoff=12, nu=sch.nu)
-        cs = CouplingSet.pinned(lambda2=LAMBDA2)
-        curve = fidelity_curve(cs, sch, 1e6, 1e6, [0.0, 0.1 * sch.tau], model)
+        curve = fidelity_curve(sch, 1e6, 1e6, [0.0, 0.1 * sch.tau], fock_cutoff=12)
         assert abs(curve.fidelities[0] - 0.5) < 1e-9
 
     def test_closed_system_gate_is_exact(self):
         sch = GateSchedule(k=1, lambda2=LAMBDA2)
-        model = HamiltonianModel(fock_cutoff=12, nu=sch.nu)
-        cs = CouplingSet.pinned(lambda2=LAMBDA2)
-        curve = fidelity_curve(cs, sch, 0.0, 0.0, [0.0, sch.tau], model)
+        curve = fidelity_curve(sch, 0.0, 0.0, [0.0, sch.tau], fock_cutoff=12)
         assert curve.fidelities[-1] >= 1.0 - 1e-6
 
     def test_reference_parameters_land_in_headline_window(self):
         sch = GateSchedule(k=1, lambda2=LAMBDA2)
-        model = HamiltonianModel(fock_cutoff=16, nu=sch.nu)
-        cs = CouplingSet.pinned(lambda2=LAMBDA2)
-        curve = fidelity_curve(cs, sch, 1e6, 1e6, [0.0, sch.tau], model)
+        curve = fidelity_curve(sch, 1e6, 1e6, [0.0, sch.tau], fock_cutoff=16)
         assert 0.90 <= curve.fidelities[-1] <= 0.98
         assert curve.convergence_delta <= 1e-6
         assert curve.fock_cutoff_used == 16
-
-    def test_schedule_consistency_enforced(self):
-        sch = GateSchedule(k=1, lambda2=LAMBDA2)
-        model = HamiltonianModel(fock_cutoff=12, nu=sch.nu)
-        with pytest.raises(ValueError):
-            fidelity_curve(
-                CouplingSet.pinned(lambda2=0.5 * LAMBDA2), sch, 0.0, 0.0, [0.0, sch.tau], model
-            )
-        bad_model = HamiltonianModel(fock_cutoff=12, nu=1.7 * sch.nu)
-        with pytest.raises(ValueError):
-            fidelity_curve(
-                CouplingSet.pinned(lambda2=LAMBDA2), sch, 0.0, 0.0, [0.0, sch.tau], bad_model
-            )
 
     def test_curve_container_validation(self):
         with pytest.raises(ValueError):

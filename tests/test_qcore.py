@@ -266,6 +266,18 @@ class TestIntegrateMasterEquation:
             assert np.max(np.abs(state.data - state.data.conj().T)) == 0.0
             assert float(np.linalg.eigvalsh(state.data)[0]) >= -1e-8
 
+    def test_positivity_failure_raises_integration_error(self):
+        # A negative rate pumps |+> past full excitation: trace and
+        # Hermiticity still hold, so only the positivity check can catch it,
+        # and it must surface as IntegrationError (exit 3) naming the time.
+        spec = LindbladSpec(
+            hamiltonian=lambda t: np.zeros((2, 2), complex), channels=((TAU_MINUS, 1.0),)
+        )
+        object.__setattr__(spec, "channels", ((TAU_MINUS, -1.0),))
+        plus = QuantumState.pure(np.array([1.0, 1.0]) / math.sqrt(2.0), (2,))
+        with pytest.raises(IntegrationError, match="t="):
+            integrate_master_equation(spec, plus, [0.0, 0.5])
+
     def test_grid_must_start_at_zero_and_increase(self):
         spec = LindbladSpec(hamiltonian=lambda t: eye(2), channels=())
         rho0 = QuantumState.pure(basis_state(2, 0), (2,))

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -13,7 +14,13 @@ from topoqed.wire import (
     wire_splitting,
 )
 
-from helpers import bisect_root, implicit_splitting_derivative, u_over_tanh, x_over_tan
+from helpers import (
+    bisect_root,
+    implicit_splitting_derivative,
+    mp_splitting_derivative,
+    u_over_tanh,
+    x_over_tan,
+)
 
 # Splitting at eps = pi/2 with the reference device, frozen from the
 # bisection oracle (u/tanh u = Lambda, then E = (v_F/L) sqrt(Lambda^2 - u^2)).
@@ -164,10 +171,21 @@ class TestSplittingDerivative:
 
     def test_finite_on_long_wire(self):
         # Delta0*L/v_F is about 1005, so the evanescent root u reaches 1005,
-        # where sinh(2u) would overflow a double.
+        # where sinh(2u) would overflow a double.  Where the slope is a normal
+        # double it must match the mpmath oracle; past Lambda of about 750 it
+        # underflows, and the computed value must too.
         wire = WireParams(v_F=1e5, L=5e-4, Delta0=2 * math.pi * 32e9, W=1e-7)
+        compared = 0
         for phi in np.linspace(-math.pi, math.pi, 41):
-            assert math.isfinite(splitting_derivative(wire, float(phi)))
+            value = splitting_derivative(wire, float(phi))
+            assert math.isfinite(value)
+            reference = mp_splitting_derivative(wire, float(phi))
+            if abs(reference) >= sys.float_info.min:
+                assert abs(value - reference) <= 1e-8 * abs(reference), (phi, value, reference)
+                compared += 1
+            else:
+                assert abs(value) < sys.float_info.min, (phi, value, reference)
+        assert compared >= 20
 
     def test_max_slope_lies_in_expected_window(self, paper_wire):
         # Dense sweep over (0, pi): the largest slope magnitude sits between
