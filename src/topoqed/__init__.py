@@ -36,6 +36,7 @@ from .qcore import (
     LindbladSpec,
     QuantumState,
     entanglement_entropy,
+    evolve_master_equation,
     expm_hermitian,
     integrate_master_equation,
     partial_trace,

@@ -73,6 +73,10 @@ class CircuitParams:
     omega_r: float = 0.0
 
     def __post_init__(self):
+        values = (self.E_J, self.E_J0, self.E_c, self.n_g, self.g,
+                  self.phi_e, self.phi_c, self.omega_r)
+        if not all(map(math.isfinite, values)):
+            raise ValueError("circuit parameters must be finite")
         if self.E_J <= 0 or self.E_J0 <= 0:
             raise ValueError("junction energies must be positive")
         if self.eta >= 0.3:

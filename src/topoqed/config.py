@@ -61,7 +61,10 @@ def _frequency(node, where: str, rate_convention: Optional[str] = None) -> float
     times_2pi = bool(node.get("times_2pi", False))
     if rate_convention is not None:
         times_2pi = rate_convention == "angular"
-    return base * (2.0 * math.pi) if times_2pi else base
+    scaled = base * (2.0 * math.pi) if times_2pi else base
+    if not math.isfinite(scaled):
+        raise ConfigError(f"{where}: {value!r} {unit} overflows a double in rad/s")
+    return scaled
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,18 @@ the gate time tau = sqrt(k)*pi/lambda2 gives A_r(tau) = -pi/2, turning
 U(tau) = exp(+i (pi/2) J_z^2) into an entangling phase gate that maps |++> to
 (|++> + i |-->)/sqrt(2) with the cavity returned to its initial state.
 
+Dissipative fidelity curves are propagated in the frame that rotates with
+the cavity at nu, where the generator is time-independent:
+
+    H' = nu a+a - lambda2 (a + a+) J_z.
+
+The frame change exp(-i nu t a+a) is diagonal in the Fock basis, so it is an
+exact cavity-local unitary at any cutoff; the cavity damping term is
+invariant under it and the qubit channels do not touch the cavity.  The
+reduced qubit state, and with it F(t), is therefore the interaction
+picture's.  One sparse Liouvillian per Fock cutoff is stepped between grid
+points by ``qcore.evolve_master_equation`` (``expm_multiply``).
+
 Dissipation follows the channel convention of :mod:`topoqed.qcore`: cavity
 channel (a, kappa) and one lowering channel (|0><1|, gamma) per qubit, each
 entering as rate * (2 L rho L+ - L+ L rho - rho L+ L), so quoted rates are
@@ -39,16 +51,15 @@ from typing import Sequence
 import numpy as np
 from scipy.linalg import expm
 
-from .interface import CouplingSet, HamiltonianModel, build_H_I, build_H_single_interface
+from .interface import CouplingSet, HamiltonianModel, build_H_single_interface
 from .qcore import (
     TAU_MINUS,
     IntegrationError,
-    LindbladSpec,
     QuantumState,
     basis_state,
+    evolve_master_equation,
     expm_hermitian,
     eye,
-    integrate_master_equation,
     partial_trace,
     state_fidelity,
     tensor,
@@ -75,10 +86,10 @@ class GateSchedule:
     lambda2: float
 
     def __post_init__(self):
-        if self.k < 1 or int(self.k) != self.k:
+        if not math.isfinite(self.k) or self.k < 1 or int(self.k) != self.k:
             raise ValueError("k must be a positive integer")
-        if self.lambda2 <= 0:
-            raise ValueError("the schedule takes the coupling magnitude, lambda2 > 0")
+        if not (math.isfinite(self.lambda2) and self.lambda2 > 0):
+            raise ValueError("the schedule takes the coupling magnitude, finite lambda2 > 0")
 
     @property
     def nu(self) -> float:
@@ -198,33 +209,33 @@ class FidelityCurve:
             object.__setattr__(self, name, arr)
 
 
-def _gate_spec(schedule: GateSchedule, kappa: float, gamma: float, n: int) -> LindbladSpec:
-    """The schedule's interaction-picture Hamiltonian at Fock cutoff n, with
-    cavity decay kappa and relaxation gamma of each qubit."""
-    model = HamiltonianModel(fock_cutoff=n, nu=schedule.nu)
-    cs = CouplingSet.pinned(lambda2=schedule.lambda2)
+def _rotating_frame_hamiltonian(schedule: GateSchedule, model: HamiltonianModel) -> np.ndarray:
+    """The gate's generator nu a+a - lambda2 (a + a+) J_z in the cavity frame."""
+    return schedule.nu * model.n_photon - schedule.lambda2 * (
+        model.a_j_z + model.a_j_z.conj().T
+    )
+
+
+def _qubit_states(
+    schedule: GateSchedule,
+    kappa: float,
+    gamma: float,
+    t_grid: np.ndarray,
+    fock_cutoff: int,
+) -> list[QuantumState]:
+    """Reduced qubit states of the dissipative gate from |++> and vacuum."""
+    model = HamiltonianModel(fock_cutoff=fock_cutoff, nu=schedule.nu)
+    n = fock_cutoff
     channels = []
     if kappa > 0:
         channels.append((model.a_op, kappa))
     if gamma > 0:
         channels.append((tensor([TAU_MINUS, eye(2), eye(n)]), gamma))
         channels.append((tensor([eye(2), TAU_MINUS, eye(n)]), gamma))
-    return LindbladSpec(hamiltonian=lambda t: build_H_I(cs, model, t), channels=tuple(channels))
-
-
-def _dissipative_fidelities(
-    schedule: GateSchedule,
-    kappa: float,
-    gamma: float,
-    t_grid: np.ndarray,
-    fock_cutoff: int,
-) -> np.ndarray:
-    spec = _gate_spec(schedule, kappa, gamma, fock_cutoff)
-    states = integrate_master_equation(spec, _gate_start(fock_cutoff), t_grid)
-    target = target_entangled_state()
-    return np.array(
-        [state_fidelity(partial_trace(s, (0, 1)), target) for s in states]
+    states = evolve_master_equation(
+        _rotating_frame_hamiltonian(schedule, model), channels, _gate_start(n), t_grid
     )
+    return [partial_trace(s, (0, 1)) for s in states]
 
 
 def fidelity_curve(
@@ -237,18 +248,24 @@ def fidelity_curve(
     """Entangling fidelity under cavity decay and qubit relaxation.
 
     Starts from |++> with the cavity in vacuum, propagates the master
-    equation with the interaction-picture Hamiltonian of the schedule's
-    lambda2 and nu, and reports F(t) = <target| Tr_cav rho(t) |target> on the
-    grid.  The curve is recomputed at Fock cutoff N + 4 and the maximum
-    fidelity shift must stay below 1e-6, otherwise an IntegrationError is
-    raised.
+    equation in the cavity's rotating frame, where the schedule's lambda2 and
+    nu give the time-independent generator nu a+a - lambda2 (a + a+) J_z,
+    with sparse ``expm_multiply`` steps between grid points, and reports
+    F(t) = <target| Tr_cav rho(t) |target> on the grid; the frame change
+    leaves the reduced qubit state unchanged.  The curve is recomputed at
+    Fock cutoff N + 4 and the maximum fidelity shift must stay below 1e-6,
+    otherwise an IntegrationError is raised.
     """
     if kappa < 0 or gamma < 0:
         raise ValueError("rates must be non-negative")
     t_grid = np.asarray(t_grid, dtype=float)
 
-    fids = _dissipative_fidelities(schedule, kappa, gamma, t_grid, fock_cutoff)
-    fids_check = _dissipative_fidelities(schedule, kappa, gamma, t_grid, fock_cutoff + 4)
+    target = target_entangled_state()
+    fids, fids_check = (
+        np.array([state_fidelity(rho, target)
+                  for rho in _qubit_states(schedule, kappa, gamma, t_grid, n)])
+        for n in (fock_cutoff, fock_cutoff + 4)
+    )
     delta = float(np.max(np.abs(fids - fids_check)))
     if delta > 1e-6:
         raise IntegrationError(

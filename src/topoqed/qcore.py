@@ -6,9 +6,21 @@ products.  States are wrapped in :class:`QuantumState`, which validates the
 usual physicality bounds (norm, trace, Hermiticity, positivity) on
 construction.
 
+Two master-equation propagators share one set of output checks:
+
+* ``evolve_master_equation`` takes a time-independent Hamiltonian matrix.  It
+  builds the sparse Liouvillian once and steps the vectorized density matrix
+  between grid points with the action of its exponential
+  (``scipy.sparse.linalg.expm_multiply``; Al-Mohy & Higham, SIAM J. Sci.
+  Comput. 33 (2011) 488-511).  The gate dynamics use it, in the frame that
+  rotates with the cavity.
+* ``integrate_master_equation`` takes a time-dependent Hamiltonian callable
+  (:class:`LindbladSpec`) and runs adaptive RK45.  It serves as the
+  independent oracle of the first.
+
 Decay-rate convention
 ---------------------
-``integrate_master_equation`` implements the master equation in the form
+Both propagators implement the master equation in the form
 
     drho/dt = -i [H, rho] + sum_c  r_c (2 L rho L+ - L+ L rho - rho L+ L)
 
@@ -27,7 +39,9 @@ from functools import cached_property, reduce
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy import sparse
 from scipy.integrate import solve_ivp
+from scipy.sparse.linalg import expm_multiply
 
 __all__ = [
     "ConvergenceError",
@@ -41,6 +55,7 @@ __all__ = [
     "basis_state",
     "destroy",
     "entanglement_entropy",
+    "evolve_master_equation",
     "expm_hermitian",
     "eye",
     "integrate_master_equation",
@@ -271,6 +286,76 @@ def entanglement_entropy(psi: QuantumState, cut: Sequence[int]) -> float:
     return float(-np.sum(eigs * np.log2(eigs)))
 
 
+def _time_grid(t_grid: Sequence[float]) -> np.ndarray:
+    t_grid = np.asarray(t_grid, dtype=float)
+    if t_grid.ndim != 1 or len(t_grid) < 1:
+        raise ValueError("t_grid must be a non-empty 1-D sequence")
+    if t_grid[0] != 0.0 or np.any(np.diff(t_grid) <= 0):
+        raise ValueError("t_grid must increase strictly from 0")
+    return t_grid
+
+
+def _checked_state(rho: np.ndarray, dims: tuple[int, ...], t: float) -> QuantumState:
+    """A propagated density matrix as a state, or IntegrationError naming t.
+
+    The raw matrix must keep unit trace (1e-8) and Hermiticity (1e-9); the
+    small anti-Hermitian residue is then removed and :class:`QuantumState`
+    checks positivity (eigenvalues >= -1e-8).  Positivity is monitored, never
+    enforced: a violation is raised rather than silently projected away.
+    """
+    trace_dev = abs(complex(np.trace(rho)) - 1.0)
+    if trace_dev > 1e-8:
+        raise IntegrationError(f"trace deviation {trace_dev:.3e} at t={t:.3e}")
+    herm_dev = float(np.max(np.abs(rho - rho.conj().T)))
+    if herm_dev > 1e-9:
+        raise IntegrationError(f"Hermiticity deviation {herm_dev:.3e} at t={t:.3e}")
+    try:
+        return QuantumState.mixed(0.5 * (rho + rho.conj().T), dims)
+    except ValueError as exc:
+        raise IntegrationError(f"{exc} at t={t:.3e}") from exc
+
+
+def evolve_master_equation(
+    hamiltonian: np.ndarray,
+    channels: Sequence[tuple[np.ndarray, float]],
+    rho0: QuantumState,
+    t_grid: Sequence[float],
+) -> list[QuantumState]:
+    """Propagate a density matrix under a time-independent generator.
+
+    Builds the sparse Liouvillian of ``hamiltonian`` and the ``(L, rate)``
+    channels once, then steps the vectorized density matrix from each grid
+    point to the next with ``expm_multiply``.  The channels are taken as
+    given, as in :attr:`LindbladSpec.channels`; an unphysical generator shows
+    up in the output checks of :func:`_checked_state`, which every state
+    passes.
+    """
+    t_grid = _time_grid(t_grid)
+    h = sparse.csr_matrix(np.asarray(hamiltonian, dtype=complex))
+    rho = rho0.density_matrix()
+    if rho.shape != h.shape:
+        raise ValueError("initial state dimension does not match the Hamiltonian")
+    # Row-major vectorization: vec(A rho B) = (A kron B^T) vec(rho).
+    one = sparse.identity(h.shape[0], dtype=complex, format="csr")
+    gen = -1j * (sparse.kron(h, one) - sparse.kron(one, h.T))
+    for op, rate in channels:
+        op = sparse.csr_matrix(np.asarray(op, dtype=complex))
+        op_dag_op = op.conj().T @ op
+        gen = gen + rate * (
+            2.0 * sparse.kron(op, op.conj())
+            - sparse.kron(op_dag_op, one)
+            - sparse.kron(one, op_dag_op.T)
+        )
+    gen = gen.tocsr()
+
+    states = [_checked_state(rho, rho0.dims, 0.0)]
+    vec = rho.ravel()
+    for t_prev, t in zip(t_grid[:-1], t_grid[1:]):
+        vec = expm_multiply(gen * (t - t_prev), vec)
+        states.append(_checked_state(vec.reshape(rho.shape), rho0.dims, t))
+    return states
+
+
 def _lindblad_rhs_factory(spec: LindbladSpec):
     dim = spec.dim
     ops = [(op, op.conj().T, op.conj().T @ op, rate) for op, rate in spec.channels]
@@ -294,18 +379,12 @@ def integrate_master_equation(
     """Propagate a density matrix through the master equation on ``t_grid``.
 
     Uses an adaptive embedded Runge-Kutta 4(5) pair (rtol 1e-9, atol 1e-12)
-    on the vectorized density matrix.  Every raw output matrix is checked for
-    trace preservation (1e-8) and Hermiticity (1e-9); the small anti-Hermitian
-    integration residue is then removed and :class:`QuantumState` checks
-    positivity (eigenvalues >= -1e-8).  Positivity is monitored, never
-    enforced: a violation raises :class:`IntegrationError` rather than being
-    silently projected away.
+    on the vectorized density matrix.  Every output matrix passes the checks
+    of :func:`_checked_state`: unit trace (1e-8), Hermiticity (1e-9) and
+    positivity (eigenvalues >= -1e-8), each raising :class:`IntegrationError`
+    naming the time.
     """
-    t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.ndim != 1 or len(t_grid) < 1:
-        raise ValueError("t_grid must be a non-empty 1-D sequence")
-    if t_grid[0] != 0.0 or np.any(np.diff(t_grid) <= 0):
-        raise ValueError("t_grid must increase strictly from 0")
+    t_grid = _time_grid(t_grid)
     rho_init = rho0.density_matrix()
     dim = spec.dim
     if rho_init.shape != (dim, dim):
@@ -326,17 +405,7 @@ def integrate_master_equation(
     if not sol.success:
         raise IntegrationError(f"master-equation integration failed: {sol.message}")
 
-    states = []
-    for i, t in enumerate(t_grid):
-        rho = sol.y[:, i].reshape(dim, dim)
-        trace_dev = abs(complex(np.trace(rho)) - 1.0)
-        if trace_dev > 1e-8:
-            raise IntegrationError(f"trace deviation {trace_dev:.3e} at t={t:.3e}")
-        herm_dev = float(np.max(np.abs(rho - rho.conj().T)))
-        if herm_dev > 1e-9:
-            raise IntegrationError(f"Hermiticity deviation {herm_dev:.3e} at t={t:.3e}")
-        try:
-            states.append(QuantumState.mixed(0.5 * (rho + rho.conj().T), rho0.dims))
-        except ValueError as exc:
-            raise IntegrationError(f"{exc} at t={t:.3e}") from exc
-    return states
+    return [
+        _checked_state(sol.y[:, i].reshape(dim, dim), rho0.dims, t)
+        for i, t in enumerate(t_grid)
+    ]

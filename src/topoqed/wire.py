@@ -65,6 +65,8 @@ class WireParams:
     T: float = 0.02
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.v_F, self.L, self.Delta0, self.W, self.T))):
+            raise ValueError("wire parameters must be finite")
         if self.v_F <= 0 or self.L <= 0 or self.Delta0 <= 0 or self.T <= 0:
             raise ValueError("v_F, L, Delta0 and T must be positive")
         if not self.narrow_wire_ok:

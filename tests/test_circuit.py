@@ -40,6 +40,11 @@ class TestCircuitParams:
     def test_eta_guard(self):
         with pytest.raises(ValueError):
             params(E_J0=2 * math.pi * 32e9)  # eta = 0.5
+        # Non-finite values built in code, where no config parser checks them.
+        for overrides in ({"E_J": math.nan}, {"E_J0": math.inf}, {"g": math.nan},
+                          {"phi_e": math.inf}, {"omega_r": math.inf}):
+            with pytest.raises(ValueError, match="finite"):
+                params(**overrides)
 
     def test_charging_regime_warning(self):
         with pytest.warns(UserWarning):

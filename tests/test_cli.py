@@ -306,6 +306,8 @@ class TestErrorPaths:
             ("gate", "schedule", "lambda2", {"value": float("inf"), "unit": "MHz", "times_2pi": True}),
             ("couplings", "wire", "T_K", 0.0),
             ("couplings", "wire", "T_K", -1.0),
+            # Finite as written, infinite once scaled to rad/s.
+            ("couplings", "circuit", "omega_r", {"value": 1e300, "unit": "GHz"}),
         ],
     )
     def test_non_finite_config_value_exits_2(self, command, section, key, value, tmp_path):

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from topoqed import dynamics as _dyn
 from topoqed.dynamics import (
     FidelityCurve,
     GateSchedule,
@@ -17,9 +18,12 @@ from topoqed.dynamics import (
 )
 from topoqed.interface import CouplingSet, HamiltonianModel, build_H_I
 from topoqed.qcore import (
+    TAU_MINUS,
+    LindbladSpec,
     QuantumState,
     basis_state,
     entanglement_entropy,
+    integrate_master_equation,
     partial_trace,
     state_fidelity,
     tensor,
@@ -51,6 +55,11 @@ class TestGateSchedule:
             GateSchedule(k=0, lambda2=LAMBDA2)
         with pytest.raises(ValueError):
             GateSchedule(k=1, lambda2=-1.0)
+        # NaN would give tau = nu = nan, infinity tau = 0; k = inf used to
+        # escape as OverflowError from int().
+        for k, lambda2 in ((1, math.nan), (1, math.inf), (math.inf, LAMBDA2), (math.nan, LAMBDA2)):
+            with pytest.raises(ValueError):
+                GateSchedule(k=k, lambda2=lambda2)
 
 
 class TestPropagatorAB:
@@ -173,6 +182,32 @@ class TestFidelityCurve:
         assert 0.90 <= curve.fidelities[-1] <= 0.98
         assert curve.convergence_delta <= 1e-6
         assert curve.fock_cutoff_used == 16
+
+    @pytest.mark.parametrize("k", [1, 4])
+    def test_rotating_frame_matches_interaction_picture_oracle(self, k):
+        # The production path (rotating frame, expm_multiply) against RK45 on
+        # the time-dependent interaction-picture Hamiltonian, on a grid that
+        # is not uniform once tau is added (as in the CLI's curves).
+        sch = GateSchedule(k=k, lambda2=LAMBDA2)
+        n, kappa, gamma = 16, 1e6, 1e6
+        model = HamiltonianModel(fock_cutoff=n, nu=sch.nu)
+        cs = CouplingSet.pinned(lambda2=sch.lambda2)
+        t_grid = np.union1d(np.linspace(0.0, 1.1, 6) * math.pi / LAMBDA2, [sch.tau])
+        channels = (
+            (model.a_op, kappa),
+            (tensor([TAU_MINUS, eye(2), eye(n)]), gamma),
+            (tensor([eye(2), TAU_MINUS, eye(n)]), gamma),
+        )
+        spec = LindbladSpec(hamiltonian=lambda t: build_H_I(cs, model, t), channels=channels)
+        start = QuantumState.pure(np.kron(plus_plus_state().data, basis_state(n, 0)), model.dims)
+        oracle = integrate_master_equation(spec, start, t_grid)
+        production = _dyn._qubit_states(sch, kappa, gamma, t_grid, n)
+        assert len(production) == len(t_grid)
+        worst = max(
+            float(np.max(np.abs(partial_trace(full, (0, 1)).data - rho.data)))
+            for full, rho in zip(oracle, production)
+        )
+        assert worst <= 1e-8
 
     def test_curve_container_validation(self):
         with pytest.raises(ValueError):

@@ -13,6 +13,7 @@ from topoqed.qcore import (
     basis_state,
     destroy,
     entanglement_entropy,
+    evolve_master_equation,
     expm_hermitian,
     eye,
     integrate_master_equation,
@@ -216,6 +217,16 @@ class TestLindbladSpec:
             LindbladSpec(hamiltonian=lambda t: eye(2), channels=((TAU_MINUS, -1.0),))
 
 
+def _evolve_constant(spec, rho0, t_grid):
+    """evolve_master_equation on a spec whose Hamiltonian does not depend on t."""
+    return evolve_master_equation(spec.hamiltonian(0.0), spec.channels, rho0, t_grid)
+
+
+# The RK45 oracle and the sparse expm propagator; every case below has a
+# constant Hamiltonian, so each runs through both.
+PROPAGATORS = (integrate_master_equation, _evolve_constant)
+
+
 class TestIntegrateMasterEquation:
     def test_unitary_limit_matches_expm(self):
         rng = np.random.default_rng(8)
@@ -223,10 +234,11 @@ class TestIntegrateMasterEquation:
         rho0 = random_density_matrix(rng, 6)
         spec = LindbladSpec(hamiltonian=lambda t: h, channels=())
         t_grid = [0.0, 0.4, 1.1]
-        states = integrate_master_equation(spec, QuantumState.mixed(rho0, (6,)), t_grid)
-        for t, state in zip(t_grid, states):
-            u = expm_hermitian(h, t)
-            assert np.max(np.abs(state.data - u @ rho0 @ u.conj().T)) <= 1e-8
+        for propagate in PROPAGATORS:
+            states = propagate(spec, QuantumState.mixed(rho0, (6,)), t_grid)
+            for t, state in zip(t_grid, states):
+                u = expm_hermitian(h, t)
+                assert np.max(np.abs(state.data - u @ rho0 @ u.conj().T)) <= 1e-8
 
     def test_photon_number_decays_at_twice_kappa(self):
         n, kappa = 6, 0.9
@@ -236,10 +248,11 @@ class TestIntegrateMasterEquation:
         )
         rho0 = QuantumState.pure(basis_state(n, 1), (n,))
         t_grid = np.linspace(0.0, 2.0, 9)
-        states = integrate_master_equation(spec, rho0, t_grid)
-        for t, state in zip(t_grid, states):
-            n_mean = float(np.real(np.trace(number_op(n) @ state.data)))
-            assert abs(n_mean - math.exp(-2.0 * kappa * t)) <= 1e-6
+        for propagate in PROPAGATORS:
+            states = propagate(spec, rho0, t_grid)
+            for t, state in zip(t_grid, states):
+                n_mean = float(np.real(np.trace(number_op(n) @ state.data)))
+                assert abs(n_mean - math.exp(-2.0 * kappa * t)) <= 1e-6
 
     def test_excited_population_decays_at_twice_gamma(self):
         gamma = 1.3
@@ -249,10 +262,11 @@ class TestIntegrateMasterEquation:
         )
         rho0 = QuantumState.pure(basis_state(2, 1), (2,))
         t_grid = np.linspace(0.0, 1.5, 7)
-        states = integrate_master_equation(spec, rho0, t_grid)
-        for t, state in zip(t_grid, states):
-            p_excited = float(np.real(state.data[1, 1]))
-            assert abs(p_excited - math.exp(-2.0 * gamma * t)) <= 1e-6
+        for propagate in PROPAGATORS:
+            states = propagate(spec, rho0, t_grid)
+            for t, state in zip(t_grid, states):
+                p_excited = float(np.real(state.data[1, 1]))
+                assert abs(p_excited - math.exp(-2.0 * gamma * t)) <= 1e-6
 
     def test_outputs_satisfy_physicality_bounds(self):
         n, kappa = 5, 0.5
@@ -260,11 +274,11 @@ class TestIntegrateMasterEquation:
             hamiltonian=lambda t: 0.3 * number_op(n), channels=((destroy(n), kappa),)
         )
         rho0 = QuantumState.pure(basis_state(n, 2), (n,))
-        states = integrate_master_equation(spec, rho0, np.linspace(0.0, 1.0, 5))
-        for state in states:
-            assert abs(np.trace(state.data) - 1.0) <= 1e-8
-            assert np.max(np.abs(state.data - state.data.conj().T)) == 0.0
-            assert float(np.linalg.eigvalsh(state.data)[0]) >= -1e-8
+        for propagate in PROPAGATORS:
+            for state in propagate(spec, rho0, np.linspace(0.0, 1.0, 5)):
+                assert abs(np.trace(state.data) - 1.0) <= 1e-8
+                assert np.max(np.abs(state.data - state.data.conj().T)) == 0.0
+                assert float(np.linalg.eigvalsh(state.data)[0]) >= -1e-8
 
     def test_positivity_failure_raises_integration_error(self):
         # A negative rate pumps |+> past full excitation: trace and
@@ -275,19 +289,36 @@ class TestIntegrateMasterEquation:
         )
         object.__setattr__(spec, "channels", ((TAU_MINUS, -1.0),))
         plus = QuantumState.pure(np.array([1.0, 1.0]) / math.sqrt(2.0), (2,))
-        with pytest.raises(IntegrationError, match="t="):
-            integrate_master_equation(spec, plus, [0.0, 0.5])
+        for propagate in PROPAGATORS:
+            with pytest.raises(IntegrationError, match="t="):
+                propagate(spec, plus, [0.0, 0.5])
 
     def test_grid_must_start_at_zero_and_increase(self):
         spec = LindbladSpec(hamiltonian=lambda t: eye(2), channels=())
         rho0 = QuantumState.pure(basis_state(2, 0), (2,))
-        with pytest.raises(ValueError):
-            integrate_master_equation(spec, rho0, [0.1, 0.2])
-        with pytest.raises(ValueError):
-            integrate_master_equation(spec, rho0, [0.0, 0.2, 0.2])
+        for propagate in PROPAGATORS:
+            with pytest.raises(ValueError):
+                propagate(spec, rho0, [0.1, 0.2])
+            with pytest.raises(ValueError):
+                propagate(spec, rho0, [0.0, 0.2, 0.2])
 
     def test_dimension_mismatch_rejected(self):
         spec = LindbladSpec(hamiltonian=lambda t: eye(4), channels=())
         rho0 = QuantumState.pure(basis_state(2, 0), (2,))
-        with pytest.raises(ValueError):
-            integrate_master_equation(spec, rho0, [0.0, 1.0])
+        for propagate in PROPAGATORS:
+            with pytest.raises(ValueError):
+                propagate(spec, rho0, [0.0, 1.0])
+
+    def test_expm_propagator_matches_rk45_with_channels(self):
+        # Both paths with dissipation and a nonuniform grid; the oracle's
+        # rtol 1e-9 bounds the agreement.
+        rng = np.random.default_rng(11)
+        h = random_hermitian(rng, 6)
+        channels = ((destroy(6), 0.4), (random_hermitian(rng, 6, scale=0.3), 0.2))
+        spec = LindbladSpec(hamiltonian=lambda t: h, channels=channels)
+        rho0 = QuantumState.mixed(random_density_matrix(rng, 6), (6,))
+        t_grid = [0.0, 0.3, 0.35, 1.2]
+        pairs = zip(integrate_master_equation(spec, rho0, t_grid),
+                    _evolve_constant(spec, rho0, t_grid))
+        for oracle, state in pairs:
+            assert np.max(np.abs(state.data - oracle.data)) <= 1e-8

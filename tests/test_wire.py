@@ -65,6 +65,10 @@ class TestWireParams:
     def test_positive_parameters_required(self):
         with pytest.raises(ValueError):
             WireParams(v_F=-1e5, L=5e-6, Delta0=1e11)
+        for overrides in ({"v_F": math.nan}, {"L": math.inf}, {"Delta0": math.nan},
+                          {"W": math.nan}, {"T": math.inf}):
+            with pytest.raises(ValueError, match="finite"):
+                WireParams(**{"v_F": 1e5, "L": 5e-6, "Delta0": 1e11, **overrides})
 
     def test_wide_wire_warns(self):
         with pytest.warns(UserWarning) as record:
