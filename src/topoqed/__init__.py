@@ -3,7 +3,6 @@
 from .circuit import (
     CircuitParams,
     EffectiveQubit,
-    charge_basis_oracle,
     effective_qubit,
     phi_J_exact,
     phi_J_series,

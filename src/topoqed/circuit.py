@@ -23,16 +23,11 @@ import math
 import warnings
 from dataclasses import dataclass
 
-import numpy as np
-from scipy.linalg import eigvalsh_tridiagonal
-from scipy.optimize import brentq
-
-from .qcore import ConvergenceError
+from .qcore import ConvergenceError, newton_bisect
 
 __all__ = [
     "CircuitParams",
     "EffectiveQubit",
-    "charge_basis_oracle",
     "effective_qubit",
     "phi_J_exact",
     "phi_J_series",
@@ -137,7 +132,8 @@ def phi_J_exact(params: CircuitParams, phi: float, photon_amp: float = 0.0) -> f
     """Self-consistent large-junction phase drop.
 
     Solves sin(x) = 2*eta*sin((phi_e - x)/2 + g*p)*cos(phi) for the unique
-    root in (-pi/2, pi/2); the residual is verified below 1e-12.
+    root in (-pi/2, pi/2) by safeguarded Newton iteration; the residual is
+    verified below 1e-12 before a last Newton step.
     """
     eta = params.eta
     if eta == 0.0:
@@ -147,6 +143,9 @@ def phi_J_exact(params: CircuitParams, phi: float, photon_amp: float = 0.0) -> f
 
     def constraint(x: float) -> float:
         return math.sin(x) - 2.0 * eta * math.sin(shift - 0.5 * x) * cphi
+
+    def slope(x: float) -> float:
+        return math.cos(x) + eta * math.cos(shift - 0.5 * x) * cphi
 
     lo, hi = -0.5 * math.pi, 0.5 * math.pi
     f_lo, f_hi = constraint(lo), constraint(hi)
@@ -159,10 +158,13 @@ def phi_J_exact(params: CircuitParams, phi: float, photon_amp: float = 0.0) -> f
             "no sign change of the current constraint in (-pi/2, pi/2); "
             "parameter regime breakdown"
         )
-    root = brentq(constraint, lo, hi, xtol=1e-15, rtol=8.9e-16)
-    if abs(constraint(root)) > 1e-12:
+    root = newton_bisect(constraint, slope, lo, hi, f_lo, 1e-12)
+    residual = constraint(root)
+    if abs(residual) > 1e-12:
         raise ConvergenceError("current-constraint residual above 1e-12")
-    return float(root)
+    # Newton's error squares with each step, so one more step from a root
+    # good to 1e-12 lands on the rounding floor.
+    return root - residual / slope(root)
 
 
 def effective_qubit(params: CircuitParams) -> EffectiveQubit:
@@ -184,37 +186,6 @@ def effective_qubit(params: CircuitParams) -> EffectiveQubit:
         eps_plus=params.phi_c + f1 + f2,
         eps_minus=params.phi_c + f1 - f2,
     )
-
-
-def charge_basis_oracle(params: CircuitParams, n_max: int = 10) -> float:
-    """Gap of the truncated charge-basis island Hamiltonian.
-
-    Diagonalizes E_c*(n - n_g)^2 - E_J_bar*cos(phi) with cos(phi) represented
-    as symmetric nearest-neighbour hopping of amplitude 1/2 over charge states
-    n in [-n_max, n_max].  In the charging regime the gap between the two
-    lowest levels approaches the effective two-level splitting E_J_bar.
-    Raises ConvergenceError if the gap has not converged to 1e-6 relative
-    between truncations n_max and n_max + 2.
-    """
-    if params.n_g != 0.5:
-        raise ValueError("the charge-basis oracle assumes the degeneracy point n_g = 1/2")
-    if n_max < 3:
-        raise ValueError("n_max must be at least 3")
-    e_j_bar = effective_qubit(params).E_J_bar
-
-    def gap(m: int) -> float:
-        n = np.arange(-m, m + 1, dtype=float)
-        diag = params.E_c * (n - params.n_g) ** 2
-        off = np.full(2 * m, -0.5 * e_j_bar)
-        levels = eigvalsh_tridiagonal(diag, off, select="i", select_range=(0, 1))
-        return float(levels[1] - levels[0])
-
-    g1, g2 = gap(n_max), gap(n_max + 2)
-    if abs(g1 - g2) > 1e-6 * max(abs(g2), 1e-12 * params.E_c):
-        raise ConvergenceError(
-            f"charge-basis gap not converged: {g1!r} vs {g2!r} at n_max={n_max}"
-        )
-    return g1
 
 
 def tunneling_leakage(lambda1: float, params: CircuitParams) -> float:

@@ -331,7 +331,7 @@ def main(argv=None) -> int:
         if args.command == "validate":
             return cmd_validate(config, tuple(args.mutate))
         raise AssertionError(f"unhandled command {args.command}")
-    except ConfigError as exc:
+    except ValueError as exc:  # ConfigError, or a value the parsers let through
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (IntegrationError, ConvergenceError) as exc:

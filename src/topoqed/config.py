@@ -79,6 +79,8 @@ class SweepSpec:
             raise ConfigError("sweep needs at least 1 step")
         if not self.max > self.min:
             raise ConfigError("sweep requires max > min")
+        if not math.isfinite(self.max - self.min):
+            raise ConfigError("sweep bounds and their difference must be finite")
 
     def values(self):
         step = (self.max - self.min) / self.steps

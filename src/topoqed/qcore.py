@@ -16,7 +16,11 @@ Two master-equation propagators share one set of output checks:
   rotates with the cavity.
 * ``integrate_master_equation`` takes a time-dependent Hamiltonian callable
   (:class:`LindbladSpec`) and runs adaptive RK45.  It serves as the
-  independent oracle of the first.
+  independent oracle of the first, for tests only; it loads
+  ``scipy.integrate`` on first use, so importing the package does not.
+
+``newton_bisect`` is the safeguarded scalar root finder that the wire and
+circuit layers share.
 
 Decay-rate convention
 ---------------------
@@ -34,13 +38,13 @@ against rates quoted in MHz.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from typing import Callable, Sequence
 
 import numpy as np
 from scipy import sparse
-from scipy.integrate import solve_ivp
 from scipy.sparse.linalg import expm_multiply
 
 __all__ = [
@@ -61,6 +65,7 @@ __all__ = [
     "integrate_master_equation",
     "is_hermitian",
     "is_unitary",
+    "newton_bisect",
     "number_op",
     "partial_trace",
     "state_fidelity",
@@ -86,6 +91,55 @@ class ConvergenceError(RuntimeError):
 
 class IntegrationError(RuntimeError):
     """An ODE integration failed or produced an unphysical state."""
+
+
+def __getattr__(name: str):
+    # Importing scipy.integrate would add about 0.3 s to the start-up of
+    # every command, and only the RK45 oracle needs it, so it loads on first
+    # use.  The binding is stored in the module, where callers and wrappers
+    # find it.
+    if name == "solve_ivp":
+        from scipy.integrate import solve_ivp
+
+        globals()[name] = solve_ivp
+        return solve_ivp
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def newton_bisect(f, df, lo, hi, f_lo, f_tol, max_iter=200):
+    """Safeguarded root finder: bisection with Newton acceleration.
+
+    Requires a sign change between ``lo`` and ``hi``; ``f_lo`` is the sign of
+    f at the low end.  Terminates when |f| <= f_tol, raises ConvergenceError
+    after ``max_iter`` iterations.
+    """
+    x = 0.5 * (lo + hi)
+    for _ in range(max_iter):
+        fx = f(x)
+        if abs(fx) <= f_tol:
+            return x
+        if (fx > 0) == (f_lo > 0):
+            lo = x
+        else:
+            hi = x
+        dfx = df(x)
+        newton_ok = False
+        if dfx != 0.0:
+            step = fx / dfx
+            cand = x - step
+            if lo < cand < hi:
+                x = cand
+                newton_ok = True
+        if not newton_ok:
+            x = 0.5 * (lo + hi)
+        if hi - lo <= 1e-16 * max(1.0, abs(x)):
+            # Bracket exhausted at double precision; accept if residual sane.
+            if abs(f(x)) <= max(f_tol, 1e-9):
+                return x
+            break
+    raise ConvergenceError(
+        f"root finder did not reach |f| <= {f_tol:g} within {max_iter} iterations"
+    )
 
 
 def eye(dim: int) -> np.ndarray:
@@ -393,7 +447,8 @@ def integrate_master_equation(
     if len(t_grid) == 1:
         return [QuantumState.mixed(rho_init, rho0.dims)]
 
-    sol = solve_ivp(
+    # Through the module, so that the first call imports scipy.integrate.
+    sol = sys.modules[__name__].solve_ivp(
         _lindblad_rhs_factory(spec),
         (float(t_grid[0]), float(t_grid[-1])),
         rho_init.ravel(),

@@ -3,8 +3,8 @@
 Each group re-derives a handful of the package's load-bearing identities in
 seconds.  The ``gate-phase-sign`` mutation deliberately corrupts the sign of
 the accumulated gate phase while the propagator-oracle group runs, to
-demonstrate that the comparison of the closed form with both propagators
-actually detects a seeded defect (the group must then fail).
+demonstrate that the comparison of the closed form with the production
+propagator actually detects a seeded defect (the group must then fail).
 """
 
 from __future__ import annotations
@@ -21,13 +21,11 @@ from .config import load_config
 from .dynamics import GateSchedule, ideal_gate_state, propagator_AB
 from .interface import CouplingSet, HamiltonianModel, build_H_CT, build_H_I, couplings
 from .qcore import (
-    LindbladSpec,
     QuantumState,
     basis_state,
     destroy,
     evolve_master_equation,
     expm_hermitian,
-    integrate_master_equation,
     number_op,
     partial_trace,
     state_fidelity,
@@ -147,18 +145,14 @@ def _check_hermitian_builders() -> tuple[bool, str]:
 
 
 def _check_propagator_oracle(mutations: frozenset) -> tuple[bool, str]:
-    # The closed gate from |++> and vacuum, propagated twice: by RK45 on the
-    # interaction-picture Hamiltonian (qcore's oracle) and by the production
-    # rotating-frame propagator, mapped back with exp(+i nu t a+a).  Both are
+    # The closed gate from |++> and vacuum, propagated by the production
+    # rotating-frame propagator and mapped back with exp(+i nu t a+a), is
     # compared with U rho0 U+ of the closed form at the same times.
     sch = GateSchedule(k=1, lambda2=2 * math.pi * 32e6)
     model = HamiltonianModel(fock_cutoff=16, nu=sch.nu)
     start = _dyn._gate_start(model.fock_cutoff)
     rho0 = start.density_matrix()
     t_grid = [0.0, 0.31 * sch.tau, 0.77 * sch.tau]
-    cs = CouplingSet.pinned(lambda2=sch.lambda2)
-    spec = LindbladSpec(hamiltonian=lambda t: build_H_I(cs, model, t), channels=())
-    integrated = integrate_master_equation(spec, start, t_grid)
     rotating = evolve_master_equation(
         _dyn._rotating_frame_hamiltonian(sch, model), (), start, t_grid
     )
@@ -171,19 +165,16 @@ def _check_propagator_oracle(mutations: frozenset) -> tuple[bool, str]:
 
         _dyn.propagator_AB = mutated
     try:
-        worst_rk, worst_rot = 0.0, 0.0
-        for t, rho_rk, rho_rot in zip(t_grid[1:], integrated[1:], rotating[1:]):
+        worst = 0.0
+        for t, rho in zip(t_grid[1:], rotating[1:]):
             u = _dyn.analytic_U(sch.lambda2, sch.nu, t, model)
             expected = u @ rho0 @ u.conj().T
             phase = np.exp(1j * sch.nu * t * photons)
-            back = phase[:, None] * rho_rot.data * phase.conj()[None, :]
-            worst_rk = max(worst_rk, float(np.max(np.abs(expected - rho_rk.data))))
-            worst_rot = max(worst_rot, float(np.max(np.abs(expected - back))))
+            back = phase[:, None] * rho.data * phase.conj()[None, :]
+            worst = max(worst, float(np.max(np.abs(expected - back))))
     finally:
         _dyn.propagator_AB = original
-    ok = worst_rk <= 1e-6 and worst_rot <= 1e-6
-    return ok, (f"max |U rho0 U+ - rho| = {worst_rk:.2e} (RK45), "
-                f"{worst_rot:.2e} (rotating frame)")
+    return worst <= 1e-6, f"max |U rho0 U+ - rho| = {worst:.2e} (rotating frame)"
 
 
 def _check_closed_gate() -> tuple[bool, str]:
@@ -197,11 +188,10 @@ def _check_master_equation_limits() -> tuple[bool, str]:
     # Photon decay: <n>(t) = exp(-2*kappa*t) from a one-photon state.
     n = 6
     kappa = 0.7
-    a = destroy(n)
-    spec = LindbladSpec(hamiltonian=lambda t: np.zeros((n, n), complex), channels=((a, kappa),))
     rho0 = QuantumState.pure(basis_state(n, 1), (n,))
     t_grid = np.linspace(0.0, 1.5, 7)
-    states = integrate_master_equation(spec, rho0, t_grid)
+    states = evolve_master_equation(np.zeros((n, n), complex), ((destroy(n), kappa),),
+                                    rho0, t_grid)
     worst = max(
         abs(float(np.real(np.trace(number_op(n) @ s.data))) - math.exp(-2 * kappa * t))
         for t, s in zip(t_grid, states)
@@ -212,8 +202,7 @@ def _check_master_equation_limits() -> tuple[bool, str]:
     h = 0.5 * (h + h.conj().T)
     vec = rng.normal(size=4) + 1j * rng.normal(size=4)
     vec /= np.linalg.norm(vec)
-    spec_u = LindbladSpec(hamiltonian=lambda t: h, channels=())
-    out = integrate_master_equation(spec_u, QuantumState.pure(vec, (2, 2)), [0.0, 0.9])[-1]
+    out = evolve_master_equation(h, (), QuantumState.pure(vec, (2, 2)), [0.0, 0.9])[-1]
     u = expm_hermitian(h, 0.9)
     rho_ref = u @ np.outer(vec, vec.conj()) @ u.conj().T
     dev_u = float(np.max(np.abs(out.data - rho_ref)))

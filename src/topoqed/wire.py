@@ -26,7 +26,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .qcore import ConvergenceError
+from .qcore import newton_bisect
 
 __all__ = [
     "HBAR",
@@ -44,7 +44,6 @@ HBAR = 1.054571817e-34  # J s
 K_B = 1.380649e-23  # J / K
 
 _ROOT_TOL = 1e-12
-_MAX_ITER = 200
 
 
 @dataclass(frozen=True)
@@ -104,42 +103,6 @@ class SplittingResult:
             raise ValueError("E and Lambda must be non-negative")
 
 
-def _newton_bisect(f, df, lo, hi, f_lo, f_tol, max_iter=_MAX_ITER):
-    """Safeguarded root finder: bisection with Newton acceleration.
-
-    Requires a sign change between ``lo`` and ``hi``; ``f_lo`` is the sign of
-    f at the low end.  Terminates when |f| <= f_tol, raises ConvergenceError
-    after ``max_iter`` iterations.
-    """
-    x = 0.5 * (lo + hi)
-    for _ in range(max_iter):
-        fx = f(x)
-        if abs(fx) <= f_tol:
-            return x
-        if (fx > 0) == (f_lo > 0):
-            lo = x
-        else:
-            hi = x
-        dfx = df(x)
-        newton_ok = False
-        if dfx != 0.0:
-            step = fx / dfx
-            cand = x - step
-            if lo < cand < hi:
-                x = cand
-                newton_ok = True
-        if not newton_ok:
-            x = 0.5 * (lo + hi)
-        if hi - lo <= 1e-16 * max(1.0, abs(x)):
-            # Bracket exhausted at double precision; accept if residual sane.
-            if abs(f(x)) <= max(f_tol, 1e-9):
-                return x
-            break
-    raise ConvergenceError(
-        f"root finder did not reach |f| <= {f_tol:g} within {max_iter} iterations"
-    )
-
-
 def _x_over_tan(x: float) -> float:
     return x / math.tan(x)
 
@@ -175,7 +138,7 @@ def inverse_x_over_tan(y: float, n: int = 0) -> float:
         hi = (n + 1) * math.pi - 1e-9
         f_lo = _x_over_tan(lo) - y
     f_tol = _ROOT_TOL * max(1.0, abs(y))
-    return _newton_bisect(
+    return newton_bisect(
         lambda x: _x_over_tan(x) - y, _d_x_over_tan, lo, hi, f_lo, f_tol
     )
 
@@ -202,7 +165,7 @@ def inverse_x_over_tanh(y: float) -> float:
     hi = y  # u/tanh(u) = y implies u = y*tanh(u) < y
     f_lo = _u_over_tanh(lo) - y
     f_tol = _ROOT_TOL * max(1.0, abs(y))
-    return _newton_bisect(
+    return newton_bisect(
         lambda u: _u_over_tanh(u) - y, _d_u_over_tanh, lo, hi, f_lo, f_tol
     )
 

@@ -1,9 +1,17 @@
 import math
+import os
 
-import pytest
+# One BLAS thread per test process, set before numpy is first imported: the
+# wall-clock bounds of the acceptance tests assume it, and on a shared host
+# threads competing for the same cores made fig2 twenty times slower.
+os.environ.update(dict.fromkeys(
+    ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS",
+     "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS"), "1"))
 
-from topoqed.circuit import CircuitParams
-from topoqed.wire import WireParams
+import pytest  # noqa: E402
+
+from topoqed.circuit import CircuitParams  # noqa: E402
+from topoqed.wire import WireParams  # noqa: E402
 
 
 @pytest.fixture

@@ -3,14 +3,18 @@
 Everything here deliberately avoids the code paths it is used to check:
 roots come from plain bisection, matrix exponentials from a scaling-and-
 squaring Taylor series, propagators from fixed-step Runge-Kutta with step
-doubling, and the splitting derivative from implicit differentiation of the
-quantization condition, in double precision or, for long wires, in mpmath.
+doubling, the splitting derivative from implicit differentiation of the
+quantization condition, in double precision or, for long wires, in mpmath,
+and the charge-qubit gap from dense diagonalization in the charge basis.
 """
 
 import math
 
 import numpy as np
 import pytest
+
+from topoqed.circuit import effective_qubit
+from topoqed.qcore import ConvergenceError
 
 
 def bisect_root(f, lo: float, hi: float, iters: int = 200) -> float:
@@ -30,6 +34,46 @@ def bisect_root(f, lo: float, hi: float, iters: int = 200) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def bisect_phi_J(params, phi: float, photon_amp: float = 0.0) -> float:
+    """Large-junction phase drop by plain bisection of the current constraint."""
+    shift = 0.5 * params.phi_e + params.g * photon_amp
+    cphi = math.cos(phi)
+    return bisect_root(
+        lambda x: math.sin(x) - 2.0 * params.eta * math.sin(shift - 0.5 * x) * cphi,
+        -0.5 * math.pi, 0.5 * math.pi)
+
+
+def charge_basis_oracle(params, n_max: int = 10) -> float:
+    """Gap of the truncated charge-basis island Hamiltonian.
+
+    Diagonalizes E_c*(n - n_g)^2 - E_J_bar*cos(phi) with cos(phi) represented
+    as symmetric nearest-neighbour hopping of amplitude 1/2 over charge states
+    n in [-n_max, n_max].  In the charging regime the gap between the two
+    lowest levels approaches the effective two-level splitting E_J_bar.
+    Raises ConvergenceError if the gap has not converged to 1e-6 relative
+    between truncations n_max and n_max + 2.
+    """
+    if params.n_g != 0.5:
+        raise ValueError("the charge-basis oracle assumes the degeneracy point n_g = 1/2")
+    if n_max < 3:
+        raise ValueError("n_max must be at least 3")
+    e_j_bar = effective_qubit(params).E_J_bar
+
+    def gap(m: int) -> float:
+        n = np.arange(-m, m + 1, dtype=float)
+        hopping = np.eye(2 * m + 1, k=1) + np.eye(2 * m + 1, k=-1)
+        levels = np.linalg.eigvalsh(np.diag(params.E_c * (n - params.n_g) ** 2)
+                                    - 0.5 * e_j_bar * hopping)
+        return float(levels[1] - levels[0])
+
+    g1, g2 = gap(n_max), gap(n_max + 2)
+    if abs(g1 - g2) > 1e-6 * max(abs(g2), 1e-12 * params.E_c):
+        raise ConvergenceError(
+            f"charge-basis gap not converged: {g1!r} vs {g2!r} at n_max={n_max}"
+        )
+    return g1
 
 
 def expm_taylor(m: np.ndarray) -> np.ndarray:

@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from topoqed.circuit import CircuitParams, charge_basis_oracle, effective_qubit, phi_J_exact, phi_J_series, tunneling_leakage
+from topoqed.circuit import CircuitParams, effective_qubit, phi_J_exact, phi_J_series, tunneling_leakage
 from topoqed.cli import cmd_fig2
 from topoqed.config import load_config
 from topoqed.dynamics import (
@@ -40,7 +40,7 @@ from topoqed.qcore import (
 )
 from topoqed.wire import WireParams, inverse_x_over_tan, thermal_leakage, wire_splitting
 
-from helpers import rk4_columns, x_over_tan
+from helpers import charge_basis_oracle, rk4_columns, x_over_tan
 
 LAMBDA2 = 2 * math.pi * 32e6  # headline coupling
 KAPPA = GAMMA = 1e6  # headline rates, plain convention

@@ -1,20 +1,21 @@
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from topoqed.circuit import (
     CircuitParams,
-    charge_basis_oracle,
     effective_qubit,
     phi_J_exact,
     phi_J_series,
     tunneling_leakage,
 )
+from topoqed.config import load_config
 from topoqed.qcore import ConvergenceError
 
-from helpers import bisect_root
+from helpers import bisect_phi_J, bisect_root, charge_basis_oracle
 
 # Root of sin(x) = 0.2 cos(x/2) (eta = 0.1, phi_e = pi, phi = 0), frozen from
 # the bisection oracle below.
@@ -103,6 +104,27 @@ class TestPhiJExact:
         shift = 0.5 * p.phi_e + p.g * 0.4
         residual = math.sin(x) - 2 * p.eta * math.sin(shift - 0.5 * x) * math.cos(0.7)
         assert abs(residual) <= 1e-12
+
+    def test_matches_bisection_oracle_over_validate_grid(self):
+        # The reference device over the 12 x 12 x 3 grid of validate's
+        # circuit_series_vs_exact group.  Stopping at |f| <= 1e-12 without
+        # the last Newton step would miss by up to 1e-12.
+        circ = load_config(None).circuit
+        worst = 0.0
+        for phi_e in np.linspace(0.0, 2 * math.pi, 12, endpoint=False):
+            p = dataclasses.replace(circ, phi_e=float(phi_e))
+            for phi in np.linspace(0.0, 2 * math.pi, 12, endpoint=False):
+                for photon in (-1.0, 0.0, 1.0):
+                    got = phi_J_exact(p, float(phi), photon)
+                    worst = max(worst, abs(got - bisect_phi_J(p, float(phi), photon)))
+        assert worst <= 1e-13
+
+    def test_no_sign_change_raises(self):
+        # eta = 0.9 lies beyond CircuitParams' guard, so a stand-in carries
+        # it; with phi_e = -3*pi/2 the constraint is positive at both ends.
+        p = SimpleNamespace(eta=0.9, phi_e=-1.5 * math.pi, g=0.0)
+        with pytest.raises(ConvergenceError, match="no sign change"):
+            phi_J_exact(p, 0.0)
 
     def test_series_tracks_exact_over_phase_grid(self):
         p0 = params()

@@ -57,6 +57,48 @@ def test_child_imports_checkout_package(tmp_path):
     assert origin.is_relative_to(SRC), f"child imported topoqed from {origin}, not from {SRC}"
 
 
+def test_cli_import_leaves_oracle_scipy_modules_unloaded(tmp_path):
+    # Only the RK45 oracle and test code use these; loading them would add
+    # about a second to the start-up of every command.
+    code = ("import sys, topoqed.cli; print(sorted(m for m in sys.modules if m in "
+            "('scipy.optimize', 'scipy.integrate', 'scipy.special')))")
+    res = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=child_env(),
+                         capture_output=True, text=True, timeout=60)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"
+
+
+RK45_FIRST_USE = """
+import math, sys
+import topoqed.cli
+from topoqed import qcore
+assert "scipy.integrate" not in sys.modules
+original = qcore.solve_ivp
+assert original is sys.modules["scipy.integrate"].solve_ivp
+calls = []
+
+def counted(*args, **kwargs):
+    calls.append(1)
+    return original(*args, **kwargs)
+
+qcore.solve_ivp = counted  # rebinding the module attribute, as a tracer does
+spec = qcore.LindbladSpec(hamiltonian=lambda t: qcore.SIGMA_X, channels=())
+start = qcore.QuantumState.pure(qcore.basis_state(2, 0), (2,))
+states = qcore.integrate_master_equation(spec, start, [0.0, 0.5 * math.pi])
+print(len(calls), round(states[-1].data[1, 1].real, 6))
+"""
+
+
+def test_rk45_oracle_imports_scipy_integrate_on_first_use(tmp_path):
+    # The RK45 oracle resolves solve_ivp through the qcore module, so the
+    # first use loads scipy.integrate and a rebound attribute is the one
+    # called.
+    res = subprocess.run([sys.executable, "-c", RK45_FIRST_USE], cwd=tmp_path,
+                         env=child_env(), capture_output=True, text=True, timeout=60)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == ["1", "1.0"]
+
+
 class TestConfig:
     def test_defaults_parse(self):
         config = load_config(None)
@@ -298,6 +340,35 @@ class TestErrorPaths:
         res = run_cli("spectrum", "--sweep", "eps:0:1", cwd=tmp_path)
         assert res.returncode == 2
         assert "configuration error" in res.stderr
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "phij --sweep phi:0:inf:3",
+            "phij --sweep phi_e:-inf:0:3",
+            "phij --sweep phi:0:nan:3",
+            "spectrum --sweep eps:0:inf:5",
+            # Finite bounds whose difference, and so the step, overflows.
+            "spectrum --sweep eps:-1e308:1e308:5",
+        ],
+    )
+    def test_non_finite_sweep_exits_2(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv.split()) == 2
+        assert "configuration error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, bound", [("phij", "abc"), ("spectrum", "inf")])
+    def test_sweep_bound_given_as_string_exits_2(self, command, bound, tmp_path, capsys):
+        # A JSON string reaches float() in the config parser: "abc" raises a
+        # plain ValueError there, "inf" parses to a non-finite bound.
+        doc = default_config_dict()
+        doc["sweep"] = {"variable": "phi" if command == "phij" else "eps",
+                        "min": 0.0, "max": bound, "steps": 3}
+        argv = [command, "--config", write_config(tmp_path, doc), "--out", str(tmp_path / "o")]
+        assert main(argv) == 2
+        assert "configuration error" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
         "command, section, key, value",
