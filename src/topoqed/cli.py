@@ -58,13 +58,6 @@ def _apply_overrides(config: RunConfig, args: argparse.Namespace) -> RunConfig:
         if args.fock < 8:
             raise ConfigError("--fock must be at least 8")
         updates["fock_cutoff"] = args.fock
-    if getattr(args, "rate_convention", None):
-        factor = 2.0 * math.pi if args.rate_convention == "angular" else 1.0
-        base_kappa = config.kappa / (2.0 * math.pi if config.rate_convention == "angular" else 1.0)
-        base_gamma = config.gamma / (2.0 * math.pi if config.rate_convention == "angular" else 1.0)
-        updates["kappa"] = base_kappa * factor
-        updates["gamma"] = base_gamma * factor
-        updates["rate_convention"] = args.rate_convention
     if getattr(args, "sweep", None):
         updates["sweep"] = _parse_sweep_flag(args.sweep)
     return dataclasses.replace(config, **updates) if updates else config
@@ -241,17 +234,18 @@ def cmd_gate(config: RunConfig) -> int:
 
 
 def cmd_fig2(config: RunConfig) -> int:
-    # The preset pins the headline parameters regardless of the configured
-    # device: k = 1, kappa = gamma = 1 MHz (plain rates), lambda2 = 2*pi*32 MHz.
-    # Only output location, Fock cutoff and the curve grid are taken from the
-    # config/flags.
+    # The preset pins the headline parameters of the built-in defaults
+    # regardless of the configured device: k = 1, kappa = gamma = 1 MHz (plain
+    # rates), lambda2 = 2*pi*32 MHz.  Only output location, Fock cutoff and the
+    # curve grid are taken from the config/flags.
+    ref = load_config(None)
     pinned = dataclasses.replace(
         config,
-        k=1,
-        kappa=1e6,
-        gamma=1e6,
-        rate_convention="plain",
-        lambda2_pinned=2.0 * math.pi * 32e6,
+        k=ref.k,
+        kappa=ref.kappa,
+        gamma=ref.gamma,
+        rate_convention=ref.rate_convention,
+        lambda2_pinned=ref.lambda2_pinned,
     )
     curve = _run_curve(pinned, pinned.lambda2_pinned)
     _write_curve(pinned, curve, "fig2", with_svg=True)
@@ -317,7 +311,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        config = _apply_overrides(load_config(args.config), args)
+        config = _apply_overrides(
+            load_config(args.config, getattr(args, "rate_convention", None)), args)
         if args.command == "spectrum":
             return cmd_spectrum(config)
         if args.command == "phij":

@@ -5,10 +5,10 @@ Every frequency-like quantity in the config carries an explicit unit tag
 everything to angular frequency (rad/s) and the normalized values are echoed
 into every output summary so a run can be reproduced from its own metadata.
 
-Decay rates kappa/gamma are normalized the same way, except that the
-``rate_convention`` setting takes precedence over their ``times_2pi`` flags:
-"plain" honors the flags as written (1 MHz -> 1e6 1/s), "angular" multiplies
-the plain values by 2*pi regardless of the flags.
+Decay rates kappa/gamma take the factor 2*pi from the ``bath.rate_convention``
+setting instead of their ``times_2pi`` flags: "plain" keeps them as written
+(1 MHz -> 1e6 1/s), "angular" multiplies them by 2*pi.  A rate flagged
+``times_2pi: true`` is an error, so the flag cannot be silently overridden.
 
 Unknown keys anywhere in the document are errors: a silently ignored typo in
 a physics parameter is the main operational hazard this format guards
@@ -37,7 +37,9 @@ class ConfigError(ValueError):
     """Invalid or inconsistent run configuration."""
 
 
-def _require_keys(section: dict, allowed: set[str], required: set[str], where: str):
+def _require_keys(section, allowed: set[str], required: set[str], where: str):
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where} must be an object")
     unknown = set(section) - allowed
     if unknown:
         raise ConfigError(f"unknown keys {sorted(unknown)} in {where}")
@@ -46,21 +48,39 @@ def _require_keys(section: dict, allowed: set[str], required: set[str], where: s
         raise ConfigError(f"missing keys {sorted(missing)} in {where}")
 
 
+def _number(value, where: str) -> float:
+    """A JSON number as a float; booleans, strings and containers are errors."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ConfigError(f"{where} must be a number")
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
+def _count(value, where: str) -> int:
+    """A positive integer; booleans are not counts."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        raise ConfigError(f"{where} must be a positive integer")
+    return value
+
+
 def _frequency(node, where: str, rate_convention: Optional[str] = None) -> float:
     """Normalize a tagged frequency field to rad/s (or 1/s for rates)."""
-    if not isinstance(node, dict):
-        raise ConfigError(f"{where} must be an object with value/unit/times_2pi")
     _require_keys(node, {"value", "unit", "times_2pi"}, {"value", "unit"}, where)
-    value = node["value"]
     unit = node["unit"]
-    if unit not in _UNIT_SCALE:
+    if not isinstance(unit, str) or unit not in _UNIT_SCALE:
         raise ConfigError(f"{where}: unit must be one of {sorted(_UNIT_SCALE)}, got {unit!r}")
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ConfigError(f"{where}: value must be a number")
-    base = float(value) * _UNIT_SCALE[unit]
-    times_2pi = bool(node.get("times_2pi", False))
+    value = _number(node["value"], f"{where}.value")
+    times_2pi = node.get("times_2pi", False)
+    if not isinstance(times_2pi, bool):
+        raise ConfigError(f"{where}.times_2pi must be true or false")
     if rate_convention is not None:
+        if times_2pi:
+            raise ConfigError(f"{where}: a rate takes its 2*pi from bath.rate_convention; "
+                              "set times_2pi false and bath.rate_convention to 'angular'")
         times_2pi = rate_convention == "angular"
+    base = value * _UNIT_SCALE[unit]
     scaled = base * (2.0 * math.pi) if times_2pi else base
     if not math.isfinite(scaled):
         raise ConfigError(f"{where}: {value!r} {unit} overflows a double in rad/s")
@@ -187,16 +207,15 @@ def default_config_dict() -> dict:
     }
 
 
-def parse_config(doc: dict) -> RunConfig:
-    if not isinstance(doc, dict):
-        raise ConfigError("config document must be a JSON object")
+def parse_config(doc: dict, rate_convention: Optional[str] = None) -> RunConfig:
+    """Validate a config document; ``rate_convention`` replaces bath.rate_convention."""
     _require_keys(
         doc,
         {"schema_version", "wire", "circuit", "bath", "schedule", "curve", "sweep", "output"},
         {"schema_version", "wire", "circuit", "bath", "schedule"},
-        "top level",
+        "config document",
     )
-    if doc["schema_version"] != SCHEMA_VERSION:
+    if isinstance(doc["schema_version"], bool) or doc["schema_version"] != SCHEMA_VERSION:
         raise ConfigError(
             f"unsupported schema_version {doc['schema_version']!r}; expected {SCHEMA_VERSION}"
         )
@@ -210,11 +229,11 @@ def parse_config(doc: dict) -> RunConfig:
     )
     try:
         wire = WireParams(
-            v_F=float(w["v_F_m_per_s"]),
-            L=float(w["L_m"]),
+            v_F=_number(w["v_F_m_per_s"], "wire.v_F_m_per_s"),
+            L=_number(w["L_m"], "wire.L_m"),
             Delta0=_frequency(w["Delta0"], "wire.Delta0"),
-            W=float(w.get("W_m", 0.0)),
-            T=float(w.get("T_K", 0.02)),
+            W=_number(w.get("W_m", 0.0), "wire.W_m"),
+            T=_number(w.get("T_K", 0.02), "wire.T_K"),
         )
     except ValueError as exc:
         raise ConfigError(f"wire: {exc}") from exc
@@ -231,10 +250,10 @@ def parse_config(doc: dict) -> RunConfig:
             E_J=_frequency(c["E_J"], "circuit.E_J"),
             E_J0=_frequency(c["E_J0"], "circuit.E_J0"),
             E_c=_frequency(c["E_c"], "circuit.E_c"),
-            n_g=float(c.get("n_g", 0.5)),
-            g=float(c.get("g", 0.01)),
-            phi_e=float(c.get("phi_e_rad", 0.0)),
-            phi_c=float(c.get("phi_c_rad", 0.0)),
+            n_g=_number(c.get("n_g", 0.5), "circuit.n_g"),
+            g=_number(c.get("g", 0.01), "circuit.g"),
+            phi_e=_number(c.get("phi_e_rad", 0.0), "circuit.phi_e_rad"),
+            phi_c=_number(c.get("phi_c_rad", 0.0), "circuit.phi_c_rad"),
             omega_r=_frequency(c["omega_r"], "circuit.omega_r") if "omega_r" in c else 0.0,
         )
     except ValueError as exc:
@@ -245,6 +264,7 @@ def parse_config(doc: dict) -> RunConfig:
     convention = b.get("rate_convention", "plain")
     if convention not in ("plain", "angular"):
         raise ConfigError(f"bath.rate_convention must be 'plain' or 'angular', got {convention!r}")
+    convention = rate_convention or convention
     kappa = _frequency(b["kappa"], "bath.kappa", rate_convention=convention)
     gamma = _frequency(b["gamma"], "bath.gamma", rate_convention=convention)
     if kappa < 0 or gamma < 0:
@@ -252,9 +272,7 @@ def parse_config(doc: dict) -> RunConfig:
 
     s = doc["schedule"]
     _require_keys(s, {"k", "fock_cutoff", "lambda2"}, {"k"}, "schedule")
-    k = s["k"]
-    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-        raise ConfigError("schedule.k must be a positive integer")
+    k = _count(s["k"], "schedule.k")
     fock = s.get("fock_cutoff", 16)
     if not isinstance(fock, int) or fock < 8:
         raise ConfigError("schedule.fock_cutoff must be an integer >= 8")
@@ -264,12 +282,12 @@ def parse_config(doc: dict) -> RunConfig:
         if lambda2_pinned <= 0:
             raise ConfigError("schedule.lambda2 must be positive when given")
 
-    curve = doc.get("curve") or {}
+    curve = {} if doc.get("curve") is None else doc["curve"]
     _require_keys(curve, {"x_max", "steps"}, set(), "curve")
-    x_max = float(curve.get("x_max", 1.1))
-    steps = curve.get("steps", 44)
-    if not isinstance(steps, int) or steps < 1 or x_max <= 0:
-        raise ConfigError("curve requires integer steps >= 1 and x_max > 0")
+    x_max = _number(curve.get("x_max", 1.1), "curve.x_max")
+    steps = _count(curve.get("steps", 44), "curve.steps")
+    if x_max <= 0:
+        raise ConfigError("curve.x_max must be positive")
 
     sweep = None
     if doc.get("sweep") is not None:
@@ -277,21 +295,24 @@ def parse_config(doc: dict) -> RunConfig:
         _require_keys(
             sw, {"variable", "min", "max", "steps"}, {"variable", "min", "max", "steps"}, "sweep"
         )
-        if not isinstance(sw["steps"], int):
-            raise ConfigError("sweep.steps must be an integer")
         sweep = SweepSpec(
             variable=str(sw["variable"]),
-            min=float(sw["min"]),
-            max=float(sw["max"]),
-            steps=sw["steps"],
+            min=_number(sw["min"], "sweep.min"),
+            max=_number(sw["max"], "sweep.max"),
+            steps=_count(sw["steps"], "sweep.steps"),
         )
 
-    out = doc.get("output") or {}
+    out = {} if doc.get("output") is None else doc["output"]
     _require_keys(out, {"directory", "formats"}, set(), "output")
-    formats = tuple(out.get("formats", ["csv", "json", "svg"]))
-    bad = set(formats) - {"csv", "json", "svg"}
-    if bad:
-        raise ConfigError(f"unknown output formats {sorted(bad)}")
+    directory = out.get("directory", "out")
+    if not isinstance(directory, str):
+        raise ConfigError("output.directory must be a string")
+    formats = out.get("formats", ["csv", "json", "svg"])
+    # Every command writes its CSV table and JSON summary; only svg is optional.
+    if not (isinstance(formats, list) and all(isinstance(f, str) for f in formats)
+            and {"csv", "json"} <= set(formats) <= {"csv", "json", "svg"}):
+        raise ConfigError(f"output.formats must list 'csv' and 'json' and may add 'svg', "
+                          f"got {formats!r}")
 
     return RunConfig(
         wire=wire,
@@ -303,8 +324,8 @@ def parse_config(doc: dict) -> RunConfig:
         fock_cutoff=fock,
         lambda2_pinned=lambda2_pinned,
         sweep=sweep,
-        out_dir=str(out.get("directory", "out")),
-        formats=formats,
+        out_dir=directory,
+        formats=tuple(formats),
         curve_x_max=x_max,
         curve_steps=steps,
     )
@@ -329,10 +350,13 @@ def _finite_int(text: str) -> int:
     return value
 
 
-def load_config(path: Optional[str] = None) -> RunConfig:
-    """Parse the config file at ``path``, or the built-in defaults if None."""
+def load_config(path: Optional[str] = None, rate_convention: Optional[str] = None) -> RunConfig:
+    """Parse the config file at ``path``, or the built-in defaults if None.
+
+    ``rate_convention``, if given, replaces the document's bath.rate_convention.
+    """
     if path is None:
-        return parse_config(default_config_dict())
+        return parse_config(default_config_dict(), rate_convention)
     try:
         doc = json.loads(
             Path(path).read_text(),
@@ -344,4 +368,4 @@ def load_config(path: Optional[str] = None) -> RunConfig:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
-    return parse_config(doc)
+    return parse_config(doc, rate_convention)

@@ -16,7 +16,6 @@ cavity, with the cavity truncated at ``fock_cutoff`` Fock states.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Optional
@@ -38,10 +37,14 @@ __all__ = [
     "optimal_working_point",
 ]
 
-# The coupling magnitudes grow monotonically as phi_c approaches the cusp of
-# E(phi) at phi = 0, where the derivative itself vanishes by symmetry.  The
-# working-point search therefore runs on a closed interval that stops one
-# grid step short of the cusp.
+# Where the working-point optimum lies.  At a switch point (phi_e = 0 or pi)
+# f1 = 0, so the working phase is phi_c itself, and on (0, pi]
+#     |dE/dphi| = (Delta0/2) * |r(Lambda)| * cos(phi/2),
+#     Lambda = (Delta0*L/v_F) * sin(phi/2).
+# cos(phi/2) falls and Lambda rises with phi, and |r| falls with Lambda (from
+# 2/pi at Lambda = 0 through 1/2 at the branch point toward 0), so both
+# couplings are largest at the low end of the interval.  At the cusp phi = 0
+# itself the derivative is 0 by symmetry, so the interval stops short of it.
 PHI_C_MIN = 1e-3
 
 
@@ -141,57 +144,26 @@ def couplings(wire: WireParams, circ: CircuitParams) -> CouplingSet:
     )
 
 
-def _golden_section_max(f, lo, hi, tol=1e-8, max_iter=200):
-    """Golden-section search for the maximum of f on [lo, hi]."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(max_iter):
-        if b - a <= tol:
-            break
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    x = 0.5 * (a + b)
-    return x, f(x)
-
-
 def optimal_working_point(
-    wire: WireParams,
-    circ: CircuitParams,
-    which: str,
-    grid_step: float = 1e-3,
+    wire: WireParams, circ: CircuitParams, which: str
 ) -> tuple[float, float]:
-    """Working phase phi_c maximizing |lambda1| or |lambda2|.
+    """Working phase phi_c maximizing |lambda1| or |lambda2| over [PHI_C_MIN, pi].
 
-    Scans phi_c over [PHI_C_MIN, pi - PHI_C_MIN] at ``grid_step`` resolution,
-    then refines around the best grid point by golden-section search to 1e-8.
-    Returns (phi_c, coupling value at phi_c).
+    At a switch point the magnitude falls monotonically in phi_c (see the
+    note above PHI_C_MIN), so the optimum is PHI_C_MIN.  Returns (phi_c,
+    coupling value at phi_c).  A circuit whose working phase is shifted off
+    phi_c (phi_e not 0 or pi) is rejected: there the supremum sits at the
+    cusp, where the derivative is 0, and no maximum exists.
     """
     if which not in ("lambda1", "lambda2"):
         raise ValueError("which must be 'lambda1' or 'lambda2'")
-
-    def coupling_at(phi_c: float) -> float:
-        cs = couplings(wire, replace(circ, phi_c=phi_c))
-        return getattr(cs, which)
-
-    lo, hi = PHI_C_MIN, math.pi - PHI_C_MIN
-    grid = np.arange(lo, hi + 0.5 * grid_step, grid_step)
-    values = np.array([abs(coupling_at(p)) for p in grid])
-    best = int(np.argmax(values))
-    a = grid[best - 1] if best > 0 else lo
-    b = grid[best + 1] if best < len(grid) - 1 else hi
-    phi_best, _ = _golden_section_max(lambda p: abs(coupling_at(p)), a, b, tol=1e-8)
-    candidates = [(abs(coupling_at(p)), p) for p in (phi_best, grid[best])]
-    _, phi_c = max(candidates)
-    return float(phi_c), coupling_at(float(phi_c))
+    cs = couplings(wire, replace(circ, phi_c=PHI_C_MIN))
+    if cs.working_phi != PHI_C_MIN:
+        raise ValueError(
+            f"phi_e = {circ.phi_e!r} shifts the working phase off phi_c; the "
+            "working-point optimum is defined at phi_e = 0 or pi only"
+        )
+    return PHI_C_MIN, getattr(cs, which)
 
 
 def build_H_CT(cs: CouplingSet, model: HamiltonianModel) -> np.ndarray:

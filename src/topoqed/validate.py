@@ -40,7 +40,7 @@ MUTATIONS = ("gate-phase-sign",)
 def _check_schedule_algebra() -> tuple[bool, str]:
     worst_a, worst_b = 0.0, 0.0
     for k in (1, 4, 9):
-        sch = GateSchedule(k=k, lambda2=2 * math.pi * 32e6)
+        sch = GateSchedule(k=k, lambda2=load_config(None).lambda2_pinned)
         a, b = propagator_AB(sch.lambda2, sch.nu, sch.tau)
         worst_a = max(worst_a, abs(a + math.pi / 2))
         worst_b = max(worst_b, abs(b))
@@ -51,7 +51,7 @@ def _check_schedule_algebra() -> tuple[bool, str]:
 
 
 def _check_propagator_periodicity() -> tuple[bool, str]:
-    lam2 = 2 * math.pi * 32e6
+    lam2 = load_config(None).lambda2_pinned
     nu = 2 * lam2
     worst_zero = max(
         abs(propagator_AB(lam2, nu, 2 * math.pi * m / nu)[1]) for m in range(1, 11)
@@ -148,7 +148,8 @@ def _check_propagator_oracle(mutations: frozenset) -> tuple[bool, str]:
     # The closed gate from |++> and vacuum, propagated by the production
     # rotating-frame propagator and mapped back with exp(+i nu t a+a), is
     # compared with U rho0 U+ of the closed form at the same times.
-    sch = GateSchedule(k=1, lambda2=2 * math.pi * 32e6)
+    ref = load_config(None)
+    sch = GateSchedule(k=ref.k, lambda2=ref.lambda2_pinned)
     model = HamiltonianModel(fock_cutoff=16, nu=sch.nu)
     start = _dyn._gate_start(model.fock_cutoff)
     rho0 = start.density_matrix()
@@ -178,7 +179,8 @@ def _check_propagator_oracle(mutations: frozenset) -> tuple[bool, str]:
 
 
 def _check_closed_gate() -> tuple[bool, str]:
-    sch = GateSchedule(k=1, lambda2=2 * math.pi * 32e6)
+    ref = load_config(None)
+    sch = GateSchedule(k=ref.k, lambda2=ref.lambda2_pinned)
     state = ideal_gate_state(sch, fock_cutoff=12)
     fid = state_fidelity(partial_trace(state, (0, 1)), _dyn.target_entangled_state())
     return fid >= 1.0 - 1e-6, f"closed-system gate fidelity = {fid:.10f}"

@@ -3,13 +3,14 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
 
 from topoqed.cli import main
-from topoqed.config import ConfigError, default_config_dict, load_config, parse_config
+from topoqed.config import ConfigError, RunConfig, default_config_dict, load_config, parse_config
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -163,6 +164,61 @@ class TestConfig:
         with pytest.raises(ConfigError, match="non-finite"):
             load_config(str(path))
 
+    @pytest.mark.parametrize("section", ["wire", "circuit", "bath", "schedule", "curve",
+                                         "sweep", "output"])
+    @pytest.mark.parametrize("value", [2.5, "x", [1]])
+    def test_section_that_is_not_an_object_rejected(self, section, value):
+        doc = default_config_dict()
+        doc[section] = value
+        with pytest.raises(ConfigError, match=f"{section} must be an object"):
+            parse_config(doc)
+
+    @pytest.mark.parametrize("section, body", [
+        ("curve", {"x_max": 1.1, "steps": True}),
+        ("sweep", {"variable": "eps", "min": 0.0, "max": 1.0, "steps": True}),
+    ])
+    def test_boolean_step_count_rejected(self, section, body):
+        doc = default_config_dict()
+        doc[section] = body
+        with pytest.raises(ConfigError, match=f"{section}.steps"):
+            parse_config(doc)
+
+    def test_any_single_replaced_key_parses_or_raises_config_error(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        def key_paths(node, prefix=()):
+            for key, value in node.items():
+                yield prefix + (key,)
+                if isinstance(value, dict):
+                    yield from key_paths(value, prefix + (key,))
+
+        json_values = st.recursive(
+            st.none() | st.booleans() | st.integers() | st.text()
+            | st.floats(allow_nan=False, allow_infinity=False),
+            lambda inner: st.lists(inner, max_size=3)
+            | st.dictionaries(st.text(), inner, max_size=3),
+            max_leaves=4,
+        )
+
+        @hypothesis.settings(max_examples=400, deadline=None)
+        @hypothesis.given(st.sampled_from(list(key_paths(default_config_dict()))), json_values)
+        def check(path, value):
+            doc = default_config_dict()
+            node = doc
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = value
+            try:
+                config = parse_config(doc)
+            except ConfigError:
+                return
+            assert isinstance(config, RunConfig)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # n_g away from 1/2 and similar
+            check()
+
     def test_normalized_echo_round_trips(self):
         config = load_config(None)
         echo = config.normalized()
@@ -228,6 +284,39 @@ class TestCouplingsCommand:
         assert float(rows["P_e_thermal"]) < 1e-3
         ratio = float(rows["lambda2_max_over_eta_g_Delta0"])
         assert 0.1 <= ratio <= 1.0
+
+
+class TestBathRates:
+    @pytest.mark.parametrize("convention", ["plain", "angular"])
+    @pytest.mark.parametrize("rate", ["kappa", "gamma"])
+    def test_times_2pi_on_a_rate_exits_2(self, convention, rate, tmp_path, capsys):
+        # rate_convention decides the 2*pi of the rates; a flag it would
+        # override is an error rather than silently ignored.
+        doc = default_config_dict()
+        doc["bath"]["rate_convention"] = convention
+        doc["bath"][rate]["times_2pi"] = True
+        argv = ["gate", "--config", write_config(tmp_path, doc), "--out", str(tmp_path / "o")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "bath.rate_convention" in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("convention", ["plain", "angular"])
+    @pytest.mark.parametrize("flag", ["plain", "angular"])
+    def test_rate_convention_flag_acts_as_the_config_key(self, convention, flag, tmp_path):
+        # 0.7 MHz is a rate whose 2*pi does not cancel exactly in floating
+        # point: (0.7e6 * 2*pi) / (2*pi) != 0.7e6.
+        doc = default_config_dict()
+        doc["bath"]["kappa"]["value"] = 0.7
+        doc["bath"]["rate_convention"] = convention
+        doc["curve"] = {"x_max": 0.5, "steps": 2}
+        config = write_config(tmp_path, doc)
+        argv = ["gate", "--config", config, "--rate-convention", flag, "--out", str(tmp_path / "o")]
+        assert main(argv) == 0
+        summary = json.loads((tmp_path / "o" / "gate_summary.json").read_text())
+        doc["bath"]["rate_convention"] = flag
+        expected = load_config(write_config(tmp_path, doc)).normalized()["bath"]
+        assert summary["config"]["bath"] == expected
 
 
 class TestGateCommand:
@@ -379,6 +468,8 @@ class TestErrorPaths:
             ("couplings", "wire", "T_K", -1.0),
             # Finite as written, infinite once scaled to rad/s.
             ("couplings", "circuit", "omega_r", {"value": 1e300, "unit": "GHz"}),
+            # Every command writes CSV and JSON; a list without them is an error.
+            ("spectrum", "output", "formats", ["svg"]),
         ],
     )
     def test_non_finite_config_value_exits_2(self, command, section, key, value, tmp_path):

@@ -15,6 +15,7 @@ from topoqed.interface import (
     optimal_working_point,
 )
 from topoqed.qcore import basis_state, entanglement_entropy, QuantumState, tensor, eye
+from topoqed.wire import WireParams, splitting_derivative
 
 from helpers import expm_taylor, random_pure_state
 
@@ -56,25 +57,30 @@ class TestCouplings:
 class TestOptimalWorkingPoint:
     def test_matches_finer_brute_force_grid(self, paper_wire, paper_circuit):
         circ = dataclasses.replace(paper_circuit, phi_e=0.0)
-        phi_c, value = optimal_working_point(paper_wire, circ, "lambda2", grid_step=1e-2)
         fine = np.arange(PHI_C_MIN, math.pi - PHI_C_MIN + 5e-4, 1e-3)
-        fine_best = max(
-            abs(couplings(paper_wire, dataclasses.replace(circ, phi_c=float(p))).lambda2)
-            for p in fine
-        )
-        assert abs(abs(value) - fine_best) <= 1e-6 * fine_best
+        # Delta0*L/v_F of about 0.6 (x/tan x branch only), 10 (the reference
+        # wire, mostly on the u/tanh u branch) and 100.
+        for L in (0.3e-6, paper_wire.L, 50e-6):
+            wire = dataclasses.replace(paper_wire, L=L)
+            phi_c, value = optimal_working_point(wire, circ, "lambda2")
+            assert phi_c == PHI_C_MIN
+            fine_best = max(
+                abs(couplings(wire, dataclasses.replace(circ, phi_c=float(p))).lambda2)
+                for p in fine
+            )
+            assert abs(abs(value) - fine_best) <= 1e-6 * fine_best, L
 
     def test_switched_off_coupling_is_zero_everywhere(self, paper_wire, paper_circuit):
         circ = dataclasses.replace(paper_circuit, phi_e=0.0)
         for phi_c in (0.1, 0.9, 2.2):
             cs = couplings(paper_wire, dataclasses.replace(circ, phi_c=phi_c))
             assert cs.lambda1 == 0.0
-        _, best = optimal_working_point(paper_wire, circ, "lambda1", grid_step=5e-2)
+        _, best = optimal_working_point(paper_wire, circ, "lambda1")
         assert best == 0.0
 
     def test_beats_random_samples(self, paper_wire, paper_circuit):
         circ = dataclasses.replace(paper_circuit, phi_e=0.0)
-        _, best = optimal_working_point(paper_wire, circ, "lambda2", grid_step=1e-2)
+        _, best = optimal_working_point(paper_wire, circ, "lambda2")
         rng = np.random.default_rng(31)
         for _ in range(100):
             phi_c = float(rng.uniform(PHI_C_MIN, math.pi - PHI_C_MIN))
@@ -84,6 +90,35 @@ class TestOptimalWorkingPoint:
     def test_unknown_target_rejected(self, paper_wire, paper_circuit):
         with pytest.raises(ValueError):
             optimal_working_point(paper_wire, paper_circuit, "lambda3")
+
+    def test_flux_off_the_switch_points_rejected(self, paper_wire, paper_circuit):
+        # f1 shifts the working phase off phi_c; the supremum then sits at the
+        # cusp, where no maximum exists.
+        circ = dataclasses.replace(paper_circuit, phi_e=math.pi / 2)
+        with pytest.raises(ValueError, match="phi_e"):
+            optimal_working_point(paper_wire, circ, "lambda2")
+
+    def test_splitting_slope_falls_on_the_half_period(self):
+        # The premise of the closed-form optimum: |dE/dphi| does not rise on
+        # (0, pi] for any Delta0*L/v_F.  The slack covers rounding only:
+        # phases a few hundred ulps apart can differ by the root solves'
+        # residual (1.4e-11 relative seen at Lambda of about 20).
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        delta0, v_f = 2 * math.pi * 32e9, 1e5
+        phases = st.floats(min_value=0.0, max_value=math.pi, exclude_min=True)
+
+        @hypothesis.settings(max_examples=300, deadline=None)
+        @hypothesis.given(st.floats(min_value=-3.0, max_value=3.0), phases, phases)
+        def check(log_scale, phi_a, phi_b):
+            hypothesis.assume(phi_a != phi_b)
+            phi1, phi2 = min(phi_a, phi_b), max(phi_a, phi_b)
+            wire = WireParams(v_F=v_f, L=10.0**log_scale * v_f / delta0, Delta0=delta0)
+            d1 = abs(splitting_derivative(wire, phi1))
+            d2 = abs(splitting_derivative(wire, phi2))
+            assert d1 >= d2 - 1e-12 * d2 - 1e-300
+
+        check()
 
 
 class TestHamiltonianModel:
