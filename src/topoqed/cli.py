@@ -10,8 +10,12 @@ fig2       preset reproducing the headline fidelity curve (hard-wired
            parameters: k = 1, kappa = gamma = 1 MHz, lambda2 = 2*pi*32 MHz)
 validate   run the invariant self-check suite
 
+The gate curves are computed in closed form, with no Fock cutoff, so gate
+and fig2 take no --fock flag (argparse rejects it with exit 2).
+
 Exit codes: 0 success, 2 configuration error, 3 numerical-convergence
-failure, 4 invariant failure.
+failure (for gate and fig2: the jump-time quadrature is not converged, or a
+reduced state fails its physicality check), 4 invariant failure.
 """
 
 from __future__ import annotations
@@ -54,10 +58,6 @@ def _apply_overrides(config: RunConfig, args: argparse.Namespace) -> RunConfig:
     updates = {}
     if getattr(args, "out", None):
         updates["out_dir"] = args.out
-    if getattr(args, "fock", None) is not None:
-        if args.fock < 8:
-            raise ConfigError("--fock must be at least 8")
-        updates["fock_cutoff"] = args.fock
     if getattr(args, "sweep", None):
         updates["sweep"] = _parse_sweep_flag(args.sweep)
     return dataclasses.replace(config, **updates) if updates else config
@@ -184,7 +184,7 @@ def _run_curve(config: RunConfig, lambda2: float) -> FidelityCurve:
     if not (math.isfinite(t_grid[-1]) and decay_times <= 100):
         raise ConfigError(f"the curve ends at t = {t_grid[-1]:.3g} s, {decay_times:.3g} decay "
                           "times (kappa + gamma) * t, over 100; raise lambda2 or lower curve.x_max")
-    return fidelity_curve(schedule, config.kappa, config.gamma, t_grid, config.fock_cutoff)
+    return fidelity_curve(schedule, config.kappa, config.gamma, t_grid)
 
 
 def _write_curve(config: RunConfig, curve: FidelityCurve, stem: str, with_svg: bool) -> Path:
@@ -196,7 +196,7 @@ def _write_curve(config: RunConfig, curve: FidelityCurve, stem: str, with_svg: b
     summary = {
         "config": config.normalized(),
         "schedule": curve.params,
-        "fock_cutoff_used": curve.fock_cutoff_used,
+        "quadrature_order": curve.quadrature_order,
         "convergence_delta": curve.convergence_delta,
         "F_at_tau": float(curve.fidelities[gate_idx]),
         "lambda2_t_over_pi_at_gate": float(curve.lambda2_t_over_pi[gate_idx]),
@@ -212,7 +212,7 @@ def _write_curve(config: RunConfig, curve: FidelityCurve, stem: str, with_svg: b
             title="entangling-gate fidelity",
         )
     print(f"F at gate time = {summary['F_at_tau']:.6f} "
-          f"(fock cutoff {curve.fock_cutoff_used}, convergence delta "
+          f"(quadrature order {curve.quadrature_order}, convergence delta "
           f"{curve.convergence_delta:.2e})")
     print(f"wrote {out / (stem + '.csv')}")
     return out
@@ -236,8 +236,8 @@ def cmd_gate(config: RunConfig) -> int:
 def cmd_fig2(config: RunConfig) -> int:
     # The preset pins the headline parameters of the built-in defaults
     # regardless of the configured device: k = 1, kappa = gamma = 1 MHz (plain
-    # rates), lambda2 = 2*pi*32 MHz.  Only output location, Fock cutoff and the
-    # curve grid are taken from the config/flags.
+    # rates), lambda2 = 2*pi*32 MHz.  Only the output location and the curve
+    # grid are taken from the config/flags.
     ref = load_config(None)
     pinned = dataclasses.replace(
         config,
@@ -287,8 +287,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", metavar="DIR", help="output directory")
         # Each command registers only the flags it uses, so argparse rejects
         # the others instead of ignoring them.
-        if name in ("gate", "fig2"):
-            p.add_argument("--fock", type=int, metavar="N", help="Fock cutoff override")
         if name == "gate":
             p.add_argument(
                 "--rate-convention",

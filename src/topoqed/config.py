@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -115,7 +116,6 @@ class RunConfig:
     gamma: float
     rate_convention: str
     k: int
-    fock_cutoff: int
     lambda2_pinned: Optional[float]
     sweep: Optional[SweepSpec]
     out_dir: str
@@ -152,7 +152,6 @@ class RunConfig:
             },
             "schedule": {
                 "k": self.k,
-                "fock_cutoff": self.fock_cutoff,
                 "lambda2_rad_per_s": self.lambda2_pinned,
             },
             "curve": {"x_max": self.curve_x_max, "steps": self.curve_steps},
@@ -198,7 +197,6 @@ def default_config_dict() -> dict:
         },
         "schedule": {
             "k": 1,
-            "fock_cutoff": 16,
             "lambda2": {"value": 32.0, "unit": "MHz", "times_2pi": True},
         },
         "curve": {"x_max": 1.1, "steps": 44},
@@ -273,9 +271,14 @@ def parse_config(doc: dict, rate_convention: Optional[str] = None) -> RunConfig:
     s = doc["schedule"]
     _require_keys(s, {"k", "fock_cutoff", "lambda2"}, {"k"}, "schedule")
     k = _count(s["k"], "schedule.k")
-    fock = s.get("fock_cutoff", 16)
-    if not isinstance(fock, int) or fock < 8:
-        raise ConfigError("schedule.fock_cutoff must be an integer >= 8")
+    if "fock_cutoff" in s:
+        # The gate's curve is computed without a cavity Hilbert space, so the
+        # key of older documents is still checked but no longer used.
+        fock = s["fock_cutoff"]
+        if not isinstance(fock, int) or fock < 8:
+            raise ConfigError("schedule.fock_cutoff must be an integer >= 8")
+        warnings.warn("schedule.fock_cutoff is ignored: the gate fidelity is computed "
+                      "in closed form, without a Fock cutoff", stacklevel=2)
     lambda2_pinned = None
     if s.get("lambda2") is not None:
         lambda2_pinned = _frequency(s["lambda2"], "schedule.lambda2")
@@ -321,7 +324,6 @@ def parse_config(doc: dict, rate_convention: Optional[str] = None) -> RunConfig:
         gamma=gamma,
         rate_convention=convention,
         k=k,
-        fock_cutoff=fock,
         lambda2_pinned=lambda2_pinned,
         sweep=sweep,
         out_dir=directory,

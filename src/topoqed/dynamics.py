@@ -12,9 +12,9 @@ product above also carries the imaginary part |B(t)|^2 / 2, which exactly
 compensates the reordering factor of the two displacement-like exponentials;
 equivalently, and as implemented here,
 
-    U(t) = exp(-i A_r(t) J_z^2) * expm( (-i B a - i B* a+) J_z )
+    U(t) = exp(-i A_r(t) J_z^2) * exp( -i (B a + B* a+) J_z )
 
-whose second factor is the exponential of an anti-Hermitian matrix and is
+whose second factor is the exponential of -i times a Hermitian matrix and is
 therefore unitary at any Fock truncation.  ``propagator_AB`` returns the real
 phase A_r together with B.
 
@@ -23,17 +23,25 @@ the gate time tau = sqrt(k)*pi/lambda2 gives A_r(tau) = -pi/2, turning
 U(tau) = exp(+i (pi/2) J_z^2) into an entangling phase gate that maps |++> to
 (|++> + i |-->)/sqrt(2) with the cavity returned to its initial state.
 
-Dissipative fidelity curves are propagated in the frame that rotates with
-the cavity at nu, where the generator is time-independent:
+Dissipative fidelity curves are computed in the frame that rotates with the
+cavity at nu, where the generator is time-independent:
 
     H' = nu a+a - lambda2 (a + a+) J_z.
 
-The frame change exp(-i nu t a+a) is diagonal in the Fock basis, so it is an
-exact cavity-local unitary at any cutoff; the cavity damping term is
-invariant under it and the qubit channels do not touch the cavity.  The
-reduced qubit state, and with it F(t), is therefore the interaction
-picture's.  One sparse Liouvillian per Fock cutoff is stepped between grid
-points by ``qcore.evolve_master_equation`` (``expm_multiply``).
+The frame change exp(-i nu t a+a) is an exact cavity-local unitary; the
+cavity damping term is invariant under it and the qubit channels do not
+touch the cavity.  The reduced qubit state, and with it F(t), is therefore
+the interaction picture's.  H', the cavity loss and the no-jump part of
+qubit relaxation are all diagonal in the qubit basis, and each qubit jumps
+at most once, so the density matrix stays a sum of coherent-state branches
+c |s><s'| (x) |alpha><beta| whose amplitudes and weights integrate in closed
+form.  ``fidelity_curve`` sums them in numpy, with no cavity Hilbert space
+and no Fock cutoff: the spin-dependent-force algebra of the Molmer-Sorensen
+gate (Sorensen & Molmer, PRA 62, 022311 (2000)) in the coherent-state
+ansatz of Gambetta et al., PRA 77, 012112 (2008).  Only the coherences fed
+by one qubit jump need a quadrature, over the jump time.  The Fock-truncated
+Liouvillian, stepped by ``qcore.evolve_master_equation``, stays as the
+oracle that ``validate`` and the tests compare the closed form with.
 
 Dissipation follows the channel convention of :mod:`topoqed.qcore`: cavity
 channel (a, kappa) and one lowering channel (|0><1|, gamma) per qubit, each
@@ -49,7 +57,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import expm
 
 from .interface import CouplingSet, HamiltonianModel, build_H_single_interface
 from .qcore import (
@@ -63,6 +70,8 @@ from .qcore import (
     partial_trace,
     state_fidelity,
     tensor,
+    _checked_state,
+    _time_grid,
 )
 
 __all__ = [
@@ -116,17 +125,18 @@ def _vacuum_columns(model: HamiltonianModel) -> np.ndarray:
 def analytic_U(lambda2: float, nu: float, t: float, model: HamiltonianModel) -> np.ndarray:
     """Closed-form propagator on the truncated qubit-qubit-cavity space.
 
-    The displacement factor is exponentiated (scaling and squaring) as the
-    single anti-Hermitian generator (-i B a - i B* a+) J_z, which keeps the
-    result unitary at finite cutoff; truncation error then shows up only in
-    how faithfully the low-photon sector reproduces the untruncated dynamics.
+    The displacement factor is exponentiated as exp(-i H) of the single
+    Hermitian generator H = (B a + B* a+) J_z, by eigendecomposition
+    (``expm_hermitian``), which keeps the result unitary at finite cutoff;
+    truncation error then shows up only in how faithfully the low-photon
+    sector reproduces the untruncated dynamics.
     Unitarity on the cavity-vacuum columns is verified to 1e-8; a violation
     means the cutoff is too small.
     """
     a_r, b = propagator_AB(lambda2, nu, t)
-    a_jz = model.a_op @ model.j_z
-    gen = -1j * (b * a_jz + np.conj(b) * a_jz.conj().T)
-    u = np.exp(-1j * a_r * np.diag(model.j_z @ model.j_z))[:, None] * expm(gen)
+    a_jz = model.a_j_z
+    u = np.exp(-1j * a_r * np.diag(model.j_z @ model.j_z))[:, None] * expm_hermitian(
+        b * a_jz + np.conj(b) * a_jz.conj().T, 1.0)
     cols = _vacuum_columns(model)
     defect = u.conj().T @ u - np.eye(model.dim)
     dev = float(np.max(np.abs(defect[:, cols])))
@@ -193,7 +203,7 @@ class FidelityCurve:
     lambda2_t_over_pi: np.ndarray
     fidelities: np.ndarray
     params: dict = field(default_factory=dict)
-    fock_cutoff_used: int = 0
+    quadrature_order: int = 0
     convergence_delta: float = 0.0
 
     def __post_init__(self):
@@ -223,7 +233,12 @@ def _qubit_states(
     t_grid: np.ndarray,
     fock_cutoff: int,
 ) -> list[QuantumState]:
-    """Reduced qubit states of the dissipative gate from |++> and vacuum."""
+    """Reduced qubit states from the Fock-truncated Liouvillian (the oracle).
+
+    Propagates |++> and vacuum in the cavity's rotating frame with
+    ``evolve_master_equation``; ``validate`` and the tests compare the
+    closed form of :func:`fidelity_curve` with it.
+    """
     model = HamiltonianModel(fock_cutoff=fock_cutoff, nu=schedule.nu)
     n = fock_cutoff
     channels = []
@@ -238,44 +253,162 @@ def _qubit_states(
     return [partial_trace(s, (0, 1)) for s in states]
 
 
+# The two-qubit basis |00>, |01>, |10>, |11>, with |0> the tau_z = +1 ground
+# state: J_z and the number of excited qubits of each basis state.
+_J_Z = np.array([1.0, 0.0, 0.0, -1.0])
+_EXCITED = np.array([0.0, 1.0, 1.0, 2.0])
+# The single-jump coherences of qubit 1 as (target s, s', source s, s'): the
+# jump takes |1x><1y| to |0x><0y|, x != y.  Exchanging the qubits (_SWAP)
+# maps them onto those of qubit 2, which carry the same J_z and excitation
+# numbers and so the same values.  Every other coherence is reached without
+# a jump.
+_JUMPS = ((0, 1, 2, 3), (1, 0, 3, 2))
+_SWAP = (0, 2, 1, 3)
+
+# Gauss-Legendre order of the jump-time quadrature.  The curve is taken at
+# twice this order, and its shift from this order is the convergence check.
+QUADRATURE_ORDER = 10
+QUADRATURE_TOL = 1e-10
+# Jump-time nodes evaluated in one pass, which bounds the memory for any grid.
+_NODE_BUDGET = 1 << 15
+# Quadrature panels beyond which a curve is refused rather than left to run
+# for hours.
+_MAX_PANELS = 10**8
+
+
+def _branch(lam, z, kappa, m, m_bra, alpha, beta, s):
+    """Advance the branch c |s><s'| (x) ||alpha>><<beta|| by s, with no jump.
+
+    ||alpha>> = exp(alpha a+)|0> is the unnormalized coherent state.  Its
+    amplitude obeys d alpha/dt = -z alpha + i lambda2 m, with z = kappa + i nu
+    and m = J_z of s (m_bra, of s', for beta), so it is affine in exp(-z t).
+    The weight obeys d ln c/dt = i lambda2 (m alpha - m_bra beta*)
+    + 2 kappa alpha beta* before qubit decay, which integrates in closed form.
+    Returns alpha and beta after s and the change of ln c.
+    """
+    a_inf, b_inf = 1j * lam * m / z, 1j * lam * m_bra / z
+    da, db = alpha - a_inf, beta - b_inf
+    int_e = -np.expm1(-z * s) / z  # the integral of exp(-z u) over [0, s]
+    int_ee = s if kappa == 0.0 else -np.expm1(-2.0 * kappa * s) / (2.0 * kappa)
+    int_a = a_inf * s + da * int_e
+    int_b = np.conj(b_inf) * s + np.conj(db * int_e)  # of beta*
+    int_ab = (a_inf * np.conj(b_inf) * s + a_inf * np.conj(db * int_e)
+              + np.conj(b_inf) * da * int_e + da * np.conj(db) * int_ee)
+    d_log = 1j * lam * (m * int_a - m_bra * int_b) + 2.0 * kappa * int_ab
+    decay = np.exp(-z * s)
+    return a_inf + da * decay, b_inf + db * decay, d_log
+
+
+def _jump_terms(lam: float, z: complex, kappa: float, gamma: float, t: np.ndarray,
+                order: int) -> np.ndarray:
+    """The single-jump parts of the coherences in ``_JUMPS``, shape (2, len(t)).
+
+    Each is the integral over the jump time t1 in [0, t] of 2 gamma times the
+    source branch at t1, continued in the target branch from t1 to t.  The
+    integral is split into equal panels of at most half a cavity period, with
+    Gauss-Legendre nodes of the given order on each; the (grid point, panel)
+    rows are evaluated ``_NODE_BUDGET`` nodes at a time.
+    """
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    panels = np.maximum(1.0, np.ceil(t * z.imag / math.pi))
+    if not np.sum(panels) <= _MAX_PANELS:
+        raise ValueError(f"the jump-time quadrature needs {np.sum(panels):.3g} panels, "
+                         f"over {_MAX_PANELS:.0e}; shorten the curve or use fewer steps")
+    panels = panels.astype(np.int64)
+    ends = np.cumsum(panels)
+    rows_per_pass = max(1, _NODE_BUDGET // order)
+    terms = np.zeros((len(_JUMPS), len(t)), dtype=complex)
+    for first in range(0, int(ends[-1]), rows_per_pass):
+        rows = np.arange(first, min(first + rows_per_pass, int(ends[-1])))
+        point = np.searchsorted(ends, rows, side="right")
+        width = t[point] / panels[point]
+        panel = rows - ends[point] + panels[point]
+        t1 = width[:, None] * (panel[:, None] + 0.5 * (nodes + 1.0))
+        rest = t[point][:, None] - t1
+        for k, (i, j, src_i, src_j) in enumerate(_JUMPS):
+            alpha, beta, log_c = _branch(lam, z, kappa, _J_Z[src_i], _J_Z[src_j],
+                                         0.0, 0.0, t1)
+            alpha, beta, d_log = _branch(lam, z, kappa, _J_Z[i], _J_Z[j], alpha, beta, rest)
+            log_c += d_log + np.conj(beta) * alpha - gamma * (
+                (_EXCITED[src_i] + _EXCITED[src_j]) * t1 + (_EXCITED[i] + _EXCITED[j]) * rest)
+            np.add.at(terms[k], point, 0.5 * width * (np.exp(log_c) @ weights))
+    return 0.5 * gamma * terms  # 2 gamma times the initial weight 1/4
+
+
+def _branch_states(
+    schedule: GateSchedule, kappa: float, gamma: float, t_grid: Sequence[float]
+) -> tuple[list[QuantumState], float]:
+    """Reduced qubit states of the dissipative gate, summed over branches.
+
+    Starts from |++> with the cavity in vacuum.  Every operator except the
+    qubit jumps is diagonal in the qubit basis, so rho(t) is a sum of
+    branches c |s><s'| (x) |alpha><beta| (see :func:`_branch`), and no
+    cavity Hilbert space is needed:
+
+    * the diagonal holds the classical populations, each qubit excited with
+      probability exp(-2 gamma t)/2;
+    * each coherence has a no-jump branch in closed form, whose cavity trace
+      is c <beta|alpha>;
+    * the four coherences |0x><0y| and |x0><y0| with x != y also gain a
+      single-jump part, a quadrature over the jump time (:func:`_jump_terms`).
+
+    The quadrature runs at order p = QUADRATURE_ORDER and 2p, and the states
+    are taken at 2p.  An IntegrationError is raised if any entry of a reduced
+    state shifts by more than QUADRATURE_TOL between the two; the largest
+    shift is returned with the states.  Every state passes the trace,
+    Hermiticity and positivity checks of the propagators.
+    """
+    if kappa < 0 or gamma < 0:
+        raise ValueError("rates must be non-negative")
+    t_grid = _time_grid(t_grid)
+    lam, z = schedule.lambda2, complex(kappa, schedule.nu)
+
+    m, m_bra = _J_Z[:, None, None], _J_Z[None, :, None]
+    alpha, beta, log_c = _branch(lam, z, kappa, m, m_bra, 0.0, 0.0, t_grid)
+    excited = _EXCITED[:, None, None] + _EXCITED[None, :, None]
+    rho = 0.25 * np.exp(log_c - gamma * excited * t_grid + np.conj(beta) * alpha)
+    rho = np.ascontiguousarray(rho.transpose(2, 0, 1))
+    up = 0.5 * np.exp(-2.0 * gamma * t_grid)
+    populations = np.stack([1.0 - up, up], axis=1)
+    rho[:, range(4), range(4)] = np.einsum("ti,tj->tij", populations, populations).reshape(-1, 4)
+
+    delta = 0.0
+    if gamma > 0:
+        coarse = _jump_terms(lam, z, kappa, gamma, t_grid, QUADRATURE_ORDER)
+        fine = _jump_terms(lam, z, kappa, gamma, t_grid, 2 * QUADRATURE_ORDER)
+        delta = float(np.max(np.abs(fine - coarse)))
+        if not delta <= QUADRATURE_TOL:
+            raise IntegrationError(
+                f"jump-time quadrature not converged: a reduced-state entry shifts by "
+                f"{delta:.3e} between orders {QUADRATURE_ORDER} and {2 * QUADRATURE_ORDER}"
+            )
+        for k, (i, j, _, _) in enumerate(_JUMPS):
+            rho[:, i, j] += fine[k]
+            rho[:, _SWAP[i], _SWAP[j]] += fine[k]
+    return [_checked_state(r, (2, 2), t) for r, t in zip(rho, t_grid)], delta
+
+
 def fidelity_curve(
     schedule: GateSchedule,
     kappa: float,
     gamma: float,
     t_grid: Sequence[float],
-    fock_cutoff: int = 16,
 ) -> FidelityCurve:
     """Entangling fidelity under cavity decay and qubit relaxation.
 
-    Starts from |++> with the cavity in vacuum, propagates the master
-    equation in the cavity's rotating frame, where the schedule's lambda2 and
-    nu give the time-independent generator nu a+a - lambda2 (a + a+) J_z,
-    with sparse ``expm_multiply`` steps between grid points, and reports
-    F(t) = <target| Tr_cav rho(t) |target> on the grid; the frame change
-    leaves the reduced qubit state unchanged.  The curve is recomputed at
-    Fock cutoff N + 4 and the maximum fidelity shift must stay below 1e-6,
-    otherwise an IntegrationError is raised.
+    Reports F(t) = <target| Tr_cav rho(t) |target> on the grid, from |++>
+    and cavity vacuum, with the reduced states of :func:`_branch_states`:
+    closed-form coherent-state branches plus the single-jump quadratures,
+    whose shift between orders p and 2p is the curve's
+    ``convergence_delta`` (an IntegrationError above QUADRATURE_TOL).
     """
-    if kappa < 0 or gamma < 0:
-        raise ValueError("rates must be non-negative")
+    states, delta = _branch_states(schedule, kappa, gamma, t_grid)
     t_grid = np.asarray(t_grid, dtype=float)
-
     target = target_entangled_state()
-    fids, fids_check = (
-        np.array([state_fidelity(rho, target)
-                  for rho in _qubit_states(schedule, kappa, gamma, t_grid, n)])
-        for n in (fock_cutoff, fock_cutoff + 4)
-    )
-    delta = float(np.max(np.abs(fids - fids_check)))
-    if delta > 1e-6:
-        raise IntegrationError(
-            f"Fock-cutoff convergence failure: max fidelity shift {delta:.3e} "
-            f"between N={fock_cutoff} and N={fock_cutoff + 4}"
-        )
     return FidelityCurve(
         times_ns=t_grid * 1e9,
         lambda2_t_over_pi=schedule.lambda2 * t_grid / math.pi,
-        fidelities=fids,
+        fidelities=np.array([state_fidelity(rho, target) for rho in states]),
         params={
             "k": schedule.k,
             "lambda2_rad_per_s": schedule.lambda2,
@@ -284,7 +417,7 @@ def fidelity_curve(
             "kappa_per_s": kappa,
             "gamma_per_s": gamma,
         },
-        fock_cutoff_used=fock_cutoff,
+        quadrature_order=2 * QUADRATURE_ORDER,
         convergence_delta=delta,
     )
 

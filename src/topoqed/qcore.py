@@ -6,14 +6,17 @@ products.  States are wrapped in :class:`QuantumState`, which validates the
 usual physicality bounds (norm, trace, Hermiticity, positivity) on
 construction.
 
-Two master-equation propagators share one set of output checks:
+Two master-equation propagators share one set of output checks
+(``_checked_state``), which the closed-form gate states of
+:mod:`topoqed.dynamics` pass as well:
 
 * ``evolve_master_equation`` takes a time-independent Hamiltonian matrix.  It
   builds the sparse Liouvillian once and steps the vectorized density matrix
   between grid points with the action of its exponential
   (``scipy.sparse.linalg.expm_multiply``; Al-Mohy & Higham, SIAM J. Sci.
-  Comput. 33 (2011) 488-511).  The gate dynamics use it, in the frame that
-  rotates with the cavity.
+  Comput. 33 (2011) 488-511).  It is the oracle of the gate's closed-form
+  fidelity curve, in the frame that rotates with the cavity, for
+  ``validate`` and the tests.
 * ``integrate_master_equation`` takes a time-dependent Hamiltonian callable
   (:class:`LindbladSpec`) and runs adaptive RK45.  It serves as the
   independent oracle of the first, for tests only; it loads

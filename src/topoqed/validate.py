@@ -3,8 +3,11 @@
 Each group re-derives a handful of the package's load-bearing identities in
 seconds.  The ``gate-phase-sign`` mutation deliberately corrupts the sign of
 the accumulated gate phase while the propagator-oracle group runs, to
-demonstrate that the comparison of the closed form with the production
-propagator actually detects a seeded defect (the group must then fail).
+demonstrate that the comparison of the closed-form propagator with the
+Liouvillian propagator actually detects a seeded defect (the group must then
+fail).  ``coherent_state_branches`` checks the closed-form fidelity curve of
+the gate against the same Liouvillian and against the closed-form
+propagator.
 """
 
 from __future__ import annotations
@@ -145,7 +148,7 @@ def _check_hermitian_builders() -> tuple[bool, str]:
 
 
 def _check_propagator_oracle(mutations: frozenset) -> tuple[bool, str]:
-    # The closed gate from |++> and vacuum, propagated by the production
+    # The closed gate from |++> and vacuum, propagated by the Liouvillian
     # rotating-frame propagator and mapped back with exp(+i nu t a+a), is
     # compared with U rho0 U+ of the closed form at the same times.
     ref = load_config(None)
@@ -186,6 +189,27 @@ def _check_closed_gate() -> tuple[bool, str]:
     return fid >= 1.0 - 1e-6, f"closed-system gate fidelity = {fid:.10f}"
 
 
+def _check_coherent_state_branches() -> tuple[bool, str]:
+    # The closed form of the fidelity curve against two independent routes:
+    # the Fock-truncated Liouvillian with both decay channels, and the
+    # closed-form propagator U on the truncated space without them.
+    ref = load_config(None)
+    sch = GateSchedule(k=ref.k, lambda2=ref.lambda2_pinned)
+    t_grid = [0.0, 0.5 * sch.tau]
+    branches = _dyn._branch_states(sch, ref.kappa, ref.gamma, t_grid)[0][-1]
+    liouvillian = _dyn._qubit_states(sch, ref.kappa, ref.gamma, t_grid, 12)[-1]
+    dev_open = float(np.max(np.abs(branches.data - liouvillian.data)))
+
+    closed = _dyn._branch_states(sch, 0.0, 0.0, t_grid)[0][-1]
+    model = HamiltonianModel(fock_cutoff=16, nu=sch.nu)
+    psi = _dyn.analytic_U(sch.lambda2, sch.nu, t_grid[-1], model) @ _dyn._gate_start(16).data
+    unitary = partial_trace(QuantumState.pure(psi, model.dims), (0, 1))
+    dev_closed = float(np.max(np.abs(closed.data - unitary.data)))
+    ok = dev_open <= 1e-8 and dev_closed <= 1e-10
+    return ok, (f"max |rho - rho_Liouvillian(N=12)| = {dev_open:.2e}, "
+                f"max |rho - Tr U rho0 U+| = {dev_closed:.2e} (closed)")
+
+
 def _check_master_equation_limits() -> tuple[bool, str]:
     # Photon decay: <n>(t) = exp(-2*kappa*t) from a one-photon state.
     n = 6
@@ -222,6 +246,7 @@ _GROUPS = [
     ("hermitian_builders", lambda m: _check_hermitian_builders()),
     ("propagator_oracle", _check_propagator_oracle),
     ("closed_gate", lambda m: _check_closed_gate()),
+    ("coherent_state_branches", lambda m: _check_coherent_state_branches()),
     ("master_equation_limits", lambda m: _check_master_equation_limits()),
 ]
 

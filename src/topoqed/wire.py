@@ -165,9 +165,14 @@ def inverse_x_over_tanh(y: float) -> float:
     hi = y  # u/tanh(u) = y implies u = y*tanh(u) < y
     f_lo = _u_over_tanh(lo) - y
     f_tol = _ROOT_TOL * max(1.0, abs(y))
-    return newton_bisect(
+    root = newton_bisect(
         lambda u: _u_over_tanh(u) - y, _d_u_over_tanh, lo, hi, f_lo, f_tol
     )
+    # The root finder stops at a residual of 1e-12*y, which leaves the
+    # derivative rounding noise of about 1e-11 relative between nearby
+    # phases; Newton's error squares with each step, so one more step from
+    # that root reaches double precision (as in circuit.phi_J_exact).
+    return root - (_u_over_tanh(root) - y) / _d_u_over_tanh(root)
 
 
 def wire_splitting(params: WireParams, eps: float) -> SplittingResult:

@@ -5,7 +5,9 @@ roots come from plain bisection, matrix exponentials from a scaling-and-
 squaring Taylor series, propagators from fixed-step Runge-Kutta with step
 doubling, the splitting derivative from implicit differentiation of the
 quantization condition, in double precision or, for long wires, in mpmath,
-and the charge-qubit gap from dense diagonalization in the charge basis.
+the charge-qubit gap from dense diagonalization in the charge basis, and the
+dissipative gate's reduced states from the Fock-truncated Liouvillian with
+its N / N + 4 cutoff ladder.
 """
 
 import math
@@ -13,8 +15,9 @@ import math
 import numpy as np
 import pytest
 
+from topoqed import dynamics as _dyn
 from topoqed.circuit import effective_qubit
-from topoqed.qcore import ConvergenceError
+from topoqed.qcore import ConvergenceError, IntegrationError
 
 
 def bisect_root(f, lo: float, hi: float, iters: int = 200) -> float:
@@ -193,6 +196,25 @@ def mp_splitting_derivative(params, phi: float) -> float:
         dg_dlam = (lam - u / dlam_du) / mpmath.sqrt(lam**2 - u**2)
         dlam_dphi = kappa * mpmath.cos(half) * mpmath.sign(mpmath.sin(half)) / 2
         return float(params.level_spacing * dg_dlam * dlam_dphi)
+
+
+def liouvillian_gate_states(schedule, kappa: float, gamma: float, t_grid,
+                            fock_cutoff: int = 16) -> np.ndarray:
+    """Reduced gate states from the Fock-truncated Liouvillian, shape (len(t), 4, 4).
+
+    Propagates at cutoffs N and N + 4 (``dynamics._qubit_states``) and
+    raises IntegrationError if any entry of a reduced state moves by more
+    than 1e-10 between them; returns the states at cutoff N.
+    """
+    states, check = (
+        np.array([rho.data for rho in _dyn._qubit_states(schedule, kappa, gamma, t_grid, n)])
+        for n in (fock_cutoff, fock_cutoff + 4)
+    )
+    delta = float(np.max(np.abs(states - check)))
+    if delta > 1e-10:
+        raise IntegrationError(f"Fock-cutoff ladder: reduced states move by {delta:.3e} "
+                               f"between N={fock_cutoff} and N={fock_cutoff + 4}")
+    return states
 
 
 def random_pure_state(rng: np.random.Generator, dim: int) -> np.ndarray:

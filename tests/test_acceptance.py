@@ -74,11 +74,10 @@ def _initial_gate_state(model: HamiltonianModel) -> QuantumState:
 
 
 def test_criterion_1_headline_fidelity(tmp_path):
-    """fig2 preset: F at the gate time in [0.90, 0.98], k=1, cutoff >= 16,
-    within 60 s."""
+    """fig2 preset: F at the gate time in [0.90, 0.98], k=1, jump-time
+    quadrature converged to 1e-10, within 60 s."""
     start = time.perf_counter()
     config = dataclasses.replace(load_config(None), out_dir=str(tmp_path / "fig2"))
-    assert config.fock_cutoff >= 16
     assert cmd_fig2(config) == 0
     elapsed = time.perf_counter() - start
 
@@ -88,6 +87,7 @@ def test_criterion_1_headline_fidelity(tmp_path):
     assert gate_rows, "no CSV row at lambda2*t/pi = 1"
     f_gate = float(gate_rows[0].split(",")[2])
     assert summary["schedule"]["k"] == 1
+    assert summary["convergence_delta"] <= 1e-10
     assert 0.90 <= f_gate <= 0.98
     assert abs(f_gate - summary["F_at_tau"]) < 1e-12
     assert elapsed <= 60.0
@@ -346,7 +346,7 @@ def test_criterion_10_decoherence_vs_k_trend():
     results = {}
     for k in (1, 4, 9):
         sch = GateSchedule(k=k, lambda2=LAMBDA2)
-        curve = fidelity_curve(sch, KAPPA, GAMMA, [0.0, sch.tau], fock_cutoff=16)
+        curve = fidelity_curve(sch, KAPPA, GAMMA, [0.0, sch.tau])
         results[k] = float(curve.fidelities[-1])
     assert results[1] > results[4] > results[9]
     print(f"\nACCEPTANCE 10 PASS - decoherence trend: F(tau) = "

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -9,7 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from topoqed.cli import main
+from topoqed import dynamics as _dyn
+from topoqed import qcore as _qcore
+from topoqed.cli import cmd_fig2, main
 from topoqed.config import ConfigError, RunConfig, default_config_dict, load_config, parse_config
 
 
@@ -219,6 +222,33 @@ class TestConfig:
             warnings.simplefilter("ignore")  # n_g away from 1/2 and similar
             check()
 
+    def test_fock_cutoff_key_is_checked_and_ignored(self):
+        # Config files written for the Fock-space propagator still load: the
+        # key is validated, a warning says it is ignored, and it is not echoed.
+        doc = default_config_dict()
+        assert "fock_cutoff" not in doc["schedule"]
+        doc["schedule"]["fock_cutoff"] = 16
+        with pytest.warns(UserWarning, match="fock_cutoff is ignored"):
+            config = parse_config(doc)
+        assert config == parse_config(default_config_dict())
+        assert "fock_cutoff" not in config.normalized()["schedule"]
+        for bad in (4, 16.0, "16", True, None):
+            doc["schedule"]["fock_cutoff"] = bad
+            with pytest.raises(ConfigError, match="fock_cutoff"):
+                parse_config(doc)
+
+    def test_fock_cutoff_in_a_config_file_warns_on_stderr(self, tmp_path):
+        doc = default_config_dict()
+        doc["schedule"]["fock_cutoff"] = 16
+        doc["curve"] = {"x_max": 0.5, "steps": 2}
+        res = run_cli("gate", "--config", write_config(tmp_path, doc), "--out", "o", cwd=tmp_path)
+        assert res.returncode == 0, res.stderr
+        assert "fock_cutoff is ignored" in res.stderr
+        doc["schedule"]["fock_cutoff"] = 7
+        res = run_cli("gate", "--config", write_config(tmp_path, doc), "--out", "p", cwd=tmp_path)
+        assert res.returncode == 2
+        assert "schedule.fock_cutoff must be an integer >= 8" in res.stderr
+
     def test_normalized_echo_round_trips(self):
         config = load_config(None)
         echo = config.normalized()
@@ -325,7 +355,6 @@ class TestGateCommand:
         doc["bath"]["kappa"] = {"value": 0.0, "unit": "MHz", "times_2pi": False}
         doc["bath"]["gamma"] = {"value": 0.0, "unit": "MHz", "times_2pi": False}
         doc["curve"] = {"x_max": 1.0, "steps": 5}
-        doc["schedule"]["fock_cutoff"] = 12
         res = run_cli("gate", "--config", write_config(tmp_path, doc), "--out", "o", cwd=tmp_path)
         assert res.returncode == 0, res.stderr
         summary = json.loads((tmp_path / "o" / "gate_summary.json").read_text())
@@ -362,6 +391,22 @@ class TestFig2Command:
         assert csv_a == (tmp_path / "b" / "fig2.csv").read_bytes()
 
 
+    def test_fig2_runs_without_the_liouvillian(self, tmp_path, monkeypatch):
+        # The curve is the closed form: the Liouvillian propagator, the oracle
+        # of validate and the tests, is not on its path.
+        def refuse(*args, **kwargs):
+            raise AssertionError("the fig2 curve stepped the Liouvillian")
+
+        for module in (_qcore, _dyn):
+            monkeypatch.setattr(module, "evolve_master_equation", refuse)
+        config = dataclasses.replace(load_config(None), out_dir=str(tmp_path / "o"))
+        assert cmd_fig2(config) == 0
+        summary = json.loads((tmp_path / "o" / "fig2_summary.json").read_text())
+        assert abs(summary["F_at_tau"] - 0.9695548406) <= 1e-10
+        assert summary["quadrature_order"] == 2 * _dyn.QUADRATURE_ORDER
+        assert "fock_cutoff_used" not in summary
+
+
 class TestValidateCommand:
     def test_all_groups_pass(self, tmp_path):
         res = run_cli("validate", "--out", "o", cwd=tmp_path)
@@ -396,13 +441,15 @@ class TestErrorPaths:
             "validate --fock 16",
             "validate --rate-convention angular",
             "validate --sweep eps:0:1:3",
+            # The gate curves have no Fock cutoff, so no command takes --fock.
             "gate --fock 0",
+            "gate --fock 16",
+            "fig2 --fock 8",
+            "fig2 --fock 16",
         ],
     )
     def test_unused_flag_or_bad_value_exits_2(self, argv, tmp_path, monkeypatch, capsys):
-        # A flag a command does not use is rejected by argparse; --fock 0 is
-        # a given value, so it must meet the cutoff check rather than be
-        # taken for an absent flag.
+        # A flag a command does not use is rejected by argparse.
         monkeypatch.chdir(tmp_path)
         try:
             code = main(argv.split())
@@ -410,7 +457,7 @@ class TestErrorPaths:
             code = exc.code
         assert code == 2
         err = capsys.readouterr().err
-        assert "unrecognized arguments" in err or "--fock must be at least 8" in err
+        assert "unrecognized arguments" in err
         assert not (tmp_path / "out").exists()
 
     def test_unknown_config_key_exits_2(self, tmp_path):
@@ -494,6 +541,20 @@ class TestErrorPaths:
         assert "configuration error" in res.stderr and "decay times" in res.stderr
         assert not (tmp_path / "o").exists()
 
+    def test_curve_of_too_many_cavity_periods_exits_2(self, tmp_path, capsys):
+        # Within 100 decay times at 1e-3 1/s, but 1e9 gate times long: the
+        # jump-time quadrature would need about 1e9 panels of half a cavity
+        # period, and the run is refused instead of going on for hours.
+        doc = default_config_dict()
+        doc["bath"]["kappa"]["value"] = 1e-9
+        doc["bath"]["gamma"]["value"] = 1e-9
+        doc["curve"] = {"x_max": 1e9, "steps": 2}
+        argv = ["gate", "--config", write_config(tmp_path, doc), "--out", str(tmp_path / "o")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "panels" in err
+        assert not (tmp_path / "o").exists()
+
     def test_tiny_lambda2_without_decay_runs(self, tmp_path):
         doc = default_config_dict()
         doc["schedule"]["lambda2"] = {"value": 1e-90, "unit": "rad_per_s"}
@@ -512,12 +573,11 @@ class TestErrorPaths:
         assert res.returncode == 2
         assert "lambda2" in res.stderr
 
-    def test_unconverged_cutoff_exits_3(self, tmp_path):
-        # A cutoff of 8 cannot hold the photon excursion of the headline
-        # curve; the cutoff-convergence certificate must fail, not silently
-        # emit a wrong curve.
-        doc = default_config_dict()
-        doc["curve"] = {"x_max": 0.5, "steps": 2}
-        res = run_cli("fig2", "--config", write_config(tmp_path, doc), "--fock", "8", cwd=tmp_path)
-        assert res.returncode == 3
-        assert "numerical failure" in res.stderr
+    def test_unconverged_quadrature_exits_3(self, tmp_path, monkeypatch, capsys):
+        # At order 1 the jump-time quadrature cannot meet its 1e-10 check
+        # against order 2; fig2 must fail with exit 3, not emit the curve.
+        monkeypatch.setattr(_dyn, "QUADRATURE_ORDER", 1)
+        assert main(["fig2", "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert "numerical failure" in err and "quadrature" in err
+        assert not (tmp_path / "o" / "fig2.csv").exists()

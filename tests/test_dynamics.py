@@ -19,6 +19,7 @@ from topoqed.dynamics import (
 from topoqed.interface import CouplingSet, HamiltonianModel, build_H_I
 from topoqed.qcore import (
     TAU_MINUS,
+    IntegrationError,
     LindbladSpec,
     QuantumState,
     basis_state,
@@ -32,7 +33,7 @@ from topoqed.qcore import (
     SIGMA_Z,
 )
 
-from helpers import random_pure_state, rk4_columns_step_doubled
+from helpers import liouvillian_gate_states, random_pure_state, rk4_columns_step_doubled
 
 LAMBDA2 = 2 * math.pi * 32e6
 
@@ -168,20 +169,20 @@ class TestIdealGateState:
 class TestFidelityCurve:
     def test_initial_overlap_is_half(self):
         sch = GateSchedule(k=1, lambda2=LAMBDA2)
-        curve = fidelity_curve(sch, 1e6, 1e6, [0.0, 0.1 * sch.tau], fock_cutoff=12)
+        curve = fidelity_curve(sch, 1e6, 1e6, [0.0, 0.1 * sch.tau])
         assert abs(curve.fidelities[0] - 0.5) < 1e-9
 
     def test_closed_system_gate_is_exact(self):
         sch = GateSchedule(k=1, lambda2=LAMBDA2)
-        curve = fidelity_curve(sch, 0.0, 0.0, [0.0, sch.tau], fock_cutoff=12)
+        curve = fidelity_curve(sch, 0.0, 0.0, [0.0, sch.tau])
         assert curve.fidelities[-1] >= 1.0 - 1e-6
 
     def test_reference_parameters_land_in_headline_window(self):
         sch = GateSchedule(k=1, lambda2=LAMBDA2)
-        curve = fidelity_curve(sch, 1e6, 1e6, [0.0, sch.tau], fock_cutoff=16)
+        curve = fidelity_curve(sch, 1e6, 1e6, [0.0, sch.tau])
         assert 0.90 <= curve.fidelities[-1] <= 0.98
         assert curve.convergence_delta <= 1e-6
-        assert curve.fock_cutoff_used == 16
+        assert curve.quadrature_order == 2 * _dyn.QUADRATURE_ORDER
 
     @pytest.mark.parametrize("k", [1, 4])
     def test_rotating_frame_matches_interaction_picture_oracle(self, k):
@@ -222,6 +223,88 @@ class TestFidelityCurve:
                 lambda2_t_over_pi=np.array([0.0]),
                 fidelities=np.array([1.5]),
             )
+
+
+class TestCoherentStateBranches:
+    """The closed form of fidelity_curve against the Fock-truncated Liouvillian."""
+
+    @pytest.mark.parametrize("k", [1, 4, 9])
+    @pytest.mark.parametrize("kappa_mhz, gamma_mhz",
+                             [(1, 1), (0, 2), (2, 0), (0, 0), (3, 0.5)])
+    def test_matches_liouvillian(self, k, kappa_mhz, gamma_mhz):
+        sch = GateSchedule(k=k, lambda2=LAMBDA2)
+        kappa, gamma = kappa_mhz * 1e6, gamma_mhz * 1e6
+        t_grid = np.array([0.0, 0.37, 0.5, 1.0]) * sch.tau
+        states, delta = _dyn._branch_states(sch, kappa, gamma, t_grid)
+        oracle = liouvillian_gate_states(sch, kappa, gamma, t_grid)
+        assert delta <= 1e-10
+        assert max(float(np.max(np.abs(rho.data - ref)))
+                   for rho, ref in zip(states, oracle)) <= 1e-10
+        fids = fidelity_curve(sch, kappa, gamma, t_grid).fidelities
+        target = target_entangled_state()
+        assert np.max(np.abs(fids - [state_fidelity(QuantumState.mixed(ref, (2, 2)), target)
+                                     for ref in oracle])) <= 1e-10
+
+    def test_random_parameters_match_liouvillian(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=10, deadline=None)
+        @hypothesis.given(st.integers(min_value=1, max_value=9),
+                          st.floats(min_value=0.0, max_value=3e6),
+                          st.floats(min_value=0.0, max_value=3e6),
+                          st.floats(min_value=0.05, max_value=1.1))
+        def check(k, kappa, gamma, fraction):
+            sch = GateSchedule(k=k, lambda2=LAMBDA2)
+            t_grid = [0.0, fraction * sch.tau]
+            states, _ = _dyn._branch_states(sch, kappa, gamma, t_grid)
+            oracle = liouvillian_gate_states(sch, kappa, gamma, t_grid)
+            assert float(np.max(np.abs(states[-1].data - oracle[-1]))) <= 1e-10
+
+        check()
+
+    @pytest.mark.parametrize("k", [1, 4, 9])
+    def test_closed_gate_reaches_target_exactly(self, k):
+        sch = GateSchedule(k=k, lambda2=LAMBDA2)
+        curve = fidelity_curve(sch, 0.0, 0.0, [0.0, sch.tau])
+        assert abs(curve.fidelities[-1] - 1.0) <= 1e-12
+        assert curve.convergence_delta == 0.0
+
+    def test_closed_form_matches_analytic_propagator(self):
+        sch = GateSchedule(k=1, lambda2=LAMBDA2)
+        model = HamiltonianModel(fock_cutoff=16, nu=sch.nu)
+        t_grid = np.array([0.0, 0.21, 0.5, 0.83]) * sch.tau
+        states, _ = _dyn._branch_states(sch, 0.0, 0.0, t_grid)
+        for t, rho in zip(t_grid, states):
+            psi = analytic_U(sch.lambda2, sch.nu, t, model) @ _dyn._gate_start(16).data
+            ref = partial_trace(QuantumState.pure(psi, model.dims), (0, 1))
+            assert np.max(np.abs(rho.data - ref.data)) <= 1e-10
+
+    def test_low_quadrature_order_fails_the_check(self, monkeypatch):
+        monkeypatch.setattr(_dyn, "QUADRATURE_ORDER", 1)
+        sch = GateSchedule(k=1, lambda2=LAMBDA2)
+        with pytest.raises(IntegrationError, match="quadrature"):
+            fidelity_curve(sch, 1e6, 1e6, [0.0, 0.5 * sch.tau, sch.tau])
+
+    def test_memory_budget_splits_the_grid(self, monkeypatch):
+        # One node per pass must give the same curve as the default passes.
+        sch = GateSchedule(k=4, lambda2=LAMBDA2)
+        t_grid = np.linspace(0.0, 1.3, 9) * sch.tau
+        whole = fidelity_curve(sch, 1e6, 2e6, t_grid)
+        monkeypatch.setattr(_dyn, "_NODE_BUDGET", 1)
+        split = fidelity_curve(sch, 1e6, 2e6, t_grid)
+        assert np.max(np.abs(whole.fidelities - split.fidelities)) <= 1e-14
+
+    def test_too_many_panels_is_refused(self, monkeypatch):
+        monkeypatch.setattr(_dyn, "_MAX_PANELS", 10)
+        sch = GateSchedule(k=1, lambda2=LAMBDA2)
+        with pytest.raises(ValueError, match="panels"):
+            fidelity_curve(sch, 1e6, 1e6, np.linspace(0.0, 3.0, 8) * sch.tau)
+
+    def test_rejects_negative_rates(self):
+        sch = GateSchedule(k=1, lambda2=LAMBDA2)
+        with pytest.raises(ValueError):
+            fidelity_curve(sch, -1.0, 0.0, [0.0, sch.tau])
 
 
 class TestSingleInterfaceEvolution:

@@ -100,9 +100,9 @@ class TestOptimalWorkingPoint:
 
     def test_splitting_slope_falls_on_the_half_period(self):
         # The premise of the closed-form optimum: |dE/dphi| does not rise on
-        # (0, pi] for any Delta0*L/v_F.  The slack covers rounding only:
-        # phases a few hundred ulps apart can differ by the root solves'
-        # residual (1.4e-11 relative seen at Lambda of about 20).
+        # (0, pi] for any Delta0*L/v_F.  The slack covers rounding only: over
+        # 60,000 random pairs of phases 1 to 1e6 ulps apart the slope rose
+        # by at most 1.3e-13 relative.
         hypothesis = pytest.importorskip("hypothesis")
         st = hypothesis.strategies
         delta0, v_f = 2 * math.pi * 32e9, 1e5

@@ -191,6 +191,19 @@ class TestSplittingDerivative:
                 assert abs(value) < sys.float_info.min, (phi, value, reference)
         assert compared >= 20
 
+    def test_slope_does_not_rise_between_nearby_phases(self):
+        # Two phases 1000 ulps apart on a long wire (Delta0*L/v_F = 185.5,
+        # Lambda about 19.5), where |dE/dphi| rose by 1.4e-11 relative while
+        # the u/tanh u root stopped at a residual of 1e-12*Lambda.  The slope
+        # falls on (0, pi], so it must not rise by more than rounding.
+        delta0, v_f = 2 * math.pi * 32e9, 1e5
+        wire = WireParams(v_F=v_f, L=185.5 * v_f / delta0, Delta0=delta0)
+        phi1 = 0.21083456460141184
+        phi2 = phi1 + 1000 * math.ulp(phi1)
+        d1 = abs(splitting_derivative(wire, phi1))
+        d2 = abs(splitting_derivative(wire, phi2))
+        assert d2 <= d1 * (1.0 + 1e-12)
+
     def test_max_slope_lies_in_expected_window(self, paper_wire):
         # Dense sweep over (0, pi): the largest slope magnitude sits between
         # 0.1 and 1.0 times Delta0 (it approaches Delta0/pi near the cusp).
