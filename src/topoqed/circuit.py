@@ -15,6 +15,12 @@ At the gate-charge degeneracy point the island reduces to a two-level system
 with gap ``E_J_bar`` and qubit-cavity coupling ``xi``; the phase seen by the
 attached wire splits into ``eps_plus``/``eps_minus`` depending on the qubit
 state.  Energies are angular frequencies (rad/s); phases are radians.
+
+``phi_J_series`` and ``phi_J_exact`` act element-wise on arrays of phi,
+photon amplitude and external flux ``phi_e``, which broadcast together: a
+sweep is one call and one safeguarded root solve
+(``qcore.newton_bisect``), and a float in gives a float out.  The
+two-level reduction takes one parameter set.
 """
 
 from __future__ import annotations
@@ -23,7 +29,9 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .qcore import ConvergenceError, newton_bisect
+import numpy as np
+
+from .qcore import ConvergenceError, any_true, as_result, elements, newton_bisect, where
 
 __all__ = [
     "CircuitParams",
@@ -35,14 +43,14 @@ __all__ = [
 ]
 
 
-def _half_angle_sin(phi: float) -> float:
-    """sin(phi/2), exactly zero at phi = 0."""
-    return math.sin(0.5 * phi)
+def _half_angle_sin(phi):
+    """sin(phi/2), exactly zero at phi = 0; element-wise."""
+    return as_result(np.sin(0.5 * elements(phi)))
 
 
-def _half_angle_cos(phi: float) -> float:
+def _half_angle_cos(phi):
     """cos(phi/2), evaluated as sin((pi - phi)/2) so it is exactly zero at phi = pi."""
-    return math.sin(0.5 * (math.pi - phi))
+    return as_result(np.sin(0.5 * (math.pi - elements(phi))))
 
 
 @dataclass(frozen=True)
@@ -112,59 +120,71 @@ class EffectiveQubit:
     eps_minus: float
 
 
-def _full_angle_sin(phi: float) -> float:
+def _full_angle_sin(phi):
     """sin(phi) via the half-angle product, exactly zero at phi = 0 and pi."""
     return 2.0 * _half_angle_sin(phi) * _half_angle_cos(phi)
 
 
-def phi_J_series(params: CircuitParams, phi: float, photon_amp: float = 0.0) -> float:
-    """Large-junction phase drop to second order in eta."""
+def phi_J_series(params: CircuitParams, phi, photon_amp=0.0, phi_e=None):
+    """Large-junction phase drop to second order in eta.
+
+    ``phi``, ``photon_amp`` and ``phi_e`` (default ``params.phi_e``) are
+    floats or arrays that broadcast together; a float in gives a float out.
+    """
+    phi_e = params.phi_e if phi_e is None else phi_e
     eta = params.eta
-    c = math.cos(phi)
-    return (
-        2.0 * eta * _half_angle_sin(params.phi_e) * c
-        - eta**2 * _full_angle_sin(params.phi_e) * c * c
-        + 2.0 * params.g * eta * _half_angle_cos(params.phi_e) * c * photon_amp
+    c = np.cos(elements(phi))
+    return as_result(
+        2.0 * eta * _half_angle_sin(phi_e) * c
+        - eta**2 * _full_angle_sin(phi_e) * c * c
+        + 2.0 * params.g * eta * _half_angle_cos(phi_e) * c * elements(photon_amp)
     )
 
 
-def phi_J_exact(params: CircuitParams, phi: float, photon_amp: float = 0.0) -> float:
+def phi_J_exact(params: CircuitParams, phi, photon_amp=0.0, phi_e=None):
     """Self-consistent large-junction phase drop.
 
     Solves sin(x) = 2*eta*sin((phi_e - x)/2 + g*p)*cos(phi) for the unique
     root in (-pi/2, pi/2) by safeguarded Newton iteration; the residual is
-    verified below 1e-12 before a last Newton step.
+    verified below 1e-12 before a last Newton step.  ``phi``, ``photon_amp``
+    and ``phi_e`` (default ``params.phi_e``) are floats or arrays that
+    broadcast together; all elements share one root solve, and a float in
+    gives a float out.  ConvergenceError is raised if any element fails.
     """
+    phi_e = params.phi_e if phi_e is None else phi_e
+    shift = 0.5 * elements(phi_e) + params.g * elements(photon_amp)
+    cphi = np.cos(elements(phi))
     eta = params.eta
     if eta == 0.0:
-        return 0.0
-    shift = 0.5 * params.phi_e + params.g * photon_amp
-    cphi = math.cos(phi)
+        return as_result(np.zeros(np.broadcast(shift, cphi).shape)[()])
 
-    def constraint(x: float) -> float:
-        return math.sin(x) - 2.0 * eta * math.sin(shift - 0.5 * x) * cphi
+    def constraint(x, c):
+        return np.sin(x) - 2.0 * eta * np.sin(shift - 0.5 * x) * c
 
-    def slope(x: float) -> float:
-        return math.cos(x) + eta * math.cos(shift - 0.5 * x) * cphi
+    def slope(x, c):
+        return np.cos(x) + eta * np.cos(shift - 0.5 * x) * c
 
     lo, hi = -0.5 * math.pi, 0.5 * math.pi
-    f_lo, f_hi = constraint(lo), constraint(hi)
-    if f_lo == 0.0:
-        return lo
-    if f_hi == 0.0:
-        return hi
-    if f_lo * f_hi > 0:
+    f_lo, f_hi = constraint(lo, cphi), constraint(hi, cphi)
+    if any_true(f_lo * f_hi > 0):
         raise ConvergenceError(
             "no sign change of the current constraint in (-pi/2, pi/2); "
             "parameter regime breakdown"
         )
-    root = newton_bisect(constraint, slope, lo, hi, f_lo, 1e-12)
-    residual = constraint(root)
-    if abs(residual) > 1e-12:
+    # A root at an end of the interval is exact.  Its elements are solved
+    # with cos(phi) = 0, where the root is x = 0, and replaced below.
+    at_lo, at_hi = f_lo == 0.0, f_hi == 0.0
+    at_end = at_lo | at_hi
+    c_in = where(at_end, 0.0, cphi)
+    root = newton_bisect(lambda x: constraint(x, c_in), lambda x: slope(x, c_in),
+                         lo, hi, where(at_end, -1.0, f_lo), 1e-12)
+    residual = constraint(root, c_in)
+    if any_true(abs(residual) > 1e-12):
         raise ConvergenceError("current-constraint residual above 1e-12")
     # Newton's error squares with each step, so one more step from a root
     # good to 1e-12 lands on the rounding floor.
-    return root - residual / slope(root)
+    root = root - residual / slope(root, c_in)
+    return as_result(where(at_lo, lo, where(at_hi, hi, root)))
 
 
 def effective_qubit(params: CircuitParams) -> EffectiveQubit:

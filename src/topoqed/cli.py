@@ -74,22 +74,19 @@ def cmd_spectrum(config: RunConfig) -> int:
     if sweep.variable != "eps":
         raise ConfigError(f"spectrum sweeps over 'eps', got {sweep.variable!r}")
 
-    def row(eps: float):
-        res = wire_splitting(config.wire, eps)
-        return (eps, res.Lambda, res.E, res.E / (2.0 * math.pi * 1e9), res.branch)
-
-    rows = [row(eps) for eps in sweep.values()]
+    eps = sweep.values()
+    res = wire_splitting(config.wire, eps)
     out = _out_dir(config)
     write_csv(
         out / "spectrum.csv",
         ["eps_rad", "Lambda", "E_rad_per_s", "E_GHz_over_2pi", "branch"],
-        rows,
+        zip(eps, res.Lambda, res.E, res.E / (2.0 * math.pi * 1e9), res.branch),
     )
     write_json(
         out / "spectrum_summary.json",
-        {"config": config.normalized(), "rows": len(rows)},
+        {"config": config.normalized(), "rows": len(eps)},
     )
-    print(f"wrote {out / 'spectrum.csv'} ({len(rows)} rows)")
+    print(f"wrote {out / 'spectrum.csv'} ({len(eps)} rows)")
     return EXIT_OK
 
 
@@ -98,24 +95,18 @@ def cmd_phij(config: RunConfig) -> int:
     if sweep.variable not in ("phi", "phi_e"):
         raise ConfigError(f"phij sweeps over 'phi' or 'phi_e', got {sweep.variable!r}")
 
-    def row(value: float):
-        if sweep.variable == "phi":
-            circ, phi = config.circuit, value
-        else:
-            circ, phi = dataclasses.replace(config.circuit, phi_e=value), 0.0
-        series = _circuit.phi_J_series(circ, phi, 0.0)
-        exact = _circuit.phi_J_exact(circ, phi, 0.0)
-        return (value, series, exact, abs(series - exact))
-
-    rows = [row(value) for value in sweep.values()]
+    values = sweep.values()
+    phi, phi_e = (values, None) if sweep.variable == "phi" else (0.0, values)
+    series = _circuit.phi_J_series(config.circuit, phi, 0.0, phi_e)
+    exact = _circuit.phi_J_exact(config.circuit, phi, 0.0, phi_e)
     out = _out_dir(config)
     write_csv(
         out / "phij.csv",
         [f"{sweep.variable}_rad", "phi_J_series_rad", "phi_J_exact_rad", "abs_diff_rad"],
-        rows,
+        zip(values, series, exact, np.abs(series - exact)),
     )
-    write_json(out / "phij_summary.json", {"config": config.normalized(), "rows": len(rows)})
-    print(f"wrote {out / 'phij.csv'} ({len(rows)} rows)")
+    write_json(out / "phij_summary.json", {"config": config.normalized(), "rows": len(values)})
+    print(f"wrote {out / 'phij.csv'} ({len(values)} rows)")
     return EXIT_OK
 
 

@@ -24,6 +24,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
+import numpy as np
+
 from .circuit import CircuitParams
 from .wire import WireParams
 
@@ -32,6 +34,13 @@ __all__ = ["ConfigError", "RunConfig", "SweepSpec", "default_config_dict", "load
 SCHEMA_VERSION = 1
 
 _UNIT_SCALE = {"GHz": 1e9, "MHz": 1e6, "rad_per_s": 1.0}
+
+# Largest sweep.steps and curve.steps.  A command holds its whole grid and
+# the result arrays in memory and writes one CSV line per grid point: a
+# 2*10**5-step spectrum peaks at about 90 MB and writes 14 MB, so the limit
+# stays well below a gigabyte.  Larger counts end in a memory error rather
+# than a result (10**13 steps would need 80 TB for the grid alone).
+MAX_STEPS = 10**6
 
 
 class ConfigError(ValueError):
@@ -98,14 +107,16 @@ class SweepSpec:
     def __post_init__(self):
         if self.steps < 1:
             raise ConfigError("sweep needs at least 1 step")
+        if self.steps > MAX_STEPS:
+            raise ConfigError(f"sweep.steps = {self.steps} exceeds the limit of {MAX_STEPS}")
         if not self.max > self.min:
             raise ConfigError("sweep requires max > min")
         if not math.isfinite(self.max - self.min):
             raise ConfigError("sweep bounds and their difference must be finite")
 
-    def values(self):
+    def values(self) -> np.ndarray:
         step = (self.max - self.min) / self.steps
-        return [self.min + i * step for i in range(self.steps + 1)]
+        return self.min + np.arange(self.steps + 1) * step
 
 
 @dataclass(frozen=True)
@@ -289,6 +300,8 @@ def parse_config(doc: dict, rate_convention: Optional[str] = None) -> RunConfig:
     _require_keys(curve, {"x_max", "steps"}, set(), "curve")
     x_max = _number(curve.get("x_max", 1.1), "curve.x_max")
     steps = _count(curve.get("steps", 44), "curve.steps")
+    if steps > MAX_STEPS:
+        raise ConfigError(f"curve.steps = {steps} exceeds the limit of {MAX_STEPS}")
     if x_max <= 0:
         raise ConfigError("curve.x_max must be positive")
 

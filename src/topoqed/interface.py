@@ -131,7 +131,7 @@ def couplings(wire: WireParams, circ: CircuitParams) -> CouplingSet:
     eff = effective_qubit(circ)
     working_phi = circ.phi_c + eff.f1
     split = wire_splitting(wire, working_phi)
-    de_dphi = splitting_derivative(wire, working_phi)
+    de_dphi = splitting_derivative(wire, working_phi, split.root)
     eta = circ.eta
     lam1 = eta * _circuit._half_angle_sin(circ.phi_e) * de_dphi
     lam2 = eta * circ.g * _circuit._half_angle_cos(circ.phi_e) * de_dphi

@@ -1,7 +1,8 @@
 """Deterministic CSV, JSON and SVG emission.
 
 CSV is the canonical data format; headers carry explicit units.  Floats are
-rendered with ``%.12g`` so repeated runs with identical inputs produce
+rendered with ``%.12g`` (one %-format string per row, built once for each
+sequence of value types) so repeated runs with identical inputs produce
 byte-identical files.  The SVG plot is a dependency-free polyline with axis
 ticks, adequate for eyeballing a fidelity curve.
 """
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+from functools import cache
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -22,10 +24,17 @@ def _fmt(value) -> str:
     return str(value)
 
 
+@cache
+def _row_format(types: tuple[type, ...]) -> str:
+    """%-format line that renders a row of these types as ``_fmt`` does."""
+    return ",".join("%.12g" if issubclass(t, float) else "%s" for t in types) + "\n"
+
+
 def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    Path(path).write_text("\n".join(lines) + "\n")
+    """Write the header and one line per row, as the rows are consumed."""
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(_row_format(tuple(map(type, row))) % tuple(row) for row in rows)
 
 
 def write_json(path: Path, payload: dict) -> None:

@@ -18,6 +18,11 @@ join continuously (with continuous slope) at Lambda = 1.
 All energies are angular frequencies (rad/s).  The splitting is an even,
 2*pi-periodic function of the phase, so its derivative vanishes by symmetry
 at eps = 0 while the one-sided slope there is -Delta0/pi.
+
+``wire_splitting`` and the two inversions act element-wise on arrays: a
+sweep of phases is one call, with one safeguarded root solve per branch
+(``qcore.newton_bisect``), and a float in gives a float out.
+``splitting_derivative`` takes one phase.
 """
 
 from __future__ import annotations
@@ -26,7 +31,9 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .qcore import newton_bisect
+import numpy as np
+
+from .qcore import any_true, as_result, elements, newton_bisect, where
 
 __all__ = [
     "HBAR",
@@ -43,7 +50,12 @@ __all__ = [
 HBAR = 1.054571817e-34  # J s
 K_B = 1.380649e-23  # J / K
 
-_ROOT_TOL = 1e-12
+# Residual bound of the root solves, scaled by max(1, |y|).  Near the branch
+# point a residual r on x/tan(x) = Lambda moves E by up to about 1.5*r
+# relative (the slope of x/tan x vanishes like 2x/3 there), so a bound of
+# 1e-12 would leave E up to 1.5e-12 off; 1e-13 keeps it below 2e-13
+# against plain bisection (tests/test_wire.py).
+_ROOT_TOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -92,109 +104,146 @@ class WireParams:
 
 @dataclass(frozen=True)
 class SplittingResult:
-    """Energy splitting together with the dimensionless phase parameter."""
+    """Energy splitting together with the dimensionless phase parameter.
 
-    E: float
-    Lambda: float
-    branch: str  # "oscillatory" (Lambda <= 1) or "evanescent" (Lambda > 1)
+    Each field is a scalar for one phase, or an array for a sweep of them.
+    """
+
+    E: float | np.ndarray
+    Lambda: float | np.ndarray
+    # "oscillatory" (Lambda <= 1) or "evanescent" (Lambda > 1)
+    branch: str | np.ndarray
+    # The solved root: x of x/tan(x) = Lambda on the oscillatory branch, u of
+    # u/tanh(u) = Lambda on the evanescent one.
+    root: float | np.ndarray
 
     def __post_init__(self):
-        if self.E < 0 or self.Lambda < 0:
+        if any_true(self.E < 0) or any_true(self.Lambda < 0):
             raise ValueError("E and Lambda must be non-negative")
 
 
-def _x_over_tan(x: float) -> float:
-    return x / math.tan(x)
+def _x_over_tan(x):
+    return x / np.tan(x)
 
 
-def _d_x_over_tan(x: float) -> float:
-    s = math.sin(x)
-    return (0.5 * math.sin(2.0 * x) - x) / (s * s)
+def _d_x_over_tan(x):
+    s = np.sin(x)
+    return (0.5 * np.sin(2.0 * x) - x) / (s * s)
 
 
-def inverse_x_over_tan(y: float, n: int = 0) -> float:
-    """Inverse of y = x/tan(x) on its n-th monotone branch.
+def inverse_x_over_tan(y, n: int = 0):
+    """Inverse of y = x/tan(x) on its n-th monotone branch, element-wise.
 
     Branch 0 maps (-inf, 1) onto (0, pi) with the y -> 1 limit returning 0;
     branch n >= 1 maps the whole real line onto (n*pi, (n+1)*pi).  The
-    residual |x/tan(x) - y| is driven below 1e-12 (scaled by max(1, |y|)).
+    residual |x/tan(x) - y| is driven below 1e-13 (scaled by max(1, |y|)).
+    ``y`` is a float or an array; one root solve covers every element.
     """
     if n < 0:
         raise ValueError("branch index must be non-negative")
-    y = float(y)
+    y = elements(y)
+    at_limit = False
     if n == 0:
-        if y > 1.0:
-            raise ValueError(f"branch 0 requires y <= 1, got {y}")
-        if y == 1.0:
-            return 0.0
+        if any_true(y > 1.0):
+            raise ValueError(f"branch 0 requires y <= 1, got {float(np.max(y))}")
+        # The limit elements are solved at y = 0 and replaced by 0 below.
+        at_limit = y == 1.0
+        y = where(at_limit, 0.0, y)
         lo, hi = 1e-12, math.pi - 1e-12
         # Near y -> 1 the root sits at x ~ sqrt(3*(1-y)); shrink the bracket
         # so bisection starts in a region where f is well resolved.
-        if y > 0.9:
-            hi = min(hi, 4.0 * math.sqrt(3.0 * (1.0 - y)) + 1e-6)
-        f_lo = 1.0 - y if y < 0.999 else _x_over_tan(lo) - y
+        hi = where(y > 0.9, np.minimum(hi, 4.0 * np.sqrt(3.0 * (1.0 - y)) + 1e-6), hi)
+        f_lo = where(y < 0.999, 1.0 - y, _x_over_tan(lo) - y)
     else:
         lo = n * math.pi + 1e-9
         hi = (n + 1) * math.pi - 1e-9
         f_lo = _x_over_tan(lo) - y
-    f_tol = _ROOT_TOL * max(1.0, abs(y))
-    return newton_bisect(
-        lambda x: _x_over_tan(x) - y, _d_x_over_tan, lo, hi, f_lo, f_tol
-    )
+    f_tol = _ROOT_TOL * np.maximum(1.0, np.abs(y))
+    root = newton_bisect(lambda x: _x_over_tan(x) - y, _d_x_over_tan, lo, hi, f_lo, f_tol)
+    return as_result(where(at_limit, 0.0, root))
 
 
-def _u_over_tanh(u: float) -> float:
-    return u / math.tanh(u)
+def _u_over_tanh(u):
+    return u / np.tanh(u)
 
 
-def _d_u_over_tanh(u: float) -> float:
+def _d_u_over_tanh(u):
     # (sinh u cosh u - u) / sinh(u)**2, with numerator and denominator scaled
     # by 4 exp(-2u) so that neither overflows for large u.
-    q = math.exp(-2.0 * u)
-    return (-math.expm1(-4.0 * u) - 4.0 * u * q) / math.expm1(-2.0 * u) ** 2
+    q = np.exp(-2.0 * u)
+    return (-np.expm1(-4.0 * u) - 4.0 * u * q) / np.expm1(-2.0 * u) ** 2
 
 
-def inverse_x_over_tanh(y: float) -> float:
-    """Inverse of y = u/tanh(u) for y >= 1 (evanescent continuation)."""
-    y = float(y)
-    if y < 1.0:
-        raise ValueError(f"u/tanh(u) >= 1 for all u; got y={y}")
-    if y <= 1.0 + 1e-15:
-        return 0.0
+def inverse_x_over_tanh(y):
+    """Inverse of y = u/tanh(u) for y >= 1 (evanescent continuation), element-wise."""
+    y = elements(y)
+    if any_true(y < 1.0):
+        raise ValueError(f"u/tanh(u) >= 1 for all u; got y={float(np.min(y))}")
+    # The limit elements are solved at y = 2 and replaced by 0 below.
+    at_limit = y <= 1.0 + 1e-15
+    y = where(at_limit, 2.0, y)
     lo = 1e-8
     hi = y  # u/tanh(u) = y implies u = y*tanh(u) < y
     f_lo = _u_over_tanh(lo) - y
-    f_tol = _ROOT_TOL * max(1.0, abs(y))
+    f_tol = _ROOT_TOL * np.maximum(1.0, np.abs(y))
     root = newton_bisect(
         lambda u: _u_over_tanh(u) - y, _d_u_over_tanh, lo, hi, f_lo, f_tol
     )
-    # The root finder stops at a residual of 1e-12*y, which leaves the
-    # derivative rounding noise of about 1e-11 relative between nearby
+    # The root finder stops at a residual of up to 1e-13*y, which leaves
+    # the derivative rounding noise of about 1e-12 relative between nearby
     # phases; Newton's error squares with each step, so one more step from
     # that root reaches double precision (as in circuit.phi_J_exact).
-    return root - (_u_over_tanh(root) - y) / _d_u_over_tanh(root)
+    polished = root - (_u_over_tanh(root) - y) / _d_u_over_tanh(root)
+    return as_result(where(at_limit, 0.0, polished))
 
 
-def wire_splitting(params: WireParams, eps: float) -> SplittingResult:
-    """Bound-state energy splitting E(eps) at superconducting phase ``eps``."""
-    lam = params.lambda_scale * abs(math.sin(0.5 * eps))
-    v_over_l = params.level_spacing
-    if lam <= 1.0:
-        x = inverse_x_over_tan(lam, 0)
-        energy = v_over_l * math.hypot(lam, x)
-        branch = "oscillatory"
-    else:
-        u = inverse_x_over_tanh(lam)
-        # Lambda - u suffers cancellation for large Lambda; evaluate it from
-        # the defining relation instead: Lambda - u = Lambda * (1 - tanh u).
-        eu = math.exp(-2.0 * u)
-        delta = 2.0 * lam * eu / (1.0 + eu)
-        energy = v_over_l * math.sqrt(delta * (lam + u))
-        branch = "evanescent"
-    return SplittingResult(E=energy, Lambda=lam, branch=branch)
+def _oscillatory_splitting(lam):
+    """Root x and reduced splitting E*L/v_F for Lambda <= 1."""
+    x = inverse_x_over_tan(lam, 0)
+    return x, np.hypot(lam, x)
 
 
-def splitting_derivative(params: WireParams, phi: float) -> float:
+def _evanescent_splitting(lam):
+    """Root u and reduced splitting E*L/v_F for Lambda > 1."""
+    u = inverse_x_over_tanh(lam)
+    # Lambda - u suffers cancellation for large Lambda; evaluate it from
+    # the defining relation instead: Lambda - u = Lambda * (1 - tanh u).
+    eu = np.exp(-2.0 * u)
+    delta = 2.0 * lam * eu / (1.0 + eu)
+    return u, np.sqrt(delta * (lam + u))
+
+
+def wire_splitting(params: WireParams, eps) -> SplittingResult:
+    """Bound-state energy splitting E(eps) at superconducting phase ``eps``.
+
+    ``eps`` is a float or an array.  For an array, each branch is one root
+    solve over its elements, and the result holds arrays of E, Lambda, root
+    and branch names; for a float it holds floats and a string.
+    """
+    lam = params.lambda_scale * np.abs(np.sin(0.5 * elements(eps)))
+    oscillatory = lam <= 1.0
+    if not isinstance(lam, np.ndarray):
+        root, reduced = (_oscillatory_splitting if oscillatory else _evanescent_splitting)(lam)
+        return SplittingResult(
+            E=float(params.level_spacing * reduced),
+            Lambda=float(lam),
+            branch="oscillatory" if oscillatory else "evanescent",
+            root=float(root),
+        )
+    root, reduced = np.empty_like(lam), np.empty_like(lam)
+    if oscillatory.any():
+        root[oscillatory], reduced[oscillatory] = _oscillatory_splitting(lam[oscillatory])
+    if not oscillatory.all():
+        root[~oscillatory], reduced[~oscillatory] = _evanescent_splitting(lam[~oscillatory])
+    return SplittingResult(
+        E=params.level_spacing * reduced,
+        Lambda=lam,
+        branch=np.where(oscillatory, "oscillatory", "evanescent"),
+        root=root,
+    )
+
+
+def splitting_derivative(params: WireParams, phi: float, root: float | None = None) -> float:
     """dE/dphi by implicit differentiation of the quantization condition.
 
     dE/dphi = (v_F/L) * r * dLambda/dphi, where r = dG/dLambda for the reduced
@@ -203,7 +252,8 @@ def splitting_derivative(params: WireParams, phi: float) -> float:
     one.  Both tend to -1/2 at the branch point, so the slope is continuous
     there.  The splitting is even in phi with a cusp at phi = 0 (mod 2*pi);
     exactly at a cusp the symmetric derivative is 0 and that value is
-    returned.
+    returned.  A caller that holds ``wire_splitting(params, phi).root``
+    passes it as ``root`` and saves the root solve.
     """
     if math.fmod(phi, 2.0 * math.pi) == 0.0:
         return 0.0
@@ -212,7 +262,7 @@ def splitting_derivative(params: WireParams, phi: float) -> float:
     lam = kappa * abs(half_sin)
     dlam_dphi = math.copysign(0.5 * kappa, half_sin) * math.cos(0.5 * phi)
     if lam <= 1.0:
-        x = inverse_x_over_tan(lam, 0)
+        x = inverse_x_over_tan(lam, 0) if root is None else root
         if x < 1e-3:
             # Numerator and denominator both cancel like x**3 here.
             r = -0.5 - x * x / 20.0
@@ -220,7 +270,7 @@ def splitting_derivative(params: WireParams, phi: float) -> float:
             s, c = math.sin(x), math.cos(x)
             r = (s - x * c) / (s * c - x)
     else:
-        u = inverse_x_over_tanh(lam)
+        u = inverse_x_over_tanh(lam) if root is None else root
         if u < 1e-3:
             r = -0.5 + u * u / 20.0
         else:

@@ -39,6 +39,26 @@ def bisect_root(f, lo: float, hi: float, iters: int = 200) -> float:
     return 0.5 * (lo + hi)
 
 
+def bisect_splitting(params, eps: float) -> float:
+    """Splitting E(eps) from plain bisection of the quantization condition.
+
+    Solves x/tan(x) = Lambda on (0, pi) for Lambda < 1 and u/tanh(u) = Lambda
+    on (0, Lambda) for Lambda > 1; Lambda = 1 gives x = 0.  On the
+    evanescent branch Lambda - u is written Lambda * 2 exp(-2u) / (1 +
+    exp(-2u)), so that it keeps its digits where tanh(u) rounds to 1.
+    """
+    v_over_l = params.level_spacing
+    lam = params.lambda_scale * abs(math.sin(0.5 * eps))
+    if lam == 1.0:
+        return v_over_l
+    if lam < 1.0:
+        x = bisect_root(lambda t: t / math.tan(t) - lam, 1e-300, math.pi - 1e-15)
+        return v_over_l * math.hypot(lam, x)
+    u = bisect_root(lambda t: t / math.tanh(t) - lam, 1e-300, lam)
+    q = math.exp(-2.0 * u)
+    return v_over_l * math.sqrt(lam * 2.0 * q / (1.0 + q) * (lam + u))
+
+
 def bisect_phi_J(params, phi: float, photon_amp: float = 0.0) -> float:
     """Large-junction phase drop by plain bisection of the current constraint."""
     shift = 0.5 * params.phi_e + params.g * photon_amp

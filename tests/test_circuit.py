@@ -12,7 +12,7 @@ from topoqed.circuit import (
     phi_J_series,
     tunneling_leakage,
 )
-from topoqed.config import load_config
+from topoqed.config import SweepSpec, load_config
 from topoqed.qcore import ConvergenceError
 
 from helpers import bisect_phi_J, bisect_root, charge_basis_oracle
@@ -238,3 +238,54 @@ class TestTunnelingLeakage:
         p = params()
         with pytest.warns(UserWarning):
             assert tunneling_leakage(2.0 * p.E_J, p) == 1.0
+
+
+class TestPhiJArrays:
+    """phi, photon amplitude and phi_e as arrays, in one root solve."""
+
+    def test_phi_e_sweep_rows_satisfy_the_constraint(self):
+        # The rows of `phij --sweep phi_e:0:2pi:N`, both ends included.
+        circ = load_config(None).circuit
+        phi_e = SweepSpec(variable="phi_e", min=0.0, max=2 * math.pi, steps=2000).values()
+        assert phi_e[0] == 0.0 and phi_e[-1] == 2 * math.pi
+        exact = phi_J_exact(circ, 0.0, 0.0, phi_e)
+        for pe, x in zip(phi_e.tolist(), exact.tolist()):
+            residual = math.sin(x) - 2.0 * circ.eta * math.sin(0.5 * (pe - x))
+            assert abs(residual) <= 1e-12, pe
+            assert abs(x - bisect_phi_J(dataclasses.replace(circ, phi_e=pe), 0.0)) <= 1e-13, pe
+
+    def test_grid_matches_one_call_per_point(self):
+        circ = load_config(None).circuit
+        grid = np.linspace(0.0, 2 * math.pi, 9, endpoint=False)
+        photons = np.array([-1.0, 0.0, 1.0])
+        shape = (9, 9, 3)
+        for func in (phi_J_series, phi_J_exact):
+            values = func(circ, grid[None, :, None], photons, grid[:, None, None])
+            assert values.shape == shape
+            singles = [
+                func(dataclasses.replace(circ, phi_e=pe), phi, p)
+                for pe in grid.tolist() for phi in grid.tolist() for p in photons.tolist()
+            ]
+            assert values.ravel().tolist() == singles
+
+    def test_endpoint_roots_stay_exact_in_an_array(self):
+        # With eta = 0.5 (a stand-in beyond CircuitParams' guard), phi_e =
+        # pi/2 and cos(phi) = -1, the constraint sin(x) + sin(pi/4 - x/2)
+        # vanishes exactly at the end x = -pi/2.
+        p = SimpleNamespace(eta=0.5, phi_e=0.5 * math.pi, g=0.0)
+        roots = phi_J_exact(p, np.array([math.pi, 0.4]))
+        assert roots[0] == -0.5 * math.pi == phi_J_exact(p, math.pi)
+        assert roots[1] == phi_J_exact(p, 0.4)
+        assert abs(roots[1] - bisect_phi_J(p, 0.4)) <= 1e-13
+
+    def test_float_in_float_out(self):
+        p = params(phi_e=0.8)
+        assert type(phi_J_series(p, 0.3)) is float
+        assert type(phi_J_series(p, 0.3, 1.0)) is float
+        assert type(phi_J_exact(p, 0.3)) is float
+        assert type(phi_J_exact(p, 0.3, 0.5)) is float
+
+    def test_one_bad_element_fails_the_whole_call(self):
+        # A NaN phase leaves that element's constraint NaN everywhere.
+        with pytest.raises(ConvergenceError):
+            phi_J_exact(params(phi_e=0.8), np.array([0.1, math.nan, 0.3]))

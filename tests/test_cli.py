@@ -8,12 +8,22 @@ import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from topoqed import dynamics as _dyn
 from topoqed import qcore as _qcore
+from topoqed import wire as _wire
 from topoqed.cli import cmd_fig2, main
-from topoqed.config import ConfigError, RunConfig, default_config_dict, load_config, parse_config
+from topoqed.config import (
+    MAX_STEPS,
+    ConfigError,
+    RunConfig,
+    SweepSpec,
+    default_config_dict,
+    load_config,
+    parse_config,
+)
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -184,6 +194,24 @@ class TestConfig:
         doc = default_config_dict()
         doc[section] = body
         with pytest.raises(ConfigError, match=f"{section}.steps"):
+            parse_config(doc)
+
+    @pytest.mark.parametrize("steps", [1, 44, 640, 20000, MAX_STEPS])
+    def test_step_counts_up_to_the_limit_parse(self, steps):
+        doc = default_config_dict()
+        doc["curve"] = {"x_max": 1.1, "steps": steps}
+        doc["sweep"] = {"variable": "eps", "min": 0.0, "max": 1.0, "steps": steps}
+        config = parse_config(doc)
+        assert config.curve_steps == steps and config.sweep.steps == steps
+        assert SweepSpec(variable="phi", min=0.0, max=1.0, steps=steps).steps == steps
+
+    @pytest.mark.parametrize("section", ["curve", "sweep"])
+    def test_step_count_over_the_limit_rejected(self, section):
+        doc = default_config_dict()
+        doc[section] = {"x_max": 1.1} if section == "curve" else {
+            "variable": "eps", "min": 0.0, "max": 1.0}
+        doc[section]["steps"] = MAX_STEPS + 1
+        with pytest.raises(ConfigError, match=f"{section}.steps = {MAX_STEPS + 1} exceeds"):
             parse_config(doc)
 
     def test_any_single_replaced_key_parses_or_raises_config_error(self):
@@ -572,6 +600,39 @@ class TestErrorPaths:
         res = run_cli("gate", "--config", write_config(tmp_path, doc), cwd=tmp_path)
         assert res.returncode == 2
         assert "lambda2" in res.stderr
+
+    @pytest.mark.parametrize("command, section", [
+        ("gate", "curve"), ("spectrum", "sweep"), ("phij", "sweep"), ("spectrum", "flag"),
+    ])
+    def test_step_count_of_ten_trillion_exits_2(self, command, section, tmp_path, capsys):
+        # np.arange would ask for 80 TB; the count is refused before that.
+        doc = default_config_dict()
+        argv = [command, "--out", str(tmp_path / "o")]
+        variable = "phi" if command == "phij" else "eps"
+        if section == "curve":
+            doc["curve"] = {"x_max": 1.1, "steps": 10**13}
+        elif section == "sweep":
+            doc["sweep"] = {"variable": variable, "min": 0.0, "max": 1.0, "steps": 10**13}
+        else:
+            argv += ["--sweep", f"{variable}:0:1:{10**13}"]
+        argv += ["--config", write_config(tmp_path, doc)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "exceeds the limit" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_one_unconverged_sweep_row_exits_3(self, tmp_path, monkeypatch, capsys):
+        # u/tanh(u) made NaN above u = 10: of the eleven phases only the last
+        # (Lambda = Delta0*L/v_F, about 10.05) has its root there, and its
+        # failure fails the whole sweep, which writes nothing.
+        original = _wire._u_over_tanh
+        monkeypatch.setattr(_wire, "_u_over_tanh",
+                            lambda u: np.where(u > 10.0, np.nan, original(u)))
+        argv = ["spectrum", "--sweep", f"eps:0.1:{math.pi}:10", "--out", str(tmp_path / "o")]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert "numerical failure" in err and "1 of" in err
+        assert not (tmp_path / "o" / "spectrum.csv").exists()
 
     def test_unconverged_quadrature_exits_3(self, tmp_path, monkeypatch, capsys):
         # At order 1 the jump-time quadrature cannot meet its 1e-10 check

@@ -14,7 +14,7 @@ from topoqed.interface import (
     couplings,
     optimal_working_point,
 )
-from topoqed.qcore import basis_state, entanglement_entropy, QuantumState, tensor, eye
+from topoqed.qcore import basis_state, entanglement_entropy, newton_bisect, QuantumState, tensor, eye
 from topoqed.wire import WireParams, splitting_derivative
 
 from helpers import expm_taylor, random_pure_state
@@ -46,6 +46,22 @@ class TestCouplings:
         assert cs.effective is not None
         assert cs.working_phi == circ.phi_c + cs.effective.f1
         assert cs.working_phi != circ.phi_c
+
+    def test_one_root_solve_per_call(self, paper_wire, paper_circuit, monkeypatch):
+        # The derivative reuses the root of the splitting at the working phase.
+        import topoqed.wire as wire
+
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return newton_bisect(*args, **kwargs)
+
+        monkeypatch.setattr(wire, "newton_bisect", counting)
+        for phi_c in (0.1, 1.5):  # one phase on each branch
+            calls.clear()
+            couplings(paper_wire, dataclasses.replace(paper_circuit, phi_c=phi_c))
+            assert len(calls) == 1
 
     def test_omega_t_is_splitting_at_working_phase(self, paper_wire, paper_circuit):
         from topoqed.wire import wire_splitting

@@ -7,6 +7,7 @@ from topoqed.qcore import (
     SIGMA_X,
     SIGMA_Z,
     TAU_MINUS,
+    ConvergenceError,
     IntegrationError,
     LindbladSpec,
     QuantumState,
@@ -17,6 +18,7 @@ from topoqed.qcore import (
     expm_hermitian,
     eye,
     integrate_master_equation,
+    newton_bisect,
     number_op,
     partial_trace,
     state_fidelity,
@@ -322,3 +324,52 @@ class TestIntegrateMasterEquation:
                     _evolve_constant(spec, rho0, t_grid))
         for oracle, state in pairs:
             assert np.max(np.abs(state.data - oracle.data)) <= 1e-8
+
+
+class TestNewtonBisect:
+    """The root finder acts element-wise; each element keeps its own bracket."""
+
+    @staticmethod
+    def solve(c, hi=3.0, **kwargs):
+        # Roots of x**2 = c on [0, hi]; f is negative at the low end, and
+        # f_lo carries the shape of c.
+        c = np.asarray(c, dtype=float)
+        return newton_bisect(lambda x: x * x - c, lambda x: 2.0 * x,
+                             0.0, hi, np.full(c.shape, -1.0), 1e-13, **kwargs)
+
+    def test_each_element_reaches_its_tolerance(self):
+        c = np.linspace(0.01, 8.0, 257)
+        x = self.solve(c)
+        assert x.shape == c.shape
+        assert np.all(np.abs(x * x - c) <= 1e-13)
+
+    def test_array_matches_one_call_per_element(self):
+        # A finished element stops moving, so it lands where a call of its
+        # own lands, bit for bit.
+        c = np.array([0.3, 1e-6, 2.0, 7.9, 4.0])
+        x = self.solve(c)
+        assert x.tolist() == [self.solve(float(v)) for v in c]
+
+    def test_float_in_float_out(self):
+        x = self.solve(2.0)
+        assert type(x) is float
+        assert abs(x - math.sqrt(2.0)) <= 1e-13
+
+    def test_one_element_without_root_fails_the_call(self):
+        # x**2 = 16 has no root in [0, 3]: that element's bracket closes on
+        # the upper end with |f| = 7, and the whole call raises.
+        assert np.all(np.isfinite(self.solve([0.5, 2.0])))
+        with pytest.raises(ConvergenceError, match="1 of 3 elements"):
+            self.solve([0.5, 16.0, 2.0])
+
+    def test_failure_count_leaves_out_elements_still_running(self):
+        # The c = 16 element's bracket runs out after about 55 iterations,
+        # while the c = 2 element, halving down from 2**100, needs about 100:
+        # only the first one has failed when the call stops.
+        assert self.solve(2.0, hi=2.0**100) == pytest.approx(math.sqrt(2.0), abs=1e-13)
+        with pytest.raises(ConvergenceError, match="1 of 2 elements before its bracket ran out"):
+            self.solve([16.0, 2.0], hi=np.array([3.0, 2.0**100]))
+
+    def test_iteration_limit_raises(self):
+        with pytest.raises(ConvergenceError, match="within 2 iterations"):
+            self.solve([0.5, 2.0], max_iter=2)

@@ -4,11 +4,13 @@ import sys
 import numpy as np
 import pytest
 
+from topoqed.qcore import ConvergenceError
 from topoqed.wire import (
     HBAR,
     K_B,
     WireParams,
     inverse_x_over_tan,
+    inverse_x_over_tanh,
     splitting_derivative,
     thermal_leakage,
     wire_splitting,
@@ -16,6 +18,7 @@ from topoqed.wire import (
 
 from helpers import (
     bisect_root,
+    bisect_splitting,
     implicit_splitting_derivative,
     mp_splitting_derivative,
     u_over_tanh,
@@ -134,7 +137,91 @@ class TestWireSplitting:
         assert abs(100.0 * j6 - j4) / 99.0 <= 1e-6 * scale
 
 
+class TestArraySweep:
+    """A phase array in one call, against plain bisection in tests/helpers."""
+
+    def test_dense_sweep_across_branch_point_matches_bisection(self, paper_wire):
+        eps_star = 2.0 * math.asin(1.0 / paper_wire.lambda_scale)
+        offsets = np.geomspace(1e-15, 1e-2, 120)
+        eps = np.concatenate([
+            np.linspace(0.0, 2.0 * math.pi, 1001),  # Lambda = 0 at both ends
+            np.linspace(eps_star - 0.02, eps_star + 0.02, 801),
+            eps_star - offsets,
+            eps_star + offsets,
+        ])
+        res = wire_splitting(paper_wire, eps)
+        assert res.Lambda[0] == 0.0
+        assert np.count_nonzero(res.Lambda < 1.0) > 500
+        assert np.count_nonzero(res.Lambda > 1.0) > 500
+        expected = np.array([bisect_splitting(paper_wire, e) for e in eps.tolist()])
+        rel = np.abs(res.E - expected) / expected
+        assert rel.max() <= 1e-12, eps[np.argmax(rel)]
+        assert res.branch.tolist() == [
+            "oscillatory" if lam <= 1.0 else "evanescent" for lam in res.Lambda.tolist()]
+
+    def test_lambda_exactly_zero_and_one(self):
+        # Delta0*L/v_F = 1 exactly, so Lambda = |sin(eps/2)| is 0 at eps = 0
+        # and exactly 1 at eps = pi, where x = 0 and E = v_F/L.
+        wire = WireParams(v_F=1.0, L=0.5, Delta0=2.0)
+        eps = np.array([0.0, 0.5 * math.pi, math.pi])
+        res = wire_splitting(wire, eps)
+        assert res.Lambda[0] == 0.0 and res.Lambda[2] == 1.0
+        assert res.E[2] == wire.level_spacing
+        assert res.branch.tolist() == ["oscillatory"] * 3
+        expected = [bisect_splitting(wire, e) for e in eps.tolist()]
+        assert np.all(np.abs(res.E - expected) <= 1e-12 * np.array(expected))
+        assert abs(res.E[0] - 0.5 * math.pi * wire.level_spacing) <= 1e-12 * res.E[0]
+
+    def test_array_matches_one_call_per_phase(self, paper_wire):
+        eps = np.linspace(-0.5, 3.5, 161)
+        res = wire_splitting(paper_wire, eps)
+        singles = [wire_splitting(paper_wire, e) for e in eps.tolist()]
+        assert res.E.tolist() == [r.E for r in singles]
+        assert res.Lambda.tolist() == [r.Lambda for r in singles]
+        assert res.branch.tolist() == [r.branch for r in singles]
+        ys = np.linspace(-30.0, 1.0, 97)
+        assert inverse_x_over_tan(ys, 0).tolist() == [inverse_x_over_tan(y, 0) for y in ys.tolist()]
+        ys = np.linspace(1.0, 40.0, 97)
+        assert inverse_x_over_tanh(ys).tolist() == [inverse_x_over_tanh(y) for y in ys.tolist()]
+
+    def test_float_in_float_out(self, paper_wire):
+        for eps in (0.0, 0.1, 1.3):
+            res = wire_splitting(paper_wire, eps)
+            assert type(res.E) is float and type(res.Lambda) is float
+            assert type(res.branch) is str
+        assert type(inverse_x_over_tan(0.3, 0)) is float
+        assert type(inverse_x_over_tan(1.0, 0)) is float
+        assert type(inverse_x_over_tan(0.3, 2)) is float
+        assert type(inverse_x_over_tanh(3.0)) is float
+        assert type(inverse_x_over_tanh(1.0)) is float
+        assert type(splitting_derivative(paper_wire, 0.4)) is float
+
+    def test_one_bad_phase_fails_the_whole_sweep(self, paper_wire):
+        # A NaN phase gives a NaN Lambda, whose root solve cannot converge.
+        eps = np.array([0.1, 0.6, math.nan, 2.0])
+        with pytest.raises(ConvergenceError):
+            wire_splitting(paper_wire, eps)
+        with pytest.raises(ValueError, match="branch 0 requires y <= 1"):
+            inverse_x_over_tan(np.array([0.2, 1.5, -3.0]), 0)
+        with pytest.raises(ValueError):
+            inverse_x_over_tanh(np.array([2.0, 0.5]))
+
+
 class TestSplittingDerivative:
+    def test_root_from_the_splitting_gives_the_same_slope(self, paper_wire):
+        # Phases on both branches (the branch point sits near eps = 0.2) and
+        # one at the cusp; the root that wire_splitting found replaces the
+        # derivative's own solve bit for bit.
+        phases = [0.0, 0.05, 0.2, 1.3, 3.0, -2.0]
+        for phi in phases:
+            split = wire_splitting(paper_wire, phi)
+            branch_root = (inverse_x_over_tan(split.Lambda, 0) if split.branch == "oscillatory"
+                           else inverse_x_over_tanh(split.Lambda))
+            assert split.root == branch_root
+            assert splitting_derivative(paper_wire, phi, split.root) == splitting_derivative(paper_wire, phi)
+        sweep = wire_splitting(paper_wire, np.array(phases))
+        assert sweep.root.tolist() == [wire_splitting(paper_wire, phi).root for phi in phases]
+
     def test_zero_at_cusp_by_symmetry(self, paper_wire):
         assert splitting_derivative(paper_wire, 0.0) == 0.0
 
