@@ -167,7 +167,10 @@ def _run_curve(config: RunConfig, lambda2: float) -> FidelityCurve:
     xs = np.arange(config.curve_steps + 1) / config.curve_steps * config.curve_x_max
     # Make sure the gate time itself is on the grid (for k > 1 it sits at
     # lambda2*t/pi = sqrt(k), beyond the default range).
-    t_grid = np.union1d(xs * math.pi / lambda2, [schedule.tau])
+    # Sorted and without duplicates; np.unique (and np.union1d) would load
+    # numpy.ma on first use.
+    t_grid = np.sort(np.append(xs * math.pi / lambda2, schedule.tau))
+    t_grid = t_grid[np.append(True, t_grid[1:] != t_grid[:-1])]
     # The integration cost grows with the horizon in decay times, while F(t)
     # has relaxed to its limit after about ten of them.  A subnormal lambda2
     # puts the horizon at infinity, where the product is NaN.

@@ -40,8 +40,9 @@ and no Fock cutoff: the spin-dependent-force algebra of the Molmer-Sorensen
 gate (Sorensen & Molmer, PRA 62, 022311 (2000)) in the coherent-state
 ansatz of Gambetta et al., PRA 77, 012112 (2008).  Only the coherences fed
 by one qubit jump need a quadrature, over the jump time.  The Fock-truncated
-Liouvillian, stepped by ``qcore.evolve_master_equation``, stays as the
-oracle that ``validate`` and the tests compare the closed form with.
+Liouvillian, stepped in numpy by ``qcore.evolve_master_equation``, stays as
+the oracle that ``validate`` and the tests compare the closed form with;
+no command imports scipy.
 
 Dissipation follows the channel convention of :mod:`topoqed.qcore`: cavity
 channel (a, kappa) and one lowering channel (|0><1|, gamma) per qubit, each
@@ -57,6 +58,9 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
+# Imported with the package: numpy loads numpy.polynomial on first use, which
+# inside a command would count as its run time.
+from numpy.polynomial.legendre import leggauss
 
 from .interface import CouplingSet, HamiltonianModel, build_H_single_interface
 from .qcore import (
@@ -309,7 +313,7 @@ def _jump_terms(lam: float, z: complex, kappa: float, gamma: float, t: np.ndarra
     Gauss-Legendre nodes of the given order on each; the (grid point, panel)
     rows are evaluated ``_NODE_BUDGET`` nodes at a time.
     """
-    nodes, weights = np.polynomial.legendre.leggauss(order)
+    nodes, weights = leggauss(order)
     panels = np.maximum(1.0, np.ceil(t * z.imag / math.pi))
     if not np.sum(panels) <= _MAX_PANELS:
         raise ValueError(f"the jump-time quadrature needs {np.sum(panels):.3g} panels, "

@@ -11,12 +11,12 @@ Two master-equation propagators share one set of output checks
 :mod:`topoqed.dynamics` pass as well:
 
 * ``evolve_master_equation`` takes a time-independent Hamiltonian matrix.  It
-  builds the sparse Liouvillian once and steps the vectorized density matrix
-  between grid points with the action of its exponential
-  (``scipy.sparse.linalg.expm_multiply``; Al-Mohy & Higham, SIAM J. Sci.
-  Comput. 33 (2011) 488-511).  It is the oracle of the gate's closed-form
-  fidelity curve, in the frame that rotates with the cavity, for
-  ``validate`` and the tests.
+  builds the Liouvillian once, stored by diagonals, and steps the vectorized
+  density matrix between grid points with the action of its exponential: a
+  truncated Taylor series on substeps of bounded 1-norm, the scheme of
+  Al-Mohy & Higham, SIAM J. Sci. Comput. 33 (2011) 488-511, in numpy alone.
+  It is the oracle of the gate's closed-form fidelity curve, in the frame
+  that rotates with the cavity, for ``validate`` and the tests.
 * ``integrate_master_equation`` takes a time-dependent Hamiltonian callable
   (:class:`LindbladSpec`) and runs adaptive RK45.  It serves as the
   independent oracle of the first, for tests only; it loads
@@ -45,14 +45,13 @@ against rates quoted in MHz.
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import expm_multiply
 
 __all__ = [
     "ConvergenceError",
@@ -433,6 +432,108 @@ def _checked_state(rho: np.ndarray, dims: tuple[int, ...], t: float) -> QuantumS
         raise IntegrationError(f"{exc} at t={t:.3e}") from exc
 
 
+# Largest Liouvillian that ``evolve_master_equation`` stores, in entries
+# (offsets x d**2, 16 bytes each, so 64 MB).  The gate's Liouvillian at a
+# Fock cutoff of 16 with both channels takes 8 x 4096; one dense d x d jump
+# operator alone brings up to 2 d**2 - 1 offsets, half a gigabyte at d = 64.
+_LIOUVILLIAN_BUDGET = 1 << 22
+# A Taylor substep's generator has 1-norm at most theta_50 (Al-Mohy & Higham
+# 2011, Table 3.1); its series stops when two consecutive terms fall below
+# the unit roundoff relative to the sum, and fails after 50 terms.
+_THETA = 8.5
+_MAX_TERMS = 50
+_TERM_TOL = 2.0**-53
+
+
+def _diagonals(op: np.ndarray) -> dict[int, np.ndarray]:
+    """The nonzero diagonals of a square matrix, ``{offset: values by row}``.
+
+    Row i of diagonal ``o`` holds ``op[i, i + o]``, and 0 where that column
+    lies outside the matrix.
+    """
+    d = op.shape[0]
+    rows, cols = np.nonzero(op)
+    present = np.zeros(2 * d - 1, dtype=bool)
+    present[cols - rows + d - 1] = True
+    diagonals = {}
+    for o in (np.flatnonzero(present) - (d - 1)).tolist():
+        values = np.zeros(d, dtype=complex)
+        values[max(0, -o):d - max(0, o)] = np.diagonal(op, o)
+        diagonals[o] = values
+    return diagonals
+
+
+def _liouvillian(h: np.ndarray, channels) -> list[tuple[slice, slice, np.ndarray]]:
+    """The row-major Liouvillian as ``(rows, columns, values)`` per diagonal.
+
+    The generator is ``K (x) 1 + 1 (x) conj(K) + sum 2 r L (x) conj(L)`` with
+    ``K = -i H - sum r L+ L``.  The Kronecker product of diagonal ``oa`` of a
+    d x d matrix with diagonal ``ob`` of another is the diagonal at
+    ``oa * d + ob``, with values ``outer(a, b)`` by row, so no d**2 x d**2
+    matrix is formed.  ``rows`` is the slice of the output that a diagonal
+    writes, ``columns`` the slice of the input that it reads.
+    """
+    d = h.shape[0]
+    k = -1j * h
+    terms = []
+    for op, rate in channels:
+        op = np.asarray(op, dtype=complex)
+        if op.shape != h.shape:
+            raise ValueError(f"collapse operator shape {op.shape} does not match H {h.shape}")
+        k = k - rate * (op.conj().T @ op)
+        terms.append((_diagonals(op), _diagonals(op.conj()), 2.0 * rate))
+    one = {0: np.ones(d, dtype=complex)}
+    terms += [(_diagonals(k), one, 1.0), (one, _diagonals(k.conj()), 1.0)]
+    offsets = {oa * d + ob for a, b, _ in terms for oa in a for ob in b}
+    if len(offsets) * d * d > _LIOUVILLIAN_BUDGET:
+        raise ValueError(f"the Liouvillian needs {len(offsets)} diagonals of {d * d} "
+                         f"entries, over {_LIOUVILLIAN_BUDGET} entries")
+    gen = {}
+    for a, b, coeff in terms:
+        for oa, va in a.items():
+            for ob, vb in b.items():
+                values = coeff * np.outer(va, vb).ravel()
+                o = oa * d + ob
+                gen[o] = gen[o] + values if o in gen else values
+    n = d * d
+    return [(slice(max(0, -o), n - max(0, o)), slice(max(0, o), n + min(0, o)),
+             values[max(0, -o):n - max(0, o)]) for o, values in sorted(gen.items())]
+
+
+def _apply(gen, vec: np.ndarray) -> np.ndarray:
+    out = np.zeros_like(vec)
+    for rows, cols, values in gen:
+        out[rows] += values * vec[cols]
+    return out
+
+
+def _size(vec: np.ndarray) -> float:
+    # The largest real or imaginary part: a norm, and about three times
+    # cheaper than the largest modulus.
+    return np.max(np.abs(vec.view(float)))
+
+
+def _expm_step(gen, norm: float, dt: float, vec: np.ndarray, t: float) -> np.ndarray:
+    """exp(dt * gen) vec by truncated Taylor series on substeps (``_THETA``)."""
+    substeps = max(1, math.ceil(dt * norm / _THETA))
+    h = dt / substeps
+    for _ in range(substeps):
+        total, term = vec, vec
+        c1 = _size(term)
+        for j in range(1, _MAX_TERMS + 1):
+            term = _apply(gen, term) * (h / j)
+            c2 = _size(term)
+            total = total + term
+            if c1 + c2 <= _TERM_TOL * _size(total):
+                break
+            c1 = c2
+        else:
+            raise IntegrationError(
+                f"Taylor series not converged after {_MAX_TERMS} terms before t={t:.3e}")
+        vec = total
+    return vec
+
+
 def evolve_master_equation(
     hamiltonian: np.ndarray,
     channels: Sequence[tuple[np.ndarray, float]],
@@ -441,35 +542,33 @@ def evolve_master_equation(
 ) -> list[QuantumState]:
     """Propagate a density matrix under a time-independent generator.
 
-    Builds the sparse Liouvillian of ``hamiltonian`` and the ``(L, rate)``
-    channels once, then steps the vectorized density matrix from each grid
-    point to the next with ``expm_multiply``.  The channels are taken as
-    given, as in :attr:`LindbladSpec.channels`; an unphysical generator shows
-    up in the output checks of :func:`_checked_state`, which every state
-    passes.
+    Builds the Liouvillian of ``hamiltonian`` and the ``(L, rate)`` channels
+    once, stored by diagonals (``ValueError`` above ``_LIOUVILLIAN_BUDGET``
+    entries), then steps the vectorized density matrix from each grid point
+    to the next with a truncated Taylor series of its exponential, on
+    substeps of 1-norm at most ``_THETA``; a series not converged after 50
+    terms raises :class:`IntegrationError`.  The channels are taken as given,
+    as in :attr:`LindbladSpec.channels`; an unphysical generator shows up in
+    the output checks of :func:`_checked_state`, which every state passes.
     """
     t_grid = _time_grid(t_grid)
-    h = sparse.csr_matrix(np.asarray(hamiltonian, dtype=complex))
+    h = np.asarray(hamiltonian, dtype=complex)
     rho = rho0.density_matrix()
     if rho.shape != h.shape:
         raise ValueError("initial state dimension does not match the Hamiltonian")
-    # Row-major vectorization: vec(A rho B) = (A kron B^T) vec(rho).
-    one = sparse.identity(h.shape[0], dtype=complex, format="csr")
-    gen = -1j * (sparse.kron(h, one) - sparse.kron(one, h.T))
-    for op, rate in channels:
-        op = sparse.csr_matrix(np.asarray(op, dtype=complex))
-        op_dag_op = op.conj().T @ op
-        gen = gen + rate * (
-            2.0 * sparse.kron(op, op.conj())
-            - sparse.kron(op_dag_op, one)
-            - sparse.kron(one, op_dag_op.T)
-        )
-    gen = gen.tocsr()
+    gen = _liouvillian(h, channels)
+    # The exact 1-norm, the largest column sum of |gen|.
+    col_sums = np.zeros(rho.size)
+    for rows, cols, values in gen:
+        col_sums[cols] += np.abs(values)
+    norm = float(np.max(col_sums))
+    if not math.isfinite(norm):
+        raise ValueError("the Liouvillian has entries that are not finite")
 
     states = [_checked_state(rho, rho0.dims, 0.0)]
     vec = rho.ravel()
     for t_prev, t in zip(t_grid[:-1], t_grid[1:]):
-        vec = expm_multiply(gen * (t - t_prev), vec)
+        vec = _expm_step(gen, norm, float(t - t_prev), vec, t)
         states.append(_checked_state(vec.reshape(rho.shape), rho0.dims, t))
     return states
 

@@ -17,6 +17,9 @@ import time
 from dataclasses import replace
 
 import numpy as np
+# numpy loads numpy.random on first use; imported here, it is loaded with the
+# package rather than inside the command.
+import numpy.random  # noqa: F401
 
 from . import dynamics as _dyn
 from .circuit import effective_qubit, phi_J_exact, phi_J_series

@@ -80,6 +80,11 @@ class WireParams:
             raise ValueError("wire parameters must be finite")
         if self.v_F <= 0 or self.L <= 0 or self.Delta0 <= 0 or self.T <= 0:
             raise ValueError("v_F, L, Delta0 and T must be positive")
+        # Finite inputs can still overflow or underflow in the two scales
+        # that every splitting is computed from.
+        for name, value in (("Delta0*L/v_F", self.lambda_scale), ("v_F/L", self.level_spacing)):
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} = {value!r} must be finite and positive")
         if not self.narrow_wire_ok:
             warnings.warn(
                 f"wire width W={self.W} violates W*Delta0/v_F < 1; "
@@ -183,7 +188,11 @@ def inverse_x_over_tanh(y):
     at_limit = y <= 1.0 + 1e-15
     y = where(at_limit, 2.0, y)
     lo = 1e-8
-    hi = y  # u/tanh(u) = y implies u = y*tanh(u) < y
+    # u/tanh(u) = y implies u = y*tanh(u) < y.  Once tanh(y) rounds to 1
+    # (y above about 19) the root is y itself in double precision, so the
+    # bracket ends one ulp above it, where f is still positive: at hi = y
+    # every Newton step would land on the bracket end and be refused.
+    hi = np.nextafter(y, np.inf)
     f_lo = _u_over_tanh(lo) - y
     f_tol = _ROOT_TOL * np.maximum(1.0, np.abs(y))
     root = newton_bisect(

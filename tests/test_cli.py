@@ -72,14 +72,33 @@ def test_child_imports_checkout_package(tmp_path):
 
 
 def test_cli_import_leaves_oracle_scipy_modules_unloaded(tmp_path):
-    # Only the RK45 oracle and test code use these; loading them would add
-    # about a second to the start-up of every command.
-    code = ("import sys, topoqed.cli; print(sorted(m for m in sys.modules if m in "
-            "('scipy.optimize', 'scipy.integrate', 'scipy.special')))")
+    # Only the RK45 oracle and test code use scipy; importing its
+    # scipy.sparse.linalg alone would double the start-up of every command.
+    code = ("import sys, topoqed.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     res = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=child_env(),
                          capture_output=True, text=True, timeout=60)
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "[]"
+
+
+COMMANDS_AFTER_IMPORT = """
+import sys
+import topoqed.cli
+before = set(sys.modules)
+codes = [topoqed.cli.main([command, "--out", command]) for command in ("fig2", "validate")]
+print(codes, sorted(m for m in set(sys.modules) - before if m.startswith("numpy.")))
+"""
+
+
+def test_commands_load_no_numpy_submodule(tmp_path):
+    # numpy loads some submodules on first use (np.unique loads numpy.ma,
+    # np.polynomial and np.random load themselves); inside a command that
+    # time would count as the command's run time, not its start-up.
+    res = subprocess.run([sys.executable, "-c", COMMANDS_AFTER_IMPORT], cwd=tmp_path,
+                         env=child_env(), capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[-1] == "[0, 0] []"
 
 
 RK45_FIRST_USE = """
@@ -553,6 +572,18 @@ class TestErrorPaths:
         res = run_cli(command, "--config", write_config(tmp_path, doc), "--out", "o", cwd=tmp_path)
         assert res.returncode == 2
         assert "configuration error" in res.stderr
+        assert not (tmp_path / "o").exists()
+
+    def test_overflowing_lambda_scale_exits_2(self, tmp_path, capsys):
+        # v_F and L are finite, but Delta0*L/v_F overflows; the config is
+        # rejected before any root solve.
+        doc = default_config_dict()
+        doc["wire"]["v_F_m_per_s"] = 1e-300
+        doc["wire"]["L_m"] = 1e10
+        argv = ["spectrum", "--config", write_config(tmp_path, doc), "--sweep", "eps:0.1:3:4",
+                "--out", str(tmp_path / "o")]
+        assert main(argv) == 2
+        assert "Delta0*L/v_F = inf" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("lambda2, rate", [(1e-90, 1.0), (1e-320, 0.0)])

@@ -186,9 +186,10 @@ class TestFidelityCurve:
 
     @pytest.mark.parametrize("k", [1, 4])
     def test_rotating_frame_matches_interaction_picture_oracle(self, k):
-        # The production path (rotating frame, expm_multiply) against RK45 on
-        # the time-dependent interaction-picture Hamiltonian, on a grid that
-        # is not uniform once tau is added (as in the CLI's curves).
+        # The Liouvillian path (rotating frame, Taylor-series propagator)
+        # against RK45 on the time-dependent interaction-picture Hamiltonian,
+        # on a grid that is not uniform once tau is added (as in the CLI's
+        # curves).
         sch = GateSchedule(k=k, lambda2=LAMBDA2)
         n, kappa, gamma = 16, 1e6, 1e6
         model = HamiltonianModel(fock_cutoff=n, nu=sch.nu)

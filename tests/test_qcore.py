@@ -24,7 +24,10 @@ from topoqed.qcore import (
     state_fidelity,
     tensor,
 )
-from topoqed.dynamics import plus_plus_state, target_entangled_state
+from topoqed import dynamics as _dyn
+from topoqed import qcore as _qcore
+from topoqed.dynamics import GateSchedule, plus_plus_state, target_entangled_state
+from topoqed.interface import HamiltonianModel
 
 from helpers import expm_taylor, random_density_matrix, random_hermitian, random_pure_state
 
@@ -224,7 +227,7 @@ def _evolve_constant(spec, rho0, t_grid):
     return evolve_master_equation(spec.hamiltonian(0.0), spec.channels, rho0, t_grid)
 
 
-# The RK45 oracle and the sparse expm propagator; every case below has a
+# The RK45 oracle and the Taylor-series Liouvillian propagator; every case below has a
 # constant Hamiltonian, so each runs through both.
 PROPAGATORS = (integrate_master_equation, _evolve_constant)
 
@@ -324,6 +327,101 @@ class TestIntegrateMasterEquation:
                     _evolve_constant(spec, rho0, t_grid))
         for oracle, state in pairs:
             assert np.max(np.abs(state.data - oracle.data)) <= 1e-8
+
+
+def vectorized_liouvillian(h, channels):
+    """The row-major Liouvillian as one dense matrix, from Kronecker products."""
+    one = np.eye(h.shape[0])
+    gen = -1j * (np.kron(h, one) - np.kron(one, h.T))
+    for op, rate in channels:
+        op_dag_op = op.conj().T @ op
+        gen = gen + rate * (2.0 * np.kron(op, op.conj()) - np.kron(op_dag_op, one)
+                            - np.kron(one, op_dag_op.T))
+    return gen
+
+
+class TestLiouvillianByDiagonals:
+    """evolve_master_equation stores the Liouvillian by diagonals and steps it
+    with a truncated Taylor series; scipy's expm_multiply is its oracle here."""
+
+    def test_matches_expm_multiply(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        expm_multiply = pytest.importorskip("scipy.sparse.linalg").expm_multiply
+        st = hypothesis.strategies
+        kinds = st.sampled_from(("lowering", "jump", "dense"))
+
+        @hypothesis.settings(max_examples=60, deadline=None)
+        @hypothesis.given(st.integers(min_value=2, max_value=8),
+                          st.lists(st.tuples(kinds, st.floats(min_value=0.0, max_value=2.0)),
+                                   max_size=3),
+                          st.lists(st.floats(min_value=0.01, max_value=1.5), min_size=1,
+                                   max_size=4),
+                          st.integers(min_value=0, max_value=2**32 - 1))
+        def check(d, channel_draws, steps, seed):
+            rng = np.random.default_rng(seed)
+            h = random_hermitian(rng, d)
+            channels = []
+            for kind, rate in channel_draws:
+                if kind == "lowering":
+                    op = destroy(d)
+                elif kind == "jump":  # one matrix element |i><j|
+                    op = np.zeros((d, d), dtype=complex)
+                    op[rng.integers(d), rng.integers(d)] = 1.0
+                else:
+                    op = (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))) / d
+                channels.append((op, rate))
+            rho0 = random_density_matrix(rng, d)
+            t_grid = np.concatenate([[0.0], np.cumsum(steps)])  # not uniform
+            states = evolve_master_equation(h, channels, QuantumState.mixed(rho0, (d,)), t_grid)
+            gen = vectorized_liouvillian(h, channels)
+            vec = rho0.ravel()
+            for t_prev, t, state in zip(t_grid[:-1], t_grid[1:], states[1:]):
+                vec = expm_multiply(gen * (t - t_prev), vec)
+                assert np.max(np.abs(state.data - vec.reshape(d, d))) <= 1e-10
+
+        check()
+
+    def test_diagonals_reproduce_the_dense_liouvillian(self):
+        rng = np.random.default_rng(5)
+        h = random_hermitian(rng, 6)
+        channels = ((destroy(6), 0.4), (random_hermitian(rng, 6, scale=0.3), 0.2))
+        dense = np.zeros((36, 36), dtype=complex)
+        diagonals = _qcore._liouvillian(h, channels)
+        for rows, cols, values in diagonals:
+            dense[np.arange(36)[rows], np.arange(36)[cols]] = values
+        assert np.max(np.abs(dense - vectorized_liouvillian(h, channels))) <= 1e-14
+        # A dense 6 x 6 channel fills every offset -35..35, within the budget.
+        assert len(diagonals) == 71
+
+    def test_gate_generators_have_few_diagonals(self):
+        sch = GateSchedule(k=1, lambda2=2 * math.pi * 32e6)
+        closed = HamiltonianModel(fock_cutoff=16, nu=sch.nu)
+        h = _dyn._rotating_frame_hamiltonian(sch, closed)
+        assert len(_qcore._liouvillian(h, ())) == 5
+        n = 12
+        model = HamiltonianModel(fock_cutoff=n, nu=sch.nu)
+        channels = ((model.a_op, 1e6), (tensor([TAU_MINUS, eye(2), eye(n)]), 1e6),
+                    (tensor([eye(2), TAU_MINUS, eye(n)]), 1e6))
+        h = _dyn._rotating_frame_hamiltonian(sch, model)
+        assert len(_qcore._liouvillian(h, channels)) == 8
+
+    def test_dense_generator_over_the_budget_is_refused(self):
+        # A dense 64 x 64 jump operator needs 8191 diagonals of 4096 entries,
+        # about half a gigabyte; it is refused before anything that size is
+        # allocated.
+        d = 64
+        dense = np.random.default_rng(2).normal(size=(d, d)).astype(complex)
+        rho0 = QuantumState.pure(basis_state(d, 0), (d,))
+        with pytest.raises(ValueError, match="8191 diagonals"):
+            evolve_master_equation(np.zeros((d, d)), ((dense, 0.1),), rho0, [0.0, 1.0])
+
+    def test_unconverged_series_raises_integration_error(self, monkeypatch):
+        # With room for two terms per substep the series cannot reach the
+        # unit roundoff.
+        monkeypatch.setattr(_qcore, "_MAX_TERMS", 2)
+        rho0 = QuantumState.pure(basis_state(2, 0), (2,))
+        with pytest.raises(IntegrationError, match="not converged after 2 terms"):
+            evolve_master_equation(SIGMA_X, (), rho0, [0.0, 1.0])
 
 
 class TestNewtonBisect:

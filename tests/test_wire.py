@@ -4,6 +4,7 @@ import sys
 import numpy as np
 import pytest
 
+from topoqed import wire as _wire
 from topoqed.qcore import ConvergenceError
 from topoqed.wire import (
     HBAR,
@@ -64,6 +65,25 @@ class TestInverseXOverTan:
             assert abs(x_over_tan(x) - y) <= 1e-10
 
 
+class TestInverseXOverTanh:
+    @pytest.mark.parametrize("lam", [3.0, 19.0, 30.0, 300.0])
+    def test_converges_in_a_few_evaluations(self, lam, monkeypatch):
+        # Once tanh(Lambda) rounds to 1 the root is Lambda itself in double
+        # precision, and Newton steps must still land inside the bracket.
+        calls = []
+        original = _wire._u_over_tanh
+
+        def counted(u):
+            calls.append(1)
+            return original(u)
+
+        monkeypatch.setattr(_wire, "_u_over_tanh", counted)
+        u = inverse_x_over_tanh(lam)
+        assert len(calls) <= 10
+        oracle = bisect_root(lambda t: t / math.tanh(t) - lam, 1e-300, lam + 1.0)
+        assert abs(u - oracle) <= 1e-13 * oracle
+
+
 class TestWireParams:
     def test_positive_parameters_required(self):
         with pytest.raises(ValueError):
@@ -72,6 +92,16 @@ class TestWireParams:
                           {"W": math.nan}, {"T": math.inf}):
             with pytest.raises(ValueError, match="finite"):
                 WireParams(**{"v_F": 1e5, "L": 5e-6, "Delta0": 1e11, **overrides})
+
+    @pytest.mark.parametrize("v_F, L, Delta0, name", [
+        (1e-300, 1e10, 1e11, "Delta0"),  # Delta0*L/v_F overflows
+        (1e300, 1e-100, 1e11, "Delta0"),  # Delta0*L/v_F underflows to 0
+        (1e300, 1e-10, 1e11, "v_F/L"),  # v_F/L overflows
+        (1e-200, 1e200, 1e-300, "v_F/L"),  # v_F/L underflows to 0
+    ])
+    def test_scales_must_be_finite_and_positive(self, v_F, L, Delta0, name):
+        with pytest.raises(ValueError, match=name):
+            WireParams(v_F=v_F, L=L, Delta0=Delta0)
 
     def test_wide_wire_warns(self):
         with pytest.warns(UserWarning) as record:
