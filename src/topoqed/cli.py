@@ -13,7 +13,8 @@ validate   run the invariant self-check suite
 The gate curves are computed in closed form, with no Fock cutoff, so gate
 and fig2 take no --fock flag (argparse rejects it with exit 2).
 
-Exit codes: 0 success, 2 configuration error, 3 numerical-convergence
+Exit codes: 0 success, 2 configuration error (an output directory or file
+that cannot be created or written included), 3 numerical-convergence
 failure (for gate and fig2: the jump-time quadrature is not converged, or a
 reduced state fails its physicality check), 4 invariant failure.
 """
@@ -80,7 +81,7 @@ def cmd_spectrum(config: RunConfig) -> int:
     write_csv(
         out / "spectrum.csv",
         ["eps_rad", "Lambda", "E_rad_per_s", "E_GHz_over_2pi", "branch"],
-        zip(eps, res.Lambda, res.E, res.E / (2.0 * math.pi * 1e9), res.branch),
+        [eps, res.Lambda, res.E, res.E / (2.0 * math.pi * 1e9), res.branch],
     )
     write_json(
         out / "spectrum_summary.json",
@@ -103,7 +104,7 @@ def cmd_phij(config: RunConfig) -> int:
     write_csv(
         out / "phij.csv",
         [f"{sweep.variable}_rad", "phi_J_series_rad", "phi_J_exact_rad", "abs_diff_rad"],
-        zip(values, series, exact, np.abs(series - exact)),
+        [values, series, exact, np.abs(series - exact)],
     )
     write_json(out / "phij_summary.json", {"config": config.normalized(), "rows": len(values)})
     print(f"wrote {out / 'phij.csv'} ({len(values)} rows)")
@@ -145,7 +146,7 @@ def cmd_couplings(config: RunConfig) -> int:
         ("P_e_thermal", p_e, "probability"),
     ]
     out = _out_dir(config)
-    write_csv(out / "couplings.csv", ["quantity", "value", "unit"], quantities)
+    write_csv(out / "couplings.csv", ["quantity", "value", "unit"], list(zip(*quantities)))
     summary = {name: value for name, value, _ in quantities}
     summary["config"] = config.normalized()
     write_json(out / "couplings_summary.json", summary)
@@ -183,8 +184,8 @@ def _run_curve(config: RunConfig, lambda2: float) -> FidelityCurve:
 
 def _write_curve(config: RunConfig, curve: FidelityCurve, stem: str, with_svg: bool) -> Path:
     out = _out_dir(config)
-    rows = list(zip(curve.times_ns, curve.lambda2_t_over_pi, curve.fidelities))
-    write_csv(out / f"{stem}.csv", ["t_ns", "lambda2_t_over_pi", "F"], rows)
+    write_csv(out / f"{stem}.csv", ["t_ns", "lambda2_t_over_pi", "F"],
+              [curve.times_ns, curve.lambda2_t_over_pi, curve.fidelities])
     x_gate = curve.params["tau_s"] * curve.params["lambda2_rad_per_s"] / math.pi
     gate_idx = int(np.argmin(np.abs(curve.lambda2_t_over_pi - x_gate)))
     summary = {
@@ -320,6 +321,9 @@ def main(argv=None) -> int:
         raise AssertionError(f"unhandled command {args.command}")
     except ValueError as exc:  # ConfigError, or a value the parsers let through
         print(f"configuration error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:  # --out names a file, or an output name is taken
+        print(f"output error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (IntegrationError, ConvergenceError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -59,7 +59,6 @@ __all__ = [
     "LindbladSpec",
     "QuantumState",
     "SIGMA_X",
-    "SIGMA_Y",
     "SIGMA_Z",
     "TAU_MINUS",
     "basis_state",
@@ -85,7 +84,6 @@ HERMITICITY_TOL = 1e-10
 EIGENVALUE_FLOOR = -1e-8
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 # Lowering operator toward the tau_z = +1 ground state: |0><1|.
 TAU_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)

@@ -7,7 +7,8 @@ doubling, the splitting derivative from implicit differentiation of the
 quantization condition, in double precision or, for long wires, in mpmath,
 the charge-qubit gap from dense diagonalization in the charge basis, and the
 dissipative gate's reduced states from the Fock-truncated Liouvillian with
-its N / N + 4 cutoff ladder.
+its N / N + 4 cutoff ladder, and CSV text from the row rule applied one value
+at a time.
 """
 
 import math
@@ -251,3 +252,12 @@ def random_density_matrix(rng: np.random.Generator, dim: int) -> np.ndarray:
 def random_hermitian(rng: np.random.Generator, dim: int, scale: float = 1.0) -> np.ndarray:
     m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return scale * 0.5 * (m + m.conj().T)
+
+
+def reference_line(row) -> str:
+    """The CSV rule: a float (numpy.float64 included) as %.12g, anything else as str()."""
+    return ",".join(f"{v:.12g}" if isinstance(v, float) else str(v) for v in row)
+
+
+def reference_text(header, rows) -> str:
+    return "\n".join([",".join(header)] + [reference_line(row) for row in rows]) + "\n"

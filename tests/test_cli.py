@@ -11,6 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helpers import reference_text
+from topoqed import circuit as _circuit
 from topoqed import dynamics as _dyn
 from topoqed import qcore as _qcore
 from topoqed import wire as _wire
@@ -337,6 +339,30 @@ class TestSpectrumCommand:
         assert all(math.isfinite(e) and e >= 0.0 for e in energies)
 
 
+class TestSweepCsvBytes:
+    # 2,501 rows span several of the CSV writer's slices of rows; every line
+    # must be the row rule applied to the numpy scalars of the solved arrays.
+    def test_spectrum_csv_is_the_row_rule_of_the_splitting(self, tmp_path):
+        assert main(["spectrum", "--sweep", "eps:0.05:3.1:2500", "--out", str(tmp_path)]) == 0
+        eps = SweepSpec(variable="eps", min=0.05, max=3.1, steps=2500).values()
+        res = _wire.wire_splitting(load_config(None).wire, eps)
+        rows = zip(eps, res.Lambda, res.E, res.E / (2.0 * math.pi * 1e9), res.branch)
+        header = ["eps_rad", "Lambda", "E_rad_per_s", "E_GHz_over_2pi", "branch"]
+        assert (tmp_path / "spectrum.csv").read_text() == reference_text(header, rows)
+
+    @pytest.mark.parametrize("variable", ["phi", "phi_e"])
+    def test_phij_csv_is_the_row_rule_of_the_phase_drops(self, variable, tmp_path):
+        assert main(["phij", "--sweep", f"{variable}:-0.3:6.5:2500", "--out", str(tmp_path)]) == 0
+        values = SweepSpec(variable=variable, min=-0.3, max=6.5, steps=2500).values()
+        phi, phi_e = (values, None) if variable == "phi" else (0.0, values)
+        circ = load_config(None).circuit
+        series = _circuit.phi_J_series(circ, phi, 0.0, phi_e)
+        exact = _circuit.phi_J_exact(circ, phi, 0.0, phi_e)
+        rows = zip(values, series, exact, np.abs(series - exact))
+        header = [f"{variable}_rad", "phi_J_series_rad", "phi_J_exact_rad", "abs_diff_rad"]
+        assert (tmp_path / "phij.csv").read_text() == reference_text(header, rows)
+
+
 class TestPhijCommand:
     def test_series_tracks_exact(self, tmp_path):
         res = run_cli("phij", "--out", "o", "--sweep", "phi:0:6.283185307:40", cwd=tmp_path)
@@ -513,6 +539,37 @@ class TestErrorPaths:
         res = run_cli("spectrum", "--config", write_config(tmp_path, doc), cwd=tmp_path)
         assert res.returncode == 2
         assert "configuration error" in res.stderr
+
+    @pytest.mark.parametrize("command, written", [
+        ("spectrum", "spectrum.csv"),
+        ("couplings", "couplings.csv"),
+        ("fig2", "fig2.csv"),
+        ("validate", "validate_summary.json"),
+    ])
+    @pytest.mark.parametrize("case", ["out_is_a_file", "out_under_a_file",
+                                      "output_name_is_a_directory"])
+    def test_unwritable_output_exits_2(self, command, written, case, tmp_path, monkeypatch,
+                                       capsys):
+        monkeypatch.chdir(tmp_path)
+        Path("f").write_text("kept\n")
+        if case == "out_is_a_file":
+            out = blocked = Path("f")
+        elif case == "out_under_a_file":
+            out = blocked = Path("f", "x")
+        else:
+            out = Path("d")
+            blocked = out / written
+            blocked.mkdir(parents=True)
+        assert main([command, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "output error" in err and f"'{blocked}'" in err
+        assert Path("f").read_text() == "kept\n"
+
+    def test_out_naming_a_file_exits_2_without_traceback(self, tmp_path):
+        (tmp_path / "f").write_text("")
+        res = run_cli("couplings", "--out", "f", cwd=tmp_path)
+        assert res.returncode == 2
+        assert "output error" in res.stderr and "Traceback" not in res.stderr
 
     def test_missing_config_file_exits_2(self, tmp_path):
         res = run_cli("spectrum", "--config", "nope.json", cwd=tmp_path)

@@ -3,17 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from topoqed.output import write_csv
-
-
-def reference_line(row) -> str:
-    """The CSV rule: a float (numpy.float64 included) as %.12g, anything else as str()."""
-    return ",".join(f"{v:.12g}" if isinstance(v, float) else str(v) for v in row)
-
-
-def reference_text(header, rows) -> str:
-    return "\n".join([",".join(header)] + [reference_line(row) for row in rows]) + "\n"
-
+from helpers import reference_text
+from topoqed.output import _SLICE_ROWS, write_csv
 
 SPECIAL_FLOATS = [0.0, -0.0, 1.0, -2.5, 1e-300, 5e-324, 1.7976931348623157e308, 1e22,
                   123456789012.5, 0.1 + 0.2, math.pi, math.inf, -math.inf, math.nan]
@@ -31,7 +22,7 @@ class TestWriteCsv:
             [1, 2.0, "three", np.float64(4.25)],  # a list row
             ("", "a,b", "%s %%", "%.12g"),
         ]
-        write_csv(tmp_path / "t.csv", header, rows)
+        write_csv(tmp_path / "t.csv", header, list(zip(*rows)))
         assert (tmp_path / "t.csv").read_bytes() == reference_text(header, rows).encode()
 
     def test_column_whose_type_changes_between_rows(self, tmp_path):
@@ -43,7 +34,7 @@ class TestWriteCsv:
             (0.5, "oscillatory"),
             (False, math.nan),
         ]
-        write_csv(tmp_path / "t.csv", ["x", "y"], rows)
+        write_csv(tmp_path / "t.csv", ["x", "y"], list(zip(*rows)))
         assert (tmp_path / "t.csv").read_text() == reference_text(["x", "y"], rows)
 
     def test_random_floats_and_empty_table(self, tmp_path):
@@ -51,7 +42,7 @@ class TestWriteCsv:
         values = np.concatenate([rng.normal(size=300) * 10.0 ** rng.integers(-300, 300, 300),
                                  rng.uniform(-1, 1, 300)])
         rows = list(zip(values.tolist(), values, (values * 1e-7).tolist()))
-        write_csv(tmp_path / "t.csv", ["p", "q", "r"], rows)
+        write_csv(tmp_path / "t.csv", ["p", "q", "r"], list(zip(*rows)))
         assert (tmp_path / "t.csv").read_text() == reference_text(["p", "q", "r"], rows)
         write_csv(tmp_path / "e.csv", ["p"], [])
         assert (tmp_path / "e.csv").read_text() == "p\n"
@@ -65,8 +56,55 @@ class TestWriteCsv:
         @hypothesis.settings(max_examples=100, deadline=None)
         @hypothesis.given(st.lists(st.lists(value, min_size=3, max_size=3), max_size=6))
         def check(rows):
-            write_csv(tmp_path / "h.csv", ["a", "b", "c"], rows)
+            write_csv(tmp_path / "h.csv", ["a", "b", "c"], list(zip(*rows)))
             assert (tmp_path / "h.csv").read_bytes() == reference_text(
                 ["a", "b", "c"], rows).encode()
 
         check()
+
+    @pytest.mark.parametrize("array", [
+        np.array(SPECIAL_FLOATS + [1.0 / 3.0, 2.0 ** -1074 * 3]),
+        np.array([0.0, -0.0, 1.0, -2.5, 1e-30, 1e-45, 3.4e38, 0.1, 1.0 / 3.0, math.pi,
+                  math.inf, -math.inf, math.nan], dtype=np.float32),
+        np.array([0, -1, 7, 2**62, -(2**63)], dtype=np.int64),
+        np.array([True, False, True]),
+        np.array(["oscillatory", "evanescent", "", "a,b", "%s"]),
+    ], ids=["float64", "float32", "int64", "bool", "unicode"])
+    def test_array_column_prints_as_its_numpy_scalars(self, array, tmp_path):
+        # The row rule sees the array's own scalars: a float32 is not a float
+        # and prints by str(), with its own digits, not those of a double.
+        write_csv(tmp_path / "a.csv", ["v", "i"], [array, list(range(len(array)))])
+        rows = list(zip(array, range(len(array))))
+        assert (tmp_path / "a.csv").read_bytes() == reference_text(["v", "i"], rows).encode()
+
+    def test_mixed_dtypes_across_slice_boundaries(self, tmp_path):
+        n = 2500
+        assert n > 2 * _SLICE_ROWS
+        rng = np.random.default_rng(11)
+        floats = rng.normal(size=n) * 10.0 ** rng.integers(-20, 20, n)
+        columns = [
+            floats,
+            floats.astype(np.float32),
+            np.arange(n, dtype=np.int64) - 1000,
+            floats > 0,
+            np.where(floats > 0, "oscillatory", "evanescent"),
+            [float(x) if i % 3 else int(i) for i, x in enumerate(floats)],
+            tuple(f"r{i}" for i in range(n)),
+        ]
+        write_csv(tmp_path / "m.csv", list("abcdefg"), columns)
+        expected = reference_text(list("abcdefg"), zip(*columns))
+        assert (tmp_path / "m.csv").read_bytes() == expected.encode()
+        assert expected.count("\n") == n + 1
+
+    @pytest.mark.parametrize("lengths", [(3, 2), (2, 3), (0, 1), (4, 4, 5)])
+    def test_columns_of_unequal_length_raise(self, lengths, tmp_path):
+        # zip would cut the table to its shortest column without a word.
+        columns = [np.arange(k, dtype=float) for k in lengths]
+        with pytest.raises(ValueError, match="differ in length"):
+            write_csv(tmp_path / "u.csv", [f"c{i}" for i in range(len(lengths))], columns)
+        assert not (tmp_path / "u.csv").exists()
+
+    @pytest.mark.parametrize("columns", [[], [np.empty(0)], [[], np.empty(0, dtype=int)]])
+    def test_empty_table_writes_the_header_alone(self, columns, tmp_path):
+        write_csv(tmp_path / "e.csv", ["x", "y"], columns)
+        assert (tmp_path / "e.csv").read_bytes() == b"x,y\n"
