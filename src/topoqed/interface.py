@@ -24,7 +24,7 @@ import numpy as np
 
 from . import circuit as _circuit
 from .circuit import CircuitParams, EffectiveQubit, effective_qubit
-from .qcore import SIGMA_X, SIGMA_Z, destroy, eye, number_op, tensor
+from .qcore import SIGMA_Z, destroy, eye, number_op, tensor
 from .wire import WireParams, splitting_derivative, wire_splitting
 
 __all__ = [
@@ -32,7 +32,6 @@ __all__ = [
     "HamiltonianModel",
     "build_H_CT",
     "build_H_I",
-    "build_H_single_interface",
     "couplings",
     "optimal_working_point",
 ]
@@ -189,11 +188,3 @@ def build_H_I(cs: CouplingSet, model: HamiltonianModel, t: float) -> np.ndarray:
     phase = np.exp(-1j * model.nu * t)
     return -cs.lambda2 * (phase * a_jz + np.conj(phase) * a_jz.conj().T)
 
-
-def build_H_single_interface(cs: CouplingSet) -> np.ndarray:
-    """Qubit-qubit interface Hamiltonian -(lambda1/2) sigma_x tau_z.
-
-    Acts on superconducting (x) topological qubit space (4x4); valid at the
-    lambda2 = 0 working point.
-    """
-    return -0.5 * cs.lambda1 * tensor([SIGMA_X, SIGMA_Z])

@@ -2,13 +2,15 @@
 
 Operators are plain ``numpy`` arrays of complex doubles; helpers below build
 Pauli and truncated-oscillator matrices and combine them with Kronecker
-products.  States are wrapped in :class:`QuantumState`, which validates the
-usual physicality bounds (norm, trace, Hermiticity, positivity) on
-construction.
+products.  Initial, pure and reference states are wrapped in
+:class:`QuantumState`, which validates the usual physicality bounds (norm,
+trace, Hermiticity, positivity) on construction.
 
-Two master-equation propagators share one set of output checks
-(``_checked_state``), which the closed-form gate states of
-:mod:`topoqed.dynamics` pass as well:
+A propagated trajectory is one ``(n, d, d)`` array of density matrices, and
+``_checked_states`` checks the whole stack once: finite entries, unit trace,
+Hermiticity, and positivity from one batched ``eigvalsh``.  The two
+master-equation propagators return such checked stacks, and the closed-form
+gate states of :mod:`topoqed.dynamics` pass the same check:
 
 * ``evolve_master_equation`` takes a time-independent Hamiltonian matrix.  It
   builds the Liouvillian once, stored by diagonals, and steps the vectorized
@@ -63,13 +65,10 @@ __all__ = [
     "TAU_MINUS",
     "basis_state",
     "destroy",
-    "entanglement_entropy",
     "evolve_master_equation",
     "expm_hermitian",
     "eye",
     "integrate_master_equation",
-    "is_hermitian",
-    "is_unitary",
     "newton_bisect",
     "number_op",
     "partial_trace",
@@ -231,16 +230,6 @@ def tensor(ops: Sequence[np.ndarray]) -> np.ndarray:
     return reduce(np.kron, [np.asarray(op, dtype=complex) for op in ops])
 
 
-def is_hermitian(op: np.ndarray, tol: float = 1e-10) -> bool:
-    scale = max(1.0, float(np.max(np.abs(op))) if op.size else 1.0)
-    return bool(np.max(np.abs(op - op.conj().T)) <= tol * scale)
-
-
-def is_unitary(op: np.ndarray, tol: float = 1e-10) -> bool:
-    dev = np.max(np.abs(op @ op.conj().T - np.eye(op.shape[0])))
-    return bool(dev <= tol)
-
-
 def expm_hermitian(h: np.ndarray, t: float) -> np.ndarray:
     """exp(-i*h*t) for Hermitian ``h``, via eigendecomposition.
 
@@ -250,11 +239,12 @@ def expm_hermitian(h: np.ndarray, t: float) -> np.ndarray:
     h = np.asarray(h, dtype=complex)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError("expm_hermitian expects a square matrix")
-    if not is_hermitian(h):
+    scale = max(1.0, float(np.max(np.abs(h))) if h.size else 1.0)
+    if not np.max(np.abs(h - h.conj().T)) <= 1e-10 * scale:
         raise ValueError("matrix is not Hermitian within tolerance")
     w, v = np.linalg.eigh(h)
     u = (v * np.exp(-1j * w * t)) @ v.conj().T
-    if not is_unitary(u, 1e-10):
+    if not np.max(np.abs(u @ u.conj().T - np.eye(h.shape[0]))) <= 1e-10:
         raise IntegrationError("eigendecomposition produced a non-unitary result")
     return u
 
@@ -391,16 +381,6 @@ def state_fidelity(rho: QuantumState, psi: QuantumState) -> float:
     return float(np.real(np.vdot(psi.data, rho.data @ psi.data)))
 
 
-def entanglement_entropy(psi: QuantumState, cut: Sequence[int]) -> float:
-    """Von Neumann entropy (bits) of the reduced state over ``cut``."""
-    if psi.kind != "pure":
-        raise ValueError("entanglement entropy requires a pure state")
-    reduced = partial_trace(psi, cut).data
-    eigs = np.linalg.eigvalsh(reduced)
-    eigs = eigs[eigs > 1e-15]
-    return float(-np.sum(eigs * np.log2(eigs)))
-
-
 def _time_grid(t_grid: Sequence[float]) -> np.ndarray:
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or len(t_grid) < 1:
@@ -410,24 +390,43 @@ def _time_grid(t_grid: Sequence[float]) -> np.ndarray:
     return t_grid
 
 
-def _checked_state(rho: np.ndarray, dims: tuple[int, ...], t: float) -> QuantumState:
-    """A propagated density matrix as a state, or IntegrationError naming t.
+def _checked_states(rhos: np.ndarray, t_grid: np.ndarray) -> np.ndarray:
+    """A trajectory of density matrices, checked once, or IntegrationError naming t.
 
-    The raw matrix must keep unit trace (1e-8) and Hermiticity (1e-9); the
-    small anti-Hermitian residue is then removed and :class:`QuantumState`
+    ``rhos`` has shape ``(len(t_grid), d, d)``.  Each matrix must have finite
+    entries, unit trace (1e-8) and Hermiticity (1e-9); the small
+    anti-Hermitian residue is then removed, and one batched ``eigvalsh``
     checks positivity (eigenvalues >= -1e-8).  Positivity is monitored, never
-    enforced: a violation is raised rather than silently projected away.
+    enforced: a violation is raised rather than silently projected away.  The
+    error names the first grid time at which any check fails.  Returns the
+    Hermitian parts as one read-only array.
     """
-    trace_dev = abs(complex(np.trace(rho)) - 1.0)
-    if trace_dev > 1e-8:
-        raise IntegrationError(f"trace deviation {trace_dev:.3e} at t={t:.3e}")
-    herm_dev = float(np.max(np.abs(rho - rho.conj().T)))
-    if herm_dev > 1e-9:
-        raise IntegrationError(f"Hermiticity deviation {herm_dev:.3e} at t={t:.3e}")
-    try:
-        return QuantumState.mixed(0.5 * (rho + rho.conj().T), dims)
-    except ValueError as exc:
-        raise IntegrationError(f"{exc} at t={t:.3e}") from exc
+    adjoint = rhos.conj().transpose(0, 2, 1)
+    with np.errstate(invalid="ignore"):
+        finite = np.isfinite(rhos).all(axis=(1, 2))
+        trace_dev = np.abs(np.einsum("tii->t", rhos) - 1.0)
+        herm_dev = np.max(np.abs(rhos - adjoint), axis=(1, 2))
+    # eigvalsh fails on a non-finite matrix, so it runs only on the states
+    # before the first one that fails a cheaper check.
+    fails = ~finite | (trace_dev > TRACE_TOL) | (herm_dev > 1e-9)
+    first = int(np.argmax(fails)) if fails.any() else len(rhos)
+    herm = 0.5 * (rhos[:first] + adjoint[:first])
+    if first:
+        min_eig = np.linalg.eigvalsh(herm)[:, 0]
+        negative = np.flatnonzero(min_eig < EIGENVALUE_FLOOR)
+        if negative.size:
+            i = int(negative[0])
+            raise IntegrationError(f"density matrix has eigenvalue {float(min_eig[i])} < "
+                                   f"{EIGENVALUE_FLOOR} at t={t_grid[i]:.3e}")
+    if first < len(rhos):
+        t = t_grid[first]
+        if not finite[first]:
+            raise IntegrationError(f"non-finite density matrix entries at t={t:.3e}")
+        if trace_dev[first] > TRACE_TOL:
+            raise IntegrationError(f"trace deviation {trace_dev[first]:.3e} at t={t:.3e}")
+        raise IntegrationError(f"Hermiticity deviation {herm_dev[first]:.3e} at t={t:.3e}")
+    herm.setflags(write=False)
+    return herm
 
 
 # Largest Liouvillian that ``evolve_master_equation`` stores, in entries
@@ -537,7 +536,7 @@ def evolve_master_equation(
     channels: Sequence[tuple[np.ndarray, float]],
     rho0: QuantumState,
     t_grid: Sequence[float],
-) -> list[QuantumState]:
+) -> np.ndarray:
     """Propagate a density matrix under a time-independent generator.
 
     Builds the Liouvillian of ``hamiltonian`` and the ``(L, rate)`` channels
@@ -547,7 +546,8 @@ def evolve_master_equation(
     substeps of 1-norm at most ``_THETA``; a series not converged after 50
     terms raises :class:`IntegrationError`.  The channels are taken as given,
     as in :attr:`LindbladSpec.channels`; an unphysical generator shows up in
-    the output checks of :func:`_checked_state`, which every state passes.
+    the checks of :func:`_checked_states`, which the whole trajectory passes.
+    Returns the density matrices on the grid, shape ``(len(t_grid), d, d)``.
     """
     t_grid = _time_grid(t_grid)
     h = np.asarray(hamiltonian, dtype=complex)
@@ -563,12 +563,13 @@ def evolve_master_equation(
     if not math.isfinite(norm):
         raise ValueError("the Liouvillian has entries that are not finite")
 
-    states = [_checked_state(rho, rho0.dims, 0.0)]
+    rhos = np.empty((len(t_grid),) + rho.shape, dtype=complex)
+    rhos[0] = rho
     vec = rho.ravel()
-    for t_prev, t in zip(t_grid[:-1], t_grid[1:]):
-        vec = _expm_step(gen, norm, float(t - t_prev), vec, t)
-        states.append(_checked_state(vec.reshape(rho.shape), rho0.dims, t))
-    return states
+    for i in range(1, len(t_grid)):
+        vec = _expm_step(gen, norm, float(t_grid[i] - t_grid[i - 1]), vec, t_grid[i])
+        rhos[i] = vec.reshape(rho.shape)
+    return _checked_states(rhos, t_grid)
 
 
 def _lindblad_rhs_factory(spec: LindbladSpec):
@@ -590,14 +591,15 @@ def _lindblad_rhs_factory(spec: LindbladSpec):
 
 def integrate_master_equation(
     spec: LindbladSpec, rho0: QuantumState, t_grid: Sequence[float]
-) -> list[QuantumState]:
+) -> np.ndarray:
     """Propagate a density matrix through the master equation on ``t_grid``.
 
     Uses an adaptive embedded Runge-Kutta 4(5) pair (rtol 1e-9, atol 1e-12)
-    on the vectorized density matrix.  Every output matrix passes the checks
-    of :func:`_checked_state`: unit trace (1e-8), Hermiticity (1e-9) and
-    positivity (eigenvalues >= -1e-8), each raising :class:`IntegrationError`
-    naming the time.
+    on the vectorized density matrix.  The trajectory, shape
+    ``(len(t_grid), d, d)``, passes the checks of :func:`_checked_states`:
+    finite entries, unit trace (1e-8), Hermiticity (1e-9) and positivity
+    (eigenvalues >= -1e-8), each raising :class:`IntegrationError` naming the
+    time.
     """
     t_grid = _time_grid(t_grid)
     rho_init = rho0.density_matrix()
@@ -606,7 +608,7 @@ def integrate_master_equation(
         raise ValueError("initial state dimension does not match the Hamiltonian")
 
     if len(t_grid) == 1:
-        return [QuantumState.mixed(rho_init, rho0.dims)]
+        return _checked_states(rho_init[None], t_grid)
 
     # Through the module, so that the first call imports scipy.integrate.
     sol = sys.modules[__name__].solve_ivp(
@@ -621,7 +623,4 @@ def integrate_master_equation(
     if not sol.success:
         raise IntegrationError(f"master-equation integration failed: {sol.message}")
 
-    return [
-        _checked_state(sol.y[:, i].reshape(dim, dim), rho0.dims, t)
-        for i, t in enumerate(t_grid)
-    ]
+    return _checked_states(sol.y.T.reshape(len(t_grid), dim, dim), t_grid)

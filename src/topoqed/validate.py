@@ -178,7 +178,7 @@ def _check_propagator_oracle(mutations: frozenset) -> tuple[bool, str]:
             u = _dyn.analytic_U(sch.lambda2, sch.nu, t, model)
             expected = u @ rho0 @ u.conj().T
             phase = np.exp(1j * sch.nu * t * photons)
-            back = phase[:, None] * rho.data * phase.conj()[None, :]
+            back = phase[:, None] * rho * phase.conj()[None, :]
             worst = max(worst, float(np.max(np.abs(expected - back))))
     finally:
         _dyn.propagator_AB = original
@@ -202,13 +202,13 @@ def _check_coherent_state_branches() -> tuple[bool, str]:
     t_grid = [0.0, 0.5 * sch.tau]
     branches = _dyn._branch_states(sch, ref.kappa, ref.gamma, t_grid)[0][-1]
     liouvillian = _dyn._qubit_states(sch, ref.kappa, ref.gamma, t_grid, 12)[-1]
-    dev_open = float(np.max(np.abs(branches.data - liouvillian.data)))
+    dev_open = float(np.max(np.abs(branches - liouvillian)))
 
     closed = _dyn._branch_states(sch, 0.0, 0.0, t_grid)[0][-1]
     model = HamiltonianModel(fock_cutoff=16, nu=sch.nu)
     psi = _dyn.analytic_U(sch.lambda2, sch.nu, t_grid[-1], model) @ _dyn._gate_start(16).data
     unitary = partial_trace(QuantumState.pure(psi, model.dims), (0, 1))
-    dev_closed = float(np.max(np.abs(closed.data - unitary.data)))
+    dev_closed = float(np.max(np.abs(closed - unitary.data)))
     ok = dev_open <= 1e-8 and dev_closed <= 1e-10
     return ok, (f"max |rho - rho_Liouvillian(N=12)| = {dev_open:.2e}, "
                 f"max |rho - Tr U rho0 U+| = {dev_closed:.2e} (closed)")
@@ -223,8 +223,8 @@ def _check_master_equation_limits() -> tuple[bool, str]:
     states = evolve_master_equation(np.zeros((n, n), complex), ((destroy(n), kappa),),
                                     rho0, t_grid)
     worst = max(
-        abs(float(np.real(np.trace(number_op(n) @ s.data))) - math.exp(-2 * kappa * t))
-        for t, s in zip(t_grid, states)
+        abs(float(np.real(np.trace(number_op(n) @ rho))) - math.exp(-2 * kappa * t))
+        for t, rho in zip(t_grid, states)
     )
     # Zero-rate limit: unitary propagation of a random qubit pair.
     rng = np.random.default_rng(3)
@@ -235,7 +235,7 @@ def _check_master_equation_limits() -> tuple[bool, str]:
     out = evolve_master_equation(h, (), QuantumState.pure(vec, (2, 2)), [0.0, 0.9])[-1]
     u = expm_hermitian(h, 0.9)
     rho_ref = u @ np.outer(vec, vec.conj()) @ u.conj().T
-    dev_u = float(np.max(np.abs(out.data - rho_ref)))
+    dev_u = float(np.max(np.abs(out - rho_ref)))
     ok = worst <= 1e-6 and dev_u <= 1e-8
     return ok, f"decay-law dev = {worst:.2e}, unitary-limit dev = {dev_u:.2e}"
 

@@ -5,10 +5,11 @@ roots come from plain bisection, matrix exponentials from a scaling-and-
 squaring Taylor series, propagators from fixed-step Runge-Kutta with step
 doubling, the splitting derivative from implicit differentiation of the
 quantization condition, in double precision or, for long wires, in mpmath,
-the charge-qubit gap from dense diagonalization in the charge basis, and the
+the charge-qubit gap from dense diagonalization in the charge basis, the
 dissipative gate's reduced states from the Fock-truncated Liouvillian with
-its N / N + 4 cutoff ladder, and CSV text from the row rule applied one value
-at a time.
+its N / N + 4 cutoff ladder, entanglement entropy from the spectrum of a
+reduced state, the qubit-qubit interface Hamiltonian as an explicit 4 x 4
+matrix, and CSV text from the row rule applied one value at a time.
 """
 
 import math
@@ -18,7 +19,7 @@ import pytest
 
 from topoqed import dynamics as _dyn
 from topoqed.circuit import effective_qubit
-from topoqed.qcore import ConvergenceError, IntegrationError
+from topoqed.qcore import ConvergenceError, IntegrationError, partial_trace
 
 
 def bisect_root(f, lo: float, hi: float, iters: int = 200) -> float:
@@ -227,15 +228,34 @@ def liouvillian_gate_states(schedule, kappa: float, gamma: float, t_grid,
     raises IntegrationError if any entry of a reduced state moves by more
     than 1e-10 between them; returns the states at cutoff N.
     """
-    states, check = (
-        np.array([rho.data for rho in _dyn._qubit_states(schedule, kappa, gamma, t_grid, n)])
-        for n in (fock_cutoff, fock_cutoff + 4)
-    )
+    states, check = (_dyn._qubit_states(schedule, kappa, gamma, t_grid, n)
+                     for n in (fock_cutoff, fock_cutoff + 4))
     delta = float(np.max(np.abs(states - check)))
     if delta > 1e-10:
         raise IntegrationError(f"Fock-cutoff ladder: reduced states move by {delta:.3e} "
                                f"between N={fock_cutoff} and N={fock_cutoff + 4}")
     return states
+
+
+def entanglement_entropy(psi, cut) -> float:
+    """Von Neumann entropy (bits) of a pure state's reduced state over ``cut``."""
+    if psi.kind != "pure":
+        raise ValueError("entanglement entropy requires a pure state")
+    eigs = np.linalg.eigvalsh(partial_trace(psi, cut).data)
+    eigs = eigs[eigs > 1e-15]
+    return float(-np.sum(eigs * np.log2(eigs)))
+
+
+def single_interface_hamiltonian(lambda1: float) -> np.ndarray:
+    """The qubit-qubit interface Hamiltonian -(lambda1/2) sigma_x (x) tau_z.
+
+    Written out on superconducting (x) topological qubit space, basis
+    |00>, |01>, |10>, |11>, with no Kronecker product.
+    """
+    return -0.5 * lambda1 * np.array([[0, 0, 1, 0],
+                                      [0, 0, 0, -1],
+                                      [1, 0, 0, 0],
+                                      [0, -1, 0, 0]], dtype=complex)
 
 
 def random_pure_state(rng: np.random.Generator, dim: int) -> np.ndarray:

@@ -110,7 +110,9 @@ def test_criterion_2_closed_system_gate_exactness():
     # Master-equation route with zero rates.
     cs = CouplingSet.pinned(lambda2=LAMBDA2)
     spec = _headline_spec(model, cs, 0.0, 0.0)
-    rho = integrate_master_equation(spec, _initial_gate_state(model), [0.0, sch.tau])[-1]
+    rho = QuantumState.mixed(
+        integrate_master_equation(spec, _initial_gate_state(model), [0.0, sch.tau])[-1],
+        model.dims)
     fid_evolved = state_fidelity(partial_trace(rho, (0, 1)), target_entangled_state())
     vac_evolved = float(np.real(partial_trace(rho, (2,)).data[0, 0]))
     elapsed = time.perf_counter() - start
@@ -307,10 +309,10 @@ def test_criterion_9_open_system_sanity():
     t_grid = np.arange(45) / 40.0 * math.pi / LAMBDA2
     states = integrate_master_equation(spec, _initial_gate_state(model), t_grid)
     worst_trace = worst_eig = 0.0
-    for state in states:
-        worst_trace = max(worst_trace, abs(complex(np.trace(state.data)) - 1.0))
-        assert np.max(np.abs(state.data - state.data.conj().T)) <= 1e-9
-        worst_eig = min(worst_eig, float(np.linalg.eigvalsh(state.data)[0]))
+    for rho in states:
+        worst_trace = max(worst_trace, abs(complex(np.trace(rho)) - 1.0))
+        assert np.max(np.abs(rho - rho.conj().T)) <= 1e-9
+        worst_eig = min(worst_eig, float(np.linalg.eigvalsh(rho)[0]))
     assert worst_trace <= 1e-8
     assert worst_eig >= -1e-8
 
@@ -321,8 +323,8 @@ def test_criterion_9_open_system_sanity():
     ts = np.linspace(0.0, 1.5e-6, 7)
     photon = integrate_master_equation(spec_c, QuantumState.pure(basis_state(n, 1), (n,)), ts)
     worst_law = max(
-        abs(float(np.real(np.trace(number_op(n) @ s.data))) - math.exp(-2.0 * kappa * t))
-        for t, s in zip(ts, photon)
+        abs(float(np.real(np.trace(number_op(n) @ rho))) - math.exp(-2.0 * kappa * t))
+        for t, rho in zip(ts, photon)
     )
     spec_q = LindbladSpec(
         hamiltonian=lambda t: np.zeros((2, 2), complex), channels=((TAU_MINUS, GAMMA),)
@@ -331,8 +333,8 @@ def test_criterion_9_open_system_sanity():
     worst_law = max(
         worst_law,
         max(
-            abs(float(np.real(s.data[1, 1])) - math.exp(-2.0 * GAMMA * t))
-            for t, s in zip(ts, qubit)
+            abs(float(np.real(rho[1, 1])) - math.exp(-2.0 * GAMMA * t))
+            for t, rho in zip(ts, qubit)
         ),
     )
     assert worst_law <= 1e-6

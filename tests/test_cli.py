@@ -13,8 +13,10 @@ import pytest
 
 from helpers import reference_text
 from topoqed import circuit as _circuit
+from topoqed import cli as _cli
 from topoqed import dynamics as _dyn
 from topoqed import qcore as _qcore
+from topoqed import validate as _validate
 from topoqed import wire as _wire
 from topoqed.cli import cmd_fig2, main
 from topoqed.config import (
@@ -120,7 +122,7 @@ qcore.solve_ivp = counted  # rebinding the module attribute, as a tracer does
 spec = qcore.LindbladSpec(hamiltonian=lambda t: qcore.SIGMA_X, channels=())
 start = qcore.QuantumState.pure(qcore.basis_state(2, 0), (2,))
 states = qcore.integrate_master_equation(spec, start, [0.0, 0.5 * math.pi])
-print(len(calls), round(states[-1].data[1, 1].real, 6))
+print(len(calls), round(states[-1][1, 1].real, 6))
 """
 
 
@@ -563,6 +565,31 @@ class TestErrorPaths:
         assert main([command, "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert "output error" in err and f"'{blocked}'" in err
+        assert Path("f").read_text() == "kept\n"
+
+    @pytest.mark.parametrize("argv", [
+        "validate --out f",
+        "spectrum --sweep eps:0:3:200000 --out f/x",
+        "phij --out f",
+        "fig2 --out f/x/y",
+    ])
+    def test_unusable_out_is_refused_before_any_work(self, argv, tmp_path, monkeypatch,
+                                                      capsys):
+        # An --out that is, or lies under, a file is reported before the
+        # command's work starts, and nothing is created.
+        monkeypatch.chdir(tmp_path)
+        Path("f").write_text("kept\n")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the command started work before checking --out")
+
+        for module, name in ((_validate, "run_validation"), (_cli, "wire_splitting"),
+                             (_circuit, "phi_J_exact"), (_cli, "fidelity_curve")):
+            monkeypatch.setattr(module, name, refuse)
+        assert main(argv.split()) == 2
+        out = argv.split()[-1]
+        assert f"output error: [Errno 20] Not a directory: '{out}'" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["f"]
         assert Path("f").read_text() == "kept\n"
 
     def test_out_naming_a_file_exits_2_without_traceback(self, tmp_path):

@@ -13,7 +13,6 @@ from topoqed.dynamics import (
     ideal_gate_state,
     plus_plus_state,
     propagator_AB,
-    single_interface_evolution,
     target_entangled_state,
 )
 from topoqed.interface import CouplingSet, HamiltonianModel, build_H_I
@@ -23,7 +22,7 @@ from topoqed.qcore import (
     LindbladSpec,
     QuantumState,
     basis_state,
-    entanglement_entropy,
+    expm_hermitian,
     integrate_master_equation,
     partial_trace,
     state_fidelity,
@@ -33,7 +32,13 @@ from topoqed.qcore import (
     SIGMA_Z,
 )
 
-from helpers import liouvillian_gate_states, random_pure_state, rk4_columns_step_doubled
+from helpers import (
+    entanglement_entropy,
+    liouvillian_gate_states,
+    random_pure_state,
+    rk4_columns_step_doubled,
+    single_interface_hamiltonian,
+)
 
 LAMBDA2 = 2 * math.pi * 32e6
 
@@ -206,7 +211,8 @@ class TestFidelityCurve:
         production = _dyn._qubit_states(sch, kappa, gamma, t_grid, n)
         assert len(production) == len(t_grid)
         worst = max(
-            float(np.max(np.abs(partial_trace(full, (0, 1)).data - rho.data)))
+            float(np.max(np.abs(
+                partial_trace(QuantumState.mixed(full, model.dims), (0, 1)).data - rho)))
             for full, rho in zip(oracle, production)
         )
         assert worst <= 1e-8
@@ -218,12 +224,31 @@ class TestFidelityCurve:
                 lambda2_t_over_pi=np.array([0.0]),
                 fidelities=np.array([0.5]),
             )
-        with pytest.raises(ValueError):
-            FidelityCurve(
-                times_ns=np.array([0.0]),
-                lambda2_t_over_pi=np.array([0.0]),
-                fidelities=np.array([1.5]),
-            )
+        for bad in (1.5, np.nan):
+            with pytest.raises(ValueError):
+                FidelityCurve(
+                    times_ns=np.array([0.0]),
+                    lambda2_t_over_pi=np.array([0.0]),
+                    fidelities=np.array([bad]),
+                )
+
+    def test_one_positivity_check_per_curve(self, monkeypatch):
+        # The 45 reduced states of the fig2 grid are checked as one stack.
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        sch = GateSchedule(k=1, lambda2=LAMBDA2)
+        t_grid = np.arange(45) / 40.0 * math.pi / LAMBDA2
+        curve = fidelity_curve(sch, 1e6, 1e6, t_grid)
+        assert len(curve.fidelities) == 45
+        # numpy's leggauss also calls eigvalsh, once per Gauss-Legendre rule,
+        # on a square companion matrix; the states are the only stack.
+        assert [shape for shape in calls if len(shape) == 3] == [(45, 4, 4)]
 
 
 class TestCoherentStateBranches:
@@ -239,8 +264,8 @@ class TestCoherentStateBranches:
         states, delta = _dyn._branch_states(sch, kappa, gamma, t_grid)
         oracle = liouvillian_gate_states(sch, kappa, gamma, t_grid)
         assert delta <= 1e-10
-        assert max(float(np.max(np.abs(rho.data - ref)))
-                   for rho, ref in zip(states, oracle)) <= 1e-10
+        assert states.shape == (len(t_grid), 4, 4)
+        assert float(np.max(np.abs(states - oracle))) <= 1e-10
         fids = fidelity_curve(sch, kappa, gamma, t_grid).fidelities
         target = target_entangled_state()
         assert np.max(np.abs(fids - [state_fidelity(QuantumState.mixed(ref, (2, 2)), target)
@@ -260,7 +285,7 @@ class TestCoherentStateBranches:
             t_grid = [0.0, fraction * sch.tau]
             states, _ = _dyn._branch_states(sch, kappa, gamma, t_grid)
             oracle = liouvillian_gate_states(sch, kappa, gamma, t_grid)
-            assert float(np.max(np.abs(states[-1].data - oracle[-1]))) <= 1e-10
+            assert float(np.max(np.abs(states[-1] - oracle[-1]))) <= 1e-10
 
         check()
 
@@ -279,7 +304,7 @@ class TestCoherentStateBranches:
         for t, rho in zip(t_grid, states):
             psi = analytic_U(sch.lambda2, sch.nu, t, model) @ _dyn._gate_start(16).data
             ref = partial_trace(QuantumState.pure(psi, model.dims), (0, 1))
-            assert np.max(np.abs(rho.data - ref.data)) <= 1e-10
+            assert np.max(np.abs(rho - ref.data)) <= 1e-10
 
     def test_low_quadrature_order_fails_the_check(self, monkeypatch):
         monkeypatch.setattr(_dyn, "QUADRATURE_ORDER", 1)
@@ -309,16 +334,18 @@ class TestCoherentStateBranches:
 
 
 class TestSingleInterfaceEvolution:
+    """exp(-i t1 H) under the qubit-qubit interface Hamiltonian, the 4 x 4 matrix
+    of helpers.single_interface_hamiltonian."""
+
     def test_zero_time_is_identity(self):
-        cs = CouplingSet.pinned(lambda2=0.0, lambda1=0.9)
-        assert np.allclose(single_interface_evolution(cs, 0.0), eye(4), atol=1e-14)
+        h = single_interface_hamiltonian(0.9)
+        assert np.allclose(expm_hermitian(h, 0.0), eye(4), atol=1e-14)
 
     def test_half_turn_reaches_pauli_product(self):
         # Two quarter turns give sigma_x tau_z up to a global phase.
         lam1 = 0.9
         t1 = -0.5 * math.pi / lam1
-        cs = CouplingSet.pinned(lambda2=0.0, lambda1=lam1)
-        u = single_interface_evolution(cs, t1)
+        u = expm_hermitian(single_interface_hamiltonian(lam1), t1)
         u2 = u @ u
         pauli = tensor([SIGMA_X, SIGMA_Z])
         assert abs(abs(np.trace(u2 @ pauli.conj().T)) - 4.0) <= 1e-10
@@ -326,9 +353,8 @@ class TestSingleInterfaceEvolution:
     def test_quarter_turn_entangles(self):
         lam1 = 0.9
         t1 = -0.5 * math.pi / lam1
-        cs = CouplingSet.pinned(lambda2=0.0, lambda1=lam1)
         plus = np.array([1.0, 1.0]) / math.sqrt(2.0)
         psi0 = np.kron(basis_state(2, 0), plus)
-        psi1 = single_interface_evolution(cs, t1) @ psi0
+        psi1 = expm_hermitian(single_interface_hamiltonian(lam1), t1) @ psi0
         state = QuantumState.pure(psi1, (2, 2))
         assert abs(entanglement_entropy(state, (0,)) - 1.0) < 1e-10

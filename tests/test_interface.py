@@ -10,14 +10,18 @@ from topoqed.interface import (
     HamiltonianModel,
     build_H_CT,
     build_H_I,
-    build_H_single_interface,
     couplings,
     optimal_working_point,
 )
-from topoqed.qcore import basis_state, entanglement_entropy, newton_bisect, QuantumState, tensor, eye
+from topoqed.qcore import basis_state, newton_bisect, QuantumState, tensor, eye
 from topoqed.wire import WireParams, splitting_derivative
 
-from helpers import expm_taylor, random_pure_state
+from helpers import (
+    entanglement_entropy,
+    expm_taylor,
+    random_pure_state,
+    single_interface_hamiltonian,
+)
 
 
 class TestCouplings:
@@ -209,17 +213,24 @@ class TestBuildHI:
 
 
 class TestBuildHSingleInterface:
+    """The qubit-qubit interface Hamiltonian -(lambda1/2) sigma_x tau_z, written
+    out in helpers.single_interface_hamiltonian, against the Pauli matrices."""
+
+    def test_matches_pauli_product(self):
+        from topoqed.qcore import SIGMA_X, SIGMA_Z
+
+        expected = -0.4 * tensor([SIGMA_X, SIGMA_Z])
+        assert np.array_equal(single_interface_hamiltonian(0.8), expected)
+
     def test_spectrum_two_doublets(self):
-        cs = CouplingSet.pinned(lambda2=0.0, lambda1=0.8)
-        h = build_H_single_interface(cs)
+        h = single_interface_hamiltonian(0.8)
         eigs = np.sort(np.linalg.eigvalsh(h))
         assert np.allclose(eigs, [-0.4, -0.4, 0.4, 0.4], atol=1e-14)
 
     def test_commutes_with_both_qubit_axes(self):
         from topoqed.qcore import SIGMA_X, SIGMA_Z
 
-        cs = CouplingSet.pinned(lambda2=0.0, lambda1=0.8)
-        h = build_H_single_interface(cs)
+        h = single_interface_hamiltonian(0.8)
         sx = tensor([SIGMA_X, eye(2)])
         tz = tensor([eye(2), SIGMA_Z])
         assert np.max(np.abs(h @ sx - sx @ h)) <= 1e-14
@@ -231,8 +242,7 @@ class TestBuildHSingleInterface:
         # computation through the series oracle.
         lam1 = 0.8
         t1 = -0.5 * math.pi / lam1
-        cs = CouplingSet.pinned(lambda2=0.0, lambda1=lam1)
-        u = expm_taylor(-1j * build_H_single_interface(cs) * t1)
+        u = expm_taylor(-1j * single_interface_hamiltonian(lam1) * t1)
         plus = np.array([1.0, 1.0]) / math.sqrt(2.0)
         psi0 = np.kron(basis_state(2, 0), plus)
         psi1 = u @ psi0

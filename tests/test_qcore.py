@@ -13,7 +13,6 @@ from topoqed.qcore import (
     QuantumState,
     basis_state,
     destroy,
-    entanglement_entropy,
     evolve_master_equation,
     expm_hermitian,
     eye,
@@ -29,7 +28,13 @@ from topoqed import qcore as _qcore
 from topoqed.dynamics import GateSchedule, plus_plus_state, target_entangled_state
 from topoqed.interface import HamiltonianModel
 
-from helpers import expm_taylor, random_density_matrix, random_hermitian, random_pure_state
+from helpers import (
+    entanglement_entropy,
+    expm_taylor,
+    random_density_matrix,
+    random_hermitian,
+    random_pure_state,
+)
 
 
 class TestTensor:
@@ -241,9 +246,9 @@ class TestIntegrateMasterEquation:
         t_grid = [0.0, 0.4, 1.1]
         for propagate in PROPAGATORS:
             states = propagate(spec, QuantumState.mixed(rho0, (6,)), t_grid)
-            for t, state in zip(t_grid, states):
+            for t, rho in zip(t_grid, states):
                 u = expm_hermitian(h, t)
-                assert np.max(np.abs(state.data - u @ rho0 @ u.conj().T)) <= 1e-8
+                assert np.max(np.abs(rho - u @ rho0 @ u.conj().T)) <= 1e-8
 
     def test_photon_number_decays_at_twice_kappa(self):
         n, kappa = 6, 0.9
@@ -255,8 +260,8 @@ class TestIntegrateMasterEquation:
         t_grid = np.linspace(0.0, 2.0, 9)
         for propagate in PROPAGATORS:
             states = propagate(spec, rho0, t_grid)
-            for t, state in zip(t_grid, states):
-                n_mean = float(np.real(np.trace(number_op(n) @ state.data)))
+            for t, rho in zip(t_grid, states):
+                n_mean = float(np.real(np.trace(number_op(n) @ rho)))
                 assert abs(n_mean - math.exp(-2.0 * kappa * t)) <= 1e-6
 
     def test_excited_population_decays_at_twice_gamma(self):
@@ -269,8 +274,8 @@ class TestIntegrateMasterEquation:
         t_grid = np.linspace(0.0, 1.5, 7)
         for propagate in PROPAGATORS:
             states = propagate(spec, rho0, t_grid)
-            for t, state in zip(t_grid, states):
-                p_excited = float(np.real(state.data[1, 1]))
+            for t, rho in zip(t_grid, states):
+                p_excited = float(np.real(rho[1, 1]))
                 assert abs(p_excited - math.exp(-2.0 * gamma * t)) <= 1e-6
 
     def test_outputs_satisfy_physicality_bounds(self):
@@ -280,10 +285,12 @@ class TestIntegrateMasterEquation:
         )
         rho0 = QuantumState.pure(basis_state(n, 2), (n,))
         for propagate in PROPAGATORS:
-            for state in propagate(spec, rho0, np.linspace(0.0, 1.0, 5)):
-                assert abs(np.trace(state.data) - 1.0) <= 1e-8
-                assert np.max(np.abs(state.data - state.data.conj().T)) == 0.0
-                assert float(np.linalg.eigvalsh(state.data)[0]) >= -1e-8
+            states = propagate(spec, rho0, np.linspace(0.0, 1.0, 5))
+            assert states.shape == (5, n, n) and not states.flags.writeable
+            for rho in states:
+                assert abs(np.trace(rho) - 1.0) <= 1e-8
+                assert np.max(np.abs(rho - rho.conj().T)) == 0.0
+                assert float(np.linalg.eigvalsh(rho)[0]) >= -1e-8
 
     def test_positivity_failure_raises_integration_error(self):
         # A negative rate pumps |+> past full excitation: trace and
@@ -325,8 +332,46 @@ class TestIntegrateMasterEquation:
         t_grid = [0.0, 0.3, 0.35, 1.2]
         pairs = zip(integrate_master_equation(spec, rho0, t_grid),
                     _evolve_constant(spec, rho0, t_grid))
-        for oracle, state in pairs:
-            assert np.max(np.abs(state.data - oracle.data)) <= 1e-8
+        for oracle, rho in pairs:
+            assert np.max(np.abs(rho - oracle)) <= 1e-8
+
+
+class TestCheckedStates:
+    """One check of a whole trajectory, naming the first grid time that fails."""
+
+    T_GRID = np.array([0.0, 0.1, 0.2, 0.3, 0.4])
+
+    @staticmethod
+    def stack():
+        return np.array([np.diag([0.5, 0.5]).astype(complex)] * 5)
+
+    def test_nan_entry_names_its_time(self):
+        # A NaN passes the trace and Hermiticity tests (every comparison with
+        # NaN is false), and eigvalsh would fail on the whole stack.
+        rhos = self.stack()
+        rhos[2, 0, 1] = np.nan
+        with pytest.raises(IntegrationError, match=r"non-finite .* at t=2\.000e-01"):
+            _qcore._checked_states(rhos, self.T_GRID)
+
+    @pytest.mark.parametrize("entry, value, message", [
+        ((0, 0), 0.6, "trace deviation"),
+        ((0, 1), 1e-8, "Hermiticity deviation"),
+        ((0, 0), np.inf, "non-finite"),
+    ])
+    def test_first_failing_time_is_named(self, entry, value, message):
+        # Index 3 fails the cheap check, index 4 positivity; index 3 is named.
+        rhos = self.stack()
+        rhos[(3,) + entry] = value
+        rhos[4] = np.diag([1.2, -0.2])
+        with pytest.raises(IntegrationError, match=f"{message}.* at t=3\\.000e-01"):
+            _qcore._checked_states(rhos, self.T_GRID)
+
+    def test_positivity_before_a_nan_is_named(self):
+        rhos = self.stack()
+        rhos[1] = np.diag([1.2, -0.2])
+        rhos[3, 1, 1] = np.nan
+        with pytest.raises(IntegrationError, match=r"eigenvalue -0\.2.* at t=1\.000e-01"):
+            _qcore._checked_states(rhos, self.T_GRID)
 
 
 def vectorized_liouvillian(h, channels):
@@ -375,9 +420,9 @@ class TestLiouvillianByDiagonals:
             states = evolve_master_equation(h, channels, QuantumState.mixed(rho0, (d,)), t_grid)
             gen = vectorized_liouvillian(h, channels)
             vec = rho0.ravel()
-            for t_prev, t, state in zip(t_grid[:-1], t_grid[1:], states[1:]):
+            for t_prev, t, rho in zip(t_grid[:-1], t_grid[1:], states[1:]):
                 vec = expm_multiply(gen * (t - t_prev), vec)
-                assert np.max(np.abs(state.data - vec.reshape(d, d))) <= 1e-10
+                assert np.max(np.abs(rho - vec.reshape(d, d))) <= 1e-10
 
         check()
 
