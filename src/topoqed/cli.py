@@ -132,6 +132,13 @@ def cmd_phij(config: RunConfig) -> int:
 
 def cmd_couplings(config: RunConfig) -> int:
     wire, circ = config.wire, config.circuit
+    eta = circ.eta
+    lam1_ref = eta * wire.Delta0
+    lam2_ref = eta * circ.g * wire.Delta0
+    # g = 0, or a product that underflows, leaves the optima without a scale.
+    for name, ref in (("eta*Delta0", lam1_ref), ("eta*g*Delta0", lam2_ref)):
+        if ref == 0.0:
+            raise ConfigError(f"{name} = 0: the optimal coupling cannot be quoted in its units")
     cs = couplings(wire, circ)
     eff = cs.effective
 
@@ -139,10 +146,6 @@ def cmd_couplings(config: RunConfig) -> int:
     circ_l2 = dataclasses.replace(circ, phi_e=0.0)
     phi_c1, lam1_max = optimal_working_point(wire, circ_l1, "lambda1")
     phi_c2, lam2_max = optimal_working_point(wire, circ_l2, "lambda2")
-    eta = circ.eta
-    lam1_ref = eta * wire.Delta0
-    lam2_ref = eta * circ.g * wire.Delta0
-
     p_t_working = _circuit.tunneling_leakage(cs.lambda1, circ)
     p_e = thermal_leakage(wire)
 

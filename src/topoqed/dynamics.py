@@ -53,6 +53,7 @@ half the corresponding energy-decay rates.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -262,13 +263,6 @@ def _qubit_states(
 # state: J_z and the number of excited qubits of each basis state.
 _J_Z = np.array([1.0, 0.0, 0.0, -1.0])
 _EXCITED = np.array([0.0, 1.0, 1.0, 2.0])
-# The single-jump coherences of qubit 1 as (target s, s', source s, s'): the
-# jump takes |1x><1y| to |0x><0y|, x != y.  Exchanging the qubits (_SWAP)
-# maps them onto those of qubit 2, which carry the same J_z and excitation
-# numbers and so the same values.  Every other coherence is reached without
-# a jump.
-_JUMPS = ((0, 1, 2, 3), (1, 0, 3, 2))
-_SWAP = (0, 2, 1, 3)
 
 # Gauss-Legendre order of the jump-time quadrature.  The curve is taken at
 # twice this order, and its shift from this order is the convergence check.
@@ -279,6 +273,11 @@ _NODE_BUDGET = 1 << 15
 # Quadrature panels beyond which a curve is refused rather than left to run
 # for hours.
 _MAX_PANELS = 10**8
+# Gauss-Legendre rules, built once per order (leggauss diagonalizes a
+# companion matrix); the two that every curve uses are built at import.
+_gauss_legendre = functools.cache(leggauss)
+_gauss_legendre(QUADRATURE_ORDER)
+_gauss_legendre(2 * QUADRATURE_ORDER)
 
 
 def _branch(lam, z, kappa, m, m_bra, alpha, beta, s):
@@ -306,15 +305,16 @@ def _branch(lam, z, kappa, m, m_bra, alpha, beta, s):
 
 def _jump_terms(lam: float, z: complex, kappa: float, gamma: float, t: np.ndarray,
                 order: int) -> np.ndarray:
-    """The single-jump parts of the coherences in ``_JUMPS``, shape (2, len(t)).
+    """J, the single-jump part of the coherence |00><01|, shape (len(t),).
 
-    Each is the integral over the jump time t1 in [0, t] of 2 gamma times the
-    source branch at t1, continued in the target branch from t1 to t.  The
-    integral is split into equal panels of at most half a cavity period, with
-    Gauss-Legendre nodes of the given order on each; the (grid point, panel)
-    rows are evaluated ``_NODE_BUDGET`` nodes at a time.
+    A jump of qubit 1 at t1 takes |10><11| (J_z 0 and -1, three excitations)
+    to |00><01| (J_z 1 and 0, one excitation): J is the integral over t1 in
+    [0, t] of 2 gamma times that source branch at t1, continued in the target
+    branch from t1 to t.  The integral is split into equal panels of at
+    most half a cavity period, with Gauss-Legendre nodes of the given order on
+    each, evaluated ``_NODE_BUDGET`` nodes per pass.
     """
-    nodes, weights = leggauss(order)
+    nodes, weights = _gauss_legendre(order)
     panels = np.maximum(1.0, np.ceil(t * z.imag / math.pi))
     if not np.sum(panels) <= _MAX_PANELS:
         raise ValueError(f"the jump-time quadrature needs {np.sum(panels):.3g} panels, "
@@ -322,7 +322,7 @@ def _jump_terms(lam: float, z: complex, kappa: float, gamma: float, t: np.ndarra
     panels = panels.astype(np.int64)
     ends = np.cumsum(panels)
     rows_per_pass = max(1, _NODE_BUDGET // order)
-    terms = np.zeros((len(_JUMPS), len(t)), dtype=complex)
+    term = np.zeros(len(t), dtype=complex)
     for first in range(0, int(ends[-1]), rows_per_pass):
         rows = np.arange(first, min(first + rows_per_pass, int(ends[-1])))
         point = np.searchsorted(ends, rows, side="right")
@@ -330,14 +330,11 @@ def _jump_terms(lam: float, z: complex, kappa: float, gamma: float, t: np.ndarra
         panel = rows - ends[point] + panels[point]
         t1 = width[:, None] * (panel[:, None] + 0.5 * (nodes + 1.0))
         rest = t[point][:, None] - t1
-        for k, (i, j, src_i, src_j) in enumerate(_JUMPS):
-            alpha, beta, log_c = _branch(lam, z, kappa, _J_Z[src_i], _J_Z[src_j],
-                                         0.0, 0.0, t1)
-            alpha, beta, d_log = _branch(lam, z, kappa, _J_Z[i], _J_Z[j], alpha, beta, rest)
-            log_c += d_log + np.conj(beta) * alpha - gamma * (
-                (_EXCITED[src_i] + _EXCITED[src_j]) * t1 + (_EXCITED[i] + _EXCITED[j]) * rest)
-            np.add.at(terms[k], point, 0.5 * width * (np.exp(log_c) @ weights))
-    return 0.5 * gamma * terms  # 2 gamma times the initial weight 1/4
+        alpha, beta, log_c = _branch(lam, z, kappa, 0.0, -1.0, 0.0, 0.0, t1)
+        alpha, beta, d_log = _branch(lam, z, kappa, 1.0, 0.0, alpha, beta, rest)
+        log_c += d_log + np.conj(beta) * alpha - gamma * (3.0 * t1 + rest)
+        np.add.at(term, point, 0.5 * width * (np.exp(log_c) @ weights))
+    return 0.5 * gamma * term  # 2 gamma times the initial weight 1/4
 
 
 def _branch_states(
@@ -355,14 +352,15 @@ def _branch_states(
     * each coherence has a no-jump branch in closed form, whose cavity trace
       is c <beta|alpha>;
     * the four coherences |0x><0y| and |x0><y0| with x != y also gain a
-      single-jump part, a quadrature over the jump time (:func:`_jump_terms`).
+      single-jump part: J (:func:`_jump_terms`) in |00><01| and, by qubit
+      exchange, in |00><10|, and conj(J) in their Hermitian conjugates.
 
     The quadrature runs at order p = QUADRATURE_ORDER and 2p, and the states
-    are taken at 2p.  An IntegrationError is raised if any entry of a reduced
-    state shifts by more than QUADRATURE_TOL between the two; the largest
-    shift is returned with the states.  The states form one array of shape
-    ``(len(t_grid), 4, 4)``, which passes the propagators' stacked check
-    (``qcore._checked_states``) once.
+    are taken at 2p.  An IntegrationError is raised if J shifts by more than
+    QUADRATURE_TOL between the two; the largest shift is returned with the
+    states.  The states form one array of shape ``(len(t_grid), 4, 4)``,
+    which passes the propagators' stacked check (``qcore._checked_states``)
+    once.
     """
     if kappa < 0 or gamma < 0:
         raise ValueError("rates must be non-negative")
@@ -388,9 +386,8 @@ def _branch_states(
                 f"jump-time quadrature not converged: a reduced-state entry shifts by "
                 f"{delta:.3e} between orders {QUADRATURE_ORDER} and {2 * QUADRATURE_ORDER}"
             )
-        for k, (i, j, _, _) in enumerate(_JUMPS):
-            rho[:, i, j] += fine[k]
-            rho[:, _SWAP[i], _SWAP[j]] += fine[k]
+        rho[:, 0, 1:3] += fine[:, None]
+        rho[:, 1:3, 0] += np.conj(fine)[:, None]
     return _checked_states(rho, t_grid), delta
 
 

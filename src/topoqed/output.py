@@ -3,14 +3,16 @@
 CSV is the canonical data format; headers carry explicit units.  A table is
 given column by column.  Floats are rendered with ``%.12g`` and everything
 else with ``str()``, so repeated runs with identical inputs produce
-byte-identical files.  Each column is converted once per slice of rows: a
-float64, integer, boolean or unicode array with ``.tolist()``, any other
-column value by value.  The SVG plot is a dependency-free polyline with axis
-ticks, adequate for eyeballing a fidelity curve.
+byte-identical files.  A NaN or infinity is refused, as in JSON.  Each
+column is converted once per slice of rows: a float64, integer, boolean or
+unicode array with ``.tolist()``, any other column value by value.  The SVG
+plot is a dependency-free polyline with axis ticks, adequate for eyeballing a
+fidelity curve.
 """
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from pathlib import Path
@@ -47,11 +49,26 @@ def _column_rule(column: Sequence):
     return "%s", lambda part: [_fmt(v) for v in part]
 
 
+def _has_non_finite(column: Sequence) -> bool:
+    if isinstance(column, np.ndarray) and column.dtype.kind in "fciubU":
+        return column.dtype.kind in "fc" and not np.isfinite(column).all()
+    return any(isinstance(v, (float, complex, np.inexact)) and not cmath.isfinite(v)
+               for v in column)
+
+
 def write_csv(path: Path, header: Sequence[str], columns: Sequence[Sequence]) -> None:
-    """Write the header and one line per row of the equal-length ``columns``."""
+    """Write the header and one line per row of the equal-length ``columns``.
+
+    A NaN or infinite float is refused with a ValueError before the file is
+    opened, the rule that ``write_json`` applies.
+    """
     n_rows = len(columns[0]) if len(columns) else 0
     if any(len(column) != n_rows for column in columns):
         raise ValueError(f"CSV columns differ in length: {[len(c) for c in columns]}")
+    for i, column in enumerate(columns):
+        if _has_non_finite(column):
+            name = header[i] if i < len(header) else i
+            raise ValueError(f"non-finite value in CSV column {name!r}")
     rules = [_column_rule(column) for column in columns]
     line = ",".join(spec for spec, _ in rules) + "\n"
     with open(path, "w") as fh:

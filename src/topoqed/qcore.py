@@ -255,8 +255,8 @@ class QuantumState:
 
     ``dims`` gives the subsystem dimensions in tensor order; ``data`` is the
     amplitude vector (pure) or density matrix (mixed).  Validation enforces
-    unit norm for pure states, and unit trace / Hermiticity / positivity
-    within the module tolerances for mixed ones.
+    finite entries, unit norm for pure states, and unit trace / Hermiticity /
+    positivity within the module tolerances for mixed ones.
     """
 
     kind: str
@@ -270,11 +270,15 @@ class QuantumState:
             raise ValueError("subsystem dimensions must be positive")
         total = int(np.prod(dims))
         data = np.asarray(self.data, dtype=complex)
+        # The comparisons below are written so that a NaN would fail them too
+        # (every comparison with NaN is false).
+        if not np.isfinite(data).all():
+            raise ValueError("state has non-finite entries")
         if self.kind == "pure":
             if data.shape != (total,):
                 raise ValueError(f"pure state needs shape ({total},), got {data.shape}")
             norm = float(np.linalg.norm(data))
-            if abs(norm - 1.0) > PURE_NORM_TOL:
+            if not abs(norm - 1.0) <= PURE_NORM_TOL:
                 raise ValueError(f"pure state norm {norm!r} deviates from 1")
         elif self.kind == "mixed":
             if data.shape != (total, total):
@@ -282,12 +286,12 @@ class QuantumState:
                     f"density matrix needs shape ({total},{total}), got {data.shape}"
                 )
             tr = complex(np.trace(data))
-            if abs(tr - 1.0) > TRACE_TOL:
+            if not abs(tr - 1.0) <= TRACE_TOL:
                 raise ValueError(f"density matrix trace {tr!r} deviates from 1")
-            if np.max(np.abs(data - data.conj().T)) > HERMITICITY_TOL:
+            if not np.max(np.abs(data - data.conj().T)) <= HERMITICITY_TOL:
                 raise ValueError("density matrix is not Hermitian within tolerance")
             min_eig = float(np.linalg.eigvalsh(data)[0])
-            if min_eig < EIGENVALUE_FLOOR:
+            if not min_eig >= EIGENVALUE_FLOOR:
                 raise ValueError(f"density matrix has eigenvalue {min_eig} < {EIGENVALUE_FLOOR}")
         else:
             raise ValueError(f"kind must be 'pure' or 'mixed', got {self.kind!r}")

@@ -81,8 +81,9 @@ class WireParams:
         if self.v_F <= 0 or self.L <= 0 or self.Delta0 <= 0 or self.T <= 0:
             raise ValueError("v_F, L, Delta0 and T must be positive")
         # Finite inputs can still overflow or underflow in the two scales
-        # that every splitting is computed from.
-        for name, value in (("Delta0*L/v_F", self.lambda_scale), ("v_F/L", self.level_spacing)):
+        # that every splitting is computed from, and in the thermal energy.
+        for name, value in (("Delta0*L/v_F", self.lambda_scale), ("v_F/L", self.level_spacing),
+                            ("k_B*T", K_B * self.T)):
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} = {value!r} must be finite and positive")
         if not self.narrow_wire_ok:

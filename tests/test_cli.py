@@ -644,6 +644,12 @@ class TestErrorPaths:
             ("gate", "schedule", "lambda2", {"value": float("inf"), "unit": "MHz", "times_2pi": True}),
             ("couplings", "wire", "T_K", 0.0),
             ("couplings", "wire", "T_K", -1.0),
+            # Positive, but k_B*T underflows to 0 and P_e would divide by it.
+            ("couplings", "wire", "T_K", 1e-310),
+            # The optima are quoted in units of eta*g*Delta0 and eta*Delta0,
+            # which vanish or underflow to 0.
+            ("couplings", "circuit", "g", 0.0),
+            ("couplings", "circuit", "E_J", {"value": 5e-324, "unit": "rad_per_s"}),
             # Finite as written, infinite once scaled to rad/s.
             ("couplings", "circuit", "omega_r", {"value": 1e300, "unit": "GHz"}),
             # Every command writes CSV and JSON; a list without them is an error.
@@ -657,6 +663,68 @@ class TestErrorPaths:
         assert res.returncode == 2
         assert "configuration error" in res.stderr
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["phij", "couplings"])
+    def test_non_finite_result_exits_2_without_csv(self, command, tmp_path, capsys):
+        # g = 1e308 parses, but phij's series takes inf * 0 = NaN and
+        # couplings' lambda2 overflows to -inf; write_csv refuses both before
+        # it opens the file.
+        doc = default_config_dict()
+        doc["circuit"]["g"] = 1e308
+        argv = [command, "--config", write_config(tmp_path, doc), "--out", str(tmp_path / "o")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert main(argv) == 2
+        assert "non-finite" in capsys.readouterr().err
+        assert not list(tmp_path.glob("o/*.csv"))
+
+    def test_random_finite_config_values_keep_the_exit_contract(self, tmp_path):
+        # Finite values of any magnitude, subnormal and near-overflow
+        # included, in up to three numeric keys of the device and the sweep:
+        # every run returns 0, 2, 3 or 4, raises nothing and writes no NaN or
+        # infinity.
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        keys = [("wire", "v_F_m_per_s"), ("wire", "L_m"), ("wire", "W_m"), ("wire", "T_K"),
+                ("wire", "Delta0", "value"), ("circuit", "E_J", "value"),
+                ("circuit", "E_J0", "value"), ("circuit", "E_c", "value"),
+                ("circuit", "omega_r", "value"), ("circuit", "n_g"), ("circuit", "g"),
+                ("circuit", "phi_e_rad"), ("circuit", "phi_c_rad"),
+                ("sweep", "min"), ("sweep", "max")]
+        magnitudes = st.sampled_from([5e-324, 1e-310, 1e-300, 1e-30, 1e30, 1e300, 1.7e308])
+        values = (st.floats(allow_nan=False, allow_infinity=False)
+                  | st.builds(lambda m, sign: sign * m, magnitudes, st.sampled_from([1, -1])))
+        sweeps = {"spectrum": "eps", "phij": "phi_e", "couplings": "eps"}
+        runs = iter(range(10**6))
+
+        @hypothesis.settings(max_examples=60, deadline=None)
+        @hypothesis.given(st.sampled_from(sorted(sweeps)),
+                          st.lists(st.tuples(st.sampled_from(keys), values),
+                                   min_size=1, max_size=3))
+        def check(command, replacements):
+            doc = default_config_dict()
+            doc["sweep"] = {"variable": sweeps[command], "min": 0.1, "max": 3.0, "steps": 4}
+            for path, value in replacements:
+                node = doc
+                for key in path[:-1]:
+                    node = node[key]
+                node[path[-1]] = value
+            out = tmp_path / f"o{next(runs)}"
+            argv = [command, "--config", write_config(tmp_path, doc), "--out", str(out)]
+            assert main(argv) in (0, 2, 3, 4)
+            for path in out.glob("*.csv"):
+                for field in path.read_text().replace("\n", ",").split(","):
+                    try:
+                        number = float(field)
+                    except ValueError:
+                        continue
+                    assert math.isfinite(number), (path.name, field)
+            for path in out.glob("*.json"):
+                json.loads(path.read_text(), parse_constant=pytest.fail)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            check()
 
     def test_overflowing_lambda_scale_exits_2(self, tmp_path, capsys):
         # v_F and L are finite, but Delta0*L/v_F overflows; the config is

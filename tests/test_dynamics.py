@@ -246,9 +246,17 @@ class TestFidelityCurve:
         t_grid = np.arange(45) / 40.0 * math.pi / LAMBDA2
         curve = fidelity_curve(sch, 1e6, 1e6, t_grid)
         assert len(curve.fidelities) == 45
-        # numpy's leggauss also calls eigvalsh, once per Gauss-Legendre rule,
-        # on a square companion matrix; the states are the only stack.
-        assert [shape for shape in calls if len(shape) == 3] == [(45, 4, 4)]
+        assert calls == [(45, 4, 4)]
+
+    def test_gauss_legendre_rules_are_not_rebuilt_per_curve(self):
+        # The rules of the default orders are built at import; a curve takes
+        # both from the cache and never calls leggauss.
+        before = _dyn._gauss_legendre.cache_info()
+        sch = GateSchedule(k=1, lambda2=LAMBDA2)
+        fidelity_curve(sch, 1e6, 1e6, [0.0, 0.5 * sch.tau, sch.tau])
+        after = _dyn._gauss_legendre.cache_info()
+        assert after.misses == before.misses
+        assert after.hits == before.hits + 2
 
 
 class TestCoherentStateBranches:

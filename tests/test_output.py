@@ -7,7 +7,8 @@ from helpers import reference_text
 from topoqed.output import _SLICE_ROWS, write_csv
 
 SPECIAL_FLOATS = [0.0, -0.0, 1.0, -2.5, 1e-300, 5e-324, 1.7976931348623157e308, 1e22,
-                  123456789012.5, 0.1 + 0.2, math.pi, math.inf, -math.inf, math.nan]
+                  123456789012.5, 0.1 + 0.2, math.pi]
+NON_FINITE = [math.inf, -math.inf, math.nan]
 
 
 class TestWriteCsv:
@@ -32,7 +33,7 @@ class TestWriteCsv:
             (np.float64(1.0 / 3.0), 3.0),
             (7, np.float64(-0.0)),
             (0.5, "oscillatory"),
-            (False, math.nan),
+            (False, 1e-300),
         ]
         write_csv(tmp_path / "t.csv", ["x", "y"], list(zip(*rows)))
         assert (tmp_path / "t.csv").read_text() == reference_text(["x", "y"], rows)
@@ -56,16 +57,22 @@ class TestWriteCsv:
         @hypothesis.settings(max_examples=100, deadline=None)
         @hypothesis.given(st.lists(st.lists(value, min_size=3, max_size=3), max_size=6))
         def check(rows):
-            write_csv(tmp_path / "h.csv", ["a", "b", "c"], list(zip(*rows)))
-            assert (tmp_path / "h.csv").read_bytes() == reference_text(
-                ["a", "b", "c"], rows).encode()
+            path = tmp_path / "h.csv"
+            path.unlink(missing_ok=True)
+            if any(isinstance(v, float) and not math.isfinite(v) for row in rows for v in row):
+                with pytest.raises(ValueError, match="non-finite"):
+                    write_csv(path, ["a", "b", "c"], list(zip(*rows)))
+                assert not path.exists()
+                return
+            write_csv(path, ["a", "b", "c"], list(zip(*rows)))
+            assert path.read_bytes() == reference_text(["a", "b", "c"], rows).encode()
 
         check()
 
     @pytest.mark.parametrize("array", [
         np.array(SPECIAL_FLOATS + [1.0 / 3.0, 2.0 ** -1074 * 3]),
-        np.array([0.0, -0.0, 1.0, -2.5, 1e-30, 1e-45, 3.4e38, 0.1, 1.0 / 3.0, math.pi,
-                  math.inf, -math.inf, math.nan], dtype=np.float32),
+        np.array([0.0, -0.0, 1.0, -2.5, 1e-30, 1e-45, 3.4e38, 0.1, 1.0 / 3.0, math.pi],
+                 dtype=np.float32),
         np.array([0, -1, 7, 2**62, -(2**63)], dtype=np.int64),
         np.array([True, False, True]),
         np.array(["oscillatory", "evanescent", "", "a,b", "%s"]),
@@ -95,6 +102,24 @@ class TestWriteCsv:
         expected = reference_text(list("abcdefg"), zip(*columns))
         assert (tmp_path / "m.csv").read_bytes() == expected.encode()
         assert expected.count("\n") == n + 1
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    @pytest.mark.parametrize("column", [
+        lambda bad: [1.0, bad],
+        lambda bad: ("x", np.float64(bad)),
+        lambda bad: [2, np.float32(bad)],
+        lambda bad: [complex(0.5, bad)],
+        lambda bad: np.array([0.5, bad]),
+        lambda bad: np.array([bad, 0.5], dtype=np.float32),
+        lambda bad: np.array([0.5 + 0j, complex(bad, 0.0)]),
+    ], ids=["float", "float64", "float32", "complex", "float64-array", "float32-array",
+            "complex-array"])
+    def test_non_finite_value_is_refused_before_the_file_opens(self, column, bad, tmp_path):
+        # write_json's rule: a NaN or infinity is not data.
+        finite = np.arange(len(column(bad)), dtype=float)
+        with pytest.raises(ValueError, match="non-finite value in CSV column 'v'"):
+            write_csv(tmp_path / "n.csv", ["i", "v"], [finite, column(bad)])
+        assert not (tmp_path / "n.csv").exists()
 
     @pytest.mark.parametrize("lengths", [(3, 2), (2, 3), (0, 1), (4, 4, 5)])
     def test_columns_of_unequal_length_raise(self, lengths, tmp_path):

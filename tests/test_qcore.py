@@ -108,6 +108,15 @@ class TestQuantumState:
         with pytest.raises(ValueError):
             QuantumState.mixed(rho, (2,))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_entries_rejected(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            QuantumState.pure([bad, 0.0], (2,))
+        with pytest.raises(ValueError, match="non-finite"):
+            QuantumState.mixed([[bad, 0.0], [0.0, 1.0]], (2,))
+        with pytest.raises(ValueError, match="non-finite"):
+            QuantumState.mixed([[0.5, bad], [bad, 0.5]], (2,))
+
     def test_data_is_immutable(self):
         state = QuantumState.pure(basis_state(2, 0), (2,))
         with pytest.raises(ValueError):
