@@ -644,16 +644,16 @@ class TestErrorPaths:
             ("gate", "schedule", "lambda2", {"value": float("inf"), "unit": "MHz", "times_2pi": True}),
             ("couplings", "wire", "T_K", 0.0),
             ("couplings", "wire", "T_K", -1.0),
+            # Finite as written, infinite once scaled to rad/s.
+            ("couplings", "circuit", "omega_r", {"value": 1e300, "unit": "GHz"}),
+            # Every command writes CSV and JSON; a list without them is an error.
+            ("spectrum", "output", "formats", ["svg"]),
             # Positive, but k_B*T underflows to 0 and P_e would divide by it.
             ("couplings", "wire", "T_K", 1e-310),
             # The optima are quoted in units of eta*g*Delta0 and eta*Delta0,
             # which vanish or underflow to 0.
             ("couplings", "circuit", "g", 0.0),
             ("couplings", "circuit", "E_J", {"value": 5e-324, "unit": "rad_per_s"}),
-            # Finite as written, infinite once scaled to rad/s.
-            ("couplings", "circuit", "omega_r", {"value": 1e300, "unit": "GHz"}),
-            # Every command writes CSV and JSON; a list without them is an error.
-            ("spectrum", "output", "formats", ["svg"]),
         ],
     )
     def test_non_finite_config_value_exits_2(self, command, section, key, value, tmp_path):
