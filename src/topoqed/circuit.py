@@ -80,8 +80,8 @@ class CircuitParams:
                   self.phi_e, self.phi_c, self.omega_r)
         if not all(map(math.isfinite, values)):
             raise ValueError("circuit parameters must be finite")
-        if self.E_J <= 0 or self.E_J0 <= 0:
-            raise ValueError("junction energies must be positive")
+        if self.E_J <= 0 or self.E_J0 <= 0 or self.E_c <= 0:
+            raise ValueError("junction and charging energies must be positive")
         if self.eta >= 0.3:
             raise ValueError(
                 f"eta = E_J/E_J0 = {self.eta:.3f} >= 0.3: series reduction invalid"

@@ -33,15 +33,13 @@ from pathlib import Path
 import numpy as np
 
 from . import circuit as _circuit
+from . import validate as _validate
 from .config import ConfigError, RunConfig, SweepSpec, load_config
 from .dynamics import FidelityCurve, GateSchedule, fidelity_curve
 from .interface import couplings, optimal_working_point
 from .output import write_csv, write_json, write_svg_plot
 from .qcore import ConvergenceError, IntegrationError
 from .wire import thermal_leakage, wire_splitting
-# Imported last: validate loads numpy.random, and loaded before the modules
-# above it left every command's peak RSS about 0.4 MB higher.
-from . import validate as _validate
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -83,12 +81,6 @@ def _check_out_dir(config: RunConfig) -> None:
             return
 
 
-def _out_dir(config: RunConfig) -> Path:
-    path = Path(config.out_dir)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
 def cmd_spectrum(config: RunConfig) -> int:
     sweep = config.sweep or SweepSpec(variable="eps", min=0.0, max=math.pi, steps=200)
     if sweep.variable != "eps":
@@ -96,7 +88,7 @@ def cmd_spectrum(config: RunConfig) -> int:
 
     eps = sweep.values()
     res = wire_splitting(config.wire, eps)
-    out = _out_dir(config)
+    out = Path(config.out_dir)
     write_csv(
         out / "spectrum.csv",
         ["eps_rad", "Lambda", "E_rad_per_s", "E_GHz_over_2pi", "branch"],
@@ -119,7 +111,7 @@ def cmd_phij(config: RunConfig) -> int:
     phi, phi_e = (values, None) if sweep.variable == "phi" else (0.0, values)
     series = _circuit.phi_J_series(config.circuit, phi, 0.0, phi_e)
     exact = _circuit.phi_J_exact(config.circuit, phi, 0.0, phi_e)
-    out = _out_dir(config)
+    out = Path(config.out_dir)
     write_csv(
         out / "phij.csv",
         [f"{sweep.variable}_rad", "phi_J_series_rad", "phi_J_exact_rad", "abs_diff_rad"],
@@ -167,7 +159,7 @@ def cmd_couplings(config: RunConfig) -> int:
         ("P_t_working_point", p_t_working, "probability"),
         ("P_e_thermal", p_e, "probability"),
     ]
-    out = _out_dir(config)
+    out = Path(config.out_dir)
     write_csv(out / "couplings.csv", ["quantity", "value", "unit"], list(zip(*quantities)))
     summary = {name: value for name, value, _ in quantities}
     summary["config"] = config.normalized()
@@ -205,7 +197,7 @@ def _run_curve(config: RunConfig, lambda2: float) -> FidelityCurve:
 
 
 def _write_curve(config: RunConfig, curve: FidelityCurve, stem: str, with_svg: bool) -> Path:
-    out = _out_dir(config)
+    out = Path(config.out_dir)
     write_csv(out / f"{stem}.csv", ["t_ns", "lambda2_t_over_pi", "F"],
               [curve.times_ns, curve.lambda2_t_over_pi, curve.fidelities])
     x_gate = curve.params["tau_s"] * curve.params["lambda2_rad_per_s"] / math.pi
@@ -275,7 +267,7 @@ def cmd_validate(config: RunConfig, mutations: tuple[str, ...]) -> int:
     for name, r in report.items():
         status = "PASS" if r["passed"] else "FAIL"
         print(f"{status} {name:<28} {r['seconds']:8.3f}s  {r['detail']}")
-    out = _out_dir(config)
+    out = Path(config.out_dir)
     write_json(out / "validate_summary.json",
                {"report": report, "mutations": list(mutations), "all_passed": not failed})
     if failed:

@@ -59,8 +59,8 @@ def _has_non_finite(column: Sequence) -> bool:
 def write_csv(path: Path, header: Sequence[str], columns: Sequence[Sequence]) -> None:
     """Write the header and one line per row of the equal-length ``columns``.
 
-    A NaN or infinite float is refused with a ValueError before the file is
-    opened, the rule that ``write_json`` applies.
+    A NaN or infinite float is refused with a ValueError before the file's
+    directory is created, the rule that ``write_json`` applies.
     """
     n_rows = len(columns[0]) if len(columns) else 0
     if any(len(column) != n_rows for column in columns):
@@ -71,6 +71,7 @@ def write_csv(path: Path, header: Sequence[str], columns: Sequence[Sequence]) ->
             raise ValueError(f"non-finite value in CSV column {name!r}")
     rules = [_column_rule(column) for column in columns]
     line = ",".join(spec for spec, _ in rules) + "\n"
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for start in range(0, n_rows, _SLICE_ROWS):
@@ -81,7 +82,9 @@ def write_csv(path: Path, header: Sequence[str], columns: Sequence[Sequence]) ->
 
 
 def write_json(path: Path, payload: dict) -> None:
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    Path(path).write_text(text)
 
 
 def _ticks(lo: float, hi: float, n: int = 6) -> list[float]:
@@ -175,4 +178,5 @@ def write_svg_plot(
             f'text-anchor="middle">{title}</text>'
         )
     parts.append("</svg>")
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     Path(path).write_text("\n".join(parts) + "\n")

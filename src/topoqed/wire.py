@@ -80,6 +80,8 @@ class WireParams:
             raise ValueError("wire parameters must be finite")
         if self.v_F <= 0 or self.L <= 0 or self.Delta0 <= 0 or self.T <= 0:
             raise ValueError("v_F, L, Delta0 and T must be positive")
+        if self.W < 0:
+            raise ValueError(f"wire width W = {self.W!r} must not be negative")
         # Finite inputs can still overflow or underflow in the two scales
         # that every splitting is computed from, and in the thermal energy.
         for name, value in (("Delta0*L/v_F", self.lambda_scale), ("v_F/L", self.level_spacing),

@@ -1,4 +1,3 @@
-import math
 import os
 
 # One BLAS thread per test process, set before numpy is first imported: the
@@ -11,24 +10,16 @@ os.environ.update(dict.fromkeys(
 import pytest  # noqa: E402
 
 from topoqed.circuit import CircuitParams  # noqa: E402
+from topoqed.config import load_config  # noqa: E402
 from topoqed.wire import WireParams  # noqa: E402
 
 
 @pytest.fixture
 def paper_wire() -> WireParams:
-    """Device parameters used for all headline numbers."""
-    return WireParams(v_F=1e5, L=5e-6, Delta0=2 * math.pi * 32e9, W=1e-7, T=0.02)
+    """Device parameters used for all headline numbers: the built-in config's."""
+    return load_config(None).wire
 
 
 @pytest.fixture
 def paper_circuit() -> CircuitParams:
-    return CircuitParams(
-        E_J=2 * math.pi * 16e9,
-        E_J0=2 * math.pi * 160e9,
-        E_c=2 * math.pi * 160e9,
-        n_g=0.5,
-        g=0.01,
-        phi_e=0.0,
-        phi_c=0.5,
-        omega_r=2 * math.pi * 6e9,
-    )
+    return load_config(None).circuit

@@ -78,12 +78,15 @@ def test_child_imports_checkout_package(tmp_path):
 def test_cli_import_leaves_oracle_scipy_modules_unloaded(tmp_path):
     # Only the RK45 oracle and test code use scipy; importing its
     # scipy.sparse.linalg alone would double the start-up of every command.
+    # Only test code draws random numbers, and numpy.random alone costs
+    # every command about 6 MB of peak RSS.
     code = ("import sys, topoqed.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), "
+            "'numpy.random' in sys.modules)")
     res = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=child_env(),
                          capture_output=True, text=True, timeout=60)
     assert res.returncode == 0, res.stderr
-    assert res.stdout.strip() == "[]"
+    assert res.stdout.strip() == "[] False"
 
 
 COMMANDS_AFTER_IMPORT = """
@@ -97,8 +100,8 @@ print(codes, sorted(m for m in set(sys.modules) - before if m.startswith("numpy.
 
 def test_commands_load_no_numpy_submodule(tmp_path):
     # numpy loads some submodules on first use (np.unique loads numpy.ma,
-    # np.polynomial and np.random load themselves); inside a command that
-    # time would count as the command's run time, not its start-up.
+    # np.polynomial loads itself); inside a command that time would count as
+    # the command's run time, not its start-up.
     res = subprocess.run([sys.executable, "-c", COMMANDS_AFTER_IMPORT], cwd=tmp_path,
                          env=child_env(), capture_output=True, text=True, timeout=120)
     assert res.returncode == 0, res.stderr
@@ -654,6 +657,10 @@ class TestErrorPaths:
             # which vanish or underflow to 0.
             ("couplings", "circuit", "g", 0.0),
             ("couplings", "circuit", "E_J", {"value": 5e-324, "unit": "rad_per_s"}),
+            # A charging energy must be positive, a wire width non-negative.
+            ("couplings", "circuit", "E_c", {"value": 0.0, "unit": "GHz", "times_2pi": True}),
+            ("couplings", "circuit", "E_c", {"value": -160.0, "unit": "GHz", "times_2pi": True}),
+            ("couplings", "wire", "W_m", -1e-7),
         ],
     )
     def test_non_finite_config_value_exits_2(self, command, section, key, value, tmp_path):
@@ -668,7 +675,7 @@ class TestErrorPaths:
     def test_non_finite_result_exits_2_without_csv(self, command, tmp_path, capsys):
         # g = 1e308 parses, but phij's series takes inf * 0 = NaN and
         # couplings' lambda2 overflows to -inf; write_csv refuses both before
-        # it opens the file.
+        # it creates the output directory.
         doc = default_config_dict()
         doc["circuit"]["g"] = 1e308
         argv = [command, "--config", write_config(tmp_path, doc), "--out", str(tmp_path / "o")]
@@ -676,7 +683,7 @@ class TestErrorPaths:
             warnings.simplefilter("ignore", RuntimeWarning)
             assert main(argv) == 2
         assert "non-finite" in capsys.readouterr().err
-        assert not list(tmp_path.glob("o/*.csv"))
+        assert not (tmp_path / "o").exists()
 
     def test_random_finite_config_values_keep_the_exit_contract(self, tmp_path):
         # Finite values of any magnitude, subnormal and near-overflow

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import reference_text
-from topoqed.output import _SLICE_ROWS, write_csv
+from topoqed.output import _SLICE_ROWS, write_csv, write_json, write_svg_plot
 
 SPECIAL_FLOATS = [0.0, -0.0, 1.0, -2.5, 1e-300, 5e-324, 1.7976931348623157e308, 1e22,
                   123456789012.5, 0.1 + 0.2, math.pi]
@@ -133,3 +133,19 @@ class TestWriteCsv:
     def test_empty_table_writes_the_header_alone(self, columns, tmp_path):
         write_csv(tmp_path / "e.csv", ["x", "y"], columns)
         assert (tmp_path / "e.csv").read_bytes() == b"x,y\n"
+
+
+def test_writers_create_the_output_directory_only_to_write(tmp_path):
+    # A refused table or document leaves no directory behind; every writer
+    # creates the missing directories of the file it writes.
+    out = tmp_path / "a" / "b"
+    with pytest.raises(ValueError, match="non-finite"):
+        write_csv(out / "n.csv", ["v"], [[math.nan]])
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        write_json(out / "n.json", {"v": math.inf})
+    assert not (tmp_path / "a").exists()
+    write_csv(out / "t.csv", ["v"], [[1.0]])
+    write_json(tmp_path / "j" / "t.json", {"v": 1.0})
+    write_svg_plot(tmp_path / "s" / "t.svg", [0.0, 1.0], [0.0, 1.0], "x", "y")
+    assert (out / "t.csv").read_bytes() == b"v\n1\n"
+    assert (tmp_path / "j" / "t.json").is_file() and (tmp_path / "s" / "t.svg").is_file()
