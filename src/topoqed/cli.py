@@ -60,9 +60,11 @@ def _parse_sweep_flag(text: str) -> SweepSpec:
 
 def _apply_overrides(config: RunConfig, args: argparse.Namespace) -> RunConfig:
     updates = {}
-    if getattr(args, "out", None):
+    # An empty value is a value: --out '' is the working directory, and
+    # --sweep '' is refused.
+    if args.out is not None:
         updates["out_dir"] = args.out
-    if getattr(args, "sweep", None):
+    if getattr(args, "sweep", None) is not None:
         updates["sweep"] = _parse_sweep_flag(args.sweep)
     return dataclasses.replace(config, **updates) if updates else config
 
@@ -196,7 +198,7 @@ def _run_curve(config: RunConfig, lambda2: float) -> FidelityCurve:
     return fidelity_curve(schedule, config.kappa, config.gamma, t_grid)
 
 
-def _write_curve(config: RunConfig, curve: FidelityCurve, stem: str, with_svg: bool) -> Path:
+def _write_curve(config: RunConfig, curve: FidelityCurve, stem: str) -> None:
     out = Path(config.out_dir)
     write_csv(out / f"{stem}.csv", ["t_ns", "lambda2_t_over_pi", "F"],
               [curve.times_ns, curve.lambda2_t_over_pi, curve.fidelities])
@@ -211,7 +213,7 @@ def _write_curve(config: RunConfig, curve: FidelityCurve, stem: str, with_svg: b
         "lambda2_t_over_pi_at_gate": float(curve.lambda2_t_over_pi[gate_idx]),
     }
     write_json(out / f"{stem}_summary.json", summary)
-    if with_svg and "svg" in config.formats:
+    if "svg" in config.formats:
         write_svg_plot(
             out / f"{stem}.svg",
             curve.lambda2_t_over_pi,
@@ -224,7 +226,6 @@ def _write_curve(config: RunConfig, curve: FidelityCurve, stem: str, with_svg: b
           f"(quadrature order {curve.quadrature_order}, convergence delta "
           f"{curve.convergence_delta:.2e})")
     print(f"wrote {out / (stem + '.csv')}")
-    return out
 
 
 def cmd_gate(config: RunConfig) -> int:
@@ -238,7 +239,7 @@ def cmd_gate(config: RunConfig) -> int:
                 "cavity interface off); pin schedule.lambda2 or change phi_e"
             )
     curve = _run_curve(config, lambda2)
-    _write_curve(config, curve, "gate", with_svg=True)
+    _write_curve(config, curve, "gate")
     return EXIT_OK
 
 
@@ -257,7 +258,7 @@ def cmd_fig2(config: RunConfig) -> int:
         lambda2_pinned=ref.lambda2_pinned,
     )
     curve = _run_curve(pinned, pinned.lambda2_pinned)
-    _write_curve(pinned, curve, "fig2", with_svg=True)
+    _write_curve(pinned, curve, "fig2")
     return EXIT_OK
 
 

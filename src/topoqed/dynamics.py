@@ -177,7 +177,7 @@ def ideal_gate_state(schedule: GateSchedule, fock_cutoff: int = 16) -> QuantumSt
     that the qubit pair reaches the entangled target with fidelity
     >= 1 - 1e-8 (global phase discarded).
     """
-    model = HamiltonianModel(fock_cutoff=fock_cutoff, nu=schedule.nu)
+    model = HamiltonianModel(fock_cutoff)
     loop_dev = abs(schedule.nu * schedule.tau - 2.0 * math.pi * schedule.k)
     if loop_dev > 1e-9:
         raise ValueError(f"schedule does not close the loop: |nu*tau - 2k*pi| = {loop_dev:.2e}")
@@ -245,7 +245,7 @@ def _qubit_states(
     trajectory at once; returns shape ``(len(t_grid), 4, 4)``.  ``validate``
     and the tests compare the closed form of :func:`fidelity_curve` with it.
     """
-    model = HamiltonianModel(fock_cutoff=fock_cutoff, nu=schedule.nu)
+    model = HamiltonianModel(fock_cutoff)
     n = fock_cutoff
     channels = []
     if kappa > 0:

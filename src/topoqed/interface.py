@@ -10,15 +10,17 @@ the circuit's flux response, gives the two switchable couplings
 so lambda1 vanishes identically at phi_e = 0 and lambda2 at phi_e = pi.  The
 half-angle factors are evaluated so those zeros are exact in floating point.
 
-Hilbert-space layout for two-qubit configurations is qubit (x) qubit (x)
-cavity, with the cavity truncated at ``fock_cutoff`` Fock states.
+The Hamiltonian builders take the couplings, frequencies and detuning as
+plain numbers, and the operators of the qubit (x) qubit (x) cavity space,
+with the cavity truncated at ``fock_cutoff`` Fock states, from
+:class:`HamiltonianModel`.  They serve ``validate`` and the tests as
+oracles; the gate's curve is the closed form of :mod:`topoqed.dynamics`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Optional
 
 import numpy as np
 
@@ -55,34 +57,14 @@ class CouplingSet:
     lambda1: float
     lambda2: float
     working_phi: float
-    effective: Optional[EffectiveQubit] = None
-
-    @classmethod
-    def pinned(
-        cls, lambda2: float, lambda1: float = 0.0, omega_t: float = 0.0
-    ) -> "CouplingSet":
-        """A coupling set with directly specified values (no circuit model).
-
-        Used when the coupling strength is an input rather than derived from
-        device parameters, e.g. for preset gate simulations.
-        """
-        return cls(
-            omega_t=omega_t, lambda1=lambda1, lambda2=lambda2,
-            working_phi=float("nan"), effective=None,
-        )
+    effective: EffectiveQubit
 
 
 @dataclass(frozen=True)
 class HamiltonianModel:
-    """Hilbert-space layout and cavity parameters for two-qubit dynamics.
-
-    dims are (2, 2, fock_cutoff); ``nu`` is the drive detuning omega_r - omega
-    entering the interaction-picture Hamiltonian and must be positive.
-    """
+    """Operators of the qubit (x) qubit (x) cavity space, dims (2, 2, fock_cutoff)."""
 
     fock_cutoff: int = 16
-    nu: float = 0.0
-    omega_r: float = 0.0
 
     def __post_init__(self):
         if self.fock_cutoff < 8:
@@ -165,7 +147,8 @@ def optimal_working_point(
     return PHI_C_MIN, getattr(cs, which)
 
 
-def build_H_CT(cs: CouplingSet, model: HamiltonianModel) -> np.ndarray:
+def build_H_CT(omega_t: float, lambda1: float, lambda2: float, omega_r: float,
+               model: HamiltonianModel) -> np.ndarray:
     """Lab-frame Hamiltonian of two identical qubits coupled to the cavity.
 
     H = omega_r a+a - (omega_t + lambda1)/2 * (tau1_z + tau2_z)
@@ -174,17 +157,16 @@ def build_H_CT(cs: CouplingSet, model: HamiltonianModel) -> np.ndarray:
     tau_sum = model.tau1_z + model.tau2_z
     quad = model.a_op + model.a_op.conj().T
     return (
-        model.omega_r * model.n_photon
-        - 0.5 * (cs.omega_t + cs.lambda1) * tau_sum
-        - cs.lambda2 * (tau_sum @ quad)
+        omega_r * model.n_photon
+        - 0.5 * (omega_t + lambda1) * tau_sum
+        - lambda2 * (tau_sum @ quad)
     )
 
 
-def build_H_I(cs: CouplingSet, model: HamiltonianModel, t: float) -> np.ndarray:
-    """Interaction-picture Hamiltonian -lambda2 (a e^{-i nu t} + h.c.) J_z."""
-    if model.nu <= 0:
+def build_H_I(lambda2: float, nu: float, model: HamiltonianModel, t: float) -> np.ndarray:
+    """Interaction-picture Hamiltonian -lambda2 (a e^{-i nu t} + h.c.) J_z, detuning nu > 0."""
+    if nu <= 0:
         raise ValueError("the interaction picture requires detuning nu > 0")
     a_jz = model.a_j_z
-    phase = np.exp(-1j * model.nu * t)
-    return -cs.lambda2 * (phase * a_jz + np.conj(phase) * a_jz.conj().T)
-
+    phase = np.exp(-1j * nu * t)
+    return -lambda2 * (phase * a_jz + np.conj(phase) * a_jz.conj().T)

@@ -27,6 +27,9 @@ __all__ = ["write_csv", "write_json", "write_svg_plot"]
 # 0.3 MB, and whole columns by about 1.5 MB; slices of 256 rows keep it at the
 # row-by-row writer's, at the same speed.
 _SLICE_ROWS = 256
+# SVG canvas size in pixels, and the number of ticks an axis aims at.
+_SVG_WIDTH, _SVG_HEIGHT = 640, 440
+_TICKS = 6
 
 
 def _fmt(value) -> str:
@@ -87,10 +90,10 @@ def write_json(path: Path, payload: dict) -> None:
     Path(path).write_text(text)
 
 
-def _ticks(lo: float, hi: float, n: int = 6) -> list[float]:
+def _ticks(lo: float, hi: float) -> list[float]:
     if hi <= lo:
         return [lo]
-    raw = (hi - lo) / max(n - 1, 1)
+    raw = (hi - lo) / (_TICKS - 1)
     mag = 10.0 ** math.floor(math.log10(raw))
     step = min(s for s in (mag, 2 * mag, 2.5 * mag, 5 * mag, 10 * mag) if s >= raw)
     first = math.ceil(lo / step) * step
@@ -109,10 +112,9 @@ def write_svg_plot(
     xlabel: str,
     ylabel: str,
     title: str = "",
-    width: int = 640,
-    height: int = 440,
 ) -> None:
     """Polyline plot of y(x) with tick marks and axis labels."""
+    width, height = _SVG_WIDTH, _SVG_HEIGHT
     margin_l, margin_r, margin_t, margin_b = 70, 20, 36, 56
     pw = width - margin_l - margin_r
     ph = height - margin_t - margin_b

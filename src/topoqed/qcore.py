@@ -8,9 +8,12 @@ trace, Hermiticity, positivity) on construction.
 
 A propagated trajectory is one ``(n, d, d)`` array of density matrices, and
 ``_checked_states`` checks the whole stack once: finite entries, unit trace,
-Hermiticity, and positivity from one batched ``eigvalsh``.  The two
-master-equation propagators return such checked stacks, and the closed-form
-gate states of :mod:`topoqed.dynamics` pass the same check:
+Hermiticity, and positivity from one batched ``eigvalsh``.  Two propagators
+return such checked stacks, and the closed-form gate states of
+:mod:`topoqed.dynamics` pass the same check.  Both take
+``(hamiltonian, channels, rho0, t_grid)``, with ``channels`` a sequence of
+``(L, rate)`` pairs that ``_checked_channels`` checks for both: each L of
+H's shape, each rate >= 0.
 
 * ``evolve_master_equation`` takes a time-independent Hamiltonian matrix.  It
   builds the Liouvillian once, stored by diagonals, and steps the vectorized
@@ -19,10 +22,10 @@ gate states of :mod:`topoqed.dynamics` pass the same check:
   Al-Mohy & Higham, SIAM J. Sci. Comput. 33 (2011) 488-511, in numpy alone.
   It is the oracle of the gate's closed-form fidelity curve, in the frame
   that rotates with the cavity, for ``validate`` and the tests.
-* ``integrate_master_equation`` takes a time-dependent Hamiltonian callable
-  (:class:`LindbladSpec`) and runs adaptive RK45.  It serves as the
-  independent oracle of the first, for tests only; it loads
-  ``scipy.integrate`` on first use, so importing the package does not.
+* ``integrate_master_equation`` takes the Hamiltonian as a callable of t and
+  runs adaptive RK45.  It is the independent oracle of the first, for tests
+  only; it loads ``scipy.integrate`` on first use, so importing the package
+  does not.
 
 ``newton_bisect`` is the safeguarded root finder that the wire and circuit
 layers share.  It acts element-wise on arrays, so a whole sweep is one
@@ -49,8 +52,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from dataclasses import dataclass
+from functools import reduce
 from typing import Callable, Sequence
 
 import numpy as np
@@ -58,7 +61,6 @@ import numpy as np
 __all__ = [
     "ConvergenceError",
     "IntegrationError",
-    "LindbladSpec",
     "QuantumState",
     "SIGMA_X",
     "SIGMA_Z",
@@ -317,37 +319,6 @@ class QuantumState:
         return np.array(self.data)
 
 
-@dataclass(frozen=True)
-class LindbladSpec:
-    """Time-dependent Hamiltonian plus collapse channels with rates.
-
-    ``hamiltonian`` maps a time (seconds) to a Hermitian matrix; ``channels``
-    is a sequence of ``(collapse_operator, rate)`` pairs with rate >= 0.  See
-    the module docstring for the prefactor convention.
-    """
-
-    hamiltonian: Callable[[float], np.ndarray]
-    channels: tuple = field(default_factory=tuple)
-
-    def __post_init__(self):
-        dim = self.dim
-        checked = []
-        for op, rate in self.channels:
-            op = np.asarray(op, dtype=complex)
-            if op.shape != (dim, dim):
-                raise ValueError(
-                    f"collapse operator shape {op.shape} does not match H dim {dim}"
-                )
-            if rate < 0:
-                raise ValueError("channel rates must be non-negative")
-            checked.append((op, float(rate)))
-        object.__setattr__(self, "channels", tuple(checked))
-
-    @cached_property
-    def dim(self) -> int:
-        return np.asarray(self.hamiltonian(0.0)).shape[0]
-
-
 def partial_trace(state: QuantumState, keep: Sequence[int]) -> QuantumState:
     """Reduced density matrix over the subsystems listed in ``keep``.
 
@@ -392,6 +363,22 @@ def _time_grid(t_grid: Sequence[float]) -> np.ndarray:
     if t_grid[0] != 0.0 or np.any(np.diff(t_grid) <= 0):
         raise ValueError("t_grid must increase strictly from 0")
     return t_grid
+
+
+def _checked_channels(channels, shape: tuple) -> list[tuple[np.ndarray, float]]:
+    """The ``(L, rate)`` channels with each L of H's ``shape`` and rate >= 0.
+
+    See the module docstring for the prefactor convention.
+    """
+    checked = []
+    for op, rate in channels:
+        op = np.asarray(op, dtype=complex)
+        if op.shape != shape:
+            raise ValueError(f"collapse operator shape {op.shape} does not match H {shape}")
+        if rate < 0:
+            raise ValueError("channel rates must be non-negative")
+        checked.append((op, float(rate)))
+    return checked
 
 
 def _checked_states(rhos: np.ndarray, t_grid: np.ndarray) -> np.ndarray:
@@ -478,9 +465,6 @@ def _liouvillian(h: np.ndarray, channels) -> list[tuple[slice, slice, np.ndarray
     k = -1j * h
     terms = []
     for op, rate in channels:
-        op = np.asarray(op, dtype=complex)
-        if op.shape != h.shape:
-            raise ValueError(f"collapse operator shape {op.shape} does not match H {h.shape}")
         k = k - rate * (op.conj().T @ op)
         terms.append((_diagonals(op), _diagonals(op.conj()), 2.0 * rate))
     one = {0: np.ones(d, dtype=complex)}
@@ -548,17 +532,18 @@ def evolve_master_equation(
     entries), then steps the vectorized density matrix from each grid point
     to the next with a truncated Taylor series of its exponential, on
     substeps of 1-norm at most ``_THETA``; a series not converged after 50
-    terms raises :class:`IntegrationError`.  The channels are taken as given,
-    as in :attr:`LindbladSpec.channels`; an unphysical generator shows up in
-    the checks of :func:`_checked_states`, which the whole trajectory passes.
-    Returns the density matrices on the grid, shape ``(len(t_grid), d, d)``.
+    terms raises :class:`IntegrationError`.  Beyond
+    :func:`_checked_channels`, the generator is taken as given; an unphysical
+    one shows up in the checks of :func:`_checked_states`, which the whole
+    trajectory passes.  Returns the density matrices on the grid, shape
+    ``(len(t_grid), d, d)``.
     """
     t_grid = _time_grid(t_grid)
     h = np.asarray(hamiltonian, dtype=complex)
     rho = rho0.density_matrix()
     if rho.shape != h.shape:
         raise ValueError("initial state dimension does not match the Hamiltonian")
-    gen = _liouvillian(h, channels)
+    gen = _liouvillian(h, _checked_channels(channels, h.shape))
     # The exact 1-norm, the largest column sum of |gen|.
     col_sums = np.zeros(rho.size)
     for rows, cols, values in gen:
@@ -576,55 +561,45 @@ def evolve_master_equation(
     return _checked_states(rhos, t_grid)
 
 
-def _lindblad_rhs_factory(spec: LindbladSpec):
-    dim = spec.dim
-    ops = [(op, op.conj().T, op.conj().T @ op, rate) for op, rate in spec.channels]
-
-    def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        rho = y.reshape(dim, dim)
-        h = spec.hamiltonian(t)
-        drho = -1j * (h @ rho - rho @ h)
-        for op, op_dag, op_dag_op, rate in ops:
-            drho += rate * (
-                2.0 * (op @ rho @ op_dag) - op_dag_op @ rho - rho @ op_dag_op
-            )
-        return drho.ravel()
-
-    return rhs
-
-
 def integrate_master_equation(
-    spec: LindbladSpec, rho0: QuantumState, t_grid: Sequence[float]
+    hamiltonian: Callable[[float], np.ndarray],
+    channels: Sequence[tuple[np.ndarray, float]],
+    rho0: QuantumState,
+    t_grid: Sequence[float],
 ) -> np.ndarray:
-    """Propagate a density matrix through the master equation on ``t_grid``.
+    """Propagate a density matrix under a Hamiltonian that depends on time.
 
-    Uses an adaptive embedded Runge-Kutta 4(5) pair (rtol 1e-9, atol 1e-12)
-    on the vectorized density matrix.  The trajectory, shape
-    ``(len(t_grid), d, d)``, passes the checks of :func:`_checked_states`:
-    finite entries, unit trace (1e-8), Hermiticity (1e-9) and positivity
-    (eigenvalues >= -1e-8), each raising :class:`IntegrationError` naming the
-    time.
+    ``hamiltonian`` maps a time (seconds) to a Hermitian matrix; the channels
+    are those of :func:`evolve_master_equation`.  Uses an adaptive embedded
+    Runge-Kutta 4(5) pair (rtol 1e-9, atol 1e-12) on the vectorized density
+    matrix.  The trajectory, shape ``(len(t_grid), d, d)``, passes the
+    checks of :func:`_checked_states`: finite entries, unit trace (1e-8),
+    Hermiticity (1e-9) and positivity (eigenvalues >= -1e-8), each raising
+    :class:`IntegrationError` naming the time.
     """
     t_grid = _time_grid(t_grid)
-    rho_init = rho0.density_matrix()
-    dim = spec.dim
-    if rho_init.shape != (dim, dim):
+    rho = rho0.density_matrix()
+    shape = np.shape(hamiltonian(0.0))
+    if rho.shape != shape:
         raise ValueError("initial state dimension does not match the Hamiltonian")
-
+    ops = [(op, op.conj().T, op.conj().T @ op, rate)
+           for op, rate in _checked_channels(channels, shape)]
     if len(t_grid) == 1:
-        return _checked_states(rho_init[None], t_grid)
+        return _checked_states(rho[None], t_grid)
+
+    def rhs(t: float, y: np.ndarray) -> np.ndarray:
+        r = y.reshape(shape)
+        h = hamiltonian(t)
+        drho = -1j * (h @ r - r @ h)
+        for op, op_dag, op_dag_op, rate in ops:
+            drho += rate * (2.0 * (op @ r @ op_dag) - op_dag_op @ r - r @ op_dag_op)
+        return drho.ravel()
 
     # Through the module, so that the first call imports scipy.integrate.
     sol = sys.modules[__name__].solve_ivp(
-        _lindblad_rhs_factory(spec),
-        (float(t_grid[0]), float(t_grid[-1])),
-        rho_init.ravel(),
-        method="RK45",
-        t_eval=t_grid,
-        rtol=1e-9,
-        atol=1e-12,
+        rhs, (float(t_grid[0]), float(t_grid[-1])), rho.ravel(),
+        method="RK45", t_eval=t_grid, rtol=1e-9, atol=1e-12,
     )
     if not sol.success:
         raise IntegrationError(f"master-equation integration failed: {sol.message}")
-
-    return _checked_states(sol.y.T.reshape(len(t_grid), dim, dim), t_grid)
+    return _checked_states(sol.y.T.reshape((len(t_grid),) + shape), t_grid)

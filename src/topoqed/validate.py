@@ -23,7 +23,7 @@ from . import dynamics as _dyn
 from .circuit import effective_qubit, phi_J_exact, phi_J_series
 from .config import load_config
 from .dynamics import GateSchedule, ideal_gate_state, propagator_AB
-from .interface import CouplingSet, HamiltonianModel, build_H_CT, build_H_I, couplings
+from .interface import HamiltonianModel, build_H_CT, build_H_I, couplings
 from .qcore import (
     QuantumState,
     basis_state,
@@ -129,16 +129,14 @@ def _check_switching_exactness() -> tuple[bool, str]:
 
 
 def _check_hermitian_builders() -> tuple[bool, str]:
-    model = HamiltonianModel(fock_cutoff=8, nu=1.0, omega_r=5.0)
-    cs = CouplingSet.pinned(lambda2=0.3, lambda1=0.1, omega_t=1.0)
-    h_ct = build_H_CT(cs, model)
-    h_i = build_H_I(cs, model, 0.37)
+    model = HamiltonianModel(fock_cutoff=8)
+    h_ct = build_H_CT(1.0, 0.1, 0.3, 5.0, model)
+    h_i = build_H_I(0.3, 1.0, model, 0.37)
     dev = max(
         float(np.max(np.abs(h_ct - h_ct.conj().T))),
         float(np.max(np.abs(h_i - h_i.conj().T))),
     )
-    cs0 = CouplingSet.pinned(lambda2=1e-300, lambda1=0.1, omega_t=1.0)
-    h0 = build_H_CT(replace(cs0, lambda2=0.0), model)
+    h0 = build_H_CT(1.0, 0.1, 0.0, 5.0, model)
     n_op = model.n_photon
     comm = float(np.max(np.abs(h0 @ n_op - n_op @ h0)))
     scale = float(np.max(np.abs(h0)))
@@ -152,7 +150,7 @@ def _check_propagator_oracle(mutations: frozenset) -> tuple[bool, str]:
     # compared with U rho0 U+ of the closed form at the same times.
     ref = load_config(None)
     sch = GateSchedule(k=ref.k, lambda2=ref.lambda2_pinned)
-    model = HamiltonianModel(fock_cutoff=16, nu=sch.nu)
+    model = HamiltonianModel(fock_cutoff=16)
     start = _dyn._gate_start(model.fock_cutoff)
     rho0 = start.density_matrix()
     t_grid = [0.0, 0.31 * sch.tau, 0.77 * sch.tau]
@@ -200,7 +198,7 @@ def _check_coherent_state_branches() -> tuple[bool, str]:
     dev_open = float(np.max(np.abs(branches - liouvillian)))
 
     closed = _dyn._branch_states(sch, 0.0, 0.0, t_grid)[0][-1]
-    model = HamiltonianModel(fock_cutoff=16, nu=sch.nu)
+    model = HamiltonianModel(fock_cutoff=16)
     psi = _dyn.analytic_U(sch.lambda2, sch.nu, t_grid[-1], model) @ _dyn._gate_start(16).data
     unitary = partial_trace(QuantumState.pure(psi, model.dims), (0, 1))
     dev_closed = float(np.max(np.abs(closed - unitary.data)))

@@ -24,10 +24,9 @@ from topoqed.dynamics import (
     propagator_AB,
     target_entangled_state,
 )
-from topoqed.interface import CouplingSet, HamiltonianModel, build_H_I, couplings, optimal_working_point
+from topoqed.interface import HamiltonianModel, build_H_I, couplings, optimal_working_point
 from topoqed.qcore import (
     TAU_MINUS,
-    LindbladSpec,
     QuantumState,
     basis_state,
     destroy,
@@ -50,13 +49,15 @@ def _vacuum_columns(model: HamiltonianModel) -> np.ndarray:
     return np.arange(4) * model.fock_cutoff
 
 
-def _headline_spec(model: HamiltonianModel, cs: CouplingSet, kappa: float, gamma: float) -> LindbladSpec:
+def _headline_problem(model: HamiltonianModel, lambda2: float, nu: float, kappa: float,
+                      gamma: float) -> tuple:
+    """The gate's time-dependent Hamiltonian and its channels, for the RK45 oracle."""
     n = model.fock_cutoff
     a_jz = model.a_op @ model.j_z
 
     def hamiltonian(t: float) -> np.ndarray:
-        phase = np.exp(-1j * model.nu * t)
-        return -cs.lambda2 * (phase * a_jz + np.conj(phase) * a_jz.conj().T)
+        phase = np.exp(-1j * nu * t)
+        return -lambda2 * (phase * a_jz + np.conj(phase) * a_jz.conj().T)
 
     channels = []
     if kappa > 0:
@@ -64,7 +65,7 @@ def _headline_spec(model: HamiltonianModel, cs: CouplingSet, kappa: float, gamma
     if gamma > 0:
         channels.append((tensor([TAU_MINUS, eye(2), eye(n)]), gamma))
         channels.append((tensor([eye(2), TAU_MINUS, eye(n)]), gamma))
-    return LindbladSpec(hamiltonian=hamiltonian, channels=tuple(channels))
+    return hamiltonian, tuple(channels)
 
 
 def _initial_gate_state(model: HamiltonianModel) -> QuantumState:
@@ -100,7 +101,7 @@ def test_criterion_2_closed_system_gate_exactness():
     >= 1 - 1e-6, within 5 s."""
     start = time.perf_counter()
     sch = GateSchedule(k=1, lambda2=LAMBDA2)
-    model = HamiltonianModel(fock_cutoff=16, nu=sch.nu)
+    model = HamiltonianModel(fock_cutoff=16)
 
     # Analytic propagator route (checks are also enforced internally).
     state = ideal_gate_state(sch, fock_cutoff=model.fock_cutoff)
@@ -108,10 +109,9 @@ def test_criterion_2_closed_system_gate_exactness():
     fid_analytic = state_fidelity(partial_trace(state, (0, 1)), target_entangled_state())
 
     # Master-equation route with zero rates.
-    cs = CouplingSet.pinned(lambda2=LAMBDA2)
-    spec = _headline_spec(model, cs, 0.0, 0.0)
+    problem = _headline_problem(model, LAMBDA2, sch.nu, 0.0, 0.0)
     rho = QuantumState.mixed(
-        integrate_master_equation(spec, _initial_gate_state(model), [0.0, sch.tau])[-1],
+        integrate_master_equation(*problem, _initial_gate_state(model), [0.0, sch.tau])[-1],
         model.dims)
     fid_evolved = state_fidelity(partial_trace(rho, (0, 1)), target_entangled_state())
     vac_evolved = float(np.real(partial_trace(rho, (2,)).data[0, 0]))
@@ -130,15 +130,14 @@ def test_criterion_3_propagator_identity():
     cavity-vacuum sector), within 120 s."""
     start = time.perf_counter()
     sch = GateSchedule(k=1, lambda2=LAMBDA2)
-    model = HamiltonianModel(fock_cutoff=16, nu=sch.nu)
-    cs = CouplingSet.pinned(lambda2=LAMBDA2)
+    model = HamiltonianModel(fock_cutoff=16)
     rng = np.random.default_rng(2024)
     times = np.sort(rng.uniform(0.0, 2.0 * sch.tau, 20))
 
     cols0 = np.zeros((model.dim, 4), dtype=complex)
     for j, c in enumerate(_vacuum_columns(model)):
         cols0[c, j] = 1.0
-    h_of_t = lambda t: build_H_I(cs, model, t)
+    h_of_t = lambda t: build_H_I(LAMBDA2, sch.nu, model, t)
     norm_h = 2.0 * LAMBDA2 * 2.0 * math.sqrt(model.fock_cutoff)
 
     def checkpoints(dt_target: float) -> list[np.ndarray]:
@@ -303,11 +302,10 @@ def test_criterion_9_open_system_sanity():
     """Physicality bounds along the full headline trajectory and the two
     closed-form decay laws at 1e-6."""
     sch = GateSchedule(k=1, lambda2=LAMBDA2)
-    model = HamiltonianModel(fock_cutoff=16, nu=sch.nu)
-    cs = CouplingSet.pinned(lambda2=LAMBDA2)
-    spec = _headline_spec(model, cs, KAPPA, GAMMA)
+    model = HamiltonianModel(fock_cutoff=16)
+    problem = _headline_problem(model, LAMBDA2, sch.nu, KAPPA, GAMMA)
     t_grid = np.arange(45) / 40.0 * math.pi / LAMBDA2
-    states = integrate_master_equation(spec, _initial_gate_state(model), t_grid)
+    states = integrate_master_equation(*problem, _initial_gate_state(model), t_grid)
     worst_trace = worst_eig = 0.0
     for rho in states:
         worst_trace = max(worst_trace, abs(complex(np.trace(rho)) - 1.0))
@@ -319,17 +317,15 @@ def test_criterion_9_open_system_sanity():
     # Closed-form decay laws on single-subsystem fixtures.
     n, kappa = 8, KAPPA
     a = destroy(n)
-    spec_c = LindbladSpec(hamiltonian=lambda t: np.zeros((n, n), complex), channels=((a, kappa),))
     ts = np.linspace(0.0, 1.5e-6, 7)
-    photon = integrate_master_equation(spec_c, QuantumState.pure(basis_state(n, 1), (n,)), ts)
+    photon = integrate_master_equation(lambda t: np.zeros((n, n), complex), ((a, kappa),),
+                                       QuantumState.pure(basis_state(n, 1), (n,)), ts)
     worst_law = max(
         abs(float(np.real(np.trace(number_op(n) @ rho))) - math.exp(-2.0 * kappa * t))
         for t, rho in zip(ts, photon)
     )
-    spec_q = LindbladSpec(
-        hamiltonian=lambda t: np.zeros((2, 2), complex), channels=((TAU_MINUS, GAMMA),)
-    )
-    qubit = integrate_master_equation(spec_q, QuantumState.pure(basis_state(2, 1), (2,)), ts)
+    qubit = integrate_master_equation(lambda t: np.zeros((2, 2), complex), ((TAU_MINUS, GAMMA),),
+                                      QuantumState.pure(basis_state(2, 1), (2,)), ts)
     worst_law = max(
         worst_law,
         max(

@@ -122,9 +122,8 @@ def counted(*args, **kwargs):
     return original(*args, **kwargs)
 
 qcore.solve_ivp = counted  # rebinding the module attribute, as a tracer does
-spec = qcore.LindbladSpec(hamiltonian=lambda t: qcore.SIGMA_X, channels=())
 start = qcore.QuantumState.pure(qcore.basis_state(2, 0), (2,))
-states = qcore.integrate_master_equation(spec, start, [0.0, 0.5 * math.pi])
+states = qcore.integrate_master_equation(lambda t: qcore.SIGMA_X, (), start, [0.0, 0.5 * math.pi])
 print(len(calls), round(states[-1][1, 1].real, 6))
 """
 
@@ -611,6 +610,29 @@ class TestErrorPaths:
         assert res.returncode == 2
         assert "configuration error" in res.stderr
 
+    def test_empty_sweep_flag_exits_2(self, tmp_path, capsys):
+        # An empty --sweep is a malformed sweep, not the default one.
+        assert main(["spectrum", "--sweep", "", "--out", str(tmp_path / "o")]) == 2
+        assert "--sweep expects VAR:MIN:MAX:STEPS" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_empty_out_flag_is_the_empty_config_directory(self, tmp_path, monkeypatch):
+        # --out '' names the working directory, as "output": {"directory": ""}
+        # does, and not the default ./out.
+        doc = default_config_dict()
+        doc["output"]["directory"] = ""
+        config = write_config(tmp_path, doc)
+        for run, argv in (("flag", ["phij", "--out", ""]),
+                          ("config", ["phij", "--config", config])):
+            (tmp_path / run).mkdir()
+            monkeypatch.chdir(tmp_path / run)
+            assert main(argv) == 0
+        written = ["phij.csv", "phij_summary.json"]
+        assert sorted(os.listdir(tmp_path / "flag")) == written
+        for name in written:
+            flag, config = (tmp_path / run / name for run in ("flag", "config"))
+            assert flag.read_bytes() == config.read_bytes()
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -728,6 +750,54 @@ class TestErrorPaths:
                     assert math.isfinite(number), (path.name, field)
             for path in out.glob("*.json"):
                 json.loads(path.read_text(), parse_constant=pytest.fail)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            check()
+
+    def test_random_flags_keep_the_exit_contract(self, tmp_path, monkeypatch):
+        # gate, fig2 and validate under random flag sets, empty values and
+        # flags of other commands included, run in tmp_path so that every
+        # output lands there: each run returns 0, 2, 3 or 4 (argparse exits
+        # 2), raises nothing else and writes no NaN or infinity to a CSV.
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        monkeypatch.chdir(tmp_path)
+        Path("f").write_text("a file\n")
+        doc = default_config_dict()
+        doc["curve"] = {"x_max": 1.5, "steps": 6}
+        doc["schedule"]["k"] = 4
+        Path("small.json").write_text(json.dumps(doc))
+        runs = iter(range(10**6))
+        outs = st.sampled_from(["", ".", "o", "f", "f/o", "out/sub"]) | st.builds(
+            lambda: f"run{next(runs)}")
+        out = ("--out", outs)
+        # Valid values are drawn more often, so that runs also get to write.
+        config = ("--config", st.sampled_from(["small.json"] * 3 + ["", "missing.json", "f", "."]))
+        rate = ("--rate-convention", st.sampled_from(["plain", "angular", ""]))
+        mutate = ("--mutate", st.sampled_from(["gate-phase-sign"] * 2 + [""]))
+        own = {"gate": [out, config, rate], "fig2": [out, config], "validate": [out, config, mutate]}
+        foreign = ("--sweep", st.sampled_from(["", "eps:0:1:3"]))
+
+        @hypothesis.settings(max_examples=50, deadline=None)
+        @hypothesis.given(st.sampled_from(sorted(own)), st.data())
+        def check(command, data):
+            argv = [command]
+            for flag, values in data.draw(st.lists(st.sampled_from(own[command] * 4 + [foreign]),
+                                                   max_size=3)):
+                argv += [flag, data.draw(values)]
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse refuses the flag or its value
+                code = exc.code
+            assert code in (0, 2, 3, 4), argv
+            for path in tmp_path.rglob("*.csv"):
+                for field in path.read_text().replace("\n", ",").split(","):
+                    try:
+                        number = float(field)
+                    except ValueError:
+                        continue
+                    assert math.isfinite(number), (path, field)
 
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")

@@ -15,11 +15,10 @@ from topoqed.dynamics import (
     propagator_AB,
     target_entangled_state,
 )
-from topoqed.interface import CouplingSet, HamiltonianModel, build_H_I
+from topoqed.interface import HamiltonianModel, build_H_I
 from topoqed.qcore import (
     TAU_MINUS,
     IntegrationError,
-    LindbladSpec,
     QuantumState,
     basis_state,
     expm_hermitian,
@@ -99,13 +98,13 @@ class TestPropagatorAB:
 class TestAnalyticU:
     def test_zero_coupling_gives_identity(self):
         sch = GateSchedule(k=1, lambda2=LAMBDA2)
-        model = HamiltonianModel(fock_cutoff=8, nu=sch.nu)
+        model = HamiltonianModel(fock_cutoff=8)
         u = analytic_U(0.0, sch.nu, 1e-8, model)
         assert np.max(np.abs(u - np.eye(model.dim))) < 1e-14
 
     def test_diagonal_phase_gate_at_closed_loops(self):
         sch = GateSchedule(k=1, lambda2=LAMBDA2)
-        model = HamiltonianModel(fock_cutoff=12, nu=sch.nu)
+        model = HamiltonianModel(fock_cutoff=12)
         n = model.fock_cutoff
         for m in (1, 2):
             t = 2.0 * math.pi * m / sch.nu
@@ -119,7 +118,7 @@ class TestAnalyticU:
 
     def test_neutral_subspace_untouched(self):
         sch = GateSchedule(k=1, lambda2=LAMBDA2)
-        model = HamiltonianModel(fock_cutoff=12, nu=sch.nu)
+        model = HamiltonianModel(fock_cutoff=12)
         u = analytic_U(sch.lambda2, sch.nu, sch.tau, model)
         n = model.fock_cutoff
         block = slice(n, 3 * n)
@@ -129,8 +128,7 @@ class TestAnalyticU:
         # Step-doubled RK on the interaction-picture equation, launched from
         # 12 random qubit states with the cavity in vacuum.
         sch = GateSchedule(k=1, lambda2=LAMBDA2)
-        model = HamiltonianModel(fock_cutoff=16, nu=sch.nu)
-        cs = CouplingSet.pinned(lambda2=sch.lambda2)
+        model = HamiltonianModel(fock_cutoff=16)
         n = model.fock_cutoff
         rng = np.random.default_rng(77)
         cols = np.zeros((model.dim, 12), dtype=complex)
@@ -138,7 +136,7 @@ class TestAnalyticU:
             qubit = random_pure_state(rng, 4)
             cols[:, j] = np.kron(qubit, basis_state(n, 0))
         t = 0.37 * sch.tau
-        h_of_t = lambda time: build_H_I(cs, model, time)
+        h_of_t = lambda time: build_H_I(sch.lambda2, sch.nu, model, time)
         steps = max(64, int(t * 4 * sch.lambda2 * math.sqrt(n) / 0.05))
         reference = rk4_columns_step_doubled(h_of_t, cols, t, steps, tol=1e-8)
         evolved = analytic_U(sch.lambda2, sch.nu, t, model) @ cols
@@ -163,7 +161,7 @@ class TestIdealGateState:
     def test_polarized_state_only_acquires_phase(self):
         # |00> is a J_z^2 eigenstate: the gate returns it up to a phase.
         sch = GateSchedule(k=1, lambda2=LAMBDA2)
-        model = HamiltonianModel(fock_cutoff=12, nu=sch.nu)
+        model = HamiltonianModel(fock_cutoff=12)
         n = model.fock_cutoff
         psi0 = np.kron(np.array([1, 0, 0, 0], dtype=complex), basis_state(n, 0))
         psi1 = analytic_U(sch.lambda2, sch.nu, sch.tau, model) @ psi0
@@ -197,17 +195,16 @@ class TestFidelityCurve:
         # curves).
         sch = GateSchedule(k=k, lambda2=LAMBDA2)
         n, kappa, gamma = 16, 1e6, 1e6
-        model = HamiltonianModel(fock_cutoff=n, nu=sch.nu)
-        cs = CouplingSet.pinned(lambda2=sch.lambda2)
+        model = HamiltonianModel(fock_cutoff=n)
         t_grid = np.union1d(np.linspace(0.0, 1.1, 6) * math.pi / LAMBDA2, [sch.tau])
         channels = (
             (model.a_op, kappa),
             (tensor([TAU_MINUS, eye(2), eye(n)]), gamma),
             (tensor([eye(2), TAU_MINUS, eye(n)]), gamma),
         )
-        spec = LindbladSpec(hamiltonian=lambda t: build_H_I(cs, model, t), channels=channels)
         start = QuantumState.pure(np.kron(plus_plus_state().data, basis_state(n, 0)), model.dims)
-        oracle = integrate_master_equation(spec, start, t_grid)
+        oracle = integrate_master_equation(
+            lambda t: build_H_I(sch.lambda2, sch.nu, model, t), channels, start, t_grid)
         production = _dyn._qubit_states(sch, kappa, gamma, t_grid, n)
         assert len(production) == len(t_grid)
         worst = max(
@@ -306,7 +303,7 @@ class TestCoherentStateBranches:
 
     def test_closed_form_matches_analytic_propagator(self):
         sch = GateSchedule(k=1, lambda2=LAMBDA2)
-        model = HamiltonianModel(fock_cutoff=16, nu=sch.nu)
+        model = HamiltonianModel(fock_cutoff=16)
         t_grid = np.array([0.0, 0.21, 0.5, 0.83]) * sch.tau
         states, _ = _dyn._branch_states(sch, 0.0, 0.0, t_grid)
         for t, rho in zip(t_grid, states):

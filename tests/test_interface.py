@@ -6,7 +6,6 @@ import pytest
 
 from topoqed.interface import (
     PHI_C_MIN,
-    CouplingSet,
     HamiltonianModel,
     build_H_CT,
     build_H_I,
@@ -144,72 +143,66 @@ class TestOptimalWorkingPoint:
 class TestHamiltonianModel:
     def test_minimum_cutoff_enforced(self):
         with pytest.raises(ValueError):
-            HamiltonianModel(fock_cutoff=4, nu=1.0)
+            HamiltonianModel(fock_cutoff=4)
 
     def test_dims(self):
-        model = HamiltonianModel(fock_cutoff=10, nu=1.0)
+        model = HamiltonianModel(fock_cutoff=10)
         assert model.dims == (2, 2, 10)
         assert model.dim == 40
 
 
 class TestBuildHCT:
     def test_hermitian(self):
-        model = HamiltonianModel(fock_cutoff=8, nu=1.0, omega_r=5.0)
-        cs = CouplingSet.pinned(lambda2=0.4, lambda1=0.2, omega_t=1.3)
-        h = build_H_CT(cs, model)
+        model = HamiltonianModel(fock_cutoff=8)
+        h = build_H_CT(1.3, 0.2, 0.4, 5.0, model)
         assert np.max(np.abs(h - h.conj().T)) <= 1e-12 * np.max(np.abs(h))
 
     def test_photon_creation_matrix_element(self):
-        model = HamiltonianModel(fock_cutoff=8, nu=1.0, omega_r=5.0)
-        cs = CouplingSet.pinned(lambda2=0.4, lambda1=0.2, omega_t=1.3)
-        h = build_H_CT(cs, model)
+        model = HamiltonianModel(fock_cutoff=8)
+        h = build_H_CT(1.3, 0.2, 0.4, 5.0, model)
         n = model.fock_cutoff
         ket_000 = np.kron(np.kron(basis_state(2, 0), basis_state(2, 0)), basis_state(n, 0))
         ket_001 = np.kron(np.kron(basis_state(2, 0), basis_state(2, 0)), basis_state(n, 1))
         element = complex(ket_001.conj() @ h @ ket_000)
-        assert abs(element - (-2.0 * cs.lambda2)) < 1e-14
+        assert abs(element - (-2.0 * 0.4)) < 1e-14
 
     def test_commutes_with_photon_number_when_cavity_decoupled(self):
-        model = HamiltonianModel(fock_cutoff=8, nu=1.0, omega_r=5.0)
-        cs = CouplingSet.pinned(lambda2=1.0, lambda1=0.2, omega_t=1.3)
-        h = build_H_CT(dataclasses.replace(cs, lambda2=0.0), model)
+        model = HamiltonianModel(fock_cutoff=8)
+        h = build_H_CT(1.3, 0.2, 0.0, 5.0, model)
         comm = h @ model.n_photon - model.n_photon @ h
         assert np.max(np.abs(comm)) <= 1e-12 * np.max(np.abs(h))
 
 
 class TestBuildHI:
     def test_initial_time_form(self):
-        model = HamiltonianModel(fock_cutoff=8, nu=2.0)
-        cs = CouplingSet.pinned(lambda2=0.7)
-        h0 = build_H_I(cs, model, 0.0)
+        model = HamiltonianModel(fock_cutoff=8)
+        h0 = build_H_I(0.7, 2.0, model, 0.0)
         quad = model.a_op + model.a_op.conj().T
-        expected = -cs.lambda2 * quad @ model.j_z
+        expected = -0.7 * quad @ model.j_z
         assert np.max(np.abs(h0 - expected)) < 1e-14
 
     def test_neutral_subspace_decoupled(self):
         # J_z eigenvalues on the two qubits are {+1, 0, 0, -1}; the 0 sector
         # gives vanishing rows and columns at any time.
-        model = HamiltonianModel(fock_cutoff=8, nu=2.0)
-        cs = CouplingSet.pinned(lambda2=0.7)
+        model = HamiltonianModel(fock_cutoff=8)
         n = model.fock_cutoff
-        h = build_H_I(cs, model, 0.93)
+        h = build_H_I(0.7, 2.0, model, 0.93)
         neutral = list(range(n, 3 * n))  # |01> and |10> blocks
         assert np.max(np.abs(h[neutral, :])) == 0.0
         assert np.max(np.abs(h[:, neutral])) == 0.0
 
     def test_expectation_values_real(self):
-        model = HamiltonianModel(fock_cutoff=8, nu=2.0)
-        cs = CouplingSet.pinned(lambda2=0.7)
+        model = HamiltonianModel(fock_cutoff=8)
         rng = np.random.default_rng(12)
         for t in rng.uniform(0.0, 10.0, 5):
-            h = build_H_I(cs, model, float(t))
+            h = build_H_I(0.7, 2.0, model, float(t))
             psi = random_pure_state(rng, model.dim)
             assert abs(np.imag(psi.conj() @ h @ psi)) < 1e-12
 
     def test_requires_positive_detuning(self):
-        model = HamiltonianModel(fock_cutoff=8, nu=0.0)
+        model = HamiltonianModel(fock_cutoff=8)
         with pytest.raises(ValueError):
-            build_H_I(CouplingSet.pinned(lambda2=1.0), model, 0.0)
+            build_H_I(1.0, 0.0, model, 0.0)
 
 
 class TestBuildHSingleInterface:
