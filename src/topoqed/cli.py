@@ -232,12 +232,14 @@ def cmd_gate(config: RunConfig) -> int:
     if config.lambda2_pinned is not None:
         lambda2 = config.lambda2_pinned
     else:
-        lambda2 = abs(couplings(config.wire, config.circuit).lambda2)
+        cs = couplings(config.wire, config.circuit)
+        lambda2 = abs(cs.lambda2)
         if lambda2 == 0.0:
             raise ConfigError(
-                "lambda2 vanishes at this working point (phi_e = pi switches the "
-                "cavity interface off); pin schedule.lambda2 or change phi_e"
-            )
+                f"lambda2 vanishes at working phase {cs.working_phi!r} rad with phi_e = "
+                f"{config.circuit.phi_e!r} rad: phi_e = pi switches the cavity interface off, "
+                "and at a working phase of 0 (mod 2*pi) the splitting has its cusp, where "
+                "dE/dphi = 0; pin schedule.lambda2 or change phi_e or phi_c")
     curve = _run_curve(config, lambda2)
     _write_curve(config, curve, "gate")
     return EXIT_OK

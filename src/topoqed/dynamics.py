@@ -67,7 +67,6 @@ from .interface import HamiltonianModel
 from .qcore import (
     TAU_MINUS,
     IntegrationError,
-    QuantumState,
     basis_state,
     evolve_master_equation,
     expm_hermitian,
@@ -152,26 +151,24 @@ def analytic_U(lambda2: float, nu: float, t: float, model: HamiltonianModel) -> 
     return u
 
 
-def plus_plus_state() -> QuantumState:
-    """Both qubits in (|0> + |1>)/sqrt(2)."""
-    return QuantumState.pure(np.full(4, 0.5, dtype=complex), (2, 2))
+def plus_plus_state() -> np.ndarray:
+    """Both qubits in (|0> + |1>)/sqrt(2), as a vector of the two-qubit space."""
+    return np.full(4, 0.5, dtype=complex)
 
 
-def target_entangled_state() -> QuantumState:
-    """The maximally entangled gate target (|++> + i|-->)/sqrt(2)."""
-    plus_plus = np.full(4, 0.5, dtype=complex)
+def target_entangled_state() -> np.ndarray:
+    """The maximally entangled gate target (|++> + i|-->)/sqrt(2), as a vector."""
     minus_minus = 0.5 * np.array([1.0, -1.0, -1.0, 1.0], dtype=complex)
-    return QuantumState.pure((plus_plus + 1j * minus_minus) / math.sqrt(2.0), (2, 2))
+    return (plus_plus_state() + 1j * minus_minus) / math.sqrt(2.0)
 
 
-def _gate_start(fock_cutoff: int) -> QuantumState:
+def _gate_start(fock_cutoff: int) -> np.ndarray:
     """|++> with the cavity in vacuum, the initial state of every gate run."""
-    psi0 = np.kron(plus_plus_state().data, basis_state(fock_cutoff, 0))
-    return QuantumState.pure(psi0, (2, 2, fock_cutoff))
+    return np.kron(plus_plus_state(), basis_state(fock_cutoff, 0))
 
 
-def ideal_gate_state(schedule: GateSchedule, fock_cutoff: int = 16) -> QuantumState:
-    """Closed-system state after one full gate, from |++> and cavity vacuum.
+def ideal_gate_state(schedule: GateSchedule, fock_cutoff: int = 16) -> np.ndarray:
+    """Closed-system state vector after one full gate, from |++> and cavity vacuum.
 
     Verifies that the cavity has returned to vacuum (overlap >= 1 - 1e-8) and
     that the qubit pair reaches the entangled target with fidelity
@@ -182,21 +179,21 @@ def ideal_gate_state(schedule: GateSchedule, fock_cutoff: int = 16) -> QuantumSt
     if loop_dev > 1e-9:
         raise ValueError(f"schedule does not close the loop: |nu*tau - 2k*pi| = {loop_dev:.2e}")
     u = analytic_U(schedule.lambda2, schedule.nu, schedule.tau, model)
-    psi = u @ _gate_start(fock_cutoff).data
+    psi = u @ _gate_start(fock_cutoff)
     psi = psi / np.linalg.norm(psi)
-    state = QuantumState.pure(psi, model.dims)
 
     vacuum_weight = float(np.sum(np.abs(psi[_vacuum_columns(model)]) ** 2))
     if vacuum_weight < 1.0 - 1e-8:
         raise IntegrationError(
             f"cavity did not return to vacuum: overlap {vacuum_weight:.12f}"
         )
-    qubit_fidelity = state_fidelity(partial_trace(state, (0, 1)), target_entangled_state())
+    qubit_fidelity = state_fidelity(
+        partial_trace(np.outer(psi, psi.conj()), model.dims, (0, 1)), target_entangled_state())
     if qubit_fidelity < 1.0 - 1e-8:
         raise IntegrationError(
             f"gate target fidelity {qubit_fidelity:.12f} below 1 - 1e-8"
         )
-    return state
+    return psi
 
 
 @dataclass(frozen=True)
@@ -253,10 +250,10 @@ def _qubit_states(
     if gamma > 0:
         channels.append((tensor([TAU_MINUS, eye(2), eye(n)]), gamma))
         channels.append((tensor([eye(2), TAU_MINUS, eye(n)]), gamma))
-    rhos = evolve_master_equation(
-        _rotating_frame_hamiltonian(schedule, model), channels, _gate_start(n), t_grid
-    )
-    return np.trace(rhos.reshape(len(rhos), 4, n, 4, n), axis1=2, axis2=4)
+    psi0 = _gate_start(n)
+    rhos = evolve_master_equation(_rotating_frame_hamiltonian(schedule, model), channels,
+                                  np.outer(psi0, psi0.conj()), t_grid)
+    return partial_trace(rhos, model.dims, (0, 1))
 
 
 # The two-qubit basis |00>, |01>, |10>, |11>, with |0> the tau_z = +1 ground
@@ -408,7 +405,7 @@ def fidelity_curve(
     """
     rhos, delta = _branch_states(schedule, kappa, gamma, t_grid)
     t_grid = np.asarray(t_grid, dtype=float)
-    target = target_entangled_state().data
+    target = target_entangled_state()
     return FidelityCurve(
         times_ns=t_grid * 1e9,
         lambda2_t_over_pi=schedule.lambda2 * t_grid / math.pi,

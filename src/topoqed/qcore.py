@@ -2,15 +2,14 @@
 
 Operators are plain ``numpy`` arrays of complex doubles; helpers below build
 Pauli and truncated-oscillator matrices and combine them with Kronecker
-products.  Initial, pure and reference states are wrapped in
-:class:`QuantumState`, which validates the usual physicality bounds (norm,
-trace, Hermiticity, positivity) on construction.
+products.  States are plain arrays too: a pure state is a complex vector,
+a density matrix a square array, and a trajectory one ``(n, d, d)`` stack.
 
-A propagated trajectory is one ``(n, d, d)`` array of density matrices, and
-``_checked_states`` checks the whole stack once: finite entries, unit trace,
-Hermiticity, and positivity from one batched ``eigvalsh``.  Two propagators
-return such checked stacks, and the closed-form gate states of
-:mod:`topoqed.dynamics` pass the same check.  Both take
+``_checked_states`` is the one physicality check: finite entries, unit
+trace, Hermiticity, and positivity from one batched ``eigvalsh``, once per
+stack.  Two propagators pass their initial state and their trajectory
+through it, as do the closed-form gate states of :mod:`topoqed.dynamics`.
+Both propagators take
 ``(hamiltonian, channels, rho0, t_grid)``, with ``channels`` a sequence of
 ``(L, rate)`` pairs that ``_checked_channels`` checks for both: each L of
 H's shape, each rate >= 0.
@@ -52,7 +51,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from functools import reduce
 from typing import Callable, Sequence
 
@@ -61,7 +59,6 @@ import numpy as np
 __all__ = [
     "ConvergenceError",
     "IntegrationError",
-    "QuantumState",
     "SIGMA_X",
     "SIGMA_Z",
     "TAU_MINUS",
@@ -78,10 +75,9 @@ __all__ = [
     "tensor",
 ]
 
-# Tolerances for state validation (see QuantumState).
-PURE_NORM_TOL = 1e-10
+# The physicality bounds of a density matrix (see _checked_states).
 TRACE_TOL = 1e-8
-HERMITICITY_TOL = 1e-10
+HERMITICITY_TOL = 1e-9
 EIGENVALUE_FLOOR = -1e-8
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -251,109 +247,39 @@ def expm_hermitian(h: np.ndarray, t: float) -> np.ndarray:
     return u
 
 
-@dataclass(frozen=True)
-class QuantumState:
-    """Pure state vector or density matrix over a list of subsystems.
+def partial_trace(rho: np.ndarray, dims: Sequence[int], keep: Sequence[int]) -> np.ndarray:
+    """Reduced density matrices over the subsystems listed in ``keep``.
 
-    ``dims`` gives the subsystem dimensions in tensor order; ``data`` is the
-    amplitude vector (pure) or density matrix (mixed).  Validation enforces
-    finite entries, unit norm for pure states, and unit trace / Hermiticity /
-    positivity within the module tolerances for mixed ones.
+    ``rho`` is a ``(..., d, d)`` stack over subsystems of dimensions ``dims``,
+    so a whole trajectory reduces at once; kept subsystems keep their order.
     """
-
-    kind: str
-    dims: tuple[int, ...]
-    data: np.ndarray
-
-    def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
-        object.__setattr__(self, "dims", dims)
-        if any(d < 1 for d in dims):
-            raise ValueError("subsystem dimensions must be positive")
-        total = int(np.prod(dims))
-        data = np.asarray(self.data, dtype=complex)
-        # The comparisons below are written so that a NaN would fail them too
-        # (every comparison with NaN is false).
-        if not np.isfinite(data).all():
-            raise ValueError("state has non-finite entries")
-        if self.kind == "pure":
-            if data.shape != (total,):
-                raise ValueError(f"pure state needs shape ({total},), got {data.shape}")
-            norm = float(np.linalg.norm(data))
-            if not abs(norm - 1.0) <= PURE_NORM_TOL:
-                raise ValueError(f"pure state norm {norm!r} deviates from 1")
-        elif self.kind == "mixed":
-            if data.shape != (total, total):
-                raise ValueError(
-                    f"density matrix needs shape ({total},{total}), got {data.shape}"
-                )
-            tr = complex(np.trace(data))
-            if not abs(tr - 1.0) <= TRACE_TOL:
-                raise ValueError(f"density matrix trace {tr!r} deviates from 1")
-            if not np.max(np.abs(data - data.conj().T)) <= HERMITICITY_TOL:
-                raise ValueError("density matrix is not Hermitian within tolerance")
-            min_eig = float(np.linalg.eigvalsh(data)[0])
-            if not min_eig >= EIGENVALUE_FLOOR:
-                raise ValueError(f"density matrix has eigenvalue {min_eig} < {EIGENVALUE_FLOOR}")
-        else:
-            raise ValueError(f"kind must be 'pure' or 'mixed', got {self.kind!r}")
-        data.setflags(write=False)
-        object.__setattr__(self, "data", data)
-
-    @classmethod
-    def pure(cls, vec: np.ndarray, dims: Sequence[int]) -> "QuantumState":
-        return cls("pure", tuple(dims), np.asarray(vec, dtype=complex))
-
-    @classmethod
-    def mixed(cls, rho: np.ndarray, dims: Sequence[int]) -> "QuantumState":
-        return cls("mixed", tuple(dims), np.asarray(rho, dtype=complex))
-
-    @property
-    def dim(self) -> int:
-        return int(np.prod(self.dims))
-
-    def density_matrix(self) -> np.ndarray:
-        """The state as a density matrix (outer product for pure states)."""
-        if self.kind == "pure":
-            return np.outer(self.data, self.data.conj())
-        return np.array(self.data)
-
-
-def partial_trace(state: QuantumState, keep: Sequence[int]) -> QuantumState:
-    """Reduced density matrix over the subsystems listed in ``keep``.
-
-    Pure inputs are promoted to density matrices.  Kept subsystems retain
-    their original relative order.
-    """
+    dims = tuple(dims)
     keep = sorted(set(int(k) for k in keep))
-    n = len(state.dims)
+    n = len(dims)
     if any(k < 0 or k >= n for k in keep):
         raise ValueError(f"keep indices {keep} out of range for {n} subsystems")
     if not keep:
         raise ValueError("keep must name at least one subsystem")
-    rho = state.density_matrix()
-    dims = state.dims
-    rho = rho.reshape(dims + dims)
-    traced = [i for i in range(n) if i not in keep]
+    total = math.prod(dims)
+    if rho.shape[-2:] != (total, total):
+        raise ValueError(f"density matrices need shape (..., {total}, {total}), got {rho.shape}")
+    lead = rho.shape[:-2]
+    rho = rho.reshape(lead + dims + dims)
     # Repeatedly trace out the highest-index discarded subsystem so that the
     # remaining axis numbering stays valid.
-    for i in sorted(traced, reverse=True):
-        m = rho.ndim // 2
-        rho = np.trace(rho, axis1=i, axis2=m + i)
-    kept_dim = int(np.prod([dims[k] for k in keep]))
-    rho = rho.reshape(kept_dim, kept_dim)
-    return QuantumState.mixed(rho, tuple(dims[k] for k in keep))
+    for i in sorted(set(range(n)) - set(keep), reverse=True):
+        m = (rho.ndim - len(lead)) // 2
+        rho = np.trace(rho, axis1=len(lead) + i, axis2=len(lead) + m + i)
+    return rho.reshape(lead + (math.prod(dims[k] for k in keep),) * 2)
 
 
-def state_fidelity(rho: QuantumState, psi: QuantumState) -> float:
-    """Overlap <psi| rho |psi> of a state with a pure reference."""
-    if psi.kind != "pure":
-        raise ValueError("reference state must be pure")
-    if rho.dim != psi.dim:
-        raise ValueError(f"dimension mismatch: {rho.dim} vs {psi.dim}")
-    if rho.kind == "pure":
-        return float(abs(np.vdot(psi.data, rho.data)) ** 2)
-    return float(np.real(np.vdot(psi.data, rho.data @ psi.data)))
+def state_fidelity(rho: np.ndarray, psi: np.ndarray) -> float:
+    """Overlap <psi| rho |psi> of a density matrix with a pure reference vector."""
+    if psi.ndim != 1:
+        raise ValueError(f"the reference state must be a vector, got shape {psi.shape}")
+    if rho.shape != (psi.size, psi.size):
+        raise ValueError(f"dimension mismatch: {rho.shape} vs {psi.size}")
+    return float(np.real(np.vdot(psi, rho @ psi)))
 
 
 def _time_grid(t_grid: Sequence[float]) -> np.ndarray:
@@ -399,7 +325,7 @@ def _checked_states(rhos: np.ndarray, t_grid: np.ndarray) -> np.ndarray:
         herm_dev = np.max(np.abs(rhos - adjoint), axis=(1, 2))
     # eigvalsh fails on a non-finite matrix, so it runs only on the states
     # before the first one that fails a cheaper check.
-    fails = ~finite | (trace_dev > TRACE_TOL) | (herm_dev > 1e-9)
+    fails = ~finite | (trace_dev > TRACE_TOL) | (herm_dev > HERMITICITY_TOL)
     first = int(np.argmax(fails)) if fails.any() else len(rhos)
     herm = 0.5 * (rhos[:first] + adjoint[:first])
     if first:
@@ -522,7 +448,7 @@ def _expm_step(gen, norm: float, dt: float, vec: np.ndarray, t: float) -> np.nda
 def evolve_master_equation(
     hamiltonian: np.ndarray,
     channels: Sequence[tuple[np.ndarray, float]],
-    rho0: QuantumState,
+    rho0: np.ndarray,
     t_grid: Sequence[float],
 ) -> np.ndarray:
     """Propagate a density matrix under a time-independent generator.
@@ -534,15 +460,16 @@ def evolve_master_equation(
     substeps of 1-norm at most ``_THETA``; a series not converged after 50
     terms raises :class:`IntegrationError`.  Beyond
     :func:`_checked_channels`, the generator is taken as given; an unphysical
-    one shows up in the checks of :func:`_checked_states`, which the whole
-    trajectory passes.  Returns the density matrices on the grid, shape
-    ``(len(t_grid), d, d)``.
+    one shows up in the checks of :func:`_checked_states`, which ``rho0``, a
+    ``(d, d)`` density matrix, passes first and the whole trajectory after.
+    Returns the density matrices on the grid, shape ``(len(t_grid), d, d)``.
     """
     t_grid = _time_grid(t_grid)
     h = np.asarray(hamiltonian, dtype=complex)
-    rho = rho0.density_matrix()
+    rho = np.asarray(rho0, dtype=complex)
     if rho.shape != h.shape:
         raise ValueError("initial state dimension does not match the Hamiltonian")
+    _checked_states(rho[None], t_grid[:1])
     gen = _liouvillian(h, _checked_channels(channels, h.shape))
     # The exact 1-norm, the largest column sum of |gen|.
     col_sums = np.zeros(rho.size)
@@ -564,7 +491,7 @@ def evolve_master_equation(
 def integrate_master_equation(
     hamiltonian: Callable[[float], np.ndarray],
     channels: Sequence[tuple[np.ndarray, float]],
-    rho0: QuantumState,
+    rho0: np.ndarray,
     t_grid: Sequence[float],
 ) -> np.ndarray:
     """Propagate a density matrix under a Hamiltonian that depends on time.
@@ -572,20 +499,21 @@ def integrate_master_equation(
     ``hamiltonian`` maps a time (seconds) to a Hermitian matrix; the channels
     are those of :func:`evolve_master_equation`.  Uses an adaptive embedded
     Runge-Kutta 4(5) pair (rtol 1e-9, atol 1e-12) on the vectorized density
-    matrix.  The trajectory, shape ``(len(t_grid), d, d)``, passes the
-    checks of :func:`_checked_states`: finite entries, unit trace (1e-8),
-    Hermiticity (1e-9) and positivity (eigenvalues >= -1e-8), each raising
-    :class:`IntegrationError` naming the time.
+    matrix.  ``rho0``, a ``(d, d)`` density matrix, and the trajectory,
+    shape ``(len(t_grid), d, d)``, pass :func:`_checked_states`: finite
+    entries, unit trace (1e-8), Hermiticity (1e-9) and positivity
+    (eigenvalues >= -1e-8), each raising IntegrationError naming the time.
     """
     t_grid = _time_grid(t_grid)
-    rho = rho0.density_matrix()
+    rho = np.asarray(rho0, dtype=complex)
     shape = np.shape(hamiltonian(0.0))
     if rho.shape != shape:
         raise ValueError("initial state dimension does not match the Hamiltonian")
+    start = _checked_states(rho[None], t_grid[:1])
     ops = [(op, op.conj().T, op.conj().T @ op, rate)
            for op, rate in _checked_channels(channels, shape)]
     if len(t_grid) == 1:
-        return _checked_states(rho[None], t_grid)
+        return start
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
         r = y.reshape(shape)

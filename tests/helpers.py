@@ -237,11 +237,12 @@ def liouvillian_gate_states(schedule, kappa: float, gamma: float, t_grid,
     return states
 
 
-def entanglement_entropy(psi, cut) -> float:
-    """Von Neumann entropy (bits) of a pure state's reduced state over ``cut``."""
-    if psi.kind != "pure":
-        raise ValueError("entanglement entropy requires a pure state")
-    eigs = np.linalg.eigvalsh(partial_trace(psi, cut).data)
+def entanglement_entropy(psi, dims, cut) -> float:
+    """Von Neumann entropy (bits) of a pure state vector's reduced state over ``cut``."""
+    psi = np.asarray(psi)
+    if psi.ndim != 1:
+        raise ValueError("entanglement entropy requires a pure state vector")
+    eigs = np.linalg.eigvalsh(partial_trace(np.outer(psi, psi.conj()), dims, cut))
     eigs = eigs[eigs > 1e-15]
     return float(-np.sum(eigs * np.log2(eigs)))
 

@@ -27,7 +27,6 @@ from topoqed.dynamics import (
 from topoqed.interface import HamiltonianModel, build_H_I, couplings, optimal_working_point
 from topoqed.qcore import (
     TAU_MINUS,
-    QuantumState,
     basis_state,
     destroy,
     eye,
@@ -68,10 +67,11 @@ def _headline_problem(model: HamiltonianModel, lambda2: float, nu: float, kappa:
     return hamiltonian, tuple(channels)
 
 
-def _initial_gate_state(model: HamiltonianModel) -> QuantumState:
+def _initial_gate_state(model: HamiltonianModel) -> np.ndarray:
+    """The density matrix of |++> with the cavity in vacuum."""
     psi0 = np.zeros(model.dim, dtype=complex)
     psi0[_vacuum_columns(model)] = 0.5
-    return QuantumState.pure(psi0, model.dims)
+    return np.outer(psi0, psi0.conj())
 
 
 def test_criterion_1_headline_fidelity(tmp_path):
@@ -104,17 +104,16 @@ def test_criterion_2_closed_system_gate_exactness():
     model = HamiltonianModel(fock_cutoff=16)
 
     # Analytic propagator route (checks are also enforced internally).
-    state = ideal_gate_state(sch, fock_cutoff=model.fock_cutoff)
-    vac_analytic = float(np.sum(np.abs(state.data[_vacuum_columns(model)]) ** 2))
-    fid_analytic = state_fidelity(partial_trace(state, (0, 1)), target_entangled_state())
+    psi = ideal_gate_state(sch, fock_cutoff=model.fock_cutoff)
+    vac_analytic = float(np.sum(np.abs(psi[_vacuum_columns(model)]) ** 2))
+    fid_analytic = state_fidelity(partial_trace(np.outer(psi, psi.conj()), model.dims, (0, 1)),
+                                  target_entangled_state())
 
     # Master-equation route with zero rates.
     problem = _headline_problem(model, LAMBDA2, sch.nu, 0.0, 0.0)
-    rho = QuantumState.mixed(
-        integrate_master_equation(*problem, _initial_gate_state(model), [0.0, sch.tau])[-1],
-        model.dims)
-    fid_evolved = state_fidelity(partial_trace(rho, (0, 1)), target_entangled_state())
-    vac_evolved = float(np.real(partial_trace(rho, (2,)).data[0, 0]))
+    rho = integrate_master_equation(*problem, _initial_gate_state(model), [0.0, sch.tau])[-1]
+    fid_evolved = state_fidelity(partial_trace(rho, model.dims, (0, 1)), target_entangled_state())
+    vac_evolved = float(np.real(partial_trace(rho, model.dims, (2,))[0, 0]))
     elapsed = time.perf_counter() - start
 
     assert fid_analytic >= 1.0 - 1e-6 and fid_evolved >= 1.0 - 1e-6
@@ -319,13 +318,13 @@ def test_criterion_9_open_system_sanity():
     a = destroy(n)
     ts = np.linspace(0.0, 1.5e-6, 7)
     photon = integrate_master_equation(lambda t: np.zeros((n, n), complex), ((a, kappa),),
-                                       QuantumState.pure(basis_state(n, 1), (n,)), ts)
+                                       np.diag(basis_state(n, 1)), ts)
     worst_law = max(
         abs(float(np.real(np.trace(number_op(n) @ rho))) - math.exp(-2.0 * kappa * t))
         for t, rho in zip(ts, photon)
     )
     qubit = integrate_master_equation(lambda t: np.zeros((2, 2), complex), ((TAU_MINUS, GAMMA),),
-                                      QuantumState.pure(basis_state(2, 1), (2,)), ts)
+                                      np.diag(basis_state(2, 1)), ts)
     worst_law = max(
         worst_law,
         max(

@@ -110,6 +110,7 @@ def test_commands_load_no_numpy_submodule(tmp_path):
 
 RK45_FIRST_USE = """
 import math, sys
+import numpy as np
 import topoqed.cli
 from topoqed import qcore
 assert "scipy.integrate" not in sys.modules
@@ -122,7 +123,7 @@ def counted(*args, **kwargs):
     return original(*args, **kwargs)
 
 qcore.solve_ivp = counted  # rebinding the module attribute, as a tracer does
-start = qcore.QuantumState.pure(qcore.basis_state(2, 0), (2,))
+start = np.diag(qcore.basis_state(2, 0))
 states = qcore.integrate_master_equation(lambda t: qcore.SIGMA_X, (), start, [0.0, 0.5 * math.pi])
 print(len(calls), round(states[-1][1, 1].real, 6))
 """
@@ -860,6 +861,26 @@ class TestErrorPaths:
         res = run_cli("gate", "--config", write_config(tmp_path, doc), cwd=tmp_path)
         assert res.returncode == 2
         assert "lambda2" in res.stderr
+
+    @pytest.mark.parametrize("phi_e, phi_c", [
+        (math.pi, 0.5),  # the half-angle factor of lambda2 is 0
+        (0.0, 0.0),  # the working phase sits on the splitting's cusp, dE/dphi = 0
+        (0.0, 2 * math.pi),
+    ])
+    def test_gate_with_vanishing_derived_lambda2_names_both_causes(self, phi_e, phi_c, tmp_path,
+                                                                   capsys):
+        # At phi_e = 0 or pi the working phase is phi_c itself.
+        doc = default_config_dict()
+        doc["circuit"]["phi_e_rad"] = phi_e
+        doc["circuit"]["phi_c_rad"] = phi_c
+        del doc["schedule"]["lambda2"]
+        argv = ["gate", "--config", write_config(tmp_path, doc), "--out", str(tmp_path / "o")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"working phase {phi_c!r} rad with phi_e = {phi_e!r} rad" in err
+        assert "phi_e = pi switches the cavity interface off" in err
+        assert "0 (mod 2*pi) the splitting has its cusp" in err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command, section", [
         ("gate", "curve"), ("spectrum", "sweep"), ("phij", "sweep"), ("spectrum", "flag"),

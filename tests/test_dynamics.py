@@ -19,7 +19,6 @@ from topoqed.interface import HamiltonianModel, build_H_I
 from topoqed.qcore import (
     TAU_MINUS,
     IntegrationError,
-    QuantumState,
     basis_state,
     expm_hermitian,
     integrate_master_equation,
@@ -146,17 +145,17 @@ class TestAnalyticU:
 class TestIdealGateState:
     def test_reaches_target_for_k1(self):
         sch = GateSchedule(k=1, lambda2=LAMBDA2)
-        state = ideal_gate_state(sch)
-        fid = state_fidelity(partial_trace(state, (0, 1)), target_entangled_state())
-        assert fid >= 1.0 - 1e-8
+        psi = ideal_gate_state(sch)
+        reduced = partial_trace(np.outer(psi, psi.conj()), (2, 2, 16), (0, 1))
+        assert state_fidelity(reduced, target_entangled_state()) >= 1.0 - 1e-8
 
     def test_reaches_same_target_for_k4(self):
         sch1 = GateSchedule(k=1, lambda2=LAMBDA2)
         sch4 = GateSchedule(k=4, lambda2=LAMBDA2)
         assert abs(sch4.tau - 2.0 * sch1.tau) < 1e-20
-        state = ideal_gate_state(sch4)
-        fid = state_fidelity(partial_trace(state, (0, 1)), target_entangled_state())
-        assert fid >= 1.0 - 1e-8
+        psi = ideal_gate_state(sch4)
+        reduced = partial_trace(np.outer(psi, psi.conj()), (2, 2, 16), (0, 1))
+        assert state_fidelity(reduced, target_entangled_state()) >= 1.0 - 1e-8
 
     def test_polarized_state_only_acquires_phase(self):
         # |00> is a J_z^2 eigenstate: the gate returns it up to a phase.
@@ -202,16 +201,13 @@ class TestFidelityCurve:
             (tensor([TAU_MINUS, eye(2), eye(n)]), gamma),
             (tensor([eye(2), TAU_MINUS, eye(n)]), gamma),
         )
-        start = QuantumState.pure(np.kron(plus_plus_state().data, basis_state(n, 0)), model.dims)
+        psi0 = np.kron(plus_plus_state(), basis_state(n, 0))
+        start = np.outer(psi0, psi0.conj())
         oracle = integrate_master_equation(
             lambda t: build_H_I(sch.lambda2, sch.nu, model, t), channels, start, t_grid)
         production = _dyn._qubit_states(sch, kappa, gamma, t_grid, n)
         assert len(production) == len(t_grid)
-        worst = max(
-            float(np.max(np.abs(
-                partial_trace(QuantumState.mixed(full, model.dims), (0, 1)).data - rho)))
-            for full, rho in zip(oracle, production)
-        )
+        worst = float(np.max(np.abs(partial_trace(oracle, model.dims, (0, 1)) - production)))
         assert worst <= 1e-8
 
     def test_curve_container_validation(self):
@@ -273,8 +269,7 @@ class TestCoherentStateBranches:
         assert float(np.max(np.abs(states - oracle))) <= 1e-10
         fids = fidelity_curve(sch, kappa, gamma, t_grid).fidelities
         target = target_entangled_state()
-        assert np.max(np.abs(fids - [state_fidelity(QuantumState.mixed(ref, (2, 2)), target)
-                                     for ref in oracle])) <= 1e-10
+        assert np.max(np.abs(fids - [state_fidelity(ref, target) for ref in oracle])) <= 1e-10
 
     def test_random_parameters_match_liouvillian(self):
         hypothesis = pytest.importorskip("hypothesis")
@@ -307,9 +302,9 @@ class TestCoherentStateBranches:
         t_grid = np.array([0.0, 0.21, 0.5, 0.83]) * sch.tau
         states, _ = _dyn._branch_states(sch, 0.0, 0.0, t_grid)
         for t, rho in zip(t_grid, states):
-            psi = analytic_U(sch.lambda2, sch.nu, t, model) @ _dyn._gate_start(16).data
-            ref = partial_trace(QuantumState.pure(psi, model.dims), (0, 1))
-            assert np.max(np.abs(rho - ref.data)) <= 1e-10
+            psi = analytic_U(sch.lambda2, sch.nu, t, model) @ _dyn._gate_start(16)
+            ref = partial_trace(np.outer(psi, psi.conj()), model.dims, (0, 1))
+            assert np.max(np.abs(rho - ref)) <= 1e-10
 
     def test_low_quadrature_order_fails_the_check(self, monkeypatch):
         monkeypatch.setattr(_dyn, "QUADRATURE_ORDER", 1)
@@ -361,5 +356,4 @@ class TestSingleInterfaceEvolution:
         plus = np.array([1.0, 1.0]) / math.sqrt(2.0)
         psi0 = np.kron(basis_state(2, 0), plus)
         psi1 = expm_hermitian(single_interface_hamiltonian(lam1), t1) @ psi0
-        state = QuantumState.pure(psi1, (2, 2))
-        assert abs(entanglement_entropy(state, (0,)) - 1.0) < 1e-10
+        assert abs(entanglement_entropy(psi1, (2, 2), (0,)) - 1.0) < 1e-10

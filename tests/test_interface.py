@@ -12,7 +12,7 @@ from topoqed.interface import (
     couplings,
     optimal_working_point,
 )
-from topoqed.qcore import basis_state, newton_bisect, QuantumState, tensor, eye
+from topoqed.qcore import basis_state, newton_bisect, tensor, eye
 from topoqed.wire import WireParams, splitting_derivative
 
 from helpers import (
@@ -239,5 +239,4 @@ class TestBuildHSingleInterface:
         plus = np.array([1.0, 1.0]) / math.sqrt(2.0)
         psi0 = np.kron(basis_state(2, 0), plus)
         psi1 = u @ psi0
-        state = QuantumState.pure(psi1 / np.linalg.norm(psi1), (2, 2))
-        assert abs(entanglement_entropy(state, (0,)) - 1.0) < 1e-10
+        assert abs(entanglement_entropy(psi1 / np.linalg.norm(psi1), (2, 2), (0,)) - 1.0) < 1e-10

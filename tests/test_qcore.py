@@ -9,7 +9,6 @@ from topoqed.qcore import (
     TAU_MINUS,
     ConvergenceError,
     IntegrationError,
-    QuantumState,
     basis_state,
     destroy,
     evolve_master_equation,
@@ -88,40 +87,6 @@ class TestExpmHermitian:
             expm_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0)
 
 
-class TestQuantumState:
-    def test_pure_norm_enforced(self):
-        with pytest.raises(ValueError):
-            QuantumState.pure(np.array([1.0, 1.0]), (2,))
-
-    def test_mixed_trace_enforced(self):
-        with pytest.raises(ValueError):
-            QuantumState.mixed(np.eye(2), (2,))
-
-    def test_mixed_hermiticity_enforced(self):
-        rho = np.array([[0.5, 0.3], [0.0, 0.5]], dtype=complex)
-        with pytest.raises(ValueError):
-            QuantumState.mixed(rho, (2,))
-
-    def test_mixed_positivity_enforced(self):
-        rho = np.array([[1.2, 0.0], [0.0, -0.2]], dtype=complex)
-        with pytest.raises(ValueError):
-            QuantumState.mixed(rho, (2,))
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    def test_non_finite_entries_rejected(self, bad):
-        with pytest.raises(ValueError, match="non-finite"):
-            QuantumState.pure([bad, 0.0], (2,))
-        with pytest.raises(ValueError, match="non-finite"):
-            QuantumState.mixed([[bad, 0.0], [0.0, 1.0]], (2,))
-        with pytest.raises(ValueError, match="non-finite"):
-            QuantumState.mixed([[0.5, bad], [bad, 0.5]], (2,))
-
-    def test_data_is_immutable(self):
-        state = QuantumState.pure(basis_state(2, 0), (2,))
-        with pytest.raises(ValueError):
-            state.data[0] = 0.0
-
-
 class TestPartialTrace:
     def test_product_state_factorizes(self):
         rng = np.random.default_rng(0)
@@ -130,99 +95,98 @@ class TestPartialTrace:
             rho = factors[0]
             for f in factors[1:]:
                 rho = np.kron(rho, f)
-            state = QuantumState.mixed(rho, dims)
             for k in range(len(dims)):
-                reduced = partial_trace(state, (k,))
-                assert np.max(np.abs(reduced.data - factors[k])) < 1e-12
+                reduced = partial_trace(rho, dims, (k,))
+                assert np.max(np.abs(reduced - factors[k])) < 1e-12
 
     def test_bell_state_reduces_to_maximally_mixed(self):
-        bell = QuantumState.pure(
-            np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0), (2, 2)
-        )
-        reduced = partial_trace(bell, (0,))
-        assert np.allclose(reduced.data, eye(2) / 2.0, atol=1e-12)
+        bell = np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0)
+        reduced = partial_trace(np.outer(bell, bell), (2, 2), (0,))
+        assert np.allclose(reduced, eye(2) / 2.0, atol=1e-12)
 
     def test_target_state_with_vacuum_cavity(self):
         target = target_entangled_state()
         n = 6
-        full = np.kron(target.data, basis_state(n, 0))
-        state = QuantumState.pure(full, (2, 2, n))
-        reduced = partial_trace(state, (0, 1))
-        expected = np.outer(target.data, target.data.conj())
-        assert np.max(np.abs(reduced.data - expected)) < 1e-12
+        full = np.kron(target, basis_state(n, 0))
+        reduced = partial_trace(np.outer(full, full.conj()), (2, 2, n), (0, 1))
+        expected = np.outer(target, target.conj())
+        assert np.max(np.abs(reduced - expected)) < 1e-12
 
     def test_trace_preserved(self):
         rng = np.random.default_rng(1)
-        state = QuantumState.mixed(random_density_matrix(rng, 12), (2, 2, 3))
-        reduced = partial_trace(state, (1, 2))
-        assert abs(np.trace(reduced.data) - 1.0) < 1e-10
+        reduced = partial_trace(random_density_matrix(rng, 12), (2, 2, 3), (1, 2))
+        assert abs(np.trace(reduced) - 1.0) < 1e-10
 
     def test_keep_order_preserved(self):
         rng = np.random.default_rng(2)
         a, b = random_density_matrix(rng, 2), random_density_matrix(rng, 3)
-        state = QuantumState.mixed(np.kron(a, b), (2, 3))
-        both = partial_trace(state, (1, 0))
-        assert both.dims == (2, 3)
-        assert np.max(np.abs(both.data - np.kron(a, b))) < 1e-12
+        both = partial_trace(np.kron(a, b), (2, 3), (1, 0))
+        assert both.shape == (6, 6)
+        assert np.max(np.abs(both - np.kron(a, b))) < 1e-12
 
     def test_index_out_of_range(self):
-        state = QuantumState.pure(basis_state(4, 0), (2, 2))
         with pytest.raises(ValueError):
-            partial_trace(state, (2,))
+            partial_trace(np.diag(basis_state(4, 0)), (2, 2), (2,))
+
+    def test_stack_reduces_matrix_by_matrix(self):
+        # A (n, d, d) trajectory reduces in one call to the stack of its
+        # matrices' reductions.
+        rng = np.random.default_rng(7)
+        stack = np.array([random_density_matrix(rng, 12) for _ in range(5)])
+        for keep in [(0,), (1, 2), (0, 2)]:
+            reduced = partial_trace(stack, (2, 2, 3), keep)
+            assert reduced.shape[0] == 5
+            for rho, expected in zip(stack, reduced):
+                assert np.array_equal(partial_trace(rho, (2, 2, 3), keep), expected)
+
+    def test_wrong_shape_rejected(self):
+        with pytest.raises(ValueError, match="shape"):
+            partial_trace(eye(4), (2, 3), (0,))
 
 
 class TestStateFidelity:
     def test_self_fidelity_is_one(self):
         rng = np.random.default_rng(3)
-        psi = QuantumState.pure(random_pure_state(rng, 4), (2, 2))
-        rho = QuantumState.mixed(np.outer(psi.data, psi.data.conj()), (2, 2))
+        psi = random_pure_state(rng, 4)
+        rho = np.outer(psi, psi.conj())
         assert abs(state_fidelity(rho, psi) - 1.0) < 1e-12
 
     def test_maximally_mixed_gives_quarter(self):
         rng = np.random.default_rng(4)
-        psi = QuantumState.pure(random_pure_state(rng, 4), (2, 2))
-        rho = QuantumState.mixed(eye(4) / 4.0, (2, 2))
-        assert abs(state_fidelity(rho, psi) - 0.25) < 1e-12
+        psi = random_pure_state(rng, 4)
+        assert abs(state_fidelity(eye(4) / 4.0, psi) - 0.25) < 1e-12
 
     def test_plus_plus_against_gate_target_is_half(self):
         # |<target|++>|^2 = 1/2 by direct inner product.
-        rho = QuantumState.mixed(
-            np.outer(plus_plus_state().data, plus_plus_state().data.conj()), (2, 2)
-        )
+        rho = np.outer(plus_plus_state(), plus_plus_state().conj())
         assert abs(state_fidelity(rho, target_entangled_state()) - 0.5) < 1e-12
 
     def test_requires_pure_reference(self):
-        rho = QuantumState.mixed(eye(2) / 2.0, (2,))
+        rho = eye(2) / 2.0
         with pytest.raises(ValueError):
             state_fidelity(rho, rho)
 
     def test_dimension_mismatch(self):
-        rho = QuantumState.mixed(eye(2) / 2.0, (2,))
-        psi = QuantumState.pure(basis_state(4, 0), (2, 2))
         with pytest.raises(ValueError):
-            state_fidelity(rho, psi)
+            state_fidelity(eye(2) / 2.0, basis_state(4, 0))
 
 
 class TestEntanglementEntropy:
     def test_product_state_has_zero_entropy(self):
         rng = np.random.default_rng(6)
         psi = np.kron(random_pure_state(rng, 2), random_pure_state(rng, 2))
-        state = QuantumState.pure(psi, (2, 2))
-        assert abs(entanglement_entropy(state, (0,))) < 1e-10
+        assert abs(entanglement_entropy(psi, (2, 2), (0,))) < 1e-10
 
     def test_bell_state_has_one_bit(self):
-        bell = QuantumState.pure(
-            np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0), (2, 2)
-        )
-        assert abs(entanglement_entropy(bell, (0,)) - 1.0) < 1e-10
+        bell = np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0)
+        assert abs(entanglement_entropy(bell, (2, 2), (0,)) - 1.0) < 1e-10
 
     def test_gate_target_has_one_bit_across_qubit_cut(self):
-        assert abs(entanglement_entropy(target_entangled_state(), (0,)) - 1.0) < 1e-10
+        assert abs(entanglement_entropy(target_entangled_state(), (2, 2), (0,)) - 1.0) < 1e-10
 
     def test_rejects_mixed_input(self):
-        rho = QuantumState.mixed(eye(4) / 4.0, (2, 2))
         with pytest.raises(ValueError):
-            entanglement_entropy(rho, (0,))
+            entanglement_entropy(eye(4) / 4.0, (2, 2), (0,))
 
 
 def _evolve_constant(hamiltonian, channels, rho0, t_grid):
@@ -239,16 +203,51 @@ class TestChannelCheck:
     """Both propagators run the one channel check before any work."""
 
     def test_channel_dimension_checked(self):
-        rho0 = QuantumState.pure(basis_state(4, 0), (4,))
+        rho0 = np.diag(basis_state(4, 0))
         for propagate in PROPAGATORS:
             with pytest.raises(ValueError, match="collapse operator shape"):
                 propagate(lambda t: eye(4), ((destroy(3), 1.0),), rho0, [0.0, 1.0])
 
     def test_negative_rate_rejected(self):
-        rho0 = QuantumState.pure(basis_state(2, 0), (2,))
+        rho0 = np.diag(basis_state(2, 0))
         for propagate in PROPAGATORS:
             with pytest.raises(ValueError, match="non-negative"):
                 propagate(lambda t: eye(2), ((TAU_MINUS, -1.0),), rho0, [0.0, 1.0])
+
+
+class TestInitialStateCheck:
+    """Both propagators pass rho0 through _checked_states before any work, so an
+    unphysical initial state raises IntegrationError naming t=0."""
+
+    @staticmethod
+    def assert_refused(rho0, message):
+        for propagate in PROPAGATORS:
+            with pytest.raises(IntegrationError, match=f"{message}.* at t=0\\.000e\\+00"):
+                propagate(lambda t: SIGMA_X, (), rho0, [0.0, 0.5])
+
+    def test_pure_norm_enforced(self):
+        vec = np.array([1.0, 1.0])
+        self.assert_refused(np.outer(vec, vec), "trace deviation")
+
+    def test_mixed_trace_enforced(self):
+        self.assert_refused(np.eye(2), "trace deviation")
+
+    def test_mixed_hermiticity_enforced(self):
+        self.assert_refused(np.array([[0.5, 0.3], [0.0, 0.5]]), "Hermiticity deviation")
+
+    def test_mixed_positivity_enforced(self):
+        self.assert_refused(np.array([[1.2, 0.0], [0.0, -0.2]]), "eigenvalue -0\\.2")
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_entries_rejected(self, bad):
+        # Without the entry check, the Taylor path would report an
+        # unconverged series and RK45 scipy's own error.
+        vec = np.array([bad, 0.0])
+        with np.errstate(invalid="ignore"):  # inf * 0
+            pure = np.outer(vec, vec)
+        self.assert_refused(pure, "non-finite")
+        self.assert_refused(np.array([[bad, 0.0], [0.0, 1.0]]), "non-finite")
+        self.assert_refused(np.array([[0.5, bad], [bad, 0.5]]), "non-finite")
 
 
 class TestIntegrateMasterEquation:
@@ -258,7 +257,7 @@ class TestIntegrateMasterEquation:
         rho0 = random_density_matrix(rng, 6)
         t_grid = [0.0, 0.4, 1.1]
         for propagate in PROPAGATORS:
-            states = propagate(lambda t: h, (), QuantumState.mixed(rho0, (6,)), t_grid)
+            states = propagate(lambda t: h, (), rho0, t_grid)
             for t, rho in zip(t_grid, states):
                 u = expm_hermitian(h, t)
                 assert np.max(np.abs(rho - u @ rho0 @ u.conj().T)) <= 1e-8
@@ -266,7 +265,7 @@ class TestIntegrateMasterEquation:
     def test_photon_number_decays_at_twice_kappa(self):
         n, kappa = 6, 0.9
         a = destroy(n)
-        rho0 = QuantumState.pure(basis_state(n, 1), (n,))
+        rho0 = np.diag(basis_state(n, 1))
         t_grid = np.linspace(0.0, 2.0, 9)
         for propagate in PROPAGATORS:
             states = propagate(lambda t: np.zeros((n, n), complex), ((a, kappa),), rho0, t_grid)
@@ -276,7 +275,7 @@ class TestIntegrateMasterEquation:
 
     def test_excited_population_decays_at_twice_gamma(self):
         gamma = 1.3
-        rho0 = QuantumState.pure(basis_state(2, 1), (2,))
+        rho0 = np.diag(basis_state(2, 1))
         t_grid = np.linspace(0.0, 1.5, 7)
         for propagate in PROPAGATORS:
             states = propagate(lambda t: np.zeros((2, 2), complex), ((TAU_MINUS, gamma),),
@@ -287,7 +286,7 @@ class TestIntegrateMasterEquation:
 
     def test_outputs_satisfy_physicality_bounds(self):
         n, kappa = 5, 0.5
-        rho0 = QuantumState.pure(basis_state(n, 2), (n,))
+        rho0 = np.diag(basis_state(n, 2))
         for propagate in PROPAGATORS:
             states = propagate(lambda t: 0.3 * number_op(n), ((destroy(n), kappa),), rho0,
                                np.linspace(0.0, 1.0, 5))
@@ -303,14 +302,14 @@ class TestIntegrateMasterEquation:
         # and it must surface as IntegrationError (exit 3) naming the time.
         # The channel check would refuse the rate first, so it is bypassed.
         monkeypatch.setattr(_qcore, "_checked_channels", lambda channels, shape: channels)
-        plus = QuantumState.pure(np.array([1.0, 1.0]) / math.sqrt(2.0), (2,))
+        plus = np.full((2, 2), 0.5)
         for propagate in PROPAGATORS:
             with pytest.raises(IntegrationError, match="t="):
                 propagate(lambda t: np.zeros((2, 2), complex), ((TAU_MINUS, -1.0),), plus,
                           [0.0, 0.5])
 
     def test_grid_must_start_at_zero_and_increase(self):
-        rho0 = QuantumState.pure(basis_state(2, 0), (2,))
+        rho0 = np.diag(basis_state(2, 0))
         for propagate in PROPAGATORS:
             with pytest.raises(ValueError):
                 propagate(lambda t: eye(2), (), rho0, [0.1, 0.2])
@@ -318,7 +317,7 @@ class TestIntegrateMasterEquation:
                 propagate(lambda t: eye(2), (), rho0, [0.0, 0.2, 0.2])
 
     def test_dimension_mismatch_rejected(self):
-        rho0 = QuantumState.pure(basis_state(2, 0), (2,))
+        rho0 = np.diag(basis_state(2, 0))
         for propagate in PROPAGATORS:
             with pytest.raises(ValueError):
                 propagate(lambda t: eye(4), (), rho0, [0.0, 1.0])
@@ -329,7 +328,7 @@ class TestIntegrateMasterEquation:
         rng = np.random.default_rng(11)
         h = random_hermitian(rng, 6)
         channels = ((destroy(6), 0.4), (random_hermitian(rng, 6, scale=0.3), 0.2))
-        rho0 = QuantumState.mixed(random_density_matrix(rng, 6), (6,))
+        rho0 = random_density_matrix(rng, 6)
         t_grid = [0.0, 0.3, 0.35, 1.2]
         pairs = zip(integrate_master_equation(lambda t: h, channels, rho0, t_grid),
                     evolve_master_equation(h, channels, rho0, t_grid))
@@ -418,7 +417,7 @@ class TestLiouvillianByDiagonals:
                 channels.append((op, rate))
             rho0 = random_density_matrix(rng, d)
             t_grid = np.concatenate([[0.0], np.cumsum(steps)])  # not uniform
-            states = evolve_master_equation(h, channels, QuantumState.mixed(rho0, (d,)), t_grid)
+            states = evolve_master_equation(h, channels, rho0, t_grid)
             gen = vectorized_liouvillian(h, channels)
             vec = rho0.ravel()
             for t_prev, t, rho in zip(t_grid[:-1], t_grid[1:], states[1:]):
@@ -457,7 +456,7 @@ class TestLiouvillianByDiagonals:
         # allocated.
         d = 64
         dense = np.random.default_rng(2).normal(size=(d, d)).astype(complex)
-        rho0 = QuantumState.pure(basis_state(d, 0), (d,))
+        rho0 = np.diag(basis_state(d, 0))
         with pytest.raises(ValueError, match="8191 diagonals"):
             evolve_master_equation(np.zeros((d, d)), ((dense, 0.1),), rho0, [0.0, 1.0])
 
@@ -465,7 +464,7 @@ class TestLiouvillianByDiagonals:
         # With room for two terms per substep the series cannot reach the
         # unit roundoff.
         monkeypatch.setattr(_qcore, "_MAX_TERMS", 2)
-        rho0 = QuantumState.pure(basis_state(2, 0), (2,))
+        rho0 = np.diag(basis_state(2, 0))
         with pytest.raises(IntegrationError, match="not converged after 2 terms"):
             evolve_master_equation(SIGMA_X, (), rho0, [0.0, 1.0])
 
