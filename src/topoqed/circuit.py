@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -84,7 +84,7 @@ class CircuitParams:
             raise ValueError("junction and charging energies must be positive")
         if self.eta >= 0.3:
             raise ValueError(
-                f"eta = E_J/E_J0 = {self.eta:.3f} >= 0.3: series reduction invalid"
+                f"eta = E_J/E_J0 = {self.eta:.3g} >= 0.3: series reduction invalid"
             )
         if self.E_J >= self.E_c:
             warnings.warn(
@@ -100,6 +100,12 @@ class CircuitParams:
     @property
     def eta(self) -> float:
         return self.E_J / self.E_J0
+
+    def with_phases(self, **phases: float) -> CircuitParams:
+        """A copy with new phi_e/phi_c: no warning depends on them, so none repeats."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            return replace(self, **phases)
 
 
 @dataclass(frozen=True)

@@ -136,10 +136,8 @@ def cmd_couplings(config: RunConfig) -> int:
     cs = couplings(wire, circ)
     eff = cs.effective
 
-    circ_l1 = dataclasses.replace(circ, phi_e=math.pi)
-    circ_l2 = dataclasses.replace(circ, phi_e=0.0)
-    phi_c1, lam1_max = optimal_working_point(wire, circ_l1, "lambda1")
-    phi_c2, lam2_max = optimal_working_point(wire, circ_l2, "lambda2")
+    phi_c1, lam1_max = optimal_working_point(wire, circ.with_phases(phi_e=math.pi), "lambda1")
+    phi_c2, lam2_max = optimal_working_point(wire, circ.with_phases(phi_e=0.0), "lambda2")
     p_t_working = _circuit.tunneling_leakage(cs.lambda1, circ)
     p_e = thermal_leakage(wire)
 

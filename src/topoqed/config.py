@@ -13,6 +13,11 @@ setting instead of their ``times_2pi`` flags: "plain" keeps them as written
 Unknown keys anywhere in the document are errors: a silently ignored typo in
 a physics parameter is the main operational hazard this format guards
 against.
+
+Each wire and circuit key is declared once, in the ``_WIRE_KEYS`` and
+``_CIRCUIT_KEYS`` tables, which drive its parse and its echo.  Whether a key is
+required, and the default of an omitted one, come from the fields of
+``WireParams`` and ``CircuitParams`` alone.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 from typing import Optional
 
@@ -97,6 +102,44 @@ def _frequency(node, where: str, rate_convention: Optional[str] = None) -> float
     return scaled
 
 
+# One (config key, field, reader) row per key, in the order the keys are read.
+_WIRE_KEYS = (
+    ("v_F_m_per_s", "v_F", _number),
+    ("L_m", "L", _number),
+    ("Delta0", "Delta0", _frequency),
+    ("W_m", "W", _number),
+    ("T_K", "T", _number),
+)
+_CIRCUIT_KEYS = (
+    ("E_J", "E_J", _frequency),
+    ("E_J0", "E_J0", _frequency),
+    ("E_c", "E_c", _frequency),
+    ("n_g", "n_g", _number),
+    ("g", "g", _number),
+    ("phi_e_rad", "phi_e", _number),
+    ("phi_c_rad", "phi_c", _number),
+    ("omega_r", "omega_r", _frequency),
+)
+
+
+def _params(cls, table, section, where: str):
+    """Build ``cls`` from a config section described by ``table``."""
+    optional = {f.name for f in fields(cls) if f.default is not MISSING}
+    _require_keys(section, {key for key, _, _ in table},
+                  {key for key, name, _ in table if name not in optional}, where)
+    try:
+        return cls(**{name: read(section[key], f"{where}.{key}")
+                      for key, name, read in table if key in section})
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
+def _echo(params, table) -> dict:
+    """Normalized echo of a section: a frequency under its key plus _rad_per_s."""
+    return {key + "_rad_per_s" if read is _frequency else key: getattr(params, name)
+            for key, name, read in table}
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     variable: str
@@ -138,44 +181,13 @@ class RunConfig:
         """Normalized parameter echo (rad/s everywhere) for output metadata."""
         return {
             "schema_version": SCHEMA_VERSION,
-            "wire": {
-                "v_F_m_per_s": self.wire.v_F,
-                "L_m": self.wire.L,
-                "W_m": self.wire.W,
-                "T_K": self.wire.T,
-                "Delta0_rad_per_s": self.wire.Delta0,
-            },
-            "circuit": {
-                "E_J_rad_per_s": self.circuit.E_J,
-                "E_J0_rad_per_s": self.circuit.E_J0,
-                "E_c_rad_per_s": self.circuit.E_c,
-                "omega_r_rad_per_s": self.circuit.omega_r,
-                "n_g": self.circuit.n_g,
-                "g": self.circuit.g,
-                "phi_e_rad": self.circuit.phi_e,
-                "phi_c_rad": self.circuit.phi_c,
-                "eta": self.circuit.eta,
-            },
-            "bath": {
-                "kappa_per_s": self.kappa,
-                "gamma_per_s": self.gamma,
-                "rate_convention": self.rate_convention,
-            },
-            "schedule": {
-                "k": self.k,
-                "lambda2_rad_per_s": self.lambda2_pinned,
-            },
+            "wire": _echo(self.wire, _WIRE_KEYS),
+            "circuit": {**_echo(self.circuit, _CIRCUIT_KEYS), "eta": self.circuit.eta},
+            "bath": {"kappa_per_s": self.kappa, "gamma_per_s": self.gamma,
+                     "rate_convention": self.rate_convention},
+            "schedule": {"k": self.k, "lambda2_rad_per_s": self.lambda2_pinned},
             "curve": {"x_max": self.curve_x_max, "steps": self.curve_steps},
-            "sweep": (
-                None
-                if self.sweep is None
-                else {
-                    "variable": self.sweep.variable,
-                    "min": self.sweep.min,
-                    "max": self.sweep.max,
-                    "steps": self.sweep.steps,
-                }
-            ),
+            "sweep": None if self.sweep is None else asdict(self.sweep),
             "output": {"directory": self.out_dir, "formats": list(self.formats)},
         }
 
@@ -229,44 +241,8 @@ def parse_config(doc: dict, rate_convention: Optional[str] = None) -> RunConfig:
             f"unsupported schema_version {doc['schema_version']!r}; expected {SCHEMA_VERSION}"
         )
 
-    w = doc["wire"]
-    _require_keys(
-        w,
-        {"v_F_m_per_s", "L_m", "W_m", "T_K", "Delta0"},
-        {"v_F_m_per_s", "L_m", "Delta0"},
-        "wire",
-    )
-    try:
-        wire = WireParams(
-            v_F=_number(w["v_F_m_per_s"], "wire.v_F_m_per_s"),
-            L=_number(w["L_m"], "wire.L_m"),
-            Delta0=_frequency(w["Delta0"], "wire.Delta0"),
-            W=_number(w.get("W_m", 0.0), "wire.W_m"),
-            T=_number(w.get("T_K", 0.02), "wire.T_K"),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"wire: {exc}") from exc
-
-    c = doc["circuit"]
-    _require_keys(
-        c,
-        {"E_J", "E_J0", "E_c", "omega_r", "n_g", "g", "phi_e_rad", "phi_c_rad"},
-        {"E_J", "E_J0", "E_c"},
-        "circuit",
-    )
-    try:
-        circuit = CircuitParams(
-            E_J=_frequency(c["E_J"], "circuit.E_J"),
-            E_J0=_frequency(c["E_J0"], "circuit.E_J0"),
-            E_c=_frequency(c["E_c"], "circuit.E_c"),
-            n_g=_number(c.get("n_g", 0.5), "circuit.n_g"),
-            g=_number(c.get("g", 0.01), "circuit.g"),
-            phi_e=_number(c.get("phi_e_rad", 0.0), "circuit.phi_e_rad"),
-            phi_c=_number(c.get("phi_c_rad", 0.0), "circuit.phi_c_rad"),
-            omega_r=_frequency(c["omega_r"], "circuit.omega_r") if "omega_r" in c else 0.0,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"circuit: {exc}") from exc
+    wire = _params(WireParams, _WIRE_KEYS, doc["wire"], "wire")
+    circuit = _params(CircuitParams, _CIRCUIT_KEYS, doc["circuit"], "circuit")
 
     b = doc["bath"]
     _require_keys(b, {"kappa", "gamma", "rate_convention"}, {"kappa", "gamma"}, "bath")
@@ -308,9 +284,8 @@ def parse_config(doc: dict, rate_convention: Optional[str] = None) -> RunConfig:
     sweep = None
     if doc.get("sweep") is not None:
         sw = doc["sweep"]
-        _require_keys(
-            sw, {"variable", "min", "max", "steps"}, {"variable", "min", "max", "steps"}, "sweep"
-        )
+        keys = {"variable", "min", "max", "steps"}
+        _require_keys(sw, keys, keys, "sweep")
         sweep = SweepSpec(
             variable=str(sw["variable"]),
             min=_number(sw["min"], "sweep.min"),

@@ -167,12 +167,12 @@ def _gate_start(fock_cutoff: int) -> np.ndarray:
     return np.kron(plus_plus_state(), basis_state(fock_cutoff, 0))
 
 
-def ideal_gate_state(schedule: GateSchedule, fock_cutoff: int = 16) -> np.ndarray:
+def ideal_gate_state(schedule: GateSchedule, fock_cutoff: int = 16) -> tuple[np.ndarray, float]:
     """Closed-system state vector after one full gate, from |++> and cavity vacuum.
 
     Verifies that the cavity has returned to vacuum (overlap >= 1 - 1e-8) and
     that the qubit pair reaches the entangled target with fidelity
-    >= 1 - 1e-8 (global phase discarded).
+    >= 1 - 1e-8 (global phase discarded).  Returns the state and that fidelity.
     """
     model = HamiltonianModel(fock_cutoff)
     loop_dev = abs(schedule.nu * schedule.tau - 2.0 * math.pi * schedule.k)
@@ -193,7 +193,7 @@ def ideal_gate_state(schedule: GateSchedule, fock_cutoff: int = 16) -> np.ndarra
         raise IntegrationError(
             f"gate target fidelity {qubit_fidelity:.12f} below 1 - 1e-8"
         )
-    return psi
+    return psi, qubit_fidelity
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ oracles; the gate's curve is the closed form of :mod:`topoqed.dynamics`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -138,7 +138,7 @@ def optimal_working_point(
     """
     if which not in ("lambda1", "lambda2"):
         raise ValueError("which must be 'lambda1' or 'lambda2'")
-    cs = couplings(wire, replace(circ, phi_c=PHI_C_MIN))
+    cs = couplings(wire, circ.with_phases(phi_c=PHI_C_MIN))
     if cs.working_phi != PHI_C_MIN:
         raise ValueError(
             f"phi_e = {circ.phi_e!r} shifts the working phase off phi_c; the "

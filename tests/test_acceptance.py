@@ -104,7 +104,7 @@ def test_criterion_2_closed_system_gate_exactness():
     model = HamiltonianModel(fock_cutoff=16)
 
     # Analytic propagator route (checks are also enforced internally).
-    psi = ideal_gate_state(sch, fock_cutoff=model.fock_cutoff)
+    psi, _ = ideal_gate_state(sch, fock_cutoff=model.fock_cutoff)
     vac_analytic = float(np.sum(np.abs(psi[_vacuum_columns(model)]) ** 2))
     fid_analytic = state_fidelity(partial_trace(np.outer(psi, psi.conj()), model.dims, (0, 1)),
                                   target_entangled_state())

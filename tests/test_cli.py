@@ -309,6 +309,55 @@ class TestConfig:
         assert echo["circuit"]["E_J_rad_per_s"] == config.circuit.E_J
         assert echo["bath"]["kappa_per_s"] == config.kappa
 
+    @pytest.mark.parametrize("minimal", [False, True], ids=["default", "required-only"])
+    def test_normalized_echo_is_pinned(self, minimal):
+        # Every key of the echo.  In the document holding only the required
+        # keys, each omitted key takes the default of its parameter class.
+        doc = default_config_dict()
+        wire = {"v_F_m_per_s": 1e5, "L_m": 5e-6, "Delta0_rad_per_s": 2 * math.pi * 32e9,
+                "W_m": 1e-7, "T_K": 0.02}
+        circuit = {"E_J_rad_per_s": 2 * math.pi * 16e9, "E_J0_rad_per_s": 2 * math.pi * 160e9,
+                   "E_c_rad_per_s": 2 * math.pi * 160e9, "eta": 0.1, "n_g": 0.5, "g": 0.01,
+                   "phi_e_rad": 0.0, "phi_c_rad": 0.5, "omega_r_rad_per_s": 2 * math.pi * 6e9}
+        schedule = {"k": 1, "lambda2_rad_per_s": 2 * math.pi * 32e6}
+        if minimal:
+            doc = {
+                "schema_version": 1,
+                "wire": {key: doc["wire"][key] for key in ("v_F_m_per_s", "L_m", "Delta0")},
+                "circuit": {key: doc["circuit"][key] for key in ("E_J", "E_J0", "E_c")},
+                "bath": {key: doc["bath"][key] for key in ("kappa", "gamma")},
+                "schedule": {"k": 1},
+            }
+            wire.update(W_m=0.0, T_K=0.02)
+            circuit.update(n_g=0.5, g=0.01, phi_e_rad=0.0, phi_c_rad=0.0, omega_r_rad_per_s=0.0)
+            schedule["lambda2_rad_per_s"] = None
+        assert parse_config(doc).normalized() == {
+            "schema_version": 1,
+            "wire": wire,
+            "circuit": circuit,
+            "bath": {"kappa_per_s": 1e6, "gamma_per_s": 1e6, "rate_convention": "plain"},
+            "schedule": schedule,
+            "curve": {"x_max": 1.1, "steps": 44},
+            "sweep": None,
+            "output": {"directory": "out", "formats": ["csv", "json", "svg"]},
+        }
+
+    @pytest.mark.parametrize("section, key", [
+        (section, key) for section in ("wire", "circuit") for key in default_config_dict()[section]
+    ])
+    def test_deleted_key_is_required_or_takes_the_parameter_default(self, section, key):
+        doc = default_config_dict()
+        del doc[section][key]
+        if key in ("v_F_m_per_s", "L_m", "Delta0", "E_J", "E_J0", "E_c"):
+            with pytest.raises(ConfigError, match=rf"^missing keys \['{key}'\] in {section}$"):
+                parse_config(doc)
+            return
+        field = {"v_F_m_per_s": "v_F", "L_m": "L", "W_m": "W", "T_K": "T",
+                 "phi_e_rad": "phi_e", "phi_c_rad": "phi_c"}.get(key, key)
+        params = _wire.WireParams if section == "wire" else _circuit.CircuitParams
+        default = {f.name: f.default for f in dataclasses.fields(params)}[field]
+        assert getattr(getattr(parse_config(doc), section), field) == default
+
 
 class TestSpectrumCommand:
     def test_csv_structure_and_first_row(self, tmp_path):
@@ -392,6 +441,21 @@ class TestCouplingsCommand:
         assert float(rows["P_e_thermal"]) < 1e-3
         ratio = float(rows["lambda2_max_over_eta_g_Delta0"])
         assert 0.1 <= ratio <= 1.0
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("n_g", 0.3, "n_g = 0.3 is away from the degeneracy point 1/2"),
+        ("E_c", {"value": 8.0, "unit": "GHz", "times_2pi": True}, "E_J >= E_c"),
+    ], ids=["n_g", "E_c"])
+    def test_device_warning_appears_once_from_the_package(self, tmp_path, key, value, message):
+        # The couplings report copies the circuit with other phases; the copies
+        # must neither repeat the warning nor blame the stdlib for it.
+        doc = default_config_dict()
+        doc["circuit"][key] = value
+        res = run_cli("couplings", "--config", write_config(tmp_path, doc), "--out", "o", cwd=tmp_path)
+        assert res.returncode == 0, res.stderr
+        assert res.stderr.count(message) == 1, res.stderr
+        assert "dataclasses.py" not in res.stderr
+        assert str(SRC / "topoqed") in res.stderr
 
 
 class TestBathRates:

@@ -145,17 +145,19 @@ class TestAnalyticU:
 class TestIdealGateState:
     def test_reaches_target_for_k1(self):
         sch = GateSchedule(k=1, lambda2=LAMBDA2)
-        psi = ideal_gate_state(sch)
+        psi, fid = ideal_gate_state(sch)
         reduced = partial_trace(np.outer(psi, psi.conj()), (2, 2, 16), (0, 1))
         assert state_fidelity(reduced, target_entangled_state()) >= 1.0 - 1e-8
+        assert fid == state_fidelity(reduced, target_entangled_state())
 
     def test_reaches_same_target_for_k4(self):
         sch1 = GateSchedule(k=1, lambda2=LAMBDA2)
         sch4 = GateSchedule(k=4, lambda2=LAMBDA2)
         assert abs(sch4.tau - 2.0 * sch1.tau) < 1e-20
-        psi = ideal_gate_state(sch4)
+        psi, fid = ideal_gate_state(sch4)
         reduced = partial_trace(np.outer(psi, psi.conj()), (2, 2, 16), (0, 1))
         assert state_fidelity(reduced, target_entangled_state()) >= 1.0 - 1e-8
+        assert fid == state_fidelity(reduced, target_entangled_state())
 
     def test_polarized_state_only_acquires_phase(self):
         # |00> is a J_z^2 eigenstate: the gate returns it up to a phase.
