@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .qcore import ConvergenceError, any_true, as_result, elements, newton_bisect, where
+from .qcore import ConvergenceError, as_result, newton_bisect
 
 __all__ = [
     "CircuitParams",
@@ -45,12 +45,12 @@ __all__ = [
 
 def _half_angle_sin(phi):
     """sin(phi/2), exactly zero at phi = 0; element-wise."""
-    return as_result(np.sin(0.5 * elements(phi)))
+    return as_result(np.sin(0.5 * np.asarray(phi, dtype=float)))
 
 
 def _half_angle_cos(phi):
     """cos(phi/2), evaluated as sin((pi - phi)/2) so it is exactly zero at phi = pi."""
-    return as_result(np.sin(0.5 * (math.pi - elements(phi))))
+    return as_result(np.sin(0.5 * (math.pi - np.asarray(phi, dtype=float))))
 
 
 @dataclass(frozen=True)
@@ -139,11 +139,11 @@ def phi_J_series(params: CircuitParams, phi, photon_amp=0.0, phi_e=None):
     """
     phi_e = params.phi_e if phi_e is None else phi_e
     eta = params.eta
-    c = np.cos(elements(phi))
+    c = np.cos(np.asarray(phi, dtype=float))
     return as_result(
         2.0 * eta * _half_angle_sin(phi_e) * c
         - eta**2 * _full_angle_sin(phi_e) * c * c
-        + 2.0 * params.g * eta * _half_angle_cos(phi_e) * c * elements(photon_amp)
+        + 2.0 * params.g * eta * _half_angle_cos(phi_e) * c * np.asarray(photon_amp, dtype=float)
     )
 
 
@@ -158,11 +158,11 @@ def phi_J_exact(params: CircuitParams, phi, photon_amp=0.0, phi_e=None):
     gives a float out.  ConvergenceError is raised if any element fails.
     """
     phi_e = params.phi_e if phi_e is None else phi_e
-    shift = 0.5 * elements(phi_e) + params.g * elements(photon_amp)
-    cphi = np.cos(elements(phi))
+    shift = 0.5 * np.asarray(phi_e, dtype=float) + params.g * np.asarray(photon_amp, dtype=float)
+    cphi = np.cos(np.asarray(phi, dtype=float))
     eta = params.eta
     if eta == 0.0:
-        return as_result(np.zeros(np.broadcast(shift, cphi).shape)[()])
+        return as_result(np.zeros(np.broadcast(shift, cphi).shape))
 
     def constraint(x, c):
         return np.sin(x) - 2.0 * eta * np.sin(shift - 0.5 * x) * c
@@ -172,7 +172,7 @@ def phi_J_exact(params: CircuitParams, phi, photon_amp=0.0, phi_e=None):
 
     lo, hi = -0.5 * math.pi, 0.5 * math.pi
     f_lo, f_hi = constraint(lo, cphi), constraint(hi, cphi)
-    if any_true(f_lo * f_hi > 0):
+    if (f_lo * f_hi > 0).any():
         raise ConvergenceError(
             "no sign change of the current constraint in (-pi/2, pi/2); "
             "parameter regime breakdown"
@@ -181,16 +181,16 @@ def phi_J_exact(params: CircuitParams, phi, photon_amp=0.0, phi_e=None):
     # with cos(phi) = 0, where the root is x = 0, and replaced below.
     at_lo, at_hi = f_lo == 0.0, f_hi == 0.0
     at_end = at_lo | at_hi
-    c_in = where(at_end, 0.0, cphi)
+    c_in = np.where(at_end, 0.0, cphi)
     root = newton_bisect(lambda x: constraint(x, c_in), lambda x: slope(x, c_in),
-                         lo, hi, where(at_end, -1.0, f_lo), 1e-12)
+                         lo, hi, np.where(at_end, -1.0, f_lo), 1e-12)
     residual = constraint(root, c_in)
-    if any_true(abs(residual) > 1e-12):
+    if (abs(residual) > 1e-12).any():
         raise ConvergenceError("current-constraint residual above 1e-12")
     # Newton's error squares with each step, so one more step from a root
     # good to 1e-12 lands on the rounding floor.
     root = root - residual / slope(root, c_in)
-    return as_result(where(at_lo, lo, where(at_hi, hi, root)))
+    return as_result(np.where(at_lo, lo, np.where(at_hi, hi, root)))
 
 
 def effective_qubit(params: CircuitParams) -> EffectiveQubit:

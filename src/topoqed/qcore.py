@@ -28,10 +28,8 @@ H's shape, each rate >= 0.
 
 ``newton_bisect`` is the safeguarded root finder that the wire and circuit
 layers share.  It acts element-wise on arrays, so a whole sweep is one
-call, and a float in gives a float out.  A single element runs on numpy
-floats instead of 0-d arrays (``elements``, ``where``, ``any_true``,
-``as_result``), which keeps a scalar solve within a few times its cost in
-plain Python.
+call; a scalar is solved as an array of shape (), and ``as_result`` turns
+that back into a float, so a float in gives a float out.
 
 Decay-rate convention
 ---------------------
@@ -107,34 +105,9 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def elements(value):
-    """``value`` as float elements: a numpy float for a scalar, else an array.
-
-    The root solves keep a single element as a numpy float rather than a 0-d
-    array: an operation on one costs about 0.1 us, on a 0-d array about 1 us,
-    and a solve makes some 20 of them per iteration.
-    """
-    return np.asarray(value, dtype=float)[()]
-
-
-def where(mask, a, b):
-    """``np.where(mask, a, b)`` for an array mask; a plain choice for a scalar one.
-
-    ``np.where`` would turn a numpy float back into a 0-d array.
-    """
-    if isinstance(mask, np.ndarray):
-        return np.where(mask, a, b)
-    return a if mask else b
-
-
-def any_true(mask) -> bool:
-    """Whether any element of a boolean array or numpy bool is set."""
-    return bool(mask.any()) if isinstance(mask, np.ndarray) else bool(mask)
-
-
 def as_result(x):
-    """An array as it is; a scalar element as a Python float."""
-    return x if isinstance(x, np.ndarray) else float(x)
+    """A numpy array as it is; one element (shape ()) as a Python scalar."""
+    return x.item() if x.ndim == 0 else x
 
 
 def newton_bisect(f, df, lo, hi, f_lo, f_tol, max_iter=200):
@@ -142,26 +115,19 @@ def newton_bisect(f, df, lo, hi, f_lo, f_tol, max_iter=200):
 
     ``lo``, ``hi``, ``f_lo`` and ``f_tol`` are floats or arrays that
     broadcast to one shape, and ``f`` and ``df`` act element-wise on an array
-    of that shape, or on a numpy float when the shape is 0-d.  Each element
-    requires a sign change between its ``lo`` and ``hi``; ``f_lo`` is the
-    sign of f at the low end.  An element narrows its own bracket, takes a
-    Newton step when it lands inside the bracket and bisects otherwise, and
-    stops when |f| <= f_tol, or when the bracket is exhausted at double
-    precision with |f| <= max(f_tol, 1e-9); a stopped element no longer
-    moves.  ConvergenceError is raised for the whole call if any element
-    exhausts its bracket with a larger residual or is still running after
-    ``max_iter`` iterations.  Returns an array of the broadcast shape, or a
-    float when that shape is 0-d.
+    of that shape.  Each element requires a sign change between its ``lo``
+    and ``hi``; ``f_lo`` is the sign of f at the low end.  An element narrows
+    its own bracket, takes a Newton step when it lands inside the bracket
+    and bisects otherwise, and stops when |f| <= f_tol, or when the bracket
+    is exhausted at double precision with |f| <= max(f_tol, 1e-9); a stopped
+    element no longer moves.  ConvergenceError is raised for the whole call
+    if any element exhausts its bracket with a larger residual or is still
+    running after ``max_iter`` iterations.  Returns an array of the
+    broadcast shape, or a float when that shape is ().
     """
-    args = (lo, hi, f_lo, f_tol)
-    if any(isinstance(a, np.ndarray) for a in args):  # np.broadcast_arrays costs about 3 us
-        args = np.broadcast_arrays(*args)
-    lo, hi, f_lo, f_tol = map(elements, args)
-    # Logical not is written as ``^ np.True_``: ``~`` and ``==`` on a numpy
-    # bool cost about 0.5 us each, ``^`` and ``&`` about 0.04 us.
+    lo, hi, f_lo, f_tol = np.broadcast_arrays(lo, hi, f_lo, f_tol)
     lo_positive = f_lo > 0
-    lo_negative = lo_positive ^ np.True_
-    active = lo_positive | np.True_  # every element starts active
+    active = np.ones(lo.shape, dtype=bool)
     x = 0.5 * (lo + hi)
     # A zero derivative gives a non-finite Newton candidate, which the
     # bracket test rejects.
@@ -169,29 +135,25 @@ def newton_bisect(f, df, lo, hi, f_lo, f_tol, max_iter=200):
         for _ in range(max_iter):
             fx = f(x)
             # NaN residuals stay active.
-            active = active & ((abs(fx) <= f_tol) ^ np.True_)
-            if not any_true(active):
+            active = active & ~(abs(fx) <= f_tol)
+            if not active.any():
                 return as_result(x)
-            positive = fx > 0
-            lo = where(active & (positive ^ lo_negative), x, lo)
-            hi = where(active & (positive ^ lo_positive), x, hi)
+            same_sign = (fx > 0) == lo_positive
+            lo = np.where(active & same_sign, x, lo)
+            hi = np.where(active & ~same_sign, x, hi)
             cand = x - fx / df(x)
             newton_ok = (lo < cand) & (cand < hi)
-            x = where(active, where(newton_ok, cand, 0.5 * (lo + hi)), x)
-            # hi - lo <= 1e-16 * max(1, |x|), as two tests: np.maximum costs
-            # about 1 us on a numpy float.
-            width = hi - lo
-            exhausted = active & ((width <= 1e-16) | (width <= 1e-16 * abs(x)))
-            if any_true(exhausted):
+            x = np.where(active, np.where(newton_ok, cand, 0.5 * (lo + hi)), x)
+            exhausted = active & (hi - lo <= 1e-16 * np.maximum(1.0, abs(x)))
+            if exhausted.any():
                 # Bracket exhausted at double precision; accept if residual sane.
-                sane = abs(f(x)) <= np.maximum(f_tol, 1e-9)
-                stuck = exhausted & (sane ^ np.True_)
-                if any_true(stuck):
+                stuck = exhausted & ~(abs(f(x)) <= np.maximum(f_tol, 1e-9))
+                if stuck.any():
                     # Only these elements failed; the others still active
                     # may yet have converged.
                     failed, how = stuck, "before its bracket ran out"
                     break
-                active = active & (exhausted ^ np.True_)
+                active = active & ~exhausted
         else:
             failed, how = active, f"within {max_iter} iterations"
     raise ConvergenceError(

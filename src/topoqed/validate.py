@@ -90,15 +90,12 @@ def _check_splitting_continuity() -> tuple[bool, str]:
     kappa = wire.lambda_scale
     scale = wire.level_spacing
 
-    def jump(delta: float) -> float:
-        eps_lo = 2.0 * math.asin((1.0 - delta) / kappa)
-        eps_hi = 2.0 * math.asin((1.0 + delta) / kappa)
-        return abs(wire_splitting(wire, eps_lo).E - wire_splitting(wire, eps_hi).E)
-
-    j4, j6 = jump(1e-4), jump(1e-6)
+    # Lambda = 1 -/+ 1e-4 and 1 -/+ 1e-6 across the branch point, and phase 0.
+    eps = [2.0 * math.asin((1.0 + d) / kappa) for d in (-1e-4, 1e-4, -1e-6, 1e-6)]
+    lo4, hi4, lo6, hi6, e0 = wire_splitting(wire, np.array(eps + [0.0])).E.tolist()
+    j4, j6 = abs(lo4 - hi4), abs(lo6 - hi6)
     discontinuity = abs(100.0 * j6 - j4) / 99.0 / scale
     trend_ok = j6 <= 0.02 * j4
-    e0 = wire_splitting(wire, 0.0).E
     exact0 = abs(e0 - 0.5 * math.pi * scale) <= 1e-12 * scale
     ok = discontinuity <= 1e-6 and trend_ok and exact0
     return ok, f"extrapolated branch-point jump = {discontinuity:.2e} x (v_F/L)"

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import any_true, as_result, elements, newton_bisect, where
+from .qcore import as_result, newton_bisect
 
 __all__ = [
     "HBAR",
@@ -88,16 +88,12 @@ class WireParams:
                             ("k_B*T", K_B * self.T)):
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} = {value!r} must be finite and positive")
-        if not self.narrow_wire_ok:
+        if self.W * self.Delta0 / self.v_F >= 1.0:
             warnings.warn(
                 f"wire width W={self.W} violates W*Delta0/v_F < 1; "
                 "the single-channel description is unreliable",
                 stacklevel=3,
             )
-
-    @property
-    def narrow_wire_ok(self) -> bool:
-        return self.W * self.Delta0 / self.v_F < 1.0
 
     @property
     def lambda_scale(self) -> float:
@@ -126,7 +122,7 @@ class SplittingResult:
     root: float | np.ndarray
 
     def __post_init__(self):
-        if any_true(self.E < 0) or any_true(self.Lambda < 0):
+        if np.any(self.E < 0) or np.any(self.Lambda < 0):
             raise ValueError("E and Lambda must be non-negative")
 
 
@@ -149,26 +145,26 @@ def inverse_x_over_tan(y, n: int = 0):
     """
     if n < 0:
         raise ValueError("branch index must be non-negative")
-    y = elements(y)
+    y = np.asarray(y, dtype=float)
     at_limit = False
     if n == 0:
-        if any_true(y > 1.0):
+        if (y > 1.0).any():
             raise ValueError(f"branch 0 requires y <= 1, got {float(np.max(y))}")
         # The limit elements are solved at y = 0 and replaced by 0 below.
         at_limit = y == 1.0
-        y = where(at_limit, 0.0, y)
+        y = np.where(at_limit, 0.0, y)
         lo, hi = 1e-12, math.pi - 1e-12
         # Near y -> 1 the root sits at x ~ sqrt(3*(1-y)); shrink the bracket
         # so bisection starts in a region where f is well resolved.
-        hi = where(y > 0.9, np.minimum(hi, 4.0 * np.sqrt(3.0 * (1.0 - y)) + 1e-6), hi)
-        f_lo = where(y < 0.999, 1.0 - y, _x_over_tan(lo) - y)
+        hi = np.where(y > 0.9, np.minimum(hi, 4.0 * np.sqrt(3.0 * (1.0 - y)) + 1e-6), hi)
+        f_lo = np.where(y < 0.999, 1.0 - y, _x_over_tan(lo) - y)
     else:
         lo = n * math.pi + 1e-9
         hi = (n + 1) * math.pi - 1e-9
         f_lo = _x_over_tan(lo) - y
     f_tol = _ROOT_TOL * np.maximum(1.0, np.abs(y))
     root = newton_bisect(lambda x: _x_over_tan(x) - y, _d_x_over_tan, lo, hi, f_lo, f_tol)
-    return as_result(where(at_limit, 0.0, root))
+    return as_result(np.where(at_limit, 0.0, root))
 
 
 def _u_over_tanh(u):
@@ -184,12 +180,12 @@ def _d_u_over_tanh(u):
 
 def inverse_x_over_tanh(y):
     """Inverse of y = u/tanh(u) for y >= 1 (evanescent continuation), element-wise."""
-    y = elements(y)
-    if any_true(y < 1.0):
+    y = np.asarray(y, dtype=float)
+    if (y < 1.0).any():
         raise ValueError(f"u/tanh(u) >= 1 for all u; got y={float(np.min(y))}")
     # The limit elements are solved at y = 2 and replaced by 0 below.
     at_limit = y <= 1.0 + 1e-15
-    y = where(at_limit, 2.0, y)
+    y = np.where(at_limit, 2.0, y)
     lo = 1e-8
     # u/tanh(u) = y implies u = y*tanh(u) < y.  Once tanh(y) rounds to 1
     # (y above about 19) the root is y itself in double precision, so the
@@ -206,7 +202,7 @@ def inverse_x_over_tanh(y):
     # phases; Newton's error squares with each step, so one more step from
     # that root reaches double precision (as in circuit.phi_J_exact).
     polished = root - (_u_over_tanh(root) - y) / _d_u_over_tanh(root)
-    return as_result(where(at_limit, 0.0, polished))
+    return as_result(np.where(at_limit, 0.0, polished))
 
 
 def _oscillatory_splitting(lam):
@@ -232,26 +228,18 @@ def wire_splitting(params: WireParams, eps) -> SplittingResult:
     solve over its elements, and the result holds arrays of E, Lambda, root
     and branch names; for a float it holds floats and a string.
     """
-    lam = params.lambda_scale * np.abs(np.sin(0.5 * elements(eps)))
+    lam = params.lambda_scale * np.abs(np.sin(0.5 * np.asarray(eps, dtype=float)))
     oscillatory = lam <= 1.0
-    if not isinstance(lam, np.ndarray):
-        root, reduced = (_oscillatory_splitting if oscillatory else _evanescent_splitting)(lam)
-        return SplittingResult(
-            E=float(params.level_spacing * reduced),
-            Lambda=float(lam),
-            branch="oscillatory" if oscillatory else "evanescent",
-            root=float(root),
-        )
     root, reduced = np.empty_like(lam), np.empty_like(lam)
     if oscillatory.any():
         root[oscillatory], reduced[oscillatory] = _oscillatory_splitting(lam[oscillatory])
     if not oscillatory.all():
         root[~oscillatory], reduced[~oscillatory] = _evanescent_splitting(lam[~oscillatory])
     return SplittingResult(
-        E=params.level_spacing * reduced,
-        Lambda=lam,
-        branch=np.where(oscillatory, "oscillatory", "evanescent"),
-        root=root,
+        E=as_result(params.level_spacing * reduced),
+        Lambda=as_result(lam),
+        branch=as_result(np.where(oscillatory, "oscillatory", "evanescent")),
+        root=as_result(root),
     )
 
 

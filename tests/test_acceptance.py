@@ -196,9 +196,8 @@ def test_criterion_5_transcendental_inversion(paper_wire):
     worst = 0.0
     for n in (0, 1, 2):
         ys = rng.uniform(-40.0, 0.999 if n == 0 else 40.0, 10_000)
-        for y in ys:
-            x = inverse_x_over_tan(float(y), n)
-            worst = max(worst, abs(x_over_tan(x) - float(y)))
+        for x, y in zip(inverse_x_over_tan(ys, n).tolist(), ys.tolist()):
+            worst = max(worst, abs(x_over_tan(x) - y))
     assert worst <= 1e-10
 
     kappa = paper_wire.lambda_scale

@@ -211,6 +211,10 @@ class TestArraySweep:
         assert res.branch.tolist() == [r.branch for r in singles]
         ys = np.linspace(-30.0, 1.0, 97)
         assert inverse_x_over_tan(ys, 0).tolist() == [inverse_x_over_tan(y, 0) for y in ys.tolist()]
+        ys = np.linspace(-40.0, 40.0, 97)
+        for n in (1, 2):
+            assert inverse_x_over_tan(ys, n).tolist() == [
+                inverse_x_over_tan(y, n) for y in ys.tolist()]
         ys = np.linspace(1.0, 40.0, 97)
         assert inverse_x_over_tanh(ys).tolist() == [inverse_x_over_tanh(y) for y in ys.tolist()]
 
