@@ -35,7 +35,7 @@ import numpy as np
 from . import circuit as _circuit
 from . import validate as _validate
 from .config import ConfigError, RunConfig, SweepSpec, load_config
-from .dynamics import FidelityCurve, GateSchedule, fidelity_curve
+from .dynamics import QUADRATURE_ORDER, GateSchedule, fidelity_curve
 from .interface import couplings, optimal_working_point
 from .output import write_csv, write_json, write_svg_plot
 from .qcore import ConvergenceError, IntegrationError
@@ -136,8 +136,7 @@ def cmd_couplings(config: RunConfig) -> int:
     cs = couplings(wire, circ)
     eff = cs.effective
 
-    phi_c1, lam1_max = optimal_working_point(wire, circ.with_phases(phi_e=math.pi), "lambda1")
-    phi_c2, lam2_max = optimal_working_point(wire, circ.with_phases(phi_e=0.0), "lambda2")
+    phi_c, lam1_max, lam2_max = optimal_working_point(wire, circ)
     p_t_working = _circuit.tunneling_leakage(cs.lambda1, circ)
     p_e = thermal_leakage(wire)
 
@@ -151,10 +150,10 @@ def cmd_couplings(config: RunConfig) -> int:
         ("eps_minus", eff.eps_minus, "rad"),
         ("working_phi", cs.working_phi, "rad"),
         ("lambda1_max", lam1_max, "rad_per_s"),
-        ("lambda1_max_phi_c", phi_c1, "rad"),
+        ("lambda1_max_phi_c", phi_c, "rad"),
         ("lambda1_max_over_eta_Delta0", abs(lam1_max) / lam1_ref, "dimensionless"),
         ("lambda2_max", lam2_max, "rad_per_s"),
-        ("lambda2_max_phi_c", phi_c2, "rad"),
+        ("lambda2_max_phi_c", phi_c, "rad"),
         ("lambda2_max_over_eta_g_Delta0", abs(lam2_max) / lam2_ref, "dimensionless"),
         ("P_t_working_point", p_t_working, "probability"),
         ("P_e_thermal", p_e, "probability"),
@@ -169,15 +168,15 @@ def cmd_couplings(config: RunConfig) -> int:
     print(f"  lambda1  = 2*pi x {cs.lambda1 / (2 * math.pi * 1e6):.4f} MHz")
     print(f"  lambda2  = 2*pi x {cs.lambda2 / (2 * math.pi * 1e6):.4f} MHz")
     print(f"optimum |lambda1| (phi_e=pi): 2*pi x {abs(lam1_max) / (2 * math.pi * 1e9):.4f} GHz "
-          f"at phi_c = {phi_c1:.6f}  ({abs(lam1_max) / lam1_ref:.3f} x eta*Delta0)")
+          f"at phi_c = {phi_c:.6f}  ({abs(lam1_max) / lam1_ref:.3f} x eta*Delta0)")
     print(f"optimum |lambda2| (phi_e=0):  2*pi x {abs(lam2_max) / (2 * math.pi * 1e6):.4f} MHz "
-          f"at phi_c = {phi_c2:.6f}  ({abs(lam2_max) / lam2_ref:.3f} x eta*g*Delta0)")
+          f"at phi_c = {phi_c:.6f}  ({abs(lam2_max) / lam2_ref:.3f} x eta*g*Delta0)")
     print(f"diagnostics: P_t = {p_t_working:.3e}, P_e = {p_e:.3e}")
     print(f"wrote {out / 'couplings.csv'}")
     return EXIT_OK
 
 
-def _run_curve(config: RunConfig, lambda2: float) -> FidelityCurve:
+def _write_curve(config: RunConfig, lambda2: float, stem: str) -> None:
     schedule = GateSchedule(k=config.k, lambda2=lambda2)
     xs = np.arange(config.curve_steps + 1) / config.curve_steps * config.curve_x_max
     # Make sure the gate time itself is on the grid (for k > 1 it sits at
@@ -193,36 +192,33 @@ def _run_curve(config: RunConfig, lambda2: float) -> FidelityCurve:
     if not (math.isfinite(t_grid[-1]) and decay_times <= 100):
         raise ConfigError(f"the curve ends at t = {t_grid[-1]:.3g} s, {decay_times:.3g} decay "
                           "times (kappa + gamma) * t, over 100; raise lambda2 or lower curve.x_max")
-    return fidelity_curve(schedule, config.kappa, config.gamma, t_grid)
-
-
-def _write_curve(config: RunConfig, curve: FidelityCurve, stem: str) -> None:
+    fidelities, delta = fidelity_curve(schedule, config.kappa, config.gamma, t_grid)
+    x_grid = lambda2 * t_grid / math.pi
+    gate_idx = int(np.searchsorted(t_grid, schedule.tau))
     out = Path(config.out_dir)
     write_csv(out / f"{stem}.csv", ["t_ns", "lambda2_t_over_pi", "F"],
-              [curve.times_ns, curve.lambda2_t_over_pi, curve.fidelities])
-    x_gate = curve.params["tau_s"] * curve.params["lambda2_rad_per_s"] / math.pi
-    gate_idx = int(np.argmin(np.abs(curve.lambda2_t_over_pi - x_gate)))
+              [t_grid * 1e9, x_grid, fidelities])
     summary = {
         "config": config.normalized(),
-        "schedule": curve.params,
-        "quadrature_order": curve.quadrature_order,
-        "convergence_delta": curve.convergence_delta,
-        "F_at_tau": float(curve.fidelities[gate_idx]),
-        "lambda2_t_over_pi_at_gate": float(curve.lambda2_t_over_pi[gate_idx]),
+        "schedule": {
+            "k": schedule.k,
+            "lambda2_rad_per_s": lambda2,
+            "nu_rad_per_s": schedule.nu,
+            "tau_s": schedule.tau,
+            "kappa_per_s": config.kappa,
+            "gamma_per_s": config.gamma,
+        },
+        "quadrature_order": 2 * QUADRATURE_ORDER,
+        "convergence_delta": delta,
+        "F_at_tau": float(fidelities[gate_idx]),
+        "lambda2_t_over_pi_at_gate": float(x_grid[gate_idx]),
     }
     write_json(out / f"{stem}_summary.json", summary)
     if "svg" in config.formats:
-        write_svg_plot(
-            out / f"{stem}.svg",
-            curve.lambda2_t_over_pi,
-            curve.fidelities,
-            xlabel="λ₂t/π",
-            ylabel="F",
-            title="entangling-gate fidelity",
-        )
+        write_svg_plot(out / f"{stem}.svg", x_grid, fidelities,
+                       xlabel="λ₂t/π", ylabel="F", title="entangling-gate fidelity")
     print(f"F at gate time = {summary['F_at_tau']:.6f} "
-          f"(quadrature order {curve.quadrature_order}, convergence delta "
-          f"{curve.convergence_delta:.2e})")
+          f"(quadrature order {2 * QUADRATURE_ORDER}, convergence delta {delta:.2e})")
     print(f"wrote {out / (stem + '.csv')}")
 
 
@@ -238,8 +234,7 @@ def cmd_gate(config: RunConfig) -> int:
                 f"{config.circuit.phi_e!r} rad: phi_e = pi switches the cavity interface off, "
                 "and at a working phase of 0 (mod 2*pi) the splitting has its cusp, where "
                 "dE/dphi = 0; pin schedule.lambda2 or change phi_e or phi_c")
-    curve = _run_curve(config, lambda2)
-    _write_curve(config, curve, "gate")
+    _write_curve(config, lambda2, "gate")
     return EXIT_OK
 
 
@@ -257,8 +252,7 @@ def cmd_fig2(config: RunConfig) -> int:
         rate_convention=ref.rate_convention,
         lambda2_pinned=ref.lambda2_pinned,
     )
-    curve = _run_curve(pinned, pinned.lambda2_pinned)
-    _write_curve(pinned, curve, "fig2")
+    _write_curve(pinned, pinned.lambda2_pinned, "fig2")
     return EXIT_OK
 
 

@@ -55,7 +55,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -79,7 +79,6 @@ from .qcore import (
 )
 
 __all__ = [
-    "FidelityCurve",
     "GateSchedule",
     "analytic_U",
     "fidelity_curve",
@@ -194,31 +193,6 @@ def ideal_gate_state(schedule: GateSchedule, fock_cutoff: int = 16) -> tuple[np.
             f"gate target fidelity {qubit_fidelity:.12f} below 1 - 1e-8"
         )
     return psi, qubit_fidelity
-
-
-@dataclass(frozen=True)
-class FidelityCurve:
-    """Entangling fidelity versus time, with the parameters that produced it."""
-
-    times_ns: np.ndarray
-    lambda2_t_over_pi: np.ndarray
-    fidelities: np.ndarray
-    params: dict = field(default_factory=dict)
-    quadrature_order: int = 0
-    convergence_delta: float = 0.0
-
-    def __post_init__(self):
-        times = np.asarray(self.times_ns, dtype=float)
-        xs = np.asarray(self.lambda2_t_over_pi, dtype=float)
-        fs = np.asarray(self.fidelities, dtype=float)
-        if not (len(times) == len(xs) == len(fs)):
-            raise ValueError("time and fidelity arrays must have equal length")
-        # Written so that a NaN fails: every comparison with NaN is false.
-        if not np.all((fs >= -1e-8) & (fs <= 1.0 + 1e-8)):
-            raise ValueError("fidelities outside [0, 1 + 1e-8]")
-        for name, arr in (("times_ns", times), ("lambda2_t_over_pi", xs), ("fidelities", fs)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
 
 
 def _rotating_frame_hamiltonian(schedule: GateSchedule, model: HamiltonianModel) -> np.ndarray:
@@ -393,31 +367,21 @@ def fidelity_curve(
     kappa: float,
     gamma: float,
     t_grid: Sequence[float],
-) -> FidelityCurve:
+) -> tuple[np.ndarray, float]:
     """Entangling fidelity under cavity decay and qubit relaxation.
 
-    Reports F(t) = <target| Tr_cav rho(t) |target> on the grid, from |++>
+    Returns F(t) = <target| Tr_cav rho(t) |target> on the grid, from |++>
     and cavity vacuum, with the reduced states of :func:`_branch_states`:
     closed-form coherent-state branches plus the single-jump quadratures,
-    whose shift between orders p and 2p is the curve's
-    ``convergence_delta`` (an IntegrationError above QUADRATURE_TOL).  F is
-    one contraction of the checked stack of states with the target vector.
+    whose shift between orders p and 2p is returned with F as the
+    convergence delta (an IntegrationError above QUADRATURE_TOL).  F is
+    one contraction of the checked stack of states with the target vector;
+    a NaN, or a value outside [-1e-8, 1 + 1e-8], raises ValueError.
     """
     rhos, delta = _branch_states(schedule, kappa, gamma, t_grid)
-    t_grid = np.asarray(t_grid, dtype=float)
     target = target_entangled_state()
-    return FidelityCurve(
-        times_ns=t_grid * 1e9,
-        lambda2_t_over_pi=schedule.lambda2 * t_grid / math.pi,
-        fidelities=np.einsum("i,tij,j->t", target.conj(), rhos, target).real,
-        params={
-            "k": schedule.k,
-            "lambda2_rad_per_s": schedule.lambda2,
-            "nu_rad_per_s": schedule.nu,
-            "tau_s": schedule.tau,
-            "kappa_per_s": kappa,
-            "gamma_per_s": gamma,
-        },
-        quadrature_order=2 * QUADRATURE_ORDER,
-        convergence_delta=delta,
-    )
+    fidelities = np.einsum("i,tij,j->t", target.conj(), rhos, target).real
+    # Written so that a NaN fails: every comparison with NaN is false.
+    if not np.all((fidelities >= -1e-8) & (fidelities <= 1.0 + 1e-8)):
+        raise ValueError("fidelities outside [0, 1 + 1e-8]")
+    return fidelities, delta

@@ -2,13 +2,15 @@
 
 The wire splitting evaluated at the working phase ``phi_c + f1`` yields the
 topological-qubit frequency ``omega_t``; its phase derivative, weighted by
-the circuit's flux response, gives the two switchable couplings
+the circuit's phase shifts (:class:`~topoqed.circuit.EffectiveQubit`), gives
+the two switchable couplings
 
-    lambda1 = eta * sin(phi_e/2) * dE/dphi      (qubit-qubit interface)
-    lambda2 = eta * g * cos(phi_e/2) * dE/dphi  (qubit-cavity interface)
+    lambda1 = f2 * dE/dphi,  f2 = eta * sin(phi_e/2)      (qubit-qubit interface)
+    lambda2 = f3 * dE/dphi,  f3 = eta * g * cos(phi_e/2)  (qubit-cavity interface)
 
-so lambda1 vanishes identically at phi_e = 0 and lambda2 at phi_e = pi.  The
-half-angle factors are evaluated so those zeros are exact in floating point.
+with f3 the ``f3_coeff`` of the effective qubit, so lambda1 vanishes
+identically at phi_e = 0 and lambda2 at phi_e = pi.  The circuit evaluates
+the half-angle factors so those zeros are exact in floating point.
 
 The Hamiltonian builders take the couplings, frequencies and detuning as
 plain numbers, and the operators of the qubit (x) qubit (x) cavity space,
@@ -19,14 +21,14 @@ oracles; the gate's curve is the closed form of :mod:`topoqed.dynamics`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from . import circuit as _circuit
 from .circuit import CircuitParams, EffectiveQubit, effective_qubit
-from .qcore import SIGMA_Z, destroy, eye, number_op, tensor
+from .qcore import destroy, eye, number_op, tensor
 from .wire import WireParams, splitting_derivative, wire_splitting
 
 __all__ = [
@@ -57,6 +59,7 @@ class CouplingSet:
     lambda1: float
     lambda2: float
     working_phi: float
+    de_dphi: float
     effective: EffectiveQubit
 
 
@@ -87,16 +90,9 @@ class HamiltonianModel:
         return tensor([eye(2), eye(2), number_op(self.fock_cutoff)])
 
     @cached_property
-    def tau1_z(self) -> np.ndarray:
-        return tensor([SIGMA_Z, eye(2), eye(self.fock_cutoff)])
-
-    @cached_property
-    def tau2_z(self) -> np.ndarray:
-        return tensor([eye(2), SIGMA_Z, eye(self.fock_cutoff)])
-
-    @cached_property
     def j_z(self) -> np.ndarray:
-        return 0.5 * (self.tau1_z + self.tau2_z)
+        # (tau1_z + tau2_z)/2 on the qubit basis |00>, |01>, |10>, |11>.
+        return tensor([np.diag([1.0, 0.0, 0.0, -1.0]), eye(self.fock_cutoff)])
 
     @cached_property
     def a_j_z(self) -> np.ndarray:
@@ -107,44 +103,35 @@ def couplings(wire: WireParams, circ: CircuitParams) -> CouplingSet:
     """Interface couplings from device parameters.
 
     Evaluates the wire splitting and its derivative at the working phase
-    ``phi_c + f1`` and applies the flux-response prefactors.
+    ``phi_c + f1`` and weights the derivative with the circuit's phase
+    shifts: lambda1 = f2 * dE/dphi and lambda2 = f3_coeff * dE/dphi.
     """
     eff = effective_qubit(circ)
     working_phi = circ.phi_c + eff.f1
     split = wire_splitting(wire, working_phi)
     de_dphi = splitting_derivative(wire, working_phi, split.root)
-    eta = circ.eta
-    lam1 = eta * _circuit._half_angle_sin(circ.phi_e) * de_dphi
-    lam2 = eta * circ.g * _circuit._half_angle_cos(circ.phi_e) * de_dphi
     return CouplingSet(
         omega_t=split.E,
-        lambda1=lam1,
-        lambda2=lam2,
+        lambda1=eff.f2 * de_dphi,
+        lambda2=eff.f3_coeff * de_dphi,
         working_phi=working_phi,
+        de_dphi=de_dphi,
         effective=eff,
     )
 
 
-def optimal_working_point(
-    wire: WireParams, circ: CircuitParams, which: str
-) -> tuple[float, float]:
-    """Working phase phi_c maximizing |lambda1| or |lambda2| over [PHI_C_MIN, pi].
+def optimal_working_point(wire: WireParams, circ: CircuitParams) -> tuple[float, float, float]:
+    """Working phase phi_c maximizing |lambda1| and |lambda2| over [PHI_C_MIN, pi].
 
-    At a switch point the magnitude falls monotonically in phi_c (see the
-    note above PHI_C_MIN), so the optimum is PHI_C_MIN.  Returns (phi_c,
-    coupling value at phi_c).  A circuit whose working phase is shifted off
-    phi_c (phi_e not 0 or pi) is rejected: there the supremum sits at the
-    cusp, where the derivative is 0, and no maximum exists.
+    Each coupling peaks at its switch point (phi_e = pi for lambda1, 0 for
+    lambda2), where the working phase is phi_c and the magnitude falls
+    monotonically in phi_c (see the note above PHI_C_MIN), so both optima
+    sit at PHI_C_MIN.  There the half-angle factors are 1, and one
+    derivative D = dE/dphi at phi_c = PHI_C_MIN gives both.  Returns
+    (PHI_C_MIN, eta * D, eta * g * D); the flux phi_e of ``circ`` is not used.
     """
-    if which not in ("lambda1", "lambda2"):
-        raise ValueError("which must be 'lambda1' or 'lambda2'")
-    cs = couplings(wire, circ.with_phases(phi_c=PHI_C_MIN))
-    if cs.working_phi != PHI_C_MIN:
-        raise ValueError(
-            f"phi_e = {circ.phi_e!r} shifts the working phase off phi_c; the "
-            "working-point optimum is defined at phi_e = 0 or pi only"
-        )
-    return PHI_C_MIN, getattr(cs, which)
+    d = couplings(wire, circ.with_phases(phi_e=math.pi, phi_c=PHI_C_MIN)).de_dphi
+    return PHI_C_MIN, circ.eta * d, circ.eta * circ.g * d
 
 
 def build_H_CT(omega_t: float, lambda1: float, lambda2: float, omega_r: float,
@@ -154,7 +141,7 @@ def build_H_CT(omega_t: float, lambda1: float, lambda2: float, omega_r: float,
     H = omega_r a+a - (omega_t + lambda1)/2 * (tau1_z + tau2_z)
         - lambda2 * (tau1_z + tau2_z) * (a + a+)
     """
-    tau_sum = model.tau1_z + model.tau2_z
+    tau_sum = 2 * model.j_z
     quad = model.a_op + model.a_op.conj().T
     return (
         omega_r * model.n_photon

@@ -273,8 +273,7 @@ def test_criterion_7_switching_exactness(paper_wire, paper_circuit):
     assert cs_zero.lambda1 == 0.0
     assert cs_half.lambda2 == 0.0
 
-    circ = dataclasses.replace(paper_circuit, phi_e=0.0)
-    _, lam2_max = optimal_working_point(paper_wire, circ, "lambda2")
+    _, _, lam2_max = optimal_working_point(paper_wire, paper_circuit)
     reference = paper_circuit.eta * paper_circuit.g * paper_wire.Delta0
     ratio = abs(lam2_max) / reference
     assert 0.1 <= ratio <= 1.0
@@ -342,8 +341,8 @@ def test_criterion_10_decoherence_vs_k_trend():
     results = {}
     for k in (1, 4, 9):
         sch = GateSchedule(k=k, lambda2=LAMBDA2)
-        curve = fidelity_curve(sch, KAPPA, GAMMA, [0.0, sch.tau])
-        results[k] = float(curve.fidelities[-1])
+        fids, _ = fidelity_curve(sch, KAPPA, GAMMA, [0.0, sch.tau])
+        results[k] = float(fids[-1])
     assert results[1] > results[4] > results[9]
     print(f"\nACCEPTANCE 10 PASS - decoherence trend: F(tau) = "
           f"{results[1]:.4f} (k=1) > {results[4]:.4f} (k=4) > {results[9]:.4f} (k=9)")

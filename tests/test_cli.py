@@ -442,6 +442,21 @@ class TestCouplingsCommand:
         ratio = float(rows["lambda2_max_over_eta_g_Delta0"])
         assert 0.1 <= ratio <= 1.0
 
+    def test_two_root_solves(self, tmp_path, monkeypatch):
+        # One for the working point and one for both optima: the lambda1 and
+        # lambda2 optima share the derivative at PHI_C_MIN.
+        calls = []
+        newton_bisect = _wire.newton_bisect
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return newton_bisect(*args, **kwargs)
+
+        monkeypatch.setattr(_wire, "newton_bisect", counting)
+        config = dataclasses.replace(load_config(None), out_dir=str(tmp_path / "o"))
+        assert _cli.cmd_couplings(config) == 0
+        assert len(calls) == 2
+
     @pytest.mark.parametrize("key, value, message", [
         ("n_g", 0.3, "n_g = 0.3 is away from the degeneracy point 1/2"),
         ("E_c", {"value": 8.0, "unit": "GHz", "times_2pi": True}, "E_J >= E_c"),
@@ -504,6 +519,17 @@ class TestGateCommand:
         lines = (tmp_path / "o" / "gate.csv").read_text().strip().splitlines()
         assert lines[0] == "t_ns,lambda2_t_over_pi,F"
         assert abs(float(lines[1].split(",")[2]) - 0.5) < 1e-9
+
+    @pytest.mark.parametrize("k", [1, 4, 9])
+    def test_f_at_tau_is_the_curve_at_the_gate_time(self, k, tmp_path):
+        # The summary reads F at the grid point the command inserted at tau.
+        config = dataclasses.replace(load_config(None), k=k, out_dir=str(tmp_path / "o"))
+        assert _cli.cmd_gate(config) == 0
+        summary = json.loads((tmp_path / "o" / "gate_summary.json").read_text())
+        schedule = _dyn.GateSchedule(k=k, lambda2=config.lambda2_pinned)
+        fids, _ = _dyn.fidelity_curve(schedule, config.kappa, config.gamma, [0.0, schedule.tau])
+        assert abs(summary["F_at_tau"] - fids[-1]) <= 1e-14
+        assert summary["lambda2_t_over_pi_at_gate"] == schedule.lambda2 * schedule.tau / math.pi
 
 
 class TestFig2Command:

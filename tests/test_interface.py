@@ -81,7 +81,7 @@ class TestOptimalWorkingPoint:
         # wire, mostly on the u/tanh u branch) and 100.
         for L in (0.3e-6, paper_wire.L, 50e-6):
             wire = dataclasses.replace(paper_wire, L=L)
-            phi_c, value = optimal_working_point(wire, circ, "lambda2")
+            phi_c, _, value = optimal_working_point(wire, circ)
             assert phi_c == PHI_C_MIN
             fine_best = max(
                 abs(couplings(wire, dataclasses.replace(circ, phi_c=float(p))).lambda2)
@@ -91,31 +91,30 @@ class TestOptimalWorkingPoint:
 
     def test_switched_off_coupling_is_zero_everywhere(self, paper_wire, paper_circuit):
         circ = dataclasses.replace(paper_circuit, phi_e=0.0)
-        for phi_c in (0.1, 0.9, 2.2):
+        for phi_c in (PHI_C_MIN, 0.1, 0.9, 2.2):
             cs = couplings(paper_wire, dataclasses.replace(circ, phi_c=phi_c))
             assert cs.lambda1 == 0.0
-        _, best = optimal_working_point(paper_wire, circ, "lambda1")
-        assert best == 0.0
 
     def test_beats_random_samples(self, paper_wire, paper_circuit):
         circ = dataclasses.replace(paper_circuit, phi_e=0.0)
-        _, best = optimal_working_point(paper_wire, circ, "lambda2")
+        _, _, best = optimal_working_point(paper_wire, circ)
         rng = np.random.default_rng(31)
         for _ in range(100):
             phi_c = float(rng.uniform(PHI_C_MIN, math.pi - PHI_C_MIN))
             sample = couplings(paper_wire, dataclasses.replace(circ, phi_c=phi_c)).lambda2
             assert abs(best) >= abs(sample) - 1e-12 * abs(best)
 
-    def test_unknown_target_rejected(self, paper_wire, paper_circuit):
-        with pytest.raises(ValueError):
-            optimal_working_point(paper_wire, paper_circuit, "lambda3")
-
-    def test_flux_off_the_switch_points_rejected(self, paper_wire, paper_circuit):
-        # f1 shifts the working phase off phi_c; the supremum then sits at the
-        # cusp, where no maximum exists.
-        circ = dataclasses.replace(paper_circuit, phi_e=math.pi / 2)
-        with pytest.raises(ValueError, match="phi_e"):
-            optimal_working_point(paper_wire, circ, "lambda2")
+    @pytest.mark.parametrize("phi_e", [0.0, math.pi, 1.0])
+    def test_both_optima_are_the_switch_point_couplings(self, paper_wire, paper_circuit,
+                                                        phi_e):
+        # One derivative gives both: lambda1 at phi_e = pi and lambda2 at
+        # phi_e = 0, each at PHI_C_MIN, whatever the circuit's own flux.
+        circ = dataclasses.replace(paper_circuit, phi_e=phi_e)
+        phi_c, lam1_max, lam2_max = optimal_working_point(paper_wire, circ)
+        at = dataclasses.replace(paper_circuit, phi_c=PHI_C_MIN)
+        assert phi_c == PHI_C_MIN
+        assert lam1_max == couplings(paper_wire, dataclasses.replace(at, phi_e=math.pi)).lambda1
+        assert lam2_max == couplings(paper_wire, dataclasses.replace(at, phi_e=0.0)).lambda2
 
     def test_splitting_slope_falls_on_the_half_period(self):
         # The premise of the closed-form optimum: |dE/dphi| does not rise on
