@@ -1,14 +1,10 @@
 """Command-line surface: sweeps, coupling reports, gate curves, self-checks.
 
-Subcommands
------------
-spectrum   sweep the wire splitting over the superconducting phase
-phij       compare the series and exact large-junction phase drop
-couplings  report the interface couplings, optima and leakage diagnostics
-gate       dissipative entangling-gate fidelity curve for the configured device
-fig2       preset reproducing the headline fidelity curve (hard-wired
-           parameters: k = 1, kappa = gamma = 1 MHz, lambda2 = 2*pi*32 MHz)
-validate   run the invariant self-check suite
+``COMMANDS`` is the command list: it maps each subcommand to its handler, its
+help text and the flags it takes besides ``--config`` and ``--out``.  Every
+command but ``validate`` writes its table and summary through
+``_write_table``.  ``fig2`` is a preset with hard-wired parameters (k = 1,
+kappa = gamma = 1 MHz, lambda2 = 2*pi*32 MHz).
 
 The gate curves are computed in closed form, with no Fock cutoff, so gate
 and fig2 take no --fock flag (argparse rejects it with exit 2).
@@ -83,6 +79,17 @@ def _check_out_dir(config: RunConfig) -> None:
             return
 
 
+def _write_table(config: RunConfig, stem: str, header, columns, summary: dict) -> Path:
+    """Write ``<stem>.csv``, then ``<stem>_summary.json`` with the config echo.
+
+    Returns the CSV path.
+    """
+    path = Path(config.out_dir) / f"{stem}.csv"
+    write_csv(path, header, columns)
+    write_json(path.with_name(f"{stem}_summary.json"), {**summary, "config": config.normalized()})
+    return path
+
+
 def cmd_spectrum(config: RunConfig) -> int:
     sweep = config.sweep or SweepSpec(variable="eps", min=0.0, max=math.pi, steps=200)
     if sweep.variable != "eps":
@@ -90,17 +97,13 @@ def cmd_spectrum(config: RunConfig) -> int:
 
     eps = sweep.values()
     res = wire_splitting(config.wire, eps)
-    out = Path(config.out_dir)
-    write_csv(
-        out / "spectrum.csv",
+    path = _write_table(
+        config, "spectrum",
         ["eps_rad", "Lambda", "E_rad_per_s", "E_GHz_over_2pi", "branch"],
         [eps, res.Lambda, res.E, res.E / (2.0 * math.pi * 1e9), res.branch],
+        {"rows": len(eps)},
     )
-    write_json(
-        out / "spectrum_summary.json",
-        {"config": config.normalized(), "rows": len(eps)},
-    )
-    print(f"wrote {out / 'spectrum.csv'} ({len(eps)} rows)")
+    print(f"wrote {path} ({len(eps)} rows)")
     return EXIT_OK
 
 
@@ -113,14 +116,13 @@ def cmd_phij(config: RunConfig) -> int:
     phi, phi_e = (values, None) if sweep.variable == "phi" else (0.0, values)
     series = _circuit.phi_J_series(config.circuit, phi, 0.0, phi_e)
     exact = _circuit.phi_J_exact(config.circuit, phi, 0.0, phi_e)
-    out = Path(config.out_dir)
-    write_csv(
-        out / "phij.csv",
+    path = _write_table(
+        config, "phij",
         [f"{sweep.variable}_rad", "phi_J_series_rad", "phi_J_exact_rad", "abs_diff_rad"],
         [values, series, exact, np.abs(series - exact)],
+        {"rows": len(values)},
     )
-    write_json(out / "phij_summary.json", {"config": config.normalized(), "rows": len(values)})
-    print(f"wrote {out / 'phij.csv'} ({len(values)} rows)")
+    print(f"wrote {path} ({len(values)} rows)")
     return EXIT_OK
 
 
@@ -137,6 +139,8 @@ def cmd_couplings(config: RunConfig) -> int:
     eff = cs.effective
 
     phi_c, lam1_max, lam2_max = optimal_working_point(wire, circ)
+    # abs of the quotient: eta*g*Delta0 takes the sign of g.
+    lam1_ratio, lam2_ratio = abs(lam1_max / lam1_ref), abs(lam2_max / lam2_ref)
     p_t_working = _circuit.tunneling_leakage(cs.lambda1, circ)
     p_e = thermal_leakage(wire)
 
@@ -151,28 +155,25 @@ def cmd_couplings(config: RunConfig) -> int:
         ("working_phi", cs.working_phi, "rad"),
         ("lambda1_max", lam1_max, "rad_per_s"),
         ("lambda1_max_phi_c", phi_c, "rad"),
-        ("lambda1_max_over_eta_Delta0", abs(lam1_max) / lam1_ref, "dimensionless"),
+        ("lambda1_max_over_eta_Delta0", lam1_ratio, "dimensionless"),
         ("lambda2_max", lam2_max, "rad_per_s"),
         ("lambda2_max_phi_c", phi_c, "rad"),
-        ("lambda2_max_over_eta_g_Delta0", abs(lam2_max) / lam2_ref, "dimensionless"),
+        ("lambda2_max_over_eta_g_Delta0", lam2_ratio, "dimensionless"),
         ("P_t_working_point", p_t_working, "probability"),
         ("P_e_thermal", p_e, "probability"),
     ]
-    out = Path(config.out_dir)
-    write_csv(out / "couplings.csv", ["quantity", "value", "unit"], list(zip(*quantities)))
-    summary = {name: value for name, value, _ in quantities}
-    summary["config"] = config.normalized()
-    write_json(out / "couplings_summary.json", summary)
+    path = _write_table(config, "couplings", ["quantity", "value", "unit"],
+                        list(zip(*quantities)), {name: value for name, value, _ in quantities})
     print(f"working point phi = {cs.working_phi:.6f} rad (phi_e = {circ.phi_e:.6f})")
     print(f"  omega_t  = 2*pi x {cs.omega_t / (2 * math.pi * 1e9):.4f} GHz")
     print(f"  lambda1  = 2*pi x {cs.lambda1 / (2 * math.pi * 1e6):.4f} MHz")
     print(f"  lambda2  = 2*pi x {cs.lambda2 / (2 * math.pi * 1e6):.4f} MHz")
     print(f"optimum |lambda1| (phi_e=pi): 2*pi x {abs(lam1_max) / (2 * math.pi * 1e9):.4f} GHz "
-          f"at phi_c = {phi_c:.6f}  ({abs(lam1_max) / lam1_ref:.3f} x eta*Delta0)")
+          f"at phi_c = {phi_c:.6f}  ({lam1_ratio:.3f} x eta*Delta0)")
     print(f"optimum |lambda2| (phi_e=0):  2*pi x {abs(lam2_max) / (2 * math.pi * 1e6):.4f} MHz "
-          f"at phi_c = {phi_c:.6f}  ({abs(lam2_max) / lam2_ref:.3f} x eta*g*Delta0)")
+          f"at phi_c = {phi_c:.6f}  ({lam2_ratio:.3f} x eta*g*Delta0)")
     print(f"diagnostics: P_t = {p_t_working:.3e}, P_e = {p_e:.3e}")
-    print(f"wrote {out / 'couplings.csv'}")
+    print(f"wrote {path}")
     return EXIT_OK
 
 
@@ -195,11 +196,7 @@ def _write_curve(config: RunConfig, lambda2: float, stem: str) -> None:
     fidelities, delta = fidelity_curve(schedule, config.kappa, config.gamma, t_grid)
     x_grid = lambda2 * t_grid / math.pi
     gate_idx = int(np.searchsorted(t_grid, schedule.tau))
-    out = Path(config.out_dir)
-    write_csv(out / f"{stem}.csv", ["t_ns", "lambda2_t_over_pi", "F"],
-              [t_grid * 1e9, x_grid, fidelities])
     summary = {
-        "config": config.normalized(),
         "schedule": {
             "k": schedule.k,
             "lambda2_rad_per_s": lambda2,
@@ -213,13 +210,14 @@ def _write_curve(config: RunConfig, lambda2: float, stem: str) -> None:
         "F_at_tau": float(fidelities[gate_idx]),
         "lambda2_t_over_pi_at_gate": float(x_grid[gate_idx]),
     }
-    write_json(out / f"{stem}_summary.json", summary)
+    path = _write_table(config, stem, ["t_ns", "lambda2_t_over_pi", "F"],
+                        [t_grid * 1e9, x_grid, fidelities], summary)
     if "svg" in config.formats:
-        write_svg_plot(out / f"{stem}.svg", x_grid, fidelities,
+        write_svg_plot(path.with_suffix(".svg"), x_grid, fidelities,
                        xlabel="λ₂t/π", ylabel="F", title="entangling-gate fidelity")
     print(f"F at gate time = {summary['F_at_tau']:.6f} "
           f"(quadrature order {2 * QUADRATURE_ORDER}, convergence delta {delta:.2e})")
-    print(f"wrote {out / (stem + '.csv')}")
+    print(f"wrote {path}")
 
 
 def cmd_gate(config: RunConfig) -> int:
@@ -272,63 +270,47 @@ def cmd_validate(config: RunConfig, mutations: tuple[str, ...]) -> int:
     return EXIT_OK
 
 
+# Each command registers only the flags it uses, so argparse rejects the
+# others instead of ignoring them.
+_SWEEP = ("--sweep", {"metavar": "VAR:MIN:MAX:STEPS", "help": "sweep override"})
+_MUTATE = ("--mutate", {"choices": list(_validate.MUTATIONS), "action": "append", "default": [],
+                        "help": "seed a known defect (test fixture for the oracle groups)"})
+
+# name -> (handler, help text, flags besides --config and --out)
+COMMANDS = {
+    "spectrum": (cmd_spectrum, "sweep the wire splitting over the superconducting phase", [_SWEEP]),
+    "phij": (cmd_phij, "compare series and exact large-junction phase drop", [_SWEEP]),
+    "couplings": (cmd_couplings, "report interface couplings, optima and leakage diagnostics", []),
+    "gate": (cmd_gate, "dissipative entangling-gate fidelity curve", []),
+    "fig2": (cmd_fig2, "headline fidelity-curve preset (hard-wired parameters)", []),
+    "validate": (cmd_validate, "run the invariant self-check suite", [_MUTATE]),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="topoqed",
         description="Tunable Majorana / charge-qubit / cavity interface simulator",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in [
-        ("spectrum", "sweep the wire splitting over the superconducting phase"),
-        ("phij", "compare series and exact large-junction phase drop"),
-        ("couplings", "report interface couplings, optima and leakage diagnostics"),
-        ("gate", "dissipative entangling-gate fidelity curve"),
-        ("fig2", "headline fidelity-curve preset (hard-wired parameters)"),
-        ("validate", "run the invariant self-check suite"),
-    ]:
+    for name, (_, help_text, flags) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", metavar="PATH", help="JSON run configuration")
         p.add_argument("--out", metavar="DIR", help="output directory")
-        # Each command registers only the flags it uses, so argparse rejects
-        # the others instead of ignoring them.
-        if name == "gate":
-            p.add_argument(
-                "--rate-convention",
-                choices=["plain", "angular"],
-                help="decay rates as written (plain) or multiplied by 2*pi (angular)",
-            )
-        if name in ("spectrum", "phij"):
-            p.add_argument("--sweep", metavar="VAR:MIN:MAX:STEPS", help="sweep override")
-        if name == "validate":
-            p.add_argument(
-                "--mutate",
-                choices=list(_validate.MUTATIONS),
-                action="append",
-                default=[],
-                help="seed a known defect (test fixture for the oracle groups)",
-            )
+        for flag, kwargs in flags:
+            p.add_argument(flag, **kwargs)
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    handler = COMMANDS[args.command][0]
     try:
-        config = _apply_overrides(
-            load_config(args.config, getattr(args, "rate_convention", None)), args)
+        config = _apply_overrides(load_config(args.config), args)
         _check_out_dir(config)
-        if args.command == "spectrum":
-            return cmd_spectrum(config)
-        if args.command == "phij":
-            return cmd_phij(config)
-        if args.command == "couplings":
-            return cmd_couplings(config)
-        if args.command == "gate":
-            return cmd_gate(config)
-        if args.command == "fig2":
-            return cmd_fig2(config)
-        if args.command == "validate":
-            return cmd_validate(config, tuple(args.mutate))
-        raise AssertionError(f"unhandled command {args.command}")
+        if "mutate" in args:  # validate's seeded defects
+            return handler(config, tuple(args.mutate))
+        return handler(config)
     except ValueError as exc:  # ConfigError, or a value the parsers let through
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

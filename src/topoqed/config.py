@@ -228,8 +228,8 @@ def default_config_dict() -> dict:
     }
 
 
-def parse_config(doc: dict, rate_convention: Optional[str] = None) -> RunConfig:
-    """Validate a config document; ``rate_convention`` replaces bath.rate_convention."""
+def parse_config(doc: dict) -> RunConfig:
+    """Validate a config document."""
     _require_keys(
         doc,
         {"schema_version", "wire", "circuit", "bath", "schedule", "curve", "sweep", "output"},
@@ -249,7 +249,6 @@ def parse_config(doc: dict, rate_convention: Optional[str] = None) -> RunConfig:
     convention = b.get("rate_convention", "plain")
     if convention not in ("plain", "angular"):
         raise ConfigError(f"bath.rate_convention must be 'plain' or 'angular', got {convention!r}")
-    convention = rate_convention or convention
     kappa = _frequency(b["kappa"], "bath.kappa", rate_convention=convention)
     gamma = _frequency(b["gamma"], "bath.gamma", rate_convention=convention)
     if kappa < 0 or gamma < 0:
@@ -340,13 +339,10 @@ def _finite_int(text: str) -> int:
     return value
 
 
-def load_config(path: Optional[str] = None, rate_convention: Optional[str] = None) -> RunConfig:
-    """Parse the config file at ``path``, or the built-in defaults if None.
-
-    ``rate_convention``, if given, replaces the document's bath.rate_convention.
-    """
+def load_config(path: Optional[str] = None) -> RunConfig:
+    """Parse the config file at ``path``, or the built-in defaults if None."""
     if path is None:
-        return parse_config(default_config_dict(), rate_convention)
+        return parse_config(default_config_dict())
     try:
         doc = json.loads(
             Path(path).read_text(),
@@ -358,4 +354,4 @@ def load_config(path: Optional[str] = None, rate_convention: Optional[str] = Non
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
-    return parse_config(doc, rate_convention)
+    return parse_config(doc)

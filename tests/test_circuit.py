@@ -140,6 +140,23 @@ class TestPhiJExact:
                     diff = abs(phi_J_series(p, float(phi), photon) - phi_J_exact(p, float(phi), photon))
                     assert diff <= bound
 
+    def test_series_error_is_third_order_over_random_devices(self):
+        # The series drops terms of order eta**3 and eta*(g*p)**2.
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        phases = st.floats(min_value=-2 * math.pi, max_value=2 * math.pi)
+
+        @hypothesis.settings(max_examples=100, deadline=None)
+        @hypothesis.given(st.floats(min_value=1e-3, max_value=0.29, exclude_max=True),
+                          st.floats(min_value=-0.05, max_value=0.05),
+                          st.floats(min_value=-2.0, max_value=2.0), phases, phases)
+        def check(eta, g, photon, phi, phi_e):
+            p = params(E_J=eta * 2 * math.pi * 160e9, g=g, phi_e=phi_e)
+            diff = abs(phi_J_exact(p, phi, photon) - phi_J_series(p, phi, photon))
+            assert diff <= 5.0 * (p.eta**3 + p.eta * (g * photon) ** 2)
+
+        check()
+
 
 class TestEffectiveQubit:
     def test_zero_flux_values(self):

@@ -457,6 +457,25 @@ class TestCouplingsCommand:
         assert _cli.cmd_couplings(config) == 0
         assert len(calls) == 2
 
+    def test_optimum_ratios_are_magnitudes_for_either_sign_of_g(self, tmp_path, capsys):
+        # eta*g*Delta0 takes the sign of g; the quoted ratios must not.
+        quoted = []
+        for g in (0.01, -0.01):
+            doc = default_config_dict()
+            doc["circuit"]["g"] = g
+            out = tmp_path / f"g{g}"
+            assert main(["couplings", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+            lines = (out / "couplings.csv").read_text().splitlines()[1:]
+            rows = dict(line.split(",")[:2] for line in lines)
+            summary = json.loads((out / "couplings_summary.json").read_text())
+            stdout = capsys.readouterr().out
+            quoted.append([rows["lambda1_max_over_eta_Delta0"], rows["lambda2_max_over_eta_g_Delta0"],
+                           summary["lambda1_max_over_eta_Delta0"],
+                           summary["lambda2_max_over_eta_g_Delta0"],
+                           stdout.split(" x eta*g*Delta0)")[0].rsplit("(", 1)[1]])
+        assert quoted[0] == quoted[1]
+        assert quoted[0][1] == "0.318006535041" and quoted[0][4] == "0.318"
+
     @pytest.mark.parametrize("key, value, message", [
         ("n_g", 0.3, "n_g = 0.3 is away from the degeneracy point 1/2"),
         ("E_c", {"value": 8.0, "unit": "GHz", "times_2pi": True}, "E_J >= E_c"),
@@ -487,23 +506,6 @@ class TestBathRates:
         err = capsys.readouterr().err
         assert "configuration error" in err and "bath.rate_convention" in err
         assert not (tmp_path / "o").exists()
-
-    @pytest.mark.parametrize("convention", ["plain", "angular"])
-    @pytest.mark.parametrize("flag", ["plain", "angular"])
-    def test_rate_convention_flag_acts_as_the_config_key(self, convention, flag, tmp_path):
-        # 0.7 MHz is a rate whose 2*pi does not cancel exactly in floating
-        # point: (0.7e6 * 2*pi) / (2*pi) != 0.7e6.
-        doc = default_config_dict()
-        doc["bath"]["kappa"]["value"] = 0.7
-        doc["bath"]["rate_convention"] = convention
-        doc["curve"] = {"x_max": 0.5, "steps": 2}
-        config = write_config(tmp_path, doc)
-        argv = ["gate", "--config", config, "--rate-convention", flag, "--out", str(tmp_path / "o")]
-        assert main(argv) == 0
-        summary = json.loads((tmp_path / "o" / "gate_summary.json").read_text())
-        doc["bath"]["rate_convention"] = flag
-        expected = load_config(write_config(tmp_path, doc)).normalized()["bath"]
-        assert summary["config"]["bath"] == expected
 
 
 class TestGateCommand:
@@ -604,6 +606,7 @@ class TestErrorPaths:
             "couplings --rate-convention angular",
             "couplings --sweep eps:0:1:3",
             "gate --sweep eps:0:1:3",
+            "gate --rate-convention angular",
             "fig2 --rate-convention angular",
             "fig2 --sweep eps:0:1:3",
             "validate --fock 16",
@@ -865,16 +868,16 @@ class TestErrorPaths:
         out = ("--out", outs)
         # Valid values are drawn more often, so that runs also get to write.
         config = ("--config", st.sampled_from(["small.json"] * 3 + ["", "missing.json", "f", "."]))
-        rate = ("--rate-convention", st.sampled_from(["plain", "angular", ""]))
         mutate = ("--mutate", st.sampled_from(["gate-phase-sign"] * 2 + [""]))
-        own = {"gate": [out, config, rate], "fig2": [out, config], "validate": [out, config, mutate]}
-        foreign = ("--sweep", st.sampled_from(["", "eps:0:1:3"]))
+        own = {"gate": [out, config], "fig2": [out, config], "validate": [out, config, mutate]}
+        foreign = [("--sweep", st.sampled_from(["", "eps:0:1:3"])),
+                   ("--rate-convention", st.sampled_from(["plain", "angular", ""]))]
 
         @hypothesis.settings(max_examples=50, deadline=None)
         @hypothesis.given(st.sampled_from(sorted(own)), st.data())
         def check(command, data):
             argv = [command]
-            for flag, values in data.draw(st.lists(st.sampled_from(own[command] * 4 + [foreign]),
+            for flag, values in data.draw(st.lists(st.sampled_from(own[command] * 4 + foreign),
                                                    max_size=3)):
                 argv += [flag, data.draw(values)]
             try:

@@ -88,6 +88,22 @@ class TestPropagatorAB:
         t_half = math.pi / nu
         assert abs(abs(propagator_AB(LAMBDA2, nu, t_half)[1]) - bound) <= 1e-10 * bound
 
+    def test_displacement_bound_over_random_schedules(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=100, deadline=None)
+        @hypothesis.given(st.floats(min_value=1e3, max_value=1e12),
+                          st.integers(min_value=1, max_value=100),
+                          st.floats(min_value=0.0, max_value=20.0))
+        def check(lambda2, k, periods):
+            sch = GateSchedule(k=k, lambda2=lambda2)
+            _, b = propagator_AB(lambda2, sch.nu, periods * sch.tau)
+            # |exp(-i nu t) - 1| <= 2; the factor allows its last-bit rounding.
+            assert abs(b) <= 2.0 * lambda2 / sch.nu * (1 + 1e-15)
+
+        check()
+
     def test_requires_positive_detuning(self):
         with pytest.raises(ValueError):
             propagator_AB(LAMBDA2, 0.0, 1.0)

@@ -64,6 +64,26 @@ class TestInverseXOverTan:
             assert lo < x < (n + 1) * math.pi
             assert abs(x_over_tan(x) - y) <= 1e-10
 
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_round_trip_meets_the_stated_residual(self, n):
+        # The docstring's residual bound, 1e-13 * max(1, |y|), checked with
+        # math.tan.  From |y| of about 1.1e3 on, the solve cannot reach it
+        # and raises ConvergenceError, so the strategy stays below that.
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=100, deadline=None)
+        @hypothesis.given(st.floats(min_value=-1e3, max_value=1.0 if n == 0 else 1e3))
+        def check(y):
+            x = inverse_x_over_tan(y, n)
+            if n == 0 and y == 1.0:  # the y -> 1 limit of branch 0
+                assert x == 0.0
+                return
+            assert n * math.pi < x < (n + 1) * math.pi
+            assert abs(x_over_tan(x) - y) <= 1e-13 * max(1.0, abs(y))
+
+        check()
+
 
 class TestInverseXOverTanh:
     @pytest.mark.parametrize("lam", [3.0, 19.0, 30.0, 300.0])
@@ -82,6 +102,22 @@ class TestInverseXOverTanh:
         assert len(calls) <= 10
         oracle = bisect_root(lambda t: t / math.tanh(t) - lam, 1e-300, lam + 1.0)
         assert abs(u - oracle) <= 1e-13 * oracle
+
+    def test_round_trip_meets_the_stated_residual(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=100, deadline=None)
+        @hypothesis.given(st.floats(min_value=1.0, max_value=1e3))
+        def check(y):
+            u = inverse_x_over_tanh(y)
+            if y <= 1.0 + 1e-15:  # the y -> 1 limit, returned as 0
+                assert u == 0.0
+                return
+            assert u > 0.0
+            assert abs(u_over_tanh(u) - y) <= 1e-13 * max(1.0, abs(y))
+
+        check()
 
 
 class TestWireParams:
