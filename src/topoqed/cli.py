@@ -205,7 +205,7 @@ def _write_curve(config: RunConfig, lambda2: float, stem: str) -> None:
             "kappa_per_s": config.kappa,
             "gamma_per_s": config.gamma,
         },
-        "quadrature_order": 2 * QUADRATURE_ORDER,
+        "quadrature_order": QUADRATURE_ORDER,
         "convergence_delta": delta,
         "F_at_tau": float(fidelities[gate_idx]),
         "lambda2_t_over_pi_at_gate": float(x_grid[gate_idx]),
@@ -216,7 +216,7 @@ def _write_curve(config: RunConfig, lambda2: float, stem: str) -> None:
         write_svg_plot(path.with_suffix(".svg"), x_grid, fidelities,
                        xlabel="λ₂t/π", ylabel="F", title="entangling-gate fidelity")
     print(f"F at gate time = {summary['F_at_tau']:.6f} "
-          f"(quadrature order {2 * QUADRATURE_ORDER}, convergence delta {delta:.2e})")
+          f"(quadrature order {QUADRATURE_ORDER}, convergence delta {delta:.2e})")
     print(f"wrote {path}")
 
 

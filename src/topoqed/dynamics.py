@@ -39,7 +39,9 @@ form.  ``fidelity_curve`` sums them in numpy, with no cavity Hilbert space
 and no Fock cutoff: the spin-dependent-force algebra of the Molmer-Sorensen
 gate (Sorensen & Molmer, PRA 62, 022311 (2000)) in the coherent-state
 ansatz of Gambetta et al., PRA 77, 012112 (2008).  Only the coherences fed
-by one qubit jump need a quadrature, over the jump time.  The Fock-truncated
+by one qubit jump need a quadrature, over the jump time: one pass of the
+Gauss-Kronrod pair G10/K21, whose embedded Gauss value checks the Kronrod
+value, with both rules written out as constants.  The Fock-truncated
 Liouvillian, stepped in numpy by ``qcore.evolve_master_equation``, stays as
 the oracle that ``validate`` and the tests compare the closed form with;
 no command imports scipy.
@@ -53,15 +55,11 @@ half the corresponding energy-decay rates.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-# Imported with the package: numpy loads numpy.polynomial on first use, which
-# inside a command would count as its run time.
-from numpy.polynomial.legendre import leggauss
 
 from .interface import HamiltonianModel
 from .qcore import (
@@ -235,20 +233,40 @@ def _qubit_states(
 _J_Z = np.array([1.0, 0.0, 0.0, -1.0])
 _EXCITED = np.array([0.0, 1.0, 1.0, 2.0])
 
-# Gauss-Legendre order of the jump-time quadrature.  The curve is taken at
-# twice this order, and its shift from this order is the convergence check.
-QUADRATURE_ORDER = 10
+# The embedded Gauss-Kronrod pair G10/K21 on [-1, 1] (Piessens et al.,
+# QUADPACK, Springer 1983): 21 Kronrod nodes, of which the odd-numbered ten
+# are the Gauss-Legendre nodes of order 10.  Column 0 of the weights is the
+# Kronrod rule, column 1 the Gauss rule, which is zero on the even nodes.
+_KRONROD_POSITIVE = np.array([
+    0.148874338981631210884826001129720, 0.294392862701460198131126603103866,
+    0.433395394129247190799265943165784, 0.562757134668604683339000099272694,
+    0.679409568299024406234327365114874, 0.780817726586416897063717578345042,
+    0.865063366688984510732096688423493, 0.930157491355708226001207180059508,
+    0.973906528517171720077964012084452, 0.995657163025808080735527280689003])
+_KRONROD_WEIGHTS = np.array([
+    0.149445554002916905664936468389821, 0.147739104901338491374841515972068,
+    0.142775938577060080797094273138717, 0.134709217311473325928054001771707,
+    0.123491976262065851077958109831074, 0.109387158802297641899210590325805,
+    0.093125454583697605535065465083366, 0.075039674810919952767043140916190,
+    0.054755896574351996031381300244580, 0.032558162307964727478818972459390,
+    0.011694638867371874278064396062192])  # the centre node first
+_GAUSS_WEIGHTS = np.array([
+    0.295524224714752870173892994651338, 0.269266719309996355091226921569469,
+    0.219086362515982043995534934228163, 0.149451349150580593145776339657697,
+    0.066671344308688137593568809893332])
+_GK_NODES = np.concatenate([-_KRONROD_POSITIVE[::-1], [0.0], _KRONROD_POSITIVE])
+_GK_WEIGHTS = np.zeros((len(_GK_NODES), 2))
+_GK_WEIGHTS[:, 0] = np.concatenate([_KRONROD_WEIGHTS[:0:-1], _KRONROD_WEIGHTS])
+_GK_WEIGHTS[1::2, 1] = np.concatenate([_GAUSS_WEIGHTS[::-1], _GAUSS_WEIGHTS])
+# The summaries' quadrature_order: Kronrod nodes per panel.  The curve is the
+# Kronrod value, and its distance from the Gauss value is the convergence check.
+QUADRATURE_ORDER = len(_GK_NODES)
 QUADRATURE_TOL = 1e-10
 # Jump-time nodes evaluated in one pass, which bounds the memory for any grid.
 _NODE_BUDGET = 1 << 15
 # Quadrature panels beyond which a curve is refused rather than left to run
 # for hours.
 _MAX_PANELS = 10**8
-# Gauss-Legendre rules, built once per order (leggauss diagonalizes a
-# companion matrix); the two that every curve uses are built at import.
-_gauss_legendre = functools.cache(leggauss)
-_gauss_legendre(QUADRATURE_ORDER)
-_gauss_legendre(2 * QUADRATURE_ORDER)
 
 
 def _branch(lam, z, kappa, m, m_bra, alpha, beta, s):
@@ -274,37 +292,37 @@ def _branch(lam, z, kappa, m, m_bra, alpha, beta, s):
     return a_inf + da * decay, b_inf + db * decay, d_log
 
 
-def _jump_terms(lam: float, z: complex, kappa: float, gamma: float, t: np.ndarray,
-                order: int) -> np.ndarray:
-    """J, the single-jump part of the coherence |00><01|, shape (len(t),).
+def _jump_terms(lam: float, z: complex, kappa: float, gamma: float,
+                t: np.ndarray) -> np.ndarray:
+    """J, the single-jump part of the coherence |00><01|, shape (len(t), 2).
 
     A jump of qubit 1 at t1 takes |10><11| (J_z 0 and -1, three excitations)
     to |00><01| (J_z 1 and 0, one excitation): J is the integral over t1 in
     [0, t] of 2 gamma times that source branch at t1, continued in the target
     branch from t1 to t.  The integral is split into equal panels of at
-    most half a cavity period, with Gauss-Legendre nodes of the given order on
-    each, evaluated ``_NODE_BUDGET`` nodes per pass.
+    most half a cavity period, with the 21 Kronrod nodes on each, evaluated
+    ``_NODE_BUDGET`` nodes per pass.  Column 0 is the Kronrod value and
+    column 1 the embedded 10-node Gauss value, from the same nodes.
     """
-    nodes, weights = _gauss_legendre(order)
     panels = np.maximum(1.0, np.ceil(t * z.imag / math.pi))
     if not np.sum(panels) <= _MAX_PANELS:
         raise ValueError(f"the jump-time quadrature needs {np.sum(panels):.3g} panels, "
                          f"over {_MAX_PANELS:.0e}; shorten the curve or use fewer steps")
     panels = panels.astype(np.int64)
     ends = np.cumsum(panels)
-    rows_per_pass = max(1, _NODE_BUDGET // order)
-    term = np.zeros(len(t), dtype=complex)
+    rows_per_pass = max(1, _NODE_BUDGET // len(_GK_NODES))
+    term = np.zeros((len(t), 2), dtype=complex)
     for first in range(0, int(ends[-1]), rows_per_pass):
         rows = np.arange(first, min(first + rows_per_pass, int(ends[-1])))
         point = np.searchsorted(ends, rows, side="right")
         width = t[point] / panels[point]
         panel = rows - ends[point] + panels[point]
-        t1 = width[:, None] * (panel[:, None] + 0.5 * (nodes + 1.0))
+        t1 = width[:, None] * (panel[:, None] + 0.5 * (_GK_NODES + 1.0))
         rest = t[point][:, None] - t1
         alpha, beta, log_c = _branch(lam, z, kappa, 0.0, -1.0, 0.0, 0.0, t1)
         alpha, beta, d_log = _branch(lam, z, kappa, 1.0, 0.0, alpha, beta, rest)
         log_c += d_log + np.conj(beta) * alpha - gamma * (3.0 * t1 + rest)
-        np.add.at(term, point, 0.5 * width * (np.exp(log_c) @ weights))
+        np.add.at(term, point, 0.5 * width[:, None] * (np.exp(log_c) @ _GK_WEIGHTS))
     return 0.5 * gamma * term  # 2 gamma times the initial weight 1/4
 
 
@@ -326,12 +344,12 @@ def _branch_states(
       single-jump part: J (:func:`_jump_terms`) in |00><01| and, by qubit
       exchange, in |00><10|, and conj(J) in their Hermitian conjugates.
 
-    The quadrature runs at order p = QUADRATURE_ORDER and 2p, and the states
-    are taken at 2p.  An IntegrationError is raised if J shifts by more than
-    QUADRATURE_TOL between the two; the largest shift is returned with the
-    states.  The states form one array of shape ``(len(t_grid), 4, 4)``,
-    which passes the propagators' stacked check (``qcore._checked_states``)
-    once.
+    J comes from one pass of the Gauss-Kronrod pair G10/K21, and the states
+    take the 21-node Kronrod value.  An IntegrationError is raised if it
+    differs from the embedded 10-node Gauss value by more than
+    QUADRATURE_TOL; the largest difference is returned with the states.
+    The states form one array of shape ``(len(t_grid), 4, 4)``, which passes
+    the propagators' stacked check (``qcore._checked_states``) once.
     """
     if kappa < 0 or gamma < 0:
         raise ValueError("rates must be non-negative")
@@ -349,16 +367,15 @@ def _branch_states(
 
     delta = 0.0
     if gamma > 0:
-        coarse = _jump_terms(lam, z, kappa, gamma, t_grid, QUADRATURE_ORDER)
-        fine = _jump_terms(lam, z, kappa, gamma, t_grid, 2 * QUADRATURE_ORDER)
-        delta = float(np.max(np.abs(fine - coarse)))
+        kronrod, gauss = _jump_terms(lam, z, kappa, gamma, t_grid).T
+        delta = float(np.max(np.abs(kronrod - gauss)))
         if not delta <= QUADRATURE_TOL:
             raise IntegrationError(
-                f"jump-time quadrature not converged: a reduced-state entry shifts by "
-                f"{delta:.3e} between orders {QUADRATURE_ORDER} and {2 * QUADRATURE_ORDER}"
+                f"jump-time quadrature not converged: a reduced-state entry differs by "
+                f"{delta:.3e} between the 10-node Gauss and 21-node Kronrod rules"
             )
-        rho[:, 0, 1:3] += fine[:, None]
-        rho[:, 1:3, 0] += np.conj(fine)[:, None]
+        rho[:, 0, 1:3] += kronrod[:, None]
+        rho[:, 1:3, 0] += np.conj(kronrod)[:, None]
     return _checked_states(rho, t_grid), delta
 
 
@@ -372,9 +389,9 @@ def fidelity_curve(
 
     Returns F(t) = <target| Tr_cav rho(t) |target> on the grid, from |++>
     and cavity vacuum, with the reduced states of :func:`_branch_states`:
-    closed-form coherent-state branches plus the single-jump quadratures,
-    whose shift between orders p and 2p is returned with F as the
-    convergence delta (an IntegrationError above QUADRATURE_TOL).  F is
+    closed-form coherent-state branches plus the single-jump quadrature,
+    whose Kronrod-Gauss difference is returned with F as the convergence
+    delta (an IntegrationError above QUADRATURE_TOL).  F is
     one contraction of the checked stack of states with the target vector;
     a NaN, or a value outside [-1e-8, 1 + 1e-8], raises ValueError.
     """

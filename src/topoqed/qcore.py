@@ -118,12 +118,13 @@ def newton_bisect(f, df, lo, hi, f_lo, f_tol, max_iter=200):
     of that shape.  Each element requires a sign change between its ``lo``
     and ``hi``; ``f_lo`` is the sign of f at the low end.  An element narrows
     its own bracket, takes a Newton step when it lands inside the bracket
-    and bisects otherwise, and stops when |f| <= f_tol, or when the bracket
-    is exhausted at double precision with |f| <= max(f_tol, 1e-9); a stopped
-    element no longer moves.  ConvergenceError is raised for the whole call
-    if any element exhausts its bracket with a larger residual or is still
-    running after ``max_iter`` iterations.  Returns an array of the
-    broadcast shape, or a float when that shape is ().
+    and bisects otherwise.  It stops when |f| <= f_tol, or when its bracket
+    is exhausted (at most about two ulps wide) with |f| <= 4 |f'(x)| ulp(x),
+    the residual that rounding x can explain; a stopped element no longer
+    moves.  ConvergenceError is raised for the whole call if any element
+    exhausts its bracket with a larger residual or is still running after
+    ``max_iter`` iterations.  Returns an array of the broadcast shape, or a
+    float when that shape is ().
     """
     lo, hi, f_lo, f_tol = np.broadcast_arrays(lo, hi, f_lo, f_tol)
     lo_positive = f_lo > 0
@@ -144,10 +145,13 @@ def newton_bisect(f, df, lo, hi, f_lo, f_tol, max_iter=200):
             cand = x - fx / df(x)
             newton_ok = (lo < cand) & (cand < hi)
             x = np.where(active, np.where(newton_ok, cand, 0.5 * (lo + hi)), x)
-            exhausted = active & (hi - lo <= 1e-16 * np.maximum(1.0, abs(x)))
+            # 4.5e-16 |x| is at least two ulps of x.
+            exhausted = active & (hi - lo <= 4.5e-16 * np.maximum(abs(lo), abs(hi)))
             if exhausted.any():
-                # Bracket exhausted at double precision; accept if residual sane.
-                stuck = exhausted & ~(abs(f(x)) <= np.maximum(f_tol, 1e-9))
+                # Bracket exhausted at double precision: accept a residual
+                # that four ulps of x can explain (a backward-error bound).
+                slack = 4.0 * abs(df(x)) * np.spacing(x)
+                stuck = exhausted & ~(abs(f(x)) <= np.maximum(f_tol, slack))
                 if stuck.any():
                     # Only these elements failed; the others still active
                     # may yet have converged.

@@ -140,7 +140,9 @@ def inverse_x_over_tan(y, n: int = 0):
 
     Branch 0 maps (-inf, 1) onto (0, pi) with the y -> 1 limit returning 0;
     branch n >= 1 maps the whole real line onto (n*pi, (n+1)*pi).  The
-    residual |x/tan(x) - y| is driven below 1e-13 (scaled by max(1, |y|)).
+    residual |x/tan(x) - y| is at most 1e-13 max(1, |y|), or the root is
+    within two ulps of x, whichever is weaker: for large |y| the root sits
+    next to a pole, where one ulp of x moves the residual by about y^2 ulp(x).
     ``y`` is a float or an array; one root solve covers every element.
     """
     if n < 0:

@@ -237,6 +237,16 @@ def liouvillian_gate_states(schedule, kappa: float, gamma: float, t_grid,
     return states
 
 
+def midpoint_gauss_weights() -> np.ndarray:
+    """The jump-time quadrature's G10/K21 weights with the embedded Gauss rule
+    cut to the 1-node midpoint rule (weight 2 on the centre node), a check
+    rule far too coarse to agree with the Kronrod value to 1e-10."""
+    weights = _dyn._GK_WEIGHTS.copy()
+    weights[:, 1] = 0.0
+    weights[len(weights) // 2, 1] = 2.0
+    return weights
+
+
 def entanglement_entropy(psi, dims, cut) -> float:
     """Von Neumann entropy (bits) of a pure state vector's reduced state over ``cut``."""
     psi = np.asarray(psi)

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import reference_text
+from helpers import midpoint_gauss_weights, reference_text
 from topoqed import circuit as _circuit
 from topoqed import cli as _cli
 from topoqed import dynamics as _dyn
@@ -106,6 +106,26 @@ def test_commands_load_no_numpy_submodule(tmp_path):
                          env=child_env(), capture_output=True, text=True, timeout=120)
     assert res.returncode == 0, res.stderr
     assert res.stdout.splitlines()[-1] == "[0, 0] []"
+
+
+START_UP_STAYS_LIGHT = """
+import sys
+import topoqed.cli
+steps = [("import", 0, "numpy.polynomial" in sys.modules)]
+for command in topoqed.cli.COMMANDS:
+    code = topoqed.cli.main([command, "--out", command])
+    steps.append((command, code, "numpy.polynomial" in sys.modules))
+print([step for step in steps if step[1:] != (0, False)])
+"""
+
+
+def test_no_command_loads_numpy_polynomial(tmp_path):
+    # The jump-time quadrature's rules are constants, so neither the package
+    # nor any command loads numpy.polynomial (about 0.6 MB and 5 ms).
+    res = subprocess.run([sys.executable, "-c", START_UP_STAYS_LIGHT], cwd=tmp_path,
+                         env=child_env(), capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[-1] == "[]"
 
 
 RK45_FIRST_USE = """
@@ -573,7 +593,7 @@ class TestFig2Command:
         assert cmd_fig2(config) == 0
         summary = json.loads((tmp_path / "o" / "fig2_summary.json").read_text())
         assert abs(summary["F_at_tau"] - 0.9695548406) <= 1e-10
-        assert summary["quadrature_order"] == 2 * _dyn.QUADRATURE_ORDER
+        assert summary["quadrature_order"] == 21  # Kronrod nodes per panel
         assert "fock_cutoff_used" not in summary
 
 
@@ -1009,9 +1029,10 @@ class TestErrorPaths:
         assert not (tmp_path / "o" / "spectrum.csv").exists()
 
     def test_unconverged_quadrature_exits_3(self, tmp_path, monkeypatch, capsys):
-        # At order 1 the jump-time quadrature cannot meet its 1e-10 check
-        # against order 2; fig2 must fail with exit 3, not emit the curve.
-        monkeypatch.setattr(_dyn, "QUADRATURE_ORDER", 1)
+        # With the embedded Gauss rule cut to the 1-node midpoint rule, the
+        # Kronrod value cannot meet its 1e-10 check against it; fig2 must
+        # fail with exit 3, not emit the curve.
+        monkeypatch.setattr(_dyn, "_GK_WEIGHTS", midpoint_gauss_weights())
         assert main(["fig2", "--out", str(tmp_path / "o")]) == 3
         err = capsys.readouterr().err
         assert "numerical failure" in err and "quadrature" in err

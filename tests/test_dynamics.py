@@ -32,6 +32,7 @@ from topoqed.qcore import (
 from helpers import (
     entanglement_entropy,
     liouvillian_gate_states,
+    midpoint_gauss_weights,
     random_pure_state,
     rk4_columns_step_doubled,
     single_interface_hamiltonian,
@@ -258,15 +259,56 @@ class TestFidelityCurve:
         assert len(fids) == 45
         assert calls == [(45, 4, 4)]
 
-    def test_gauss_legendre_rules_are_not_rebuilt_per_curve(self):
-        # The rules of the default orders are built at import; a curve takes
-        # both from the cache and never calls leggauss.
-        before = _dyn._gauss_legendre.cache_info()
+    def test_one_jump_quadrature_pass_per_curve(self, monkeypatch):
+        # The Kronrod value and its Gauss check come from the same nodes.
+        calls = []
+        jump_terms = _dyn._jump_terms
+
+        def counted(*args):
+            calls.append(1)
+            return jump_terms(*args)
+
+        monkeypatch.setattr(_dyn, "_jump_terms", counted)
         sch = GateSchedule(k=1, lambda2=LAMBDA2)
         fidelity_curve(sch, 1e6, 1e6, [0.0, 0.5 * sch.tau, sch.tau])
-        after = _dyn._gauss_legendre.cache_info()
-        assert after.misses == before.misses
-        assert after.hits == before.hits + 2
+        assert len(calls) == 1
+
+
+class TestGaussKronrodRule:
+    """The G10/K21 constants of the jump-time quadrature."""
+
+    def test_weights_sum_to_two(self):
+        assert np.max(np.abs(_dyn._GK_WEIGHTS.sum(axis=0) - 2.0)) <= 1e-15
+
+    @pytest.mark.parametrize("column, degree", [(0, 30), (1, 18)])
+    def test_integrates_its_degree_exactly(self, column, degree):
+        weights = _dyn._GK_WEIGHTS[:, column]
+        for p in range(degree + 1):
+            exact = 2.0 / (p + 1) if p % 2 == 0 else 0.0
+            assert abs(_dyn._GK_NODES**p @ weights - exact) <= 1e-15, p
+
+    def test_gauss_nodes_are_the_odd_kronrod_nodes(self):
+        from numpy.polynomial.legendre import leggauss
+
+        nodes, weights = leggauss(10)
+        assert np.max(np.abs(_dyn._GK_NODES[1::2] - nodes)) <= 1e-15
+        assert np.max(np.abs(_dyn._GK_WEIGHTS[1::2, 1] - weights)) <= 1e-15
+        assert not _dyn._GK_WEIGHTS[::2, 1].any()
+
+    @pytest.mark.parametrize("k, x_max, points", [(1, 1.1, 45), (9, 3.2, 641)])
+    def test_matches_40_node_gauss_legendre(self, monkeypatch, k, x_max, points):
+        from numpy.polynomial.legendre import leggauss
+
+        sch = GateSchedule(k=k, lambda2=LAMBDA2)
+        t = np.linspace(0.0, x_max, points) * math.pi / LAMBDA2
+        args = (sch.lambda2, complex(1e6, sch.nu), 1e6, 1e6, t)
+        kronrod = _dyn._jump_terms(*args)[:, 0]
+        nodes, weights = leggauss(40)
+        monkeypatch.setattr(_dyn, "_GK_NODES", nodes)
+        monkeypatch.setattr(_dyn, "_GK_WEIGHTS", np.stack([weights, weights], axis=1))
+        reference = _dyn._jump_terms(*args)[:, 0]
+        assert np.max(np.abs(reference)) > 1e-3
+        assert np.max(np.abs(kronrod - reference)) <= 1e-15
 
 
 class TestCoherentStateBranches:
@@ -324,7 +366,7 @@ class TestCoherentStateBranches:
             assert np.max(np.abs(rho - ref)) <= 1e-10
 
     def test_low_quadrature_order_fails_the_check(self, monkeypatch):
-        monkeypatch.setattr(_dyn, "QUADRATURE_ORDER", 1)
+        monkeypatch.setattr(_dyn, "_GK_WEIGHTS", midpoint_gauss_weights())
         sch = GateSchedule(k=1, lambda2=LAMBDA2)
         with pytest.raises(IntegrationError, match="quadrature"):
             fidelity_curve(sch, 1e6, 1e6, [0.0, 0.5 * sch.tau, sch.tau])

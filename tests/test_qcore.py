@@ -513,6 +513,16 @@ class TestNewtonBisect:
         with pytest.raises(ConvergenceError, match="1 of 2 elements before its bracket ran out"):
             self.solve([16.0, 2.0], hi=np.array([3.0, 2.0**100]))
 
+    def test_steep_root_stops_within_two_ulps(self):
+        # The root lies halfway between pi and the next double, where the
+        # slope of 1e20 keeps |f| at 2.2e4 on both sides: no double reaches
+        # f_tol, so the solve stops when its bracket is exhausted and the
+        # residual is what rounding x explains.
+        half_ulp = 0.5 * math.ulp(math.pi)
+        x = newton_bisect(lambda x: 1e20 * ((x - math.pi) - half_ulp),
+                          lambda x: np.full_like(x, 1e20), 3.0, 4.0, -1.0, 1e-13)
+        assert abs((x - math.pi) - half_ulp) <= 2.0 * math.ulp(math.pi)
+
     def test_iteration_limit_raises(self):
         with pytest.raises(ConvergenceError, match="within 2 iterations"):
             self.solve([0.5, 2.0], max_iter=2)

@@ -67,8 +67,8 @@ class TestInverseXOverTan:
     @pytest.mark.parametrize("n", [0, 1, 2])
     def test_round_trip_meets_the_stated_residual(self, n):
         # The docstring's residual bound, 1e-13 * max(1, |y|), checked with
-        # math.tan.  From |y| of about 1.1e3 on, the solve cannot reach it
-        # and raises ConvergenceError, so the strategy stays below that.
+        # math.tan.  From |y| of about 1.1e3 on, rounding x by one ulp moves
+        # the residual past it; test_meets_the_contract_to_1e8 covers that.
         hypothesis = pytest.importorskip("hypothesis")
         st = hypothesis.strategies
 
@@ -83,6 +83,39 @@ class TestInverseXOverTan:
             assert abs(x_over_tan(x) - y) <= 1e-13 * max(1.0, abs(y))
 
         check()
+
+    @pytest.mark.parametrize("n, y", [(n, y) for n in range(3)
+                                      for y in (-2e3, 2e3, -1e4, 1e4) if n or y < 0])
+    def test_large_y_near_the_pole(self, n, y):
+        x = inverse_x_over_tan(y, n)
+        assert n * math.pi < x < (n + 1) * math.pi
+        assert meets_root_contract(x, y)
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_meets_the_contract_to_1e8(self, n):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=200, deadline=None)
+        @hypothesis.given(st.floats(min_value=-1e8, max_value=1.0 if n == 0 else 1e8))
+        def check(y):
+            x = inverse_x_over_tan(y, n)
+            if n == 0 and y == 1.0:  # the y -> 1 limit of branch 0
+                assert x == 0.0
+                return
+            assert n * math.pi < x < (n + 1) * math.pi
+            assert meets_root_contract(x, y)
+
+        check()
+
+
+def meets_root_contract(x, y):
+    """The residual is at most 1e-13 max(1, |y|), or x/tan(x) - y changes sign
+    within two ulps of x."""
+    if abs(x_over_tan(x) - y) <= 1e-13 * max(1.0, abs(y)):
+        return True
+    step = 2.0 * math.ulp(x)
+    return (x_over_tan(x - step) - y) * (x_over_tan(x + step) - y) <= 0.0
 
 
 class TestInverseXOverTanh:
