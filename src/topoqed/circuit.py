@@ -18,9 +18,9 @@ state.  Energies are angular frequencies (rad/s); phases are radians.
 
 ``phi_J_series`` and ``phi_J_exact`` act element-wise on arrays of phi,
 photon amplitude and external flux ``phi_e``, which broadcast together: a
-sweep is one call and one safeguarded root solve
-(``qcore.newton_bisect``), and a float in gives a float out.  The
-two-level reduction takes one parameter set.
+sweep is one call and one safeguarded root solve (``qcore.newton_bisect``)
+per block of the sweep (``qcore.blocks``), and a float in gives a float
+out.  The two-level reduction takes one parameter set.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .qcore import ConvergenceError, as_result, newton_bisect
+from .qcore import ConvergenceError, as_result, blocks, newton_bisect
 
 __all__ = [
     "CircuitParams",
@@ -154,15 +154,27 @@ def phi_J_exact(params: CircuitParams, phi, photon_amp=0.0, phi_e=None):
     root in (-pi/2, pi/2) by safeguarded Newton iteration; the residual is
     verified below 1e-12 before a last Newton step.  ``phi``, ``photon_amp``
     and ``phi_e`` (default ``params.phi_e``) are floats or arrays that
-    broadcast together; all elements share one root solve, and a float in
-    gives a float out.  ConvergenceError is raised if any element fails.
+    broadcast together; the elements of each block of ``qcore.BLOCK``
+    share one root solve, and a float in gives a float out.
+    ConvergenceError is raised if any element fails.
     """
     phi_e = params.phi_e if phi_e is None else phi_e
     shift = 0.5 * np.asarray(phi_e, dtype=float) + params.g * np.asarray(photon_amp, dtype=float)
     cphi = np.cos(np.asarray(phi, dtype=float))
-    eta = params.eta
-    if eta == 0.0:
-        return as_result(np.zeros(np.broadcast(shift, cphi).shape))
+    shape = np.broadcast(shift, cphi).shape
+    if params.eta == 0.0:
+        return as_result(np.zeros(shape))
+    # Solved one block of the flat index at a time; .flat copies only the
+    # block out of the broadcast inputs.
+    shift, cphi = np.broadcast_to(shift, shape).flat, np.broadcast_to(cphi, shape).flat
+    root = np.empty(shape)
+    for block in blocks(root.size):
+        root.flat[block] = _phi_J_root(params.eta, shift[block], cphi[block])
+    return as_result(root)
+
+
+def _phi_J_root(eta: float, shift: np.ndarray, cphi: np.ndarray) -> np.ndarray:
+    """The root x of sin(x) = 2 eta sin(shift - x/2) cos(phi) for 1-D arrays."""
 
     def constraint(x, c):
         return np.sin(x) - 2.0 * eta * np.sin(shift - 0.5 * x) * c
@@ -190,7 +202,7 @@ def phi_J_exact(params: CircuitParams, phi, photon_amp=0.0, phi_e=None):
     # Newton's error squares with each step, so one more step from a root
     # good to 1e-12 lands on the rounding floor.
     root = root - residual / slope(root, c_in)
-    return as_result(np.where(at_lo, lo, np.where(at_hi, hi, root)))
+    return np.where(at_lo, lo, np.where(at_hi, hi, root))
 
 
 def effective_qubit(params: CircuitParams) -> EffectiveQubit:

@@ -7,8 +7,9 @@ a density matrix a square array, and a trajectory one ``(n, d, d)`` stack.
 
 ``_checked_states`` is the one physicality check: finite entries, unit
 trace, Hermiticity, and positivity from one batched ``eigvalsh``, once per
-stack.  Two propagators pass their initial state and their trajectory
-through it, as do the closed-form gate states of :mod:`topoqed.dynamics`.
+stack and so once per state.  Two propagators pass their initial state and
+their trajectory through it, as do the closed-form gate states of
+:mod:`topoqed.dynamics`, one block of the grid at a time.
 Both propagators take
 ``(hamiltonian, channels, rho0, t_grid)``, with ``channels`` a sequence of
 ``(L, rate)`` pairs that ``_checked_channels`` checks for both: each L of
@@ -27,9 +28,14 @@ H's shape, each rate >= 0.
   does not.
 
 ``newton_bisect`` is the safeguarded root finder that the wire and circuit
-layers share.  It acts element-wise on arrays, so a whole sweep is one
+layers share.  It acts element-wise on arrays, so a block of a sweep is one
 call; a scalar is solved as an array of shape (), and ``as_result`` turns
 that back into a float, so a float in gives a float out.
+
+``blocks`` splits a grid into pieces of at most ``BLOCK`` points.  The
+sweeps and the gate's fidelity curve compute one block at a time into
+preallocated outputs, so the temporaries of one block, not of the whole
+grid, set their peak memory.
 
 Decay-rate convention
 ---------------------
@@ -105,6 +111,17 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
+# Grid points per block of the sweeps and the fidelity curve.  A point keeps
+# about 0.1 kB of root-solve temporaries, or 0.9 kB of gate-curve states, so
+# a block adds at most about 4 MB whatever the grid (tracemalloc).
+BLOCK = 4096
+
+
+def blocks(n: int) -> list[slice]:
+    """Consecutive slices of at most ``BLOCK`` indices that cover ``range(n)``."""
+    return [slice(i, min(i + BLOCK, n)) for i in range(0, n, BLOCK)]
+
+
 def as_result(x):
     """A numpy array as it is; one element (shape ()) as a Python scalar."""
     return x.item() if x.ndim == 0 else x
@@ -119,11 +136,12 @@ def newton_bisect(f, df, lo, hi, f_lo, f_tol, max_iter=200):
     and ``hi``; ``f_lo`` is the sign of f at the low end.  An element narrows
     its own bracket, takes a Newton step when it lands inside the bracket
     and bisects otherwise.  It stops when |f| <= f_tol, or when its bracket
-    is exhausted (at most about two ulps wide) with |f| <= 4 |f'(x)| ulp(x),
-    the residual that rounding x can explain; a stopped element no longer
-    moves.  ConvergenceError is raised for the whole call if any element
-    exhausts its bracket with a larger residual or is still running after
-    ``max_iter`` iterations.  Returns an array of the broadcast shape, or a
+    is exhausted (at most about two ulps wide): it then keeps whichever of
+    x and the two bracket ends has the smallest |f|, if that is at most
+    4 |f'(x)| ulp(x), the residual that rounding x can explain.  A stopped
+    element no longer moves.  ConvergenceError is raised for the whole call
+    if any element exhausts its bracket with a larger residual or is still
+    running after ``max_iter`` iterations.  Returns an array of the broadcast shape, or a
     float when that shape is ().
     """
     lo, hi, f_lo, f_tol = np.broadcast_arrays(lo, hi, f_lo, f_tol)
@@ -148,10 +166,17 @@ def newton_bisect(f, df, lo, hi, f_lo, f_tol, max_iter=200):
             # 4.5e-16 |x| is at least two ulps of x.
             exhausted = active & (hi - lo <= 4.5e-16 * np.maximum(abs(lo), abs(hi)))
             if exhausted.any():
-                # Bracket exhausted at double precision: accept a residual
-                # that four ulps of x can explain (a backward-error bound).
+                # Bracket exhausted at double precision: keep whichever of x
+                # and the bracket ends has the smallest |f|, and accept a
+                # residual that four ulps of it can explain (a backward-error
+                # bound).
+                r_x, r_lo, r_hi = abs(f(x)), abs(f(lo)), abs(f(hi))
+                to_lo = exhausted & (r_lo < r_x) & (r_lo <= r_hi)
+                to_hi = exhausted & (r_hi < r_x) & (r_hi < r_lo)
+                x = np.where(to_lo, lo, np.where(to_hi, hi, x))
+                residual = np.where(to_lo, r_lo, np.where(to_hi, r_hi, r_x))
                 slack = 4.0 * abs(df(x)) * np.spacing(x)
-                stuck = exhausted & ~(abs(f(x)) <= np.maximum(f_tol, slack))
+                stuck = exhausted & ~(residual <= np.maximum(f_tol, slack))
                 if stuck.any():
                     # Only these elements failed; the others still active
                     # may yet have converged.
@@ -274,28 +299,33 @@ def _checked_channels(channels, shape: tuple) -> list[tuple[np.ndarray, float]]:
 
 
 def _checked_states(rhos: np.ndarray, t_grid: np.ndarray) -> np.ndarray:
-    """A trajectory of density matrices, checked once, or IntegrationError naming t.
+    """A stack of density matrices, checked once, or IntegrationError naming t.
 
-    ``rhos`` has shape ``(len(t_grid), d, d)``.  Each matrix must have finite
-    entries, unit trace (1e-8) and Hermiticity (1e-9); the small
-    anti-Hermitian residue is then removed, and one batched ``eigvalsh``
-    checks positivity (eigenvalues >= -1e-8).  Positivity is monitored, never
-    enforced: a violation is raised rather than silently projected away.  The
-    error names the first grid time at which any check fails.  Returns the
-    Hermitian parts as one read-only array.
+    ``rhos`` has shape ``(len(t_grid), d, d)``: a whole trajectory, or one
+    block of a gate curve.  Each matrix must have finite entries, unit trace
+    (1e-8) and Hermiticity (1e-9); the small anti-Hermitian residue is then
+    removed, and one batched ``eigvalsh`` checks positivity (eigenvalues
+    >= -1e-8).  Positivity is monitored, never enforced: a violation is
+    raised rather than silently projected away.  The error names the first
+    grid time at which any check fails.  Returns the Hermitian parts as one
+    read-only array, the only full-size array that the check allocates: the
+    adjoint and the Hermiticity deviation are taken one row at a time.
     """
-    adjoint = rhos.conj().transpose(0, 2, 1)
+    herm = np.empty_like(rhos)
+    herm_dev = np.zeros(len(rhos))
     with np.errstate(invalid="ignore"):
         finite = np.isfinite(rhos).all(axis=(1, 2))
         trace_dev = np.abs(np.einsum("tii->t", rhos) - 1.0)
-        herm_dev = np.max(np.abs(rhos - adjoint), axis=(1, 2))
+        for i in range(rhos.shape[1]):
+            row, adjoint_row = rhos[:, i], rhos[:, :, i].conj()
+            herm_dev = np.maximum(herm_dev, np.max(np.abs(row - adjoint_row), axis=1))
+            herm[:, i] = 0.5 * (row + adjoint_row)
     # eigvalsh fails on a non-finite matrix, so it runs only on the states
     # before the first one that fails a cheaper check.
     fails = ~finite | (trace_dev > TRACE_TOL) | (herm_dev > HERMITICITY_TOL)
     first = int(np.argmax(fails)) if fails.any() else len(rhos)
-    herm = 0.5 * (rhos[:first] + adjoint[:first])
     if first:
-        min_eig = np.linalg.eigvalsh(herm)[:, 0]
+        min_eig = np.linalg.eigvalsh(herm[:first])[:, 0]
         negative = np.flatnonzero(min_eig < EIGENVALUE_FLOOR)
         if negative.size:
             i = int(negative[0])
@@ -451,6 +481,8 @@ def evolve_master_equation(
     for i in range(1, len(t_grid)):
         vec = _expm_step(gen, norm, float(t_grid[i] - t_grid[i - 1]), vec, t_grid[i])
         rhos[i] = vec.reshape(rho.shape)
+    # The generator and the work vector are not needed for the check.
+    del gen, vec
     return _checked_states(rhos, t_grid)
 
 

@@ -21,7 +21,8 @@ at eps = 0 while the one-sided slope there is -Delta0/pi.
 
 ``wire_splitting`` and the two inversions act element-wise on arrays: a
 sweep of phases is one call, with one safeguarded root solve per branch
-(``qcore.newton_bisect``), and a float in gives a float out.
+(``qcore.newton_bisect``) and block of the sweep (``qcore.blocks``), and a
+float in gives a float out.
 ``splitting_derivative`` takes one phase.
 """
 
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import as_result, newton_bisect
+from .qcore import as_result, blocks, newton_bisect
 
 __all__ = [
     "HBAR",
@@ -227,16 +228,23 @@ def wire_splitting(params: WireParams, eps) -> SplittingResult:
     """Bound-state energy splitting E(eps) at superconducting phase ``eps``.
 
     ``eps`` is a float or an array.  For an array, each branch is one root
-    solve over its elements, and the result holds arrays of E, Lambda, root
-    and branch names; for a float it holds floats and a string.
+    solve per block of ``qcore.BLOCK`` elements, and the result holds arrays
+    of E, Lambda, root and branch names; for a float it holds floats and a
+    string.
     """
     lam = params.lambda_scale * np.abs(np.sin(0.5 * np.asarray(eps, dtype=float)))
     oscillatory = lam <= 1.0
-    root, reduced = np.empty_like(lam), np.empty_like(lam)
-    if oscillatory.any():
-        root[oscillatory], reduced[oscillatory] = _oscillatory_splitting(lam[oscillatory])
-    if not oscillatory.all():
-        root[~oscillatory], reduced[~oscillatory] = _evanescent_splitting(lam[~oscillatory])
+    flat_lam, flat_osc = lam.reshape(-1), oscillatory.reshape(-1)
+    root, reduced = np.empty(lam.size), np.empty(lam.size)
+    for block in blocks(lam.size):
+        lam_b, osc_b = flat_lam[block], flat_osc[block]
+        # Views: the solves write into the preallocated outputs.
+        root_b, reduced_b = root[block], reduced[block]
+        if osc_b.any():
+            root_b[osc_b], reduced_b[osc_b] = _oscillatory_splitting(lam_b[osc_b])
+        if not osc_b.all():
+            root_b[~osc_b], reduced_b[~osc_b] = _evanescent_splitting(lam_b[~osc_b])
+    root, reduced = root.reshape(lam.shape), reduced.reshape(lam.shape)
     return SplittingResult(
         E=as_result(params.level_spacing * reduced),
         Lambda=as_result(lam),

@@ -5,6 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from topoqed import qcore as _qcore
 from topoqed.circuit import (
     CircuitParams,
     effective_qubit,
@@ -287,6 +288,21 @@ class TestPhiJArrays:
                 for pe in grid.tolist() for phi in grid.tolist() for p in photons.tolist()
             ]
             assert values.ravel().tolist() == singles
+
+    def test_blocks_give_the_same_sweep(self, monkeypatch):
+        # A phi sweep, a phi_e sweep and a 2-D grid, in blocks of three
+        # elements against one block: the same bits and the same shape.
+        circ = load_config(None).circuit.with_phases(phi_e=0.8)
+        grid = np.linspace(0.0, 2 * math.pi, 301)
+        calls = [(grid, 0.0, None), (0.3, 0.0, grid), (0.3, np.linspace(-1.0, 1.0, 301), grid),
+                 (grid[None, :20], 0.0, grid[::30, None])]
+        whole = [phi_J_exact(circ, *args) for args in calls]
+        monkeypatch.setattr(_qcore, "BLOCK", 3)
+        for args, expected in zip(calls, whole):
+            split = phi_J_exact(circ, *args)
+            assert split.shape == expected.shape
+            assert split.tolist() == expected.tolist()
+        assert whole[-1].shape == (11, 20)
 
     def test_endpoint_roots_stay_exact_in_an_array(self):
         # With eta = 0.5 (a stand-in beyond CircuitParams' guard), phi_e =

@@ -1,10 +1,12 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from topoqed import dynamics as _dyn
+from topoqed import qcore as _qcore
 from topoqed.dynamics import (
     GateSchedule,
     analytic_U,
@@ -379,6 +381,50 @@ class TestCoherentStateBranches:
         monkeypatch.setattr(_dyn, "_NODE_BUDGET", 1)
         split, _ = fidelity_curve(sch, 1e6, 2e6, t_grid)
         assert np.max(np.abs(whole - split)) <= 1e-14
+
+    def test_blocks_give_the_same_curve(self, monkeypatch):
+        # Blocks of three grid times against one block: the same F and the
+        # same convergence delta, bit for bit.
+        sch = GateSchedule(k=4, lambda2=LAMBDA2)
+        t_grid = np.linspace(0.0, 1.3, 50) * sch.tau
+        whole, delta = fidelity_curve(sch, 1e6, 2e6, t_grid)
+        monkeypatch.setattr(_qcore, "BLOCK", 3)
+        split, split_delta = fidelity_curve(sch, 1e6, 2e6, t_grid)
+        assert split.tolist() == whole.tolist()
+        assert split_delta == delta > 0.0
+
+    def test_unphysical_state_in_a_later_block_names_its_time(self, monkeypatch):
+        # In blocks of three, the states at indices 4 and 7 get a coherence
+        # |00><01| of 0.4, beyond the populations' 0.25: the first block
+        # passes, and the error names the time of index 4.
+        sch = GateSchedule(k=1, lambda2=LAMBDA2)
+        t_grid = np.linspace(0.0, 1.0, 9) * sch.tau
+        jump_terms = _dyn._jump_terms
+
+        def corrupted(lam, z, kappa, gamma, t):
+            terms = jump_terms(lam, z, kappa, gamma, t)
+            terms[np.isin(t, t_grid[[4, 7]])] += 0.4  # both rules, so they agree
+            return terms
+
+        monkeypatch.setattr(_dyn, "_jump_terms", corrupted)
+        monkeypatch.setattr(_qcore, "BLOCK", 3)
+        with pytest.raises(IntegrationError, match=f"eigenvalue .* at t={t_grid[4]:.3e}"):
+            fidelity_curve(sch, 1e6, 1e6, t_grid)
+
+    def test_memory_does_not_grow_with_the_grid(self):
+        # 10**5 grid times: F holds 0.8 MB, and the states of one block
+        # bring the peak to about 12 MB; one stack of the whole grid took
+        # 128 MB.
+        sch = GateSchedule(k=1, lambda2=LAMBDA2)
+        t_grid = np.linspace(0.0, 1.1, 10**5) * sch.tau
+        tracemalloc.start()
+        try:
+            fids, _ = fidelity_curve(sch, 1e6, 1e6, t_grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(fids) == len(t_grid)
+        assert peak <= 24 * 2**20
 
     def test_too_many_panels_is_refused(self, monkeypatch):
         monkeypatch.setattr(_dyn, "_MAX_PANELS", 10)

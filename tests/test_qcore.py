@@ -469,6 +469,13 @@ class TestLiouvillianByDiagonals:
             evolve_master_equation(SIGMA_X, (), rho0, [0.0, 1.0])
 
 
+def test_blocks_cover_the_range_in_order(monkeypatch):
+    monkeypatch.setattr(_qcore, "BLOCK", 3)
+    assert _qcore.blocks(7) == [slice(0, 3), slice(3, 6), slice(6, 7)]
+    assert _qcore.blocks(3) == [slice(0, 3)]
+    assert _qcore.blocks(0) == []
+
+
 class TestNewtonBisect:
     """The root finder acts element-wise; each element keeps its own bracket."""
 

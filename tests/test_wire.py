@@ -1,9 +1,11 @@
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from topoqed import qcore as _qcore
 from topoqed import wire as _wire
 from topoqed.qcore import ConvergenceError
 from topoqed.wire import (
@@ -90,6 +92,17 @@ class TestInverseXOverTan:
         x = inverse_x_over_tan(y, n)
         assert n * math.pi < x < (n + 1) * math.pi
         assert meets_root_contract(x, y)
+
+    @pytest.mark.parametrize("n, y", [(2, -1e6)] + [(n, y) for n in range(3)
+                                                     for y in (-1e4, 1e4) if n or y < 0])
+    def test_exhausted_bracket_keeps_the_best_double(self, n, y):
+        # Next to the pole one ulp of x moves x/tan(x) by about y^2 ulp(x),
+        # far above the residual bound, so the bracket runs out.  The root
+        # kept has a residual no larger than either neighbouring double's.
+        x = inverse_x_over_tan(y, n)
+        residual = abs(x_over_tan(x) - y)
+        assert residual <= abs(x_over_tan(math.nextafter(x, -math.inf)) - y)
+        assert residual <= abs(x_over_tan(math.nextafter(x, math.inf)) - y)
 
     @pytest.mark.parametrize("n", [0, 1, 2])
     def test_meets_the_contract_to_1e8(self, n):
@@ -257,6 +270,34 @@ class TestArraySweep:
         assert rel.max() <= 1e-12, eps[np.argmax(rel)]
         assert res.branch.tolist() == [
             "oscillatory" if lam <= 1.0 else "evanescent" for lam in res.Lambda.tolist()]
+
+    def test_blocks_give_the_same_sweep(self, paper_wire, monkeypatch):
+        # Blocks of three phases, with both branches on either side of
+        # Lambda = 1, against one block: the same bits in every field.
+        eps_star = 2.0 * math.asin(1.0 / paper_wire.lambda_scale)
+        eps = np.concatenate([np.linspace(eps_star - 0.05, eps_star + 0.05, 301),
+                              np.linspace(0.0, math.pi, 100)])
+        whole = wire_splitting(paper_wire, eps)
+        monkeypatch.setattr(_qcore, "BLOCK", 3)
+        split = wire_splitting(paper_wire, eps)
+        for field in ("E", "Lambda", "root", "branch"):
+            assert getattr(split, field).tolist() == getattr(whole, field).tolist(), field
+        assert np.count_nonzero(whole.Lambda <= 1.0) > 100
+        assert np.count_nonzero(whole.Lambda > 1.0) > 100
+
+    def test_root_solves_do_not_grow_with_the_sweep(self, paper_wire):
+        # 2*10**5 phases: the result holds about 13 MB, most of it the
+        # branch names.  The root solves, a block at a time, add about 2 MB
+        # to that; one solve over the whole sweep added 13 MB.
+        eps = np.linspace(0.0, math.pi, 2 * 10**5)
+        tracemalloc.start()
+        try:
+            res = wire_splitting(paper_wire, eps)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(res.E) == len(eps)
+        assert peak - held <= 4 * 2**20
 
     def test_lambda_exactly_zero_and_one(self):
         # Delta0*L/v_F = 1 exactly, so Lambda = |sin(eps/2)| is 0 at eps = 0
