@@ -176,33 +176,19 @@ def phi_J_exact(params: CircuitParams, phi, photon_amp=0.0, phi_e=None):
 def _phi_J_root(eta: float, shift: np.ndarray, cphi: np.ndarray) -> np.ndarray:
     """The root x of sin(x) = 2 eta sin(shift - x/2) cos(phi) for 1-D arrays."""
 
-    def constraint(x, c):
-        return np.sin(x) - 2.0 * eta * np.sin(shift - 0.5 * x) * c
+    def constraint(x):
+        return np.sin(x) - 2.0 * eta * np.sin(shift - 0.5 * x) * cphi
 
-    def slope(x, c):
-        return np.cos(x) + eta * np.cos(shift - 0.5 * x) * c
+    def slope(x):
+        return np.cos(x) + eta * np.cos(shift - 0.5 * x) * cphi
 
-    lo, hi = -0.5 * math.pi, 0.5 * math.pi
-    f_lo, f_hi = constraint(lo, cphi), constraint(hi, cphi)
-    if (f_lo * f_hi > 0).any():
-        raise ConvergenceError(
-            "no sign change of the current constraint in (-pi/2, pi/2); "
-            "parameter regime breakdown"
-        )
-    # A root at an end of the interval is exact.  Its elements are solved
-    # with cos(phi) = 0, where the root is x = 0, and replaced below.
-    at_lo, at_hi = f_lo == 0.0, f_hi == 0.0
-    at_end = at_lo | at_hi
-    c_in = np.where(at_end, 0.0, cphi)
-    root = newton_bisect(lambda x: constraint(x, c_in), lambda x: slope(x, c_in),
-                         lo, hi, np.where(at_end, -1.0, f_lo), 1e-12)
-    residual = constraint(root, c_in)
+    root = newton_bisect(constraint, slope, -0.5 * math.pi, 0.5 * math.pi, 1e-12)
+    residual = constraint(root)
     if (abs(residual) > 1e-12).any():
         raise ConvergenceError("current-constraint residual above 1e-12")
     # Newton's error squares with each step, so one more step from a root
     # good to 1e-12 lands on the rounding floor.
-    root = root - residual / slope(root, c_in)
-    return np.where(at_lo, lo, np.where(at_hi, hi, root))
+    return root - residual / slope(root)
 
 
 def effective_qubit(params: CircuitParams) -> EffectiveQubit:

@@ -28,9 +28,11 @@ H's shape, each rate >= 0.
   does not.
 
 ``newton_bisect`` is the safeguarded root finder that the wire and circuit
-layers share.  It acts element-wise on arrays, so a block of a sweep is one
-call; a scalar is solved as an array of shape (), and ``as_result`` turns
-that back into a float, so a float in gives a float out.
+layers share, and the one owner of its brackets: it reads f once at both
+ends, refuses an element without a sign change there and returns an end
+where f is exactly 0.  It acts element-wise on arrays, so a block of a sweep
+is one call; a scalar is solved as an array of shape (), and ``as_result``
+turns that back into a float, so a float in gives a float out.
 
 ``blocks`` splits a grid into pieces of at most ``BLOCK`` points.  The
 sweeps and the gate's fidelity curve compute one block at a time into
@@ -127,30 +129,38 @@ def as_result(x):
     return x.item() if x.ndim == 0 else x
 
 
-def newton_bisect(f, df, lo, hi, f_lo, f_tol, max_iter=200):
+def newton_bisect(f, df, lo, hi, f_tol, max_iter=200):
     """Safeguarded root finder: bisection with Newton acceleration, element-wise.
 
-    ``lo``, ``hi``, ``f_lo`` and ``f_tol`` are floats or arrays that
-    broadcast to one shape, and ``f`` and ``df`` act element-wise on an array
-    of that shape.  Each element requires a sign change between its ``lo``
-    and ``hi``; ``f_lo`` is the sign of f at the low end.  An element narrows
-    its own bracket, takes a Newton step when it lands inside the bracket
-    and bisects otherwise.  It stops when |f| <= f_tol, or when its bracket
-    is exhausted (at most about two ulps wide): it then keeps whichever of
-    x and the two bracket ends has the smallest |f|, if that is at most
-    4 |f'(x)| ulp(x), the residual that rounding x can explain.  A stopped
-    element no longer moves.  ConvergenceError is raised for the whole call
-    if any element exhausts its bracket with a larger residual or is still
-    running after ``max_iter`` iterations.  Returns an array of the broadcast shape, or a
-    float when that shape is ().
+    ``lo``, ``hi`` and ``f_tol`` are floats or arrays that broadcast with
+    f(lo) to one shape, and ``f`` and ``df`` act element-wise on an array of
+    that shape.  f is read once at each end: an element whose f is exactly 0
+    at an end returns that end, bit for bit, and ConvergenceError is raised
+    before any iteration if an element has no sign change between its ends.
+    An element narrows its own bracket, takes a Newton step when it lands
+    inside the bracket and bisects otherwise.  It stops when |f| <= f_tol,
+    or when its bracket is exhausted (at most about two ulps wide): it then
+    keeps whichever of x and the two bracket ends has the smallest |f|, if
+    that is at most 4 |f'(x)| ulp(x), the residual that rounding x can
+    explain.  A stopped element no longer moves.  ConvergenceError is raised
+    if any element exhausts its bracket with a larger residual or, as a NaN
+    element does, is still running after ``max_iter`` iterations.  Returns
+    an array of the broadcast shape, or a float when that shape is ().
     """
-    lo, hi, f_lo, f_tol = np.broadcast_arrays(lo, hi, f_lo, f_tol)
-    lo_positive = f_lo > 0
-    active = np.ones(lo.shape, dtype=bool)
-    x = 0.5 * (lo + hi)
     # A zero derivative gives a non-finite Newton candidate, which the
     # bracket test rejects.
     with np.errstate(divide="ignore", invalid="ignore"):
+        lo, hi, f_lo, f_hi, f_tol = np.broadcast_arrays(lo, hi, f(lo), f(hi), f_tol)
+        # The sign of NaN is NaN, so a NaN element is not refused here.
+        unbracketed = np.sign(f_lo) * np.sign(f_hi) > 0
+        if unbracketed.any():
+            count = int(np.count_nonzero(unbracketed))
+            raise ConvergenceError(f"root finder found no sign change for {count} of "
+                                   f"{unbracketed.size} elements between their bracket ends")
+        lo_positive = f_lo > 0
+        # An element solved on an end starts there and inactive.
+        active = (f_lo != 0) & (f_hi != 0)
+        x = np.where(f_lo == 0, lo, np.where(f_hi == 0, hi, 0.5 * (lo + hi)))
         for _ in range(max_iter):
             fx = f(x)
             # NaN residuals stay active.

@@ -1,11 +1,13 @@
 """Fast self-check suite: one pass/fail entry per invariant group.
 
 Each group re-derives a handful of the package's load-bearing identities in
-seconds.  The ``gate-phase-sign`` mutation deliberately corrupts the sign of
-the accumulated gate phase while the propagator-oracle group runs, to
-demonstrate that the comparison of the closed-form propagator with the
-Liouvillian propagator actually detects a seeded defect (the group must then
-fail).  ``coherent_state_branches`` checks the closed-form fidelity curve of
+seconds.  A group is a function ``_check_<name>(ref, mutations)``, where
+``ref`` is the reference configuration, parsed once per run, and ``<name>``
+is its key in the report.  The ``gate-phase-sign`` mutation deliberately
+corrupts the sign of the accumulated gate phase while the propagator-oracle
+group runs, to demonstrate that the comparison of the closed-form propagator
+with the Liouvillian propagator actually detects a seeded defect (the group
+must then fail).  ``coherent_state_branches`` checks the closed-form fidelity curve of
 the gate against the same Liouvillian and against the closed-form
 propagator.  Every group's inputs are fixed, so two runs check the same
 numbers.
@@ -38,10 +40,10 @@ __all__ = ["MUTATIONS", "run_validation"]
 MUTATIONS = ("gate-phase-sign",)
 
 
-def _check_schedule_algebra() -> tuple[bool, str]:
+def _check_schedule_algebra(ref, mutations) -> tuple[bool, str]:
     worst_a, worst_b = 0.0, 0.0
     for k in (1, 4, 9):
-        sch = GateSchedule(k=k, lambda2=load_config(None).lambda2_pinned)
+        sch = GateSchedule(k=k, lambda2=ref.lambda2_pinned)
         a, b = propagator_AB(sch.lambda2, sch.nu, sch.tau)
         worst_a = max(worst_a, abs(a + math.pi / 2))
         worst_b = max(worst_b, abs(b))
@@ -51,8 +53,8 @@ def _check_schedule_algebra() -> tuple[bool, str]:
     return ok, f"max |A(tau)+pi/2| = {worst_a:.2e}, max |B(tau)| = {worst_b:.2e}"
 
 
-def _check_propagator_periodicity() -> tuple[bool, str]:
-    lam2 = load_config(None).lambda2_pinned
+def _check_propagator_periodicity(ref, mutations) -> tuple[bool, str]:
+    lam2 = ref.lambda2_pinned
     nu = 2 * lam2
     worst_zero = max(
         abs(propagator_AB(lam2, nu, 2 * math.pi * m / nu)[1]) for m in range(1, 11)
@@ -71,7 +73,7 @@ def _check_propagator_periodicity() -> tuple[bool, str]:
     return ok, f"max |B| at periods = {worst_zero:.2e}, bound slack = {max(offenders):.2e}"
 
 
-def _check_transcendental_inversion() -> tuple[bool, str]:
+def _check_transcendental_inversion(ref, mutations) -> tuple[bool, str]:
     # Branch 0 covers y = x/tan(x) < 1, the other branches all of y.
     grids = [np.linspace(-30.0, 0.999 if n == 0 else 30.0, 134) for n in range(3)]
     worst = 0.0
@@ -82,17 +84,15 @@ def _check_transcendental_inversion() -> tuple[bool, str]:
     return worst <= 1e-10, f"max round-trip residual = {worst:.2e} over {points} points"
 
 
-def _check_splitting_continuity() -> tuple[bool, str]:
+def _check_splitting_continuity(ref, mutations) -> tuple[bool, str]:
     # The symmetric difference across the branch point shrinks linearly with
     # the probe width (the splitting has finite slope there); the actual
     # discontinuity is its linearly extrapolated delta -> 0 limit.
-    wire = load_config(None).wire
-    kappa = wire.lambda_scale
-    scale = wire.level_spacing
+    kappa, scale = ref.wire.lambda_scale, ref.wire.level_spacing
 
     # Lambda = 1 -/+ 1e-4 and 1 -/+ 1e-6 across the branch point, and phase 0.
     eps = [2.0 * math.asin((1.0 + d) / kappa) for d in (-1e-4, 1e-4, -1e-6, 1e-6)]
-    lo4, hi4, lo6, hi6, e0 = wire_splitting(wire, np.array(eps + [0.0])).E.tolist()
+    lo4, hi4, lo6, hi6, e0 = wire_splitting(ref.wire, np.array(eps + [0.0])).E.tolist()
     j4, j6 = abs(lo4 - hi4), abs(lo6 - hi6)
     discontinuity = abs(100.0 * j6 - j4) / 99.0 / scale
     trend_ok = j6 <= 0.02 * j4
@@ -101,8 +101,8 @@ def _check_splitting_continuity() -> tuple[bool, str]:
     return ok, f"extrapolated branch-point jump = {discontinuity:.2e} x (v_F/L)"
 
 
-def _check_circuit_series_vs_exact() -> tuple[bool, str]:
-    circ = load_config(None).circuit
+def _check_circuit_series_vs_exact(ref, mutations) -> tuple[bool, str]:
+    circ = ref.circuit
     eta = circ.eta
     # The 12 x 12 x 3 grid of (phi_e, phi, photon amplitude) in one call.
     grid = np.linspace(0.0, 2 * math.pi, 12, endpoint=False)
@@ -112,9 +112,8 @@ def _check_circuit_series_vs_exact() -> tuple[bool, str]:
     return worst <= 5 * eta**3, f"max |series - exact| = {worst:.2e} (bound {5 * eta**3:.2e})"
 
 
-def _check_switching_exactness() -> tuple[bool, str]:
-    reference = load_config(None)
-    wire, circ = reference.wire, reference.circuit
+def _check_switching_exactness(ref, mutations) -> tuple[bool, str]:
+    wire, circ = ref.wire, ref.circuit
     lam1_off = couplings(wire, circ.with_phases(phi_e=0.0)).lambda1
     lam2_off = couplings(wire, circ.with_phases(phi_e=math.pi)).lambda2
     eff = effective_qubit(circ.with_phases(phi_e=math.pi))
@@ -122,7 +121,7 @@ def _check_switching_exactness() -> tuple[bool, str]:
     return ok, f"lambda1(phi_e=0) = {lam1_off!r}, lambda2(phi_e=pi) = {lam2_off!r}"
 
 
-def _check_hermitian_builders() -> tuple[bool, str]:
+def _check_hermitian_builders(ref, mutations) -> tuple[bool, str]:
     model = HamiltonianModel(fock_cutoff=8)
     h_ct = build_H_CT(1.0, 0.1, 0.3, 5.0, model)
     h_i = build_H_I(0.3, 1.0, model, 0.37)
@@ -138,11 +137,10 @@ def _check_hermitian_builders() -> tuple[bool, str]:
     return ok, f"hermiticity dev = {dev:.2e}, [H(lambda2=0), n] = {comm:.2e}"
 
 
-def _check_propagator_oracle(mutations: frozenset) -> tuple[bool, str]:
+def _check_propagator_oracle(ref, mutations) -> tuple[bool, str]:
     # The closed gate from |++> and vacuum, propagated by the Liouvillian
     # rotating-frame propagator and mapped back with exp(+i nu t a+a), is
     # compared with U rho0 U+ of the closed form at the same times.
-    ref = load_config(None)
     sch = GateSchedule(k=ref.k, lambda2=ref.lambda2_pinned)
     model = HamiltonianModel(fock_cutoff=16)
     start = _dyn._gate_start(model.fock_cutoff)
@@ -172,18 +170,16 @@ def _check_propagator_oracle(mutations: frozenset) -> tuple[bool, str]:
     return worst <= 1e-6, f"max |U rho0 U+ - rho| = {worst:.2e} (rotating frame)"
 
 
-def _check_closed_gate() -> tuple[bool, str]:
-    ref = load_config(None)
+def _check_closed_gate(ref, mutations) -> tuple[bool, str]:
     sch = GateSchedule(k=ref.k, lambda2=ref.lambda2_pinned)
     _, fid = ideal_gate_state(sch, fock_cutoff=12)
     return fid >= 1.0 - 1e-6, f"closed-system gate fidelity = {fid:.10f}"
 
 
-def _check_coherent_state_branches() -> tuple[bool, str]:
+def _check_coherent_state_branches(ref, mutations) -> tuple[bool, str]:
     # The closed form of the fidelity curve against two independent routes:
     # the Fock-truncated Liouvillian with both decay channels, and the
     # closed-form propagator U on the truncated space without them.
-    ref = load_config(None)
     sch = GateSchedule(k=ref.k, lambda2=ref.lambda2_pinned)
     t_grid = [0.0, 0.5 * sch.tau]
     branches = _dyn._branch_states(sch, ref.kappa, ref.gamma, t_grid)[0][-1]
@@ -200,7 +196,7 @@ def _check_coherent_state_branches() -> tuple[bool, str]:
                 f"max |rho - Tr U rho0 U+| = {dev_closed:.2e} (closed)")
 
 
-def _check_master_equation_limits() -> tuple[bool, str]:
+def _check_master_equation_limits(ref, mutations) -> tuple[bool, str]:
     # Photon decay: <n>(t) = exp(-2*kappa*t) from a one-photon state.
     n = 6
     kappa = 0.7
@@ -227,19 +223,12 @@ def _check_master_equation_limits() -> tuple[bool, str]:
     return ok, f"decay-law dev = {worst:.2e}, unitary-limit dev = {dev_u:.2e}"
 
 
-_GROUPS = [
-    ("schedule_algebra", lambda m: _check_schedule_algebra()),
-    ("propagator_periodicity", lambda m: _check_propagator_periodicity()),
-    ("transcendental_inversion", lambda m: _check_transcendental_inversion()),
-    ("splitting_continuity", lambda m: _check_splitting_continuity()),
-    ("circuit_series_vs_exact", lambda m: _check_circuit_series_vs_exact()),
-    ("switching_exactness", lambda m: _check_switching_exactness()),
-    ("hermitian_builders", lambda m: _check_hermitian_builders()),
-    ("propagator_oracle", _check_propagator_oracle),
-    ("closed_gate", lambda m: _check_closed_gate()),
-    ("coherent_state_branches", lambda m: _check_coherent_state_branches()),
-    ("master_equation_limits", lambda m: _check_master_equation_limits()),
-]
+_GROUPS = (
+    _check_schedule_algebra, _check_propagator_periodicity, _check_transcendental_inversion,
+    _check_splitting_continuity, _check_circuit_series_vs_exact, _check_switching_exactness,
+    _check_hermitian_builders, _check_propagator_oracle, _check_closed_gate,
+    _check_coherent_state_branches, _check_master_equation_limits,
+)
 
 
 def run_validation(mutations: tuple[str, ...] = ()) -> dict:
@@ -248,14 +237,15 @@ def run_validation(mutations: tuple[str, ...] = ()) -> dict:
     if bad:
         raise ValueError(f"unknown mutations {sorted(bad)}")
     frozen = frozenset(mutations)
+    ref = load_config(None)
     report = {}
-    for name, check in _GROUPS:
+    for check in _GROUPS:
         start = time.perf_counter()
         try:
-            passed, detail = check(frozen)
+            passed, detail = check(ref, frozen)
         except Exception as exc:  # a crashed group is a failed group
             passed, detail = False, f"exception: {exc!r}"
-        report[name] = {
+        report[check.__name__.removeprefix("_check_")] = {
             "passed": bool(passed),
             "detail": detail,
             "seconds": round(time.perf_counter() - start, 4),

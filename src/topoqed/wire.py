@@ -139,11 +139,13 @@ def _d_x_over_tan(x):
 def inverse_x_over_tan(y, n: int = 0):
     """Inverse of y = x/tan(x) on its n-th monotone branch, element-wise.
 
-    Branch 0 maps (-inf, 1) onto (0, pi) with the y -> 1 limit returning 0;
-    branch n >= 1 maps the whole real line onto (n*pi, (n+1)*pi).  The
-    residual |x/tan(x) - y| is at most 1e-13 max(1, |y|), or the root is
-    within two ulps of x, whichever is weaker: for large |y| the root sits
-    next to a pole, where one ulp of x moves the residual by about y^2 ulp(x).
+    Branch 0 maps [-1e15, 1) onto (0, pi) with the y -> 1 limit returning 0;
+    branch n >= 1 maps [-1e15, 1e15] onto (n*pi, (n+1)*pi).  The residual
+    |x/tan(x) - y| is at most 1e-13 max(1, |y|), or the root is within two
+    ulps of x, whichever is weaker: for large |y| the root sits next to a
+    pole, where one ulp of x moves the residual by about y^2 ulp(x).  From
+    |y| of about 5e15 on, depending on the branch, the root lies within one
+    ulp of the pole, and ConvergenceError ("no sign change") is raised.
     ``y`` is a float or an array; one root solve covers every element.
     """
     if n < 0:
@@ -156,17 +158,17 @@ def inverse_x_over_tan(y, n: int = 0):
         # The limit elements are solved at y = 0 and replaced by 0 below.
         at_limit = y == 1.0
         y = np.where(at_limit, 0.0, y)
-        lo, hi = 1e-12, math.pi - 1e-12
+        lo, hi = 1e-12, math.nextafter(math.pi, 0.0)
         # Near y -> 1 the root sits at x ~ sqrt(3*(1-y)); shrink the bracket
         # so bisection starts in a region where f is well resolved.
         hi = np.where(y > 0.9, np.minimum(hi, 4.0 * np.sqrt(3.0 * (1.0 - y)) + 1e-6), hi)
-        f_lo = np.where(y < 0.999, 1.0 - y, _x_over_tan(lo) - y)
     else:
-        lo = n * math.pi + 1e-9
-        hi = (n + 1) * math.pi - 1e-9
-        f_lo = _x_over_tan(lo) - y
+        # The doubles next to the poles: for large |y| the root lies closer
+        # to a pole than any fixed margin.
+        lo = math.nextafter(n * math.pi, math.inf)
+        hi = math.nextafter((n + 1) * math.pi, 0.0)
     f_tol = _ROOT_TOL * np.maximum(1.0, np.abs(y))
-    root = newton_bisect(lambda x: _x_over_tan(x) - y, _d_x_over_tan, lo, hi, f_lo, f_tol)
+    root = newton_bisect(lambda x: _x_over_tan(x) - y, _d_x_over_tan, lo, hi, f_tol)
     return as_result(np.where(at_limit, 0.0, root))
 
 
@@ -195,11 +197,8 @@ def inverse_x_over_tanh(y):
     # bracket ends one ulp above it, where f is still positive: at hi = y
     # every Newton step would land on the bracket end and be refused.
     hi = np.nextafter(y, np.inf)
-    f_lo = _u_over_tanh(lo) - y
     f_tol = _ROOT_TOL * np.maximum(1.0, np.abs(y))
-    root = newton_bisect(
-        lambda u: _u_over_tanh(u) - y, _d_u_over_tanh, lo, hi, f_lo, f_tol
-    )
+    root = newton_bisect(lambda u: _u_over_tanh(u) - y, _d_u_over_tanh, lo, hi, f_tol)
     # The root finder stops at a residual of up to 1e-13*y, which leaves
     # the derivative rounding noise of about 1e-12 relative between nearby
     # phases; Newton's error squares with each step, so one more step from

@@ -613,6 +613,24 @@ class TestValidateCommand:
         assert not report["propagator_oracle"]["passed"]
         assert report["schedule_algebra"]["passed"]
 
+    def test_reference_is_parsed_once_per_run(self, monkeypatch):
+        calls = []
+
+        def counting(path):
+            calls.append(path)
+            return load_config(path)
+
+        monkeypatch.setattr(_validate, "load_config", counting)
+        report = _validate.run_validation()
+        assert calls == [None]
+        assert list(report) == [
+            "schedule_algebra", "propagator_periodicity", "transcendental_inversion",
+            "splitting_continuity", "circuit_series_vs_exact", "switching_exactness",
+            "hermitian_builders", "propagator_oracle", "closed_gate",
+            "coherent_state_branches", "master_equation_limits",
+        ]
+        assert all(entry["passed"] for entry in report.values())
+
 
 class TestErrorPaths:
     @pytest.mark.parametrize(

@@ -481,11 +481,9 @@ class TestNewtonBisect:
 
     @staticmethod
     def solve(c, hi=3.0, **kwargs):
-        # Roots of x**2 = c on [0, hi]; f is negative at the low end, and
-        # f_lo carries the shape of c.
+        # Roots of x**2 = c on [0, hi]; f(0) carries the shape of c.
         c = np.asarray(c, dtype=float)
-        return newton_bisect(lambda x: x * x - c, lambda x: 2.0 * x,
-                             0.0, hi, np.full(c.shape, -1.0), 1e-13, **kwargs)
+        return newton_bisect(lambda x: x * x - c, lambda x: 2.0 * x, 0.0, hi, 1e-13, **kwargs)
 
     def test_each_element_reaches_its_tolerance(self):
         c = np.linspace(0.01, 8.0, 257)
@@ -506,19 +504,47 @@ class TestNewtonBisect:
         assert abs(x - math.sqrt(2.0)) <= 1e-13
 
     def test_one_element_without_root_fails_the_call(self):
-        # x**2 = 16 has no root in [0, 3]: that element's bracket closes on
-        # the upper end with |f| = 7, and the whole call raises.
+        # x**2 = 16 has no root in [0, 3]: f is negative at both ends, and
+        # the whole call raises.
         assert np.all(np.isfinite(self.solve([0.5, 2.0])))
         with pytest.raises(ConvergenceError, match="1 of 3 elements"):
             self.solve([0.5, 16.0, 2.0])
 
+    def test_unbracketed_element_is_refused_before_iterating(self):
+        # f is read once at each end, and nothing is iterated.
+        c = np.array([0.5, 16.0, 2.0])
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return x * x - c
+
+        with pytest.raises(ConvergenceError, match="no sign change for 1 of 3 elements"):
+            newton_bisect(f, lambda x: 2.0 * x, 0.0, 3.0, 1e-13)
+        assert len(calls) == 2
+
+    def test_roots_on_an_end_are_returned_exactly(self):
+        # x**2 - c vanishes exactly at the low end for c = lo*lo and at the
+        # high end for c = 9; those elements return their end bit for bit,
+        # and the middle one lands where a call of its own lands.
+        lo, hi = 0.1, 3.0
+        c = np.array([lo * lo, 2.0, hi * hi])
+        x = newton_bisect(lambda x: x * x - c, lambda x: 2.0 * x, lo, hi, 1e-13)
+        assert x[0] == lo and x[2] == hi
+        assert x[1] == newton_bisect(lambda x: x * x - 2.0, lambda x: 2.0 * x, lo, hi, 1e-13)
+
     def test_failure_count_leaves_out_elements_still_running(self):
-        # The c = 16 element's bracket runs out after about 55 iterations,
-        # while the c = 2 element, halving down from 2**100, needs about 100:
-        # only the first one has failed when the call stops.
+        # The step element changes sign at x = 1 without ever reaching
+        # |f| <= f_tol; with a zero derivative it bisects, and its bracket
+        # runs out after about 55 iterations, while the x**2 = 2 element,
+        # halving down from 2**100, needs about 100: only the first one has
+        # failed when the call stops.
+        step = np.array([True, False])
+        hi = np.array([3.0, 2.0**100])
         assert self.solve(2.0, hi=2.0**100) == pytest.approx(math.sqrt(2.0), abs=1e-13)
         with pytest.raises(ConvergenceError, match="1 of 2 elements before its bracket ran out"):
-            self.solve([16.0, 2.0], hi=np.array([3.0, 2.0**100]))
+            newton_bisect(lambda x: np.where(step, np.where(x < 1.0, -1.0, 1.0), x * x - 2.0),
+                          lambda x: np.where(step, 0.0, 2.0 * x), 0.0, hi, 1e-13)
 
     def test_steep_root_stops_within_two_ulps(self):
         # The root lies halfway between pi and the next double, where the
@@ -527,7 +553,7 @@ class TestNewtonBisect:
         # residual is what rounding x explains.
         half_ulp = 0.5 * math.ulp(math.pi)
         x = newton_bisect(lambda x: 1e20 * ((x - math.pi) - half_ulp),
-                          lambda x: np.full_like(x, 1e20), 3.0, 4.0, -1.0, 1e-13)
+                          lambda x: np.full_like(x, 1e20), 3.0, 4.0, 1e-13)
         assert abs((x - math.pi) - half_ulp) <= 2.0 * math.ulp(math.pi)
 
     def test_iteration_limit_raises(self):

@@ -87,7 +87,10 @@ class TestInverseXOverTan:
         check()
 
     @pytest.mark.parametrize("n, y", [(n, y) for n in range(3)
-                                      for y in (-2e3, 2e3, -1e4, 1e4) if n or y < 0])
+                                      for y in (-2e3, 2e3, -1e4, 1e4) if n or y < 0]
+                             # Roots closer to a pole than 1e-9 (n >= 1) or 1e-12 (n = 0).
+                             + [(0, -1e13), (1, 5e9), (1, 1e10), (1, -1e10), (1, 1e12),
+                                (1, -1e12), (2, 1e10), (2, -1e10), (2, -1e12)])
     def test_large_y_near_the_pole(self, n, y):
         x = inverse_x_over_tan(y, n)
         assert n * math.pi < x < (n + 1) * math.pi
@@ -106,20 +109,34 @@ class TestInverseXOverTan:
 
     @pytest.mark.parametrize("n", [0, 1, 2])
     def test_meets_the_contract_to_1e8(self, n):
-        hypothesis = pytest.importorskip("hypothesis")
-        st = hypothesis.strategies
+        check_contract_up_to(1e8, n)
 
-        @hypothesis.settings(max_examples=200, deadline=None)
-        @hypothesis.given(st.floats(min_value=-1e8, max_value=1.0 if n == 0 else 1e8))
-        def check(y):
-            x = inverse_x_over_tan(y, n)
-            if n == 0 and y == 1.0:  # the y -> 1 limit of branch 0
-                assert x == 0.0
-                return
-            assert n * math.pi < x < (n + 1) * math.pi
-            assert meets_root_contract(x, y)
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_meets_the_contract_to_1e15(self, n):
+        check_contract_up_to(1e15, n)
 
-        check()
+    def test_root_within_an_ulp_of_the_pole_is_refused(self):
+        # Past the documented range the root and the pole share a double.
+        with pytest.raises(ConvergenceError, match="no sign change"):
+            inverse_x_over_tan(1e17, 1)
+
+
+def check_contract_up_to(bound, n):
+    """The root contract on branch n for 200 values of |y| <= bound."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(st.floats(min_value=-bound, max_value=1.0 if n == 0 else bound))
+    def check(y):
+        x = inverse_x_over_tan(y, n)
+        if n == 0 and y == 1.0:  # the y -> 1 limit of branch 0
+            assert x == 0.0
+            return
+        assert n * math.pi < x < (n + 1) * math.pi
+        assert meets_root_contract(x, y)
+
+    check()
 
 
 def meets_root_contract(x, y):
