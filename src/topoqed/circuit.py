@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .qcore import ConvergenceError, as_result, blocks, newton_bisect
+from .qcore import as_result, blocks, newton_bisect
 
 __all__ = [
     "CircuitParams",
@@ -151,8 +151,9 @@ def phi_J_exact(params: CircuitParams, phi, photon_amp=0.0, phi_e=None):
     """Self-consistent large-junction phase drop.
 
     Solves sin(x) = 2*eta*sin((phi_e - x)/2 + g*p)*cos(phi) for the unique
-    root in (-pi/2, pi/2) by safeguarded Newton iteration; the residual is
-    verified below 1e-12 before a last Newton step.  ``phi``, ``photon_amp``
+    root in (-pi/2, pi/2) by safeguarded Newton iteration to the solver's
+    tolerance |f| <= 1e-12 (its rounding allowance 4 |f'| ulp(x) is smaller
+    here for eta < 1000), then one more Newton step.  ``phi``, ``photon_amp``
     and ``phi_e`` (default ``params.phi_e``) are floats or arrays that
     broadcast together; the elements of each block of ``qcore.BLOCK``
     share one root solve, and a float in gives a float out.
@@ -162,8 +163,6 @@ def phi_J_exact(params: CircuitParams, phi, photon_amp=0.0, phi_e=None):
     shift = 0.5 * np.asarray(phi_e, dtype=float) + params.g * np.asarray(photon_amp, dtype=float)
     cphi = np.cos(np.asarray(phi, dtype=float))
     shape = np.broadcast(shift, cphi).shape
-    if params.eta == 0.0:
-        return as_result(np.zeros(shape))
     # Solved one block of the flat index at a time; .flat copies only the
     # block out of the broadcast inputs.
     shift, cphi = np.broadcast_to(shift, shape).flat, np.broadcast_to(cphi, shape).flat
@@ -183,12 +182,9 @@ def _phi_J_root(eta: float, shift: np.ndarray, cphi: np.ndarray) -> np.ndarray:
         return np.cos(x) + eta * np.cos(shift - 0.5 * x) * cphi
 
     root = newton_bisect(constraint, slope, -0.5 * math.pi, 0.5 * math.pi, 1e-12)
-    residual = constraint(root)
-    if (abs(residual) > 1e-12).any():
-        raise ConvergenceError("current-constraint residual above 1e-12")
     # Newton's error squares with each step, so one more step from a root
     # good to 1e-12 lands on the rounding floor.
-    return root - residual / slope(root)
+    return root - constraint(root) / slope(root)
 
 
 def effective_qubit(params: CircuitParams) -> EffectiveQubit:

@@ -12,8 +12,9 @@ and fig2 take no --fock flag (argparse rejects it with exit 2).
 Exit codes: 0 success, 2 configuration error (an output directory or file
 that cannot be created or written included; an output directory that is, or
 lies under, a file is refused before any work), 3 numerical-convergence
-failure (for gate and fig2: the jump-time quadrature is not converged, or a
-reduced state fails its physicality check), 4 invariant failure.
+failure (for gate and fig2: the jump-time quadrature is not converged, a
+reduced state fails its physicality check, or F leaves [-1e-8, 1 + 1e-8]),
+4 invariant failure.
 """
 
 from __future__ import annotations

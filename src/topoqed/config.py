@@ -232,7 +232,8 @@ def default_config_dict() -> dict:
 
 
 def parse_config(doc: dict) -> RunConfig:
-    """Validate a config document."""
+    """Validate a config document; an omitted key takes its ``default_config_dict`` value."""
+    defaults = default_config_dict()
     _require_keys(
         doc,
         {"schema_version", "wire", "circuit", "bath", "schedule", "curve", "sweep", "output"},
@@ -249,7 +250,7 @@ def parse_config(doc: dict) -> RunConfig:
 
     b = doc["bath"]
     _require_keys(b, {"kappa", "gamma", "rate_convention"}, {"kappa", "gamma"}, "bath")
-    convention = b.get("rate_convention", "plain")
+    convention = b.get("rate_convention", defaults["bath"]["rate_convention"])
     if convention not in ("plain", "angular"):
         raise ConfigError(f"bath.rate_convention must be 'plain' or 'angular', got {convention!r}")
     kappa = _frequency(b["kappa"], "bath.kappa", rate_convention=convention)
@@ -276,8 +277,8 @@ def parse_config(doc: dict) -> RunConfig:
 
     curve = {} if doc.get("curve") is None else doc["curve"]
     _require_keys(curve, {"x_max", "steps"}, set(), "curve")
-    x_max = _number(curve.get("x_max", 1.1), "curve.x_max")
-    steps = _count(curve.get("steps", 44), "curve.steps")
+    x_max = _number(curve.get("x_max", defaults["curve"]["x_max"]), "curve.x_max")
+    steps = _count(curve.get("steps", defaults["curve"]["steps"]), "curve.steps")
     if steps > MAX_STEPS:
         raise ConfigError(f"curve.steps = {steps} exceeds the limit of {MAX_STEPS}")
     if x_max <= 0:
@@ -297,10 +298,10 @@ def parse_config(doc: dict) -> RunConfig:
 
     out = {} if doc.get("output") is None else doc["output"]
     _require_keys(out, {"directory", "formats"}, set(), "output")
-    directory = out.get("directory", "out")
+    directory = out.get("directory", defaults["output"]["directory"])
     if not isinstance(directory, str):
         raise ConfigError("output.directory must be a string")
-    formats = out.get("formats", ["csv", "json", "svg"])
+    formats = out.get("formats", defaults["output"]["formats"])
     # Every command writes its CSV table and JSON summary; only svg is optional.
     if not (isinstance(formats, list) and all(isinstance(f, str) for f in formats)
             and {"csv", "json"} <= set(formats) <= {"csv", "json", "svg"}):

@@ -122,10 +122,6 @@ class SplittingResult:
     # u/tanh(u) = Lambda on the evanescent one.
     root: float | np.ndarray
 
-    def __post_init__(self):
-        if np.any(self.E < 0) or np.any(self.Lambda < 0):
-            raise ValueError("E and Lambda must be non-negative")
-
 
 def _x_over_tan(x):
     return x / np.tan(x)

@@ -11,9 +11,8 @@ import math
 import time
 
 import numpy as np
-import pytest
 
-from topoqed.circuit import CircuitParams, effective_qubit, phi_J_exact, phi_J_series, tunneling_leakage
+from topoqed.circuit import effective_qubit, phi_J_exact, phi_J_series, tunneling_leakage
 from topoqed.cli import cmd_fig2
 from topoqed.config import load_config
 from topoqed.dynamics import (
@@ -36,7 +35,7 @@ from topoqed.qcore import (
     state_fidelity,
     tensor,
 )
-from topoqed.wire import WireParams, inverse_x_over_tan, thermal_leakage, wire_splitting
+from topoqed.wire import inverse_x_over_tan, thermal_leakage, wire_splitting
 
 from helpers import charge_basis_oracle, rk4_columns, x_over_tan
 

@@ -5,6 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from topoqed import circuit as _circuit
 from topoqed import qcore as _qcore
 from topoqed.circuit import (
     CircuitParams,
@@ -92,6 +93,22 @@ class TestPhiJExact:
     def test_vanishes_for_negligible_eta(self):
         p = params(E_J0=2 * math.pi * 16e39, phi_e=1.3)
         assert abs(phi_J_exact(p, 0.7)) < 1e-12
+
+    def test_underflowing_eta_solves_to_exact_zero(self, monkeypatch):
+        # eta = 1e-600 underflows to 0.0, where the constraint is sin(x) and
+        # the bracket's midpoint 0.0 is the root: the general path returns
+        # it bit for bit.
+        p = params(E_J=1e-300, E_J0=1e300, phi_e=1.3)
+        assert p.eta == 0.0
+        calls = []
+        original = _circuit.newton_bisect
+        monkeypatch.setattr(_circuit, "newton_bisect",
+                            lambda *args: calls.append(args) or original(*args))
+        root = phi_J_exact(p, 0.7)
+        assert type(root) is float and root == 0.0 and math.copysign(1.0, root) == 1.0
+        roots = phi_J_exact(p, np.linspace(0.0, 3.0, 5), np.array([[-1.0], [0.0], [1.0]]))
+        assert roots.shape == (3, 5) and roots.tobytes() == np.zeros((3, 5)).tobytes()
+        assert len(calls) == 2
 
     def test_half_flux_root_matches_bisection_oracle(self):
         p = params(phi_e=math.pi)

@@ -14,6 +14,7 @@ import pytest
 from helpers import midpoint_gauss_weights, reference_text
 from topoqed import circuit as _circuit
 from topoqed import cli as _cli
+from topoqed import config as _config
 from topoqed import dynamics as _dyn
 from topoqed import qcore as _qcore
 from topoqed import validate as _validate
@@ -377,6 +378,25 @@ class TestConfig:
         params = _wire.WireParams if section == "wire" else _circuit.CircuitParams
         default = {f.name: f.default for f in dataclasses.fields(params)}[field]
         assert getattr(getattr(parse_config(doc), section), field) == default
+
+    def test_omitted_keys_take_the_built_in_defaults(self, monkeypatch):
+        # The defaults are stated once, in default_config_dict, so a changed
+        # default reaches a document that leaves the key out.
+        doc = default_config_dict()
+        del doc["curve"], doc["output"], doc["bath"]["rate_convention"]
+        built_in = default_config_dict
+
+        def changed():
+            defaults = built_in()
+            defaults["curve"] = {"x_max": 0.5, "steps": 60}
+            defaults["output"] = {"directory": "elsewhere", "formats": ["csv", "json"]}
+            defaults["bath"]["rate_convention"] = "angular"
+            return defaults
+
+        monkeypatch.setattr(_config, "default_config_dict", changed)
+        config = parse_config(doc)
+        assert (config.curve_x_max, config.curve_steps, config.out_dir, config.formats,
+                config.rate_convention) == (0.5, 60, "elsewhere", ("csv", "json"), "angular")
 
 
 class TestSpectrumCommand:
@@ -1054,4 +1074,22 @@ class TestErrorPaths:
         assert main(["fig2", "--out", str(tmp_path / "o")]) == 3
         err = capsys.readouterr().err
         assert "numerical failure" in err and "quadrature" in err
+        assert not (tmp_path / "o" / "fig2.csv").exists()
+
+    def test_fidelity_above_one_exits_3(self, tmp_path, monkeypatch, capsys):
+        # Eigenvalues 1 + 2e-8 along the target and -6.7e-9, -6.7e-9, -6.6e-9
+        # off it: the states pass their physicality check (unit trace,
+        # eigenvalues >= -1e-8), but F = 1 + 2e-8 is out of band, a
+        # numerical failure rather than a configuration error.
+        target = _dyn.target_entangled_state()
+        basis = np.linalg.qr(np.column_stack([target, np.eye(4)[:, :3]]))[0]
+        rho = (basis * [1 + 2e-8, -6.7e-9, -6.7e-9, -6.6e-9]) @ basis.conj().T
+
+        def out_of_band(schedule, kappa, gamma, t_grid):
+            return _qcore._checked_states(np.stack([rho] * len(t_grid)), t_grid), 0.0
+
+        monkeypatch.setattr(_dyn, "_branch_states", out_of_band)
+        assert main(["fig2", "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert "numerical failure" in err and "fidelities outside" in err
         assert not (tmp_path / "o" / "fig2.csv").exists()

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import tracemalloc
 
@@ -159,6 +158,18 @@ class TestAnalyticU:
         evolved = analytic_U(sch.lambda2, sch.nu, t, model) @ cols
         assert np.max(np.abs(evolved - reference)) <= 1e-6
 
+    def test_truncation_shows_in_the_state_not_in_unitarity(self):
+        # B = 20i: the exact <0|exp(-i (B a + B* a+))|0> is exp(-|B|^2/2),
+        # about 1e-87.  At N = 8 U is unitary to rounding but its vacuum
+        # amplitude is about 0.08; at N = 200 it matches.
+        _, b = propagator_AB(10.0, 1.0, math.pi)
+        exact = math.exp(-0.5 * abs(b) ** 2)
+        u = analytic_U(10.0, 1.0, math.pi, HamiltonianModel(fock_cutoff=8))
+        assert np.max(np.abs(u.conj().T @ u - np.eye(len(u)))) <= 1e-14
+        assert abs(abs(u[0, 0]) - exact) >= 1e-2  # |00>, J_z = 1, vacuum
+        u = analytic_U(10.0, 1.0, math.pi, HamiltonianModel(fock_cutoff=200))
+        assert abs(abs(u[0, 0]) - exact) <= 1e-12
+
 
 class TestIdealGateState:
     def test_reaches_target_for_k1(self):
@@ -242,7 +253,7 @@ class TestFidelityCurve:
 
         monkeypatch.setattr(_dyn, "_branch_states", unphysical)
         sch = GateSchedule(k=1, lambda2=LAMBDA2)
-        with pytest.raises(ValueError, match="fidelities outside"):
+        with pytest.raises(IntegrationError, match="fidelities outside"):
             fidelity_curve(sch, 1e6, 1e6, [0.0, sch.tau])
 
     def test_one_positivity_check_per_curve(self, monkeypatch):

@@ -10,7 +10,8 @@ import topoqed
 # __main__ runs the command line when imported.
 MODULES = sorted(m.name for m in pkgutil.iter_modules(topoqed.__path__) if m.name != "__main__")
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -35,3 +36,30 @@ def test_every_traced_name_exists():
                for name in names
                if not hasattr(importlib.import_module(f"topoqed.{layer}"), name)]
     assert not missing, f"names the benchmark tracer wraps are missing: {missing}"
+
+
+def unused_imports(path: Path) -> list[str]:
+    """Names that a file imports and never reads, from its syntax tree.
+
+    A name listed in ``__all__`` counts as read; ``from __future__`` imports
+    are directives, not names.
+    """
+    imported, read = {}, set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if getattr(node, "module", None) != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.Name):
+            read.add(node.id)
+        elif (isinstance(node, ast.Assign)
+              and [getattr(t, "id", None) for t in node.targets] == ["__all__"]):
+            read.update(ast.literal_eval(node.value))
+    return [f"{path.relative_to(ROOT)}:{line} {name}"
+            for name, line in imported.items() if name not in read]
+
+
+def test_no_unused_imports():
+    files = sorted((ROOT / "src" / "topoqed").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+    unused = [entry for path in files for entry in unused_imports(path)]
+    assert not unused, f"imported but never used: {unused}"
