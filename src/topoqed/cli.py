@@ -164,7 +164,8 @@ def cmd_couplings(config: RunConfig) -> int:
         ("P_e_thermal", p_e, "probability"),
     ]
     path = _write_table(config, "couplings", ["quantity", "value", "unit"],
-                        list(zip(*quantities)), {name: value for name, value, _ in quantities})
+                        [np.array(c) for c in zip(*quantities)],
+                        {name: value for name, value, _ in quantities})
     print(f"working point phi = {cs.working_phi:.6f} rad (phi_e = {circ.phi_e:.6f})")
     print(f"  omega_t  = 2*pi x {cs.omega_t / (2 * math.pi * 1e9):.4f} GHz")
     print(f"  lambda1  = 2*pi x {cs.lambda1 / (2 * math.pi * 1e6):.4f} MHz")

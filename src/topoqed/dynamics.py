@@ -407,5 +407,5 @@ def fidelity_curve(
         delta = max(delta, block_delta)
     # Written so that a NaN fails: every comparison with NaN is false.
     if not np.all((fidelities >= -1e-8) & (fidelities <= 1.0 + 1e-8)):
-        raise IntegrationError("fidelities outside [0, 1 + 1e-8]")
+        raise IntegrationError("fidelities outside [-1e-8, 1 + 1e-8]")
     return fidelities, delta

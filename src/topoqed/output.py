@@ -1,18 +1,17 @@
 """Deterministic CSV, JSON and SVG emission.
 
 CSV is the canonical data format; headers carry explicit units.  A table is
-given column by column.  Floats are rendered with ``%.12g`` and everything
-else with ``str()``, so repeated runs with identical inputs produce
+given column by column, each column a numpy array.  A float column is
+rendered with ``%.12g`` and any other dtype (integer, boolean, complex,
+unicode) with ``%s``, so repeated runs with identical inputs produce
 byte-identical files.  A NaN or infinity is refused, as in JSON.  Each
-column is converted once per slice of rows: a float64, integer, boolean or
-unicode array with ``.tolist()``, any other column value by value.  The SVG
-plot is a dependency-free polyline with axis ticks, adequate for eyeballing a
-fidelity curve.
+column is converted to Python values with ``.tolist()`` once per slice of
+rows.  The SVG plot is a dependency-free polyline with axis ticks, adequate
+for eyeballing a fidelity curve.
 """
 
 from __future__ import annotations
 
-import cmath
 import json
 import math
 from pathlib import Path
@@ -32,55 +31,28 @@ _SVG_WIDTH, _SVG_HEIGHT = 640, 440
 _TICKS = 6
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return f"{value:.12g}"
-    return str(value)
+def write_csv(path: Path, header: Sequence[str], columns: Sequence[np.ndarray]) -> None:
+    """Write the header and one line per row of the equal-length array ``columns``.
 
-
-def _column_rule(column: Sequence):
-    """%-format and converter to Python values that print ``column`` as ``_fmt`` does.
-
-    ``.tolist()`` keeps the printed value only for float64, integer, boolean
-    and unicode arrays; a float32 would widen to double and gain digits.
-    """
-    if isinstance(column, np.ndarray):
-        if column.dtype == np.float64:
-            return "%.12g", np.ndarray.tolist
-        if column.dtype.kind in "iubU":
-            return "%s", np.ndarray.tolist
-    return "%s", lambda part: [_fmt(v) for v in part]
-
-
-def _has_non_finite(column: Sequence) -> bool:
-    if isinstance(column, np.ndarray) and column.dtype.kind in "fciubU":
-        return column.dtype.kind in "fc" and not np.isfinite(column).all()
-    return any(isinstance(v, (float, complex, np.inexact)) and not cmath.isfinite(v)
-               for v in column)
-
-
-def write_csv(path: Path, header: Sequence[str], columns: Sequence[Sequence]) -> None:
-    """Write the header and one line per row of the equal-length ``columns``.
-
-    A NaN or infinite float is refused with a ValueError before the file's
-    directory is created, the rule that ``write_json`` applies.
+    Each column is a numpy array, converted with ``.tolist()``: a float
+    column prints with ``%.12g`` (a float32 as the double it widens to), any
+    other dtype with ``%s``.  Before the file's directory is created, a NaN or
+    infinity in a float or complex column is refused with a ValueError, as
+    ``write_json`` refuses it, and a list or tuple column with an AttributeError.
     """
     n_rows = len(columns[0]) if len(columns) else 0
     if any(len(column) != n_rows for column in columns):
         raise ValueError(f"CSV columns differ in length: {[len(c) for c in columns]}")
     for i, column in enumerate(columns):
-        if _has_non_finite(column):
+        if column.dtype.kind in "fc" and not np.isfinite(column).all():
             name = header[i] if i < len(header) else i
             raise ValueError(f"non-finite value in CSV column {name!r}")
-    rules = [_column_rule(column) for column in columns]
-    line = ",".join(spec for spec, _ in rules) + "\n"
+    line = ",".join("%.12g" if column.dtype.kind == "f" else "%s" for column in columns) + "\n"
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for start in range(0, n_rows, _SLICE_ROWS):
-            stop = start + _SLICE_ROWS
-            values = [convert(column[start:stop])
-                      for column, (_, convert) in zip(columns, rules)]
+            values = [column[start:start + _SLICE_ROWS].tolist() for column in columns]
             fh.write("".join(map(line.__mod__, zip(*values))))
 
 
@@ -111,7 +83,7 @@ def write_svg_plot(
     y: Sequence[float],
     xlabel: str,
     ylabel: str,
-    title: str = "",
+    title: str,
 ) -> None:
     """Polyline plot of y(x) with tick marks and axis labels."""
     width, height = _SVG_WIDTH, _SVG_HEIGHT
@@ -151,7 +123,7 @@ def write_svg_plot(
         )
         parts.append(
             f'<text x="{px:.2f}" y="{margin_t + ph + 20}" font-size="12" '
-            f'text-anchor="middle">{_fmt(float(t))}</text>'
+            f'text-anchor="middle">{t:.12g}</text>'
         )
     for t in _ticks(y_lo, y_hi):
         py = sy(t)
@@ -161,7 +133,7 @@ def write_svg_plot(
         )
         parts.append(
             f'<text x="{margin_l - 8}" y="{py + 4:.2f}" font-size="12" '
-            f'text-anchor="end">{_fmt(float(t))}</text>'
+            f'text-anchor="end">{t:.12g}</text>'
         )
     parts.append(
         f'<polyline points="{points}" fill="none" stroke="#1f77b4" stroke-width="1.5"/>'
@@ -174,11 +146,10 @@ def write_svg_plot(
         f'<text x="18" y="{margin_t + ph / 2:.1f}" font-size="14" text-anchor="middle" '
         f'transform="rotate(-90 18 {margin_t + ph / 2:.1f})">{ylabel}</text>'
     )
-    if title:
-        parts.append(
-            f'<text x="{margin_l + pw / 2:.1f}" y="22" font-size="14" '
-            f'text-anchor="middle">{title}</text>'
-        )
+    parts.append(
+        f'<text x="{margin_l + pw / 2:.1f}" y="22" font-size="14" '
+        f'text-anchor="middle">{title}</text>'
+    )
     parts.append("</svg>")
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     Path(path).write_text("\n".join(parts) + "\n")

@@ -129,7 +129,10 @@ def as_result(x):
     return x.item() if x.ndim == 0 else x
 
 
-def newton_bisect(f, df, lo, hi, f_tol, max_iter=200):
+ROOT_MAX_ITER = 200
+
+
+def newton_bisect(f, df, lo, hi, f_tol):
     """Safeguarded root finder: bisection with Newton acceleration, element-wise.
 
     ``lo``, ``hi`` and ``f_tol`` are floats or arrays that broadcast with
@@ -143,8 +146,8 @@ def newton_bisect(f, df, lo, hi, f_tol, max_iter=200):
     keeps whichever of x and the two bracket ends has the smallest |f|, if
     that is at most 4 |f'(x)| ulp(x), the residual that rounding x can
     explain.  A stopped element no longer moves.  ConvergenceError is raised
-    if any element exhausts its bracket with a larger residual or, as a NaN
-    element does, is still running after ``max_iter`` iterations.  Returns
+    if an element exhausts its bracket without such a residual, as a NaN one
+    always does, or still runs after ``ROOT_MAX_ITER`` iterations.  Returns
     an array of the broadcast shape, or a float when that shape is ().
     """
     # A zero derivative gives a non-finite Newton candidate, which the
@@ -161,7 +164,7 @@ def newton_bisect(f, df, lo, hi, f_tol, max_iter=200):
         # An element solved on an end starts there and inactive.
         active = (f_lo != 0) & (f_hi != 0)
         x = np.where(f_lo == 0, lo, np.where(f_hi == 0, hi, 0.5 * (lo + hi)))
-        for _ in range(max_iter):
+        for _ in range(ROOT_MAX_ITER):
             fx = f(x)
             # NaN residuals stay active.
             active = active & ~(abs(fx) <= f_tol)
@@ -194,7 +197,7 @@ def newton_bisect(f, df, lo, hi, f_tol, max_iter=200):
                     break
                 active = active & ~exhausted
         else:
-            failed, how = active, f"within {max_iter} iterations"
+            failed, how = active, f"within {ROOT_MAX_ITER} iterations"
     raise ConvergenceError(
         f"root finder did not reach |f| <= {float(np.max(f_tol)):g} for "
         f"{int(np.count_nonzero(failed))} of {np.size(x)} elements {how}"

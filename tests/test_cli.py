@@ -16,6 +16,7 @@ from topoqed import circuit as _circuit
 from topoqed import cli as _cli
 from topoqed import config as _config
 from topoqed import dynamics as _dyn
+from topoqed import interface as _interface
 from topoqed import qcore as _qcore
 from topoqed import validate as _validate
 from topoqed import wire as _wire
@@ -481,6 +482,39 @@ class TestCouplingsCommand:
         assert float(rows["P_e_thermal"]) < 1e-3
         ratio = float(rows["lambda2_max_over_eta_g_Delta0"])
         assert 0.1 <= ratio <= 1.0
+
+    def test_csv_is_the_row_rule_of_the_quantities(self, tmp_path):
+        # The reference device's 16 rows, each value a float recomputed here
+        # from the layers: the arrays that the command builds print as the
+        # row rule prints the floats.
+        assert main(["couplings", "--out", str(tmp_path)]) == 0
+        config = load_config(None)
+        wire, circ = config.wire, config.circuit
+        cs = _interface.couplings(wire, circ)
+        eff = cs.effective
+        phi_c, lam1_max, lam2_max = _interface.optimal_working_point(wire, circ)
+        rate, rad, ratio, prob = "rad_per_s", "rad", "dimensionless", "probability"
+        rows = [
+            ("omega_t", cs.omega_t, rate),
+            ("lambda1", cs.lambda1, rate),
+            ("lambda2", cs.lambda2, rate),
+            ("E_J_bar", eff.E_J_bar, rate),
+            ("xi", eff.xi, rate),
+            ("eps_plus", eff.eps_plus, rad),
+            ("eps_minus", eff.eps_minus, rad),
+            ("working_phi", cs.working_phi, rad),
+            ("lambda1_max", lam1_max, rate),
+            ("lambda1_max_phi_c", phi_c, rad),
+            ("lambda1_max_over_eta_Delta0", abs(lam1_max / (circ.eta * wire.Delta0)), ratio),
+            ("lambda2_max", lam2_max, rate),
+            ("lambda2_max_phi_c", phi_c, rad),
+            ("lambda2_max_over_eta_g_Delta0", abs(lam2_max / (circ.eta * circ.g * wire.Delta0)),
+             ratio),
+            ("P_t_working_point", _circuit.tunneling_leakage(cs.lambda1, circ), prob),
+            ("P_e_thermal", _wire.thermal_leakage(wire), prob),
+        ]
+        expected = reference_text(["quantity", "value", "unit"], rows)
+        assert (tmp_path / "couplings.csv").read_bytes() == expected.encode()
 
     def test_two_root_solves(self, tmp_path, monkeypatch):
         # One for the working point and one for both optima: the lambda1 and

@@ -253,7 +253,7 @@ class TestFidelityCurve:
 
         monkeypatch.setattr(_dyn, "_branch_states", unphysical)
         sch = GateSchedule(k=1, lambda2=LAMBDA2)
-        with pytest.raises(IntegrationError, match="fidelities outside"):
+        with pytest.raises(IntegrationError, match=r"fidelities outside \[-1e-8, 1 \+ 1e-8\]$"):
             fidelity_curve(sch, 1e6, 1e6, [0.0, sch.tau])
 
     def test_one_positivity_check_per_curve(self, monkeypatch):

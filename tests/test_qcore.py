@@ -480,10 +480,10 @@ class TestNewtonBisect:
     """The root finder acts element-wise; each element keeps its own bracket."""
 
     @staticmethod
-    def solve(c, hi=3.0, **kwargs):
+    def solve(c, hi=3.0):
         # Roots of x**2 = c on [0, hi]; f(0) carries the shape of c.
         c = np.asarray(c, dtype=float)
-        return newton_bisect(lambda x: x * x - c, lambda x: 2.0 * x, 0.0, hi, 1e-13, **kwargs)
+        return newton_bisect(lambda x: x * x - c, lambda x: 2.0 * x, 0.0, hi, 1e-13)
 
     def test_each_element_reaches_its_tolerance(self):
         c = np.linspace(0.01, 8.0, 257)
@@ -557,5 +557,14 @@ class TestNewtonBisect:
         assert abs((x - math.pi) - half_ulp) <= 2.0 * math.ulp(math.pi)
 
     def test_iteration_limit_raises(self):
-        with pytest.raises(ConvergenceError, match="within 2 iterations"):
-            self.solve([0.5, 2.0], max_iter=2)
+        # A zero-slope step bisects from 1e300 down to its sign change at 1,
+        # about 1000 halvings, and is still running at the limit.
+        with pytest.raises(ConvergenceError, match="1 of 1 elements within 200 iterations"):
+            newton_bisect(lambda x: np.where(x < 1.0, -1.0, 1.0), np.zeros_like,
+                          0.0, 1e300, 1e-13)
+
+    def test_nan_element_fails_when_its_bracket_runs_out(self):
+        # A NaN residual never reaches f_tol: the element bisects until its
+        # bracket is exhausted, long before the iteration limit.
+        with pytest.raises(ConvergenceError, match="1 of 2 elements before its bracket ran out"):
+            self.solve([0.5, math.nan])
