@@ -126,7 +126,8 @@ def analytic_U(lambda2: float, nu: float, t: float, model: HamiltonianModel) -> 
     H = (B a + B* a+) J_z, by eigendecomposition (``expm_hermitian``, which
     verifies it unitary to 1e-10), and the phase factor a unit-modulus
     diagonal, so U is unitary at every cutoff and cannot show truncation.  The
-    states do: ``validate`` compares U with the truncated Liouvillian
+    states do: ``validate`` compares U with the exact propagation of the
+    truncated closed gate's pure state under the rotating-frame generator
     (``propagator_oracle``) and with the untruncated coherent-state branches
     at N = 16 (``coherent_state_branches``).
     """

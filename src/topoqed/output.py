@@ -4,7 +4,8 @@ CSV is the canonical data format; headers carry explicit units.  A table is
 given column by column, each column a numpy array.  A float column is
 rendered with ``%.12g`` and any other dtype (integer, boolean, complex,
 unicode) with ``%s``, so repeated runs with identical inputs produce
-byte-identical files.  A NaN or infinity is refused, as in JSON.  Each
+byte-identical files.  A NaN or infinity is refused, as in JSON, and so is
+a column of any other dtype, such as an object array.  Each
 column is converted to Python values with ``.tolist()`` once per slice of
 rows.  The SVG plot is a dependency-free polyline with axis ticks, adequate
 for eyeballing a fidelity curve.
@@ -26,6 +27,9 @@ __all__ = ["write_csv", "write_json", "write_svg_plot"]
 # 0.3 MB, and whole columns by about 1.5 MB; slices of 256 rows keep it at the
 # row-by-row writer's, at the same speed.
 _SLICE_ROWS = 256
+# The dtype kinds a CSV column may have: float, complex, signed and unsigned
+# integer, boolean and unicode.
+_CSV_KINDS = "fciubU"
 # SVG canvas size in pixels, and the number of ticks an axis aims at.
 _SVG_WIDTH, _SVG_HEIGHT = 640, 440
 _TICKS = 6
@@ -36,16 +40,21 @@ def write_csv(path: Path, header: Sequence[str], columns: Sequence[np.ndarray]) 
 
     Each column is a numpy array, converted with ``.tolist()``: a float
     column prints with ``%.12g`` (a float32 as the double it widens to), any
-    other dtype with ``%s``.  Before the file's directory is created, a NaN or
-    infinity in a float or complex column is refused with a ValueError, as
-    ``write_json`` refuses it, and a list or tuple column with an AttributeError.
+    other dtype with ``%s``.  Before the file's directory is created, a
+    ValueError refuses a column of a dtype kind outside ``_CSV_KINDS``
+    (an object array could hide an infinity) and, as ``write_json`` does, a
+    NaN or infinity in a float or complex column; a list or tuple column
+    raises an AttributeError.
     """
     n_rows = len(columns[0]) if len(columns) else 0
     if any(len(column) != n_rows for column in columns):
         raise ValueError(f"CSV columns differ in length: {[len(c) for c in columns]}")
     for i, column in enumerate(columns):
+        name = header[i] if i < len(header) else i
+        if column.dtype.kind not in _CSV_KINDS:
+            raise ValueError(f"CSV column {name!r} has dtype {column.dtype}, "
+                             "not a number, boolean or string")
         if column.dtype.kind in "fc" and not np.isfinite(column).all():
-            name = header[i] if i < len(header) else i
             raise ValueError(f"non-finite value in CSV column {name!r}")
     line = ",".join("%.12g" if column.dtype.kind == "f" else "%s" for column in columns) + "\n"
     Path(path).parent.mkdir(parents=True, exist_ok=True)

@@ -20,8 +20,10 @@ H's shape, each rate >= 0.
   density matrix between grid points with the action of its exponential: a
   truncated Taylor series on substeps of bounded 1-norm, the scheme of
   Al-Mohy & Higham, SIAM J. Sci. Comput. 33 (2011) 488-511, in numpy alone.
-  It is the oracle of the gate's closed-form fidelity curve, in the frame
-  that rotates with the cavity, for ``validate`` and the tests.
+  It is the oracle of the gate's closed-form fidelity curve under
+  dissipation, in the frame that rotates with the cavity, for ``validate``
+  (``coherent_state_branches``) and the tests.  ``validate`` checks the
+  closed gate against the pure state propagated with ``expm_hermitian``.
 * ``integrate_master_equation`` takes the Hamiltonian as a callable of t and
   runs adaptive RK45.  It is the independent oracle of the first, for tests
   only; it loads ``scipy.integrate`` on first use, so importing the package

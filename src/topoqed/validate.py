@@ -3,14 +3,17 @@
 Each group re-derives a handful of the package's load-bearing identities in
 seconds.  A group is a function ``_check_<name>(ref, mutations)``, where
 ``ref`` is the reference configuration, parsed once per run, and ``<name>``
-is its key in the report.  The ``gate-phase-sign`` mutation deliberately
-corrupts the sign of the accumulated gate phase while the propagator-oracle
-group runs, to demonstrate that the comparison of the closed-form propagator
-with the Liouvillian propagator actually detects a seeded defect (the group
-must then fail).  ``coherent_state_branches`` checks the closed-form fidelity curve of
-the gate against the same Liouvillian and against the closed-form
-propagator.  Every group's inputs are fixed, so two runs check the same
-numbers.
+is its key in the report.  Each mutation deliberately corrupts one
+computation while one group runs, to show that the group detects a seeded
+defect (the group must then fail).  ``gate-phase-sign`` flips the sign of
+the accumulated gate phase of the closed-form propagator while
+``propagator_oracle`` compares it with the exact propagation of the pure
+state under the rotating-frame generator.  ``branch-phase-sign`` conjugates
+the change of ln c of each coherent-state branch, in the closed-form
+fidelity curve that ``gate`` and ``fig2`` run, while
+``coherent_state_branches`` compares that curve's states with the
+Fock-truncated Liouvillian and with the closed-form propagator.  Every
+group's inputs are fixed, so two runs check the same numbers.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from .wire import inverse_x_over_tan, wire_splitting
 
 __all__ = ["MUTATIONS", "run_validation"]
 
-MUTATIONS = ("gate-phase-sign",)
+MUTATIONS = ("gate-phase-sign", "branch-phase-sign")
 
 
 def _check_schedule_algebra(ref, mutations) -> tuple[bool, str]:
@@ -138,17 +141,21 @@ def _check_hermitian_builders(ref, mutations) -> tuple[bool, str]:
 
 
 def _check_propagator_oracle(ref, mutations) -> tuple[bool, str]:
-    # The closed gate from |++> and vacuum, propagated by the Liouvillian
-    # rotating-frame propagator and mapped back with exp(+i nu t a+a), is
-    # compared with U rho0 U+ of the closed form at the same times.
+    """The closed gate's state against U rho0 U+ = U|psi0><psi0|U+ of the closed form.
+
+    From |++> and vacuum, the pure state is propagated exactly in the frame
+    that rotates with the cavity, psi(t) = exp(-i H' t) psi0, and mapped
+    back with exp(+i nu t a+a).  This oracle and ``analytic_U`` share only
+    ``expm_hermitian``, and apply it to different generators:
+    H' = nu a+a - lambda2 (a + a+) J_z here, (B a + B* a+) J_z there.  A
+    closed system needs no Liouvillian; ``coherent_state_branches`` and
+    ``master_equation_limits`` keep ``evolve_master_equation`` as the oracle
+    where there is dissipation.
+    """
     sch = GateSchedule(k=ref.k, lambda2=ref.lambda2_pinned)
     model = HamiltonianModel(fock_cutoff=16)
     start = _dyn._gate_start(model.fock_cutoff)
-    rho0 = np.outer(start, start.conj())
-    t_grid = [0.0, 0.31 * sch.tau, 0.77 * sch.tau]
-    rotating = evolve_master_equation(
-        _dyn._rotating_frame_hamiltonian(sch, model), (), rho0, t_grid
-    )
+    h_rotating = _dyn._rotating_frame_hamiltonian(sch, model)
     photons = np.real(np.diag(model.n_photon))
     original = _dyn.propagator_AB
     if "gate-phase-sign" in mutations:
@@ -159,12 +166,11 @@ def _check_propagator_oracle(ref, mutations) -> tuple[bool, str]:
         _dyn.propagator_AB = mutated
     try:
         worst = 0.0
-        for t, rho in zip(t_grid[1:], rotating[1:]):
-            u = _dyn.analytic_U(sch.lambda2, sch.nu, t, model)
-            expected = u @ rho0 @ u.conj().T
-            phase = np.exp(1j * sch.nu * t * photons)
-            back = phase[:, None] * rho * phase.conj()[None, :]
-            worst = max(worst, float(np.max(np.abs(expected - back))))
+        for t in (0.31 * sch.tau, 0.77 * sch.tau):
+            psi = np.exp(1j * sch.nu * t * photons) * (expm_hermitian(h_rotating, t) @ start)
+            expected = _dyn.analytic_U(sch.lambda2, sch.nu, t, model) @ start
+            dev = np.outer(expected, expected.conj()) - np.outer(psi, psi.conj())
+            worst = max(worst, float(np.max(np.abs(dev))))
     finally:
         _dyn.propagator_AB = original
     return worst <= 1e-6, f"max |U rho0 U+ - rho| = {worst:.2e} (rotating frame)"
@@ -182,11 +188,21 @@ def _check_coherent_state_branches(ref, mutations) -> tuple[bool, str]:
     # closed-form propagator U on the truncated space without them.
     sch = GateSchedule(k=ref.k, lambda2=ref.lambda2_pinned)
     t_grid = [0.0, 0.5 * sch.tau]
-    branches = _dyn._branch_states(sch, ref.kappa, ref.gamma, t_grid)[0][-1]
+    original = _dyn._branch
+    if "branch-phase-sign" in mutations:
+        def mutated(*args):
+            alpha, beta, d_log = original(*args)
+            return alpha, beta, np.conj(d_log)
+
+        _dyn._branch = mutated
+    try:
+        branches = _dyn._branch_states(sch, ref.kappa, ref.gamma, t_grid)[0][-1]
+        closed = _dyn._branch_states(sch, 0.0, 0.0, t_grid)[0][-1]
+    finally:
+        _dyn._branch = original
     liouvillian = _dyn._qubit_states(sch, ref.kappa, ref.gamma, t_grid, 12)[-1]
     dev_open = float(np.max(np.abs(branches - liouvillian)))
 
-    closed = _dyn._branch_states(sch, 0.0, 0.0, t_grid)[0][-1]
     model = HamiltonianModel(fock_cutoff=16)
     psi = _dyn.analytic_U(sch.lambda2, sch.nu, t_grid[-1], model) @ _dyn._gate_start(16)
     unitary = partial_trace(np.outer(psi, psi.conj()), model.dims, (0, 1))

@@ -667,6 +667,25 @@ class TestValidateCommand:
         assert not report["propagator_oracle"]["passed"]
         assert report["schedule_algebra"]["passed"]
 
+    def test_seeded_defect_in_the_closed_form_curve_is_caught(self, tmp_path):
+        # branch-phase-sign corrupts the branches that gate and fig2 run;
+        # only the group that checks them fails.
+        res = run_cli("validate", "--out", "o", "--mutate", "branch-phase-sign", cwd=tmp_path)
+        assert res.returncode == 4
+        report = json.loads((tmp_path / "o" / "validate_summary.json").read_text())["report"]
+        assert [name for name, entry in report.items() if not entry["passed"]] == [
+            "coherent_state_branches"]
+
+    def test_branch_mutation_leaves_the_curve_untouched(self, tmp_path):
+        # The mutation is undone when its group ends: a fig2 run in the same
+        # process afterwards gives the headline F(tau).
+        report = _validate.run_validation(("branch-phase-sign",))
+        assert not report["coherent_state_branches"]["passed"]
+        config = dataclasses.replace(load_config(None), out_dir=str(tmp_path / "o"))
+        assert cmd_fig2(config) == 0
+        summary = json.loads((tmp_path / "o" / "fig2_summary.json").read_text())
+        assert summary["F_at_tau"] == 0.9695548405521919
+
     def test_reference_is_parsed_once_per_run(self, monkeypatch):
         calls = []
 
@@ -960,7 +979,7 @@ class TestErrorPaths:
         out = ("--out", outs)
         # Valid values are drawn more often, so that runs also get to write.
         config = ("--config", st.sampled_from(["small.json"] * 3 + ["", "missing.json", "f", "."]))
-        mutate = ("--mutate", st.sampled_from(["gate-phase-sign"] * 2 + [""]))
+        mutate = ("--mutate", st.sampled_from(["gate-phase-sign", "branch-phase-sign", ""]))
         own = {"gate": [out, config], "fig2": [out, config], "validate": [out, config, mutate]}
         foreign = [("--sweep", st.sampled_from(["", "eps:0:1:3"])),
                    ("--rate-convention", st.sampled_from(["plain", "angular", ""]))]

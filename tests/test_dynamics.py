@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from topoqed import dynamics as _dyn
 from topoqed import qcore as _qcore
+from topoqed import validate as _validate
 from topoqed.dynamics import (
     GateSchedule,
     analytic_U,
@@ -447,6 +449,43 @@ class TestCoherentStateBranches:
         sch = GateSchedule(k=1, lambda2=LAMBDA2)
         with pytest.raises(ValueError):
             fidelity_curve(sch, -1.0, 0.0, [0.0, sch.tau])
+
+
+class TestClosedGateOracles:
+    def test_liouvillian_matches_exact_state_propagation(self):
+        # The Taylor-series Liouvillian at d = 64 without channels, against
+        # the pure state propagated exactly under the same rotating-frame
+        # generator, at the two times of validate's propagator_oracle.
+        sch = GateSchedule(k=1, lambda2=LAMBDA2)
+        model = HamiltonianModel(fock_cutoff=16)
+        h_rotating = _dyn._rotating_frame_hamiltonian(sch, model)
+        start = _dyn._gate_start(model.fock_cutoff)
+        t_grid = [0.0, 0.31 * sch.tau, 0.77 * sch.tau]
+        states = _qcore.evolve_master_equation(h_rotating, (), np.outer(start, start.conj()),
+                                               t_grid)
+        for t, rho in zip(t_grid, states):
+            psi = expm_hermitian(h_rotating, t) @ start
+            assert np.max(np.abs(rho - np.outer(psi, psi.conj()))) <= 1e-10
+
+    def test_validate_steps_the_liouvillian_only_where_there_is_dissipation(self,
+                                                                             monkeypatch):
+        # Each evolve_master_equation call is booked to the validate group
+        # whose frame is on the stack.
+        original = _qcore.evolve_master_equation
+        groups = []
+
+        def counting(*args, **kwargs):
+            frame = sys._getframe(1)
+            while not frame.f_code.co_name.startswith("_check_"):
+                frame = frame.f_back
+            groups.append(frame.f_code.co_name.removeprefix("_check_"))
+            return original(*args, **kwargs)
+
+        for module in (_qcore, _dyn, _validate):
+            monkeypatch.setattr(module, "evolve_master_equation", counting)
+        report = _validate.run_validation()
+        assert all(entry["passed"] for entry in report.values())
+        assert set(groups) == {"coherent_state_branches", "master_equation_limits"}
 
 
 class TestSingleInterfaceEvolution:

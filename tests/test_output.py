@@ -107,16 +107,29 @@ class TestWriteCsv:
          "non-finite value in CSV column 'v'"),
         (lambda bad: np.array([0.5 + 0j, complex(bad, 0.0)]), ValueError,
          "non-finite value in CSV column 'v'"),
+        (lambda bad: np.array([bad], dtype=object), ValueError,
+         "CSV column 'v' has dtype object"),
     ], ids=["float", "float64", "float32", "complex", "float64-array", "float32-array",
-            "complex-array"])
+            "complex-array", "object-array"])
     def test_non_finite_value_is_refused_before_the_file_opens(self, column, error, message,
                                                                bad, tmp_path):
         # write_json's rule: a NaN or infinity is not data.  A list or tuple
-        # column has no dtype to print by, and is refused whatever it holds.
+        # column has no dtype to print by, and an object array none that
+        # the finiteness check can read, so both are refused whatever they hold.
         finite = np.arange(len(column(bad)), dtype=float)
         with pytest.raises(error, match=message):
-            write_csv(tmp_path / "n.csv", ["i", "v"], [finite, column(bad)])
-        assert not (tmp_path / "n.csv").exists()
+            write_csv(tmp_path / "d" / "n.csv", ["i", "v"], [finite, column(bad)])
+        assert not (tmp_path / "d").exists()
+
+    @pytest.mark.parametrize("values", [["x"], [1.0]])
+    def test_finite_object_column_is_refused_before_the_directory_is_made(self, values,
+                                                                          tmp_path):
+        # Only numeric, boolean and unicode columns are printed; an object
+        # column is refused even when its values are finite.
+        column = np.array(values, dtype=object)
+        with pytest.raises(ValueError, match="CSV column 'v' has dtype object"):
+            write_csv(tmp_path / "d" / "o.csv", ["q", "v"], [np.array(["x"]), column])
+        assert not (tmp_path / "d").exists()
 
     @pytest.mark.parametrize("lengths", [(3, 2), (2, 3), (0, 1), (4, 4, 5)])
     def test_columns_of_unequal_length_raise(self, lengths, tmp_path):
