@@ -80,6 +80,9 @@ class CircuitParams:
                   self.phi_e, self.phi_c, self.omega_r)
         if not all(map(math.isfinite, values)):
             raise ValueError("circuit parameters must be finite")
+        # Finite inputs can still overflow in the scale of the coupling xi.
+        if not math.isfinite(self.g * self.E_J):
+            raise ValueError(f"non-finite product g*E_J = {self.g * self.E_J!r}")
         if self.E_J <= 0 or self.E_J0 <= 0 or self.E_c <= 0:
             raise ValueError("junction and charging energies must be positive")
         if self.eta >= 0.3:

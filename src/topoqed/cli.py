@@ -132,10 +132,14 @@ def cmd_couplings(config: RunConfig) -> int:
     eta = circ.eta
     lam1_ref = eta * wire.Delta0
     lam2_ref = eta * circ.g * wire.Delta0
-    # g = 0, or a product that underflows, leaves the optima without a scale.
+    # g = 0, or a product that underflows or overflows, leaves the optima
+    # without a scale.
     for name, ref in (("eta*Delta0", lam1_ref), ("eta*g*Delta0", lam2_ref)):
         if ref == 0.0:
             raise ConfigError(f"{name} = 0: the optimal coupling cannot be quoted in its units")
+        if not math.isfinite(ref):
+            raise ConfigError(f"non-finite product {name} = {ref!r}: the optimal coupling "
+                              "cannot be quoted in its units")
     cs = couplings(wire, circ)
     eff = cs.effective
 

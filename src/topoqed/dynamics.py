@@ -44,7 +44,8 @@ Gauss-Kronrod pair G10/K21, whose embedded Gauss value checks the Kronrod
 value, with both rules written out as constants.  The Fock-truncated
 Liouvillian, stepped in numpy by ``qcore.evolve_master_equation``, stays as
 the oracle that ``validate`` and the tests compare the closed form with;
-no command imports scipy.
+no command imports scipy.  ``validate`` seeds its defects in
+``propagator_AB``, ``_branch`` and the quadrature's ``_jump_nodes``.
 
 Dissipation follows the channel convention of :mod:`topoqed.qcore`: cavity
 channel (a, kappa) and one lowering channel (|0><1|, gamma) per qubit, each
@@ -70,7 +71,6 @@ from .qcore import (
     expm_hermitian,
     eye,
     partial_trace,
-    state_fidelity,
     tensor,
     _checked_states,
     _time_grid,
@@ -81,7 +81,6 @@ __all__ = [
     "GateSchedule",
     "analytic_U",
     "fidelity_curve",
-    "ideal_gate_state",
     "plus_plus_state",
     "propagator_AB",
     "target_entangled_state",
@@ -151,34 +150,6 @@ def target_entangled_state() -> np.ndarray:
 def _gate_start(fock_cutoff: int) -> np.ndarray:
     """|++> with the cavity in vacuum, the initial state of every gate run."""
     return np.kron(plus_plus_state(), basis_state(fock_cutoff, 0))
-
-
-def ideal_gate_state(schedule: GateSchedule, fock_cutoff: int = 16) -> tuple[np.ndarray, float]:
-    """Closed-system state vector after one full gate, from |++> and cavity vacuum.
-
-    Verifies that the cavity returned to vacuum (overlap >= 1 - 1e-8) and that
-    the qubit pair reaches the entangled target with fidelity >= 1 - 1e-8
-    (global phase discarded).  Returns the state U|++, 0>, not renormalized
-    because U is unitary to 1e-10 (:func:`analytic_U`), and that fidelity.
-    """
-    model = HamiltonianModel(fock_cutoff)
-    loop_dev = abs(schedule.nu * schedule.tau - 2.0 * math.pi * schedule.k)
-    if loop_dev > 1e-9:
-        raise ValueError(f"schedule does not close the loop: |nu*tau - 2k*pi| = {loop_dev:.2e}")
-    u = analytic_U(schedule.lambda2, schedule.nu, schedule.tau, model)
-    psi = u @ _gate_start(fock_cutoff)
-    vacuum_weight = float(np.sum(np.abs(psi[np.arange(4) * fock_cutoff]) ** 2))
-    if vacuum_weight < 1.0 - 1e-8:
-        raise IntegrationError(
-            f"cavity did not return to vacuum: overlap {vacuum_weight:.12f}"
-        )
-    qubit_fidelity = state_fidelity(
-        partial_trace(np.outer(psi, psi.conj()), model.dims, (0, 1)), target_entangled_state())
-    if qubit_fidelity < 1.0 - 1e-8:
-        raise IntegrationError(
-            f"gate target fidelity {qubit_fidelity:.12f} below 1 - 1e-8"
-        )
-    return psi, qubit_fidelity
 
 
 def _rotating_frame_hamiltonian(schedule: GateSchedule, model: HamiltonianModel) -> np.ndarray:
@@ -286,6 +257,20 @@ def _panel_counts(t: np.ndarray, nu: float) -> np.ndarray:
     return np.maximum(1.0, np.ceil(t * nu / math.pi))
 
 
+def _jump_nodes(t: np.ndarray, panels: np.ndarray, ends: np.ndarray,
+                rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Place the Kronrod nodes of the quadrature panels numbered ``rows``.
+
+    The panels of all grid times are numbered in one run, and ``ends`` is the
+    cumulative count of ``panels``.  Returns each panel's grid index, its
+    width and its 21 jump times t1, shape ``(len(rows), 21)``.
+    """
+    point = np.searchsorted(ends, rows, side="right")
+    width = t[point] / panels[point]
+    panel = rows - ends[point] + panels[point]
+    return point, width, width[:, None] * (panel[:, None] + 0.5 * (_GK_NODES + 1.0))
+
+
 def _jump_terms(lam: float, z: complex, kappa: float, gamma: float,
                 t: np.ndarray) -> np.ndarray:
     """J, the single-jump part of the coherence |00><01|, shape (len(t), 2).
@@ -304,10 +289,7 @@ def _jump_terms(lam: float, z: complex, kappa: float, gamma: float,
     term = np.zeros((len(t), 2), dtype=complex)
     for first in range(0, int(ends[-1]), rows_per_pass):
         rows = np.arange(first, min(first + rows_per_pass, int(ends[-1])))
-        point = np.searchsorted(ends, rows, side="right")
-        width = t[point] / panels[point]
-        panel = rows - ends[point] + panels[point]
-        t1 = width[:, None] * (panel[:, None] + 0.5 * (_GK_NODES + 1.0))
+        point, width, t1 = _jump_nodes(t, panels, ends, rows)
         rest = t[point][:, None] - t1
         alpha, beta, log_c = _branch(lam, z, kappa, 0.0, -1.0, 0.0, 0.0, t1)
         alpha, beta, d_log = _branch(lam, z, kappa, 1.0, 0.0, alpha, beta, rest)

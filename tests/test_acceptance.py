@@ -18,8 +18,8 @@ from topoqed.config import load_config
 from topoqed.dynamics import (
     GateSchedule,
     analytic_U,
+    _gate_start,
     fidelity_curve,
-    ideal_gate_state,
     propagator_AB,
     target_entangled_state,
 )
@@ -102,8 +102,8 @@ def test_criterion_2_closed_system_gate_exactness():
     sch = GateSchedule(k=1, lambda2=LAMBDA2)
     model = HamiltonianModel(fock_cutoff=16)
 
-    # Analytic propagator route (checks are also enforced internally).
-    psi, _ = ideal_gate_state(sch, fock_cutoff=model.fock_cutoff)
+    # Analytic propagator route.
+    psi = analytic_U(sch.lambda2, sch.nu, sch.tau, model) @ _gate_start(model.fock_cutoff)
     vac_analytic = float(np.sum(np.abs(psi[_vacuum_columns(model)]) ** 2))
     fid_analytic = state_fidelity(partial_trace(np.outer(psi, psi.conj()), model.dims, (0, 1)),
                                   target_entangled_state())

@@ -46,9 +46,10 @@ class TestCircuitParams:
         # E_J0 = 1e-300 GHz: eta is quoted in a few digits, not about 300.
         with pytest.raises(ValueError, match=r"^eta = E_J/E_J0 = 1\.6e\+301 >= 0\.3: "):
             params(E_J0=2 * math.pi * 1e-300 * 1e9)
-        # Non-finite values built in code, where no config parser checks them.
+        # Non-finite values built in code, where no config parser checks them,
+        # and finite g and E_J whose product, the scale of xi, overflows.
         for overrides in ({"E_J": math.nan}, {"E_J0": math.inf}, {"g": math.nan},
-                          {"phi_e": math.inf}, {"omega_r": math.inf}):
+                          {"phi_e": math.inf}, {"omega_r": math.inf}, {"g": 1e300}):
             with pytest.raises(ValueError, match="finite"):
                 params(**overrides)
 

@@ -660,16 +660,22 @@ class TestValidateCommand:
         assert all(entry["passed"] for entry in report.values())
         assert all("seconds" in entry for entry in report.values())
 
-    def test_seeded_defect_is_caught(self, tmp_path):
-        res = run_cli("validate", "--out", "o", "--mutate", "gate-phase-sign", cwd=tmp_path)
-        assert res.returncode == 4
-        report = json.loads((tmp_path / "o" / "validate_summary.json").read_text())["report"]
-        assert not report["propagator_oracle"]["passed"]
-        assert report["schedule_algebra"]["passed"]
+    @pytest.mark.parametrize("name, mutation", _validate.MUTATIONS.items(),
+                             ids=list(_validate.MUTATIONS))
+    def test_seeded_defect_fails_its_group_alone(self, tmp_path, name, mutation):
+        # The corruption is undone when its group ends: a fig2 run in the
+        # same process afterwards gives the headline F(tau).
+        assert main(["validate", "--out", str(tmp_path / "v"), "--mutate", name]) == 4
+        report = json.loads((tmp_path / "v" / "validate_summary.json").read_text())["report"]
+        assert [group for group, entry in report.items() if not entry["passed"]] == [mutation[0]]
+        config = dataclasses.replace(load_config(None), out_dir=str(tmp_path / "o"))
+        assert cmd_fig2(config) == 0
+        summary = json.loads((tmp_path / "o" / "fig2_summary.json").read_text())
+        assert summary["F_at_tau"] == 0.9695548405521919
 
     def test_seeded_defect_in_the_closed_form_curve_is_caught(self, tmp_path):
         # branch-phase-sign corrupts the branches that gate and fig2 run;
-        # only the group that checks them fails.
+        # only the group that checks them fails, also in a separate process.
         res = run_cli("validate", "--out", "o", "--mutate", "branch-phase-sign", cwd=tmp_path)
         assert res.returncode == 4
         report = json.loads((tmp_path / "o" / "validate_summary.json").read_text())["report"]
@@ -677,8 +683,8 @@ class TestValidateCommand:
             "coherent_state_branches"]
 
     def test_branch_mutation_leaves_the_curve_untouched(self, tmp_path):
-        # The mutation is undone when its group ends: a fig2 run in the same
-        # process afterwards gives the headline F(tau).
+        # The mutation is undone when its group ends, also when run_validation
+        # is called directly rather than through the command.
         report = _validate.run_validation(("branch-phase-sign",))
         assert not report["coherent_state_branches"]["passed"]
         config = dataclasses.replace(load_config(None), out_dir=str(tmp_path / "o"))
@@ -898,18 +904,35 @@ class TestErrorPaths:
         assert "configuration error" in res.stderr
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("command", ["phij", "couplings"])
-    def test_non_finite_result_exits_2_without_csv(self, command, tmp_path, capsys):
-        # g = 1e308 parses, but phij's series takes inf * 0 = NaN and
-        # couplings' lambda2 overflows to -inf; write_csv refuses both before
-        # it creates the output directory.
+    @pytest.mark.parametrize("command, circuit, wire, message", [
+        # g = 1e308 parses, but with the reference junction g*E_J overflows
+        # (xi = g*E_J*sin(phi_e/2) would be inf * 0 = NaN).
+        ("phij", {"g": 1e308}, {}, "non-finite product g*E_J = inf"),
+        ("couplings", {"g": 1e308}, {}, "non-finite product g*E_J = inf"),
+        # g*E_J = 1e308 is finite, but phij's series takes 2*g = inf times a
+        # photon amplitude of 0, NaN, which write_csv refuses.
+        ("phij", {"g": 1e308, "E_J": {"value": 1.0, "unit": "rad_per_s"},
+                  "E_J0": {"value": 100.0, "unit": "rad_per_s"},
+                  "E_c": {"value": 1000.0, "unit": "rad_per_s"}}, {},
+         "non-finite value in CSV column 'phi_J_series_rad'"),
+        # g*E_J is finite, but the unit of the lambda2 optimum is not.
+        ("couplings", {"g": 1e299, "E_J": {"value": 0.1, "unit": "GHz", "times_2pi": True},
+                       "E_J0": {"value": 1.0, "unit": "GHz", "times_2pi": True}},
+         {"Delta0": {"value": 1e6, "unit": "GHz", "times_2pi": True}, "W_m": 0.0},
+         "non-finite product eta*g*Delta0 = inf"),
+    ], ids=["phij", "couplings", "phij-series", "couplings-optimum-unit"])
+    def test_non_finite_result_exits_2_without_csv(self, command, circuit, wire, message,
+                                                   tmp_path, capsys):
+        # Each run is refused, with the overflowing quantity named, before
+        # the output directory is created.
         doc = default_config_dict()
-        doc["circuit"]["g"] = 1e308
+        doc["circuit"].update(circuit)
+        doc["wire"].update(wire)
         argv = [command, "--config", write_config(tmp_path, doc), "--out", str(tmp_path / "o")]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             assert main(argv) == 2
-        assert "non-finite" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_random_finite_config_values_keep_the_exit_contract(self, tmp_path):
@@ -979,7 +1002,7 @@ class TestErrorPaths:
         out = ("--out", outs)
         # Valid values are drawn more often, so that runs also get to write.
         config = ("--config", st.sampled_from(["small.json"] * 3 + ["", "missing.json", "f", "."]))
-        mutate = ("--mutate", st.sampled_from(["gate-phase-sign", "branch-phase-sign", ""]))
+        mutate = ("--mutate", st.sampled_from([*_validate.MUTATIONS, ""]))
         own = {"gate": [out, config], "fig2": [out, config], "validate": [out, config, mutate]}
         foreign = [("--sweep", st.sampled_from(["", "eps:0:1:3"])),
                    ("--rate-convention", st.sampled_from(["plain", "angular", ""]))]
