@@ -146,7 +146,7 @@ def phi_J_series(params: CircuitParams, phi, photon_amp=0.0, phi_e=None):
     return as_result(
         2.0 * eta * _half_angle_sin(phi_e) * c
         - eta**2 * _full_angle_sin(phi_e) * c * c
-        + 2.0 * params.g * eta * _half_angle_cos(phi_e) * c * np.asarray(photon_amp, dtype=float)
+        + 2.0 * eta * params.g * _half_angle_cos(phi_e) * c * np.asarray(photon_amp, dtype=float)
     )
 
 

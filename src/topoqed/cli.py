@@ -185,6 +185,17 @@ def cmd_couplings(config: RunConfig) -> int:
 
 def _write_curve(config: RunConfig, lambda2: float, stem: str) -> None:
     schedule = GateSchedule(k=config.k, lambda2=lambda2)
+    # The integration cost grows with the horizon in decay times, while F(t)
+    # has relaxed to its limit after about ten of them.  The horizon is the
+    # grid's last time, computed here as a Python float, in the grid's order
+    # of operations, so that an overflow is refused before numpy sees it.
+    t_end = max(config.curve_x_max * math.pi / lambda2, schedule.tau)
+    if not math.isfinite(t_end):
+        raise ConfigError(f"the curve ends at t = {t_end} s; raise lambda2 or lower curve.x_max")
+    decay_times = (config.kappa + config.gamma) * t_end
+    if not decay_times <= 100:
+        raise ConfigError(f"the curve ends at t = {t_end:.3g} s, {decay_times:.3g} decay "
+                          "times (kappa + gamma) * t, over 100; raise lambda2 or lower curve.x_max")
     xs = np.arange(config.curve_steps + 1) / config.curve_steps * config.curve_x_max
     # Make sure the gate time itself is on the grid (for k > 1 it sits at
     # lambda2*t/pi = sqrt(k), beyond the default range).
@@ -192,13 +203,6 @@ def _write_curve(config: RunConfig, lambda2: float, stem: str) -> None:
     # numpy.ma on first use.
     t_grid = np.sort(np.append(xs * math.pi / lambda2, schedule.tau))
     t_grid = t_grid[np.append(True, t_grid[1:] != t_grid[:-1])]
-    # The integration cost grows with the horizon in decay times, while F(t)
-    # has relaxed to its limit after about ten of them.  A subnormal lambda2
-    # puts the horizon at infinity, where the product is NaN.
-    decay_times = (config.kappa + config.gamma) * t_grid[-1]
-    if not (math.isfinite(t_grid[-1]) and decay_times <= 100):
-        raise ConfigError(f"the curve ends at t = {t_grid[-1]:.3g} s, {decay_times:.3g} decay "
-                          "times (kappa + gamma) * t, over 100; raise lambda2 or lower curve.x_max")
     fidelities, delta = fidelity_curve(schedule, config.kappa, config.gamma, t_grid)
     x_grid = lambda2 * t_grid / math.pi
     gate_idx = int(np.searchsorted(t_grid, schedule.tau))

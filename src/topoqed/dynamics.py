@@ -40,12 +40,14 @@ and no Fock cutoff: the spin-dependent-force algebra of the Molmer-Sorensen
 gate (Sorensen & Molmer, PRA 62, 022311 (2000)) in the coherent-state
 ansatz of Gambetta et al., PRA 77, 012112 (2008).  Only the coherences fed
 by one qubit jump need a quadrature, over the jump time: one pass of the
-Gauss-Kronrod pair G10/K21, whose embedded Gauss value checks the Kronrod
-value, with both rules written out as constants.  The Fock-truncated
-Liouvillian, stepped in numpy by ``qcore.evolve_master_equation``, stays as
-the oracle that ``validate`` and the tests compare the closed form with;
-no command imports scipy.  ``validate`` seeds its defects in
-``propagator_AB``, ``_branch`` and the quadrature's ``_jump_nodes``.
+Gauss-Kronrod pair G10/K21 on equal panels that resolve both the cavity's
+turn and its decay (at most pi / max(nu, 2 kappa) wide), whose embedded
+Gauss value checks the Kronrod value, with both rules written out as
+constants.  The Fock-truncated Liouvillian, stepped in numpy by
+``qcore.evolve_master_equation``, stays as the oracle that ``validate`` and
+the tests compare the closed form with; no command imports scipy.
+``validate`` seeds its defects in ``propagator_AB``, ``_branch`` and the
+quadrature's ``_jump_nodes``.
 
 Dissipation follows the channel convention of :mod:`topoqed.qcore`: cavity
 channel (a, kappa) and one lowering channel (|0><1|, gamma) per qubit, each
@@ -99,6 +101,10 @@ class GateSchedule:
             raise ValueError("k must be a positive integer")
         if not (math.isfinite(self.lambda2) and self.lambda2 > 0):
             raise ValueError("the schedule takes the coupling magnitude, finite lambda2 > 0")
+        if not (math.isfinite(self.nu) and math.isfinite(self.tau)):
+            raise ValueError(f"lambda2 = {self.lambda2!r} rad/s at k = {self.k} gives detuning "
+                             f"nu = {self.nu:.3g} rad/s and gate time tau = {self.tau:.3g} s, "
+                             "which must both be finite")
 
     @property
     def nu(self) -> float:
@@ -252,9 +258,10 @@ def _branch(lam, z, kappa, m, m_bra, alpha, beta, s):
     return a_inf + da * decay, b_inf + db * decay, d_log
 
 
-def _panel_counts(t: np.ndarray, nu: float) -> np.ndarray:
-    """Jump-time panels per grid time: equal panels of at most half a cavity period."""
-    return np.maximum(1.0, np.ceil(t * nu / math.pi))
+def _panel_counts(t: np.ndarray, z: complex) -> np.ndarray:
+    """Jump-time panels per grid time for z = kappa + i nu: equal panels at most
+    pi / max(nu, 2 kappa) wide, half a cavity period or less if it decays faster."""
+    return np.maximum(1.0, np.ceil(t * max(z.imag, 2.0 * z.real) / math.pi))
 
 
 def _jump_nodes(t: np.ndarray, panels: np.ndarray, ends: np.ndarray,
@@ -278,12 +285,12 @@ def _jump_terms(lam: float, z: complex, kappa: float, gamma: float,
     A jump of qubit 1 at t1 takes |10><11| (J_z 0 and -1, three excitations)
     to |00><01| (J_z 1 and 0, one excitation): J is the integral over t1 in
     [0, t] of 2 gamma times that source branch at t1, continued in the target
-    branch from t1 to t.  The integral is split into equal panels of at
-    most half a cavity period, with the 21 Kronrod nodes on each, evaluated
+    branch from t1 to t.  The integral is split into the equal panels of
+    :func:`_panel_counts`, with the 21 Kronrod nodes on each, evaluated
     ``_NODE_BUDGET`` nodes per pass.  Column 0 is the Kronrod value and
     column 1 the embedded 10-node Gauss value, from the same nodes.
     """
-    panels = _panel_counts(t, z.imag).astype(np.int64)
+    panels = _panel_counts(t, z).astype(np.int64)
     ends = np.cumsum(panels)
     rows_per_pass = max(1, _NODE_BUDGET // len(_GK_NODES))
     term = np.zeros((len(t), 2), dtype=complex)
@@ -377,7 +384,7 @@ def fidelity_curve(
         raise ValueError("rates must be non-negative")
     t_grid = _time_grid(t_grid)
     if gamma > 0:
-        panels = np.sum(_panel_counts(t_grid, schedule.nu))
+        panels = np.sum(_panel_counts(t_grid, complex(kappa, schedule.nu)))
         if not panels <= _MAX_PANELS:
             raise ValueError(f"the jump-time quadrature needs {panels:.3g} panels, "
                              f"over {_MAX_PANELS:.0e}; shorten the curve or use fewer steps")

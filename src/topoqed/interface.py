@@ -69,10 +69,6 @@ class HamiltonianModel:
 
     fock_cutoff: int = 16
 
-    def __post_init__(self):
-        if self.fock_cutoff < 8:
-            raise ValueError("fock_cutoff must be at least 8")
-
     @property
     def dims(self) -> tuple[int, int, int]:
         return (2, 2, self.fock_cutoff)

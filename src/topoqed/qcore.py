@@ -6,14 +6,13 @@ products.  States are plain arrays too: a pure state is a complex vector,
 a density matrix a square array, and a trajectory one ``(n, d, d)`` stack.
 
 ``_checked_states`` is the one physicality check: finite entries, unit
-trace, Hermiticity, and positivity from one batched ``eigvalsh``, once per
-stack and so once per state.  Two propagators pass their initial state and
-their trajectory through it, as do the closed-form gate states of
-:mod:`topoqed.dynamics`, one block of the grid at a time.
-Both propagators take
-``(hamiltonian, channels, rho0, t_grid)``, with ``channels`` a sequence of
-``(L, rate)`` pairs that ``_checked_channels`` checks for both: each L of
-H's shape, each rate >= 0.
+trace, Hermiticity, and positivity from one batched ``eigvalsh``, each taken
+over the whole stack at once, so once per state.  Two propagators pass
+their initial state and their trajectory through it, as do the closed-form
+gate states of :mod:`topoqed.dynamics`, one block of the grid at a time.
+Both propagators take ``(hamiltonian, channels, rho0, t_grid)``, with
+``channels`` a sequence of ``(L, rate)`` pairs that ``_checked_channels``
+checks for both: each L of H's shape, each rate >= 0.
 
 * ``evolve_master_equation`` takes a time-independent Hamiltonian matrix.  It
   builds the Liouvillian once, stored by diagonals, and steps the vectorized
@@ -321,20 +320,18 @@ def _checked_states(rhos: np.ndarray, t_grid: np.ndarray) -> np.ndarray:
     (1e-8) and Hermiticity (1e-9); the small anti-Hermitian residue is then
     removed, and one batched ``eigvalsh`` checks positivity (eigenvalues
     >= -1e-8).  Positivity is monitored, never enforced: a violation is
-    raised rather than silently projected away.  The error names the first
-    grid time at which any check fails.  Returns the Hermitian parts as one
-    read-only array, the only full-size array that the check allocates: the
-    adjoint and the Hermiticity deviation are taken one row at a time.
+    raised rather than silently projected away.  The adjoint, the
+    Hermiticity deviation and the Hermitian parts are each one array
+    operation over the whole stack.  The error names the first grid time at
+    which any check fails.  Returns the Hermitian parts as one read-only
+    array.
     """
-    herm = np.empty_like(rhos)
-    herm_dev = np.zeros(len(rhos))
     with np.errstate(invalid="ignore"):
         finite = np.isfinite(rhos).all(axis=(1, 2))
         trace_dev = np.abs(np.einsum("tii->t", rhos) - 1.0)
-        for i in range(rhos.shape[1]):
-            row, adjoint_row = rhos[:, i], rhos[:, :, i].conj()
-            herm_dev = np.maximum(herm_dev, np.max(np.abs(row - adjoint_row), axis=1))
-            herm[:, i] = 0.5 * (row + adjoint_row)
+        adjoint = rhos.conj().transpose(0, 2, 1)
+        herm_dev = np.max(np.abs(rhos - adjoint), axis=(1, 2))
+        herm = 0.5 * (rhos + adjoint)
     # eigvalsh fails on a non-finite matrix, so it runs only on the states
     # before the first one that fails a cheaper check.
     fails = ~finite | (trace_dev > TRACE_TOL) | (herm_dev > HERMITICITY_TOL)
@@ -357,11 +354,6 @@ def _checked_states(rhos: np.ndarray, t_grid: np.ndarray) -> np.ndarray:
     return herm
 
 
-# Largest Liouvillian that ``evolve_master_equation`` stores, in entries
-# (offsets x d**2, 16 bytes each, so 64 MB).  The gate's Liouvillian at a
-# Fock cutoff of 16 with both channels takes 8 x 4096; one dense d x d jump
-# operator alone brings up to 2 d**2 - 1 offsets, half a gigabyte at d = 64.
-_LIOUVILLIAN_BUDGET = 1 << 22
 # A Taylor substep's generator has 1-norm at most theta_50 (Al-Mohy & Higham
 # 2011, Table 3.1); its series stops when two consecutive terms fall below
 # the unit roundoff relative to the sum, and fails after 50 terms.
@@ -406,10 +398,6 @@ def _liouvillian(h: np.ndarray, channels) -> list[tuple[slice, slice, np.ndarray
         terms.append((_diagonals(op), _diagonals(op.conj()), 2.0 * rate))
     one = {0: np.ones(d, dtype=complex)}
     terms += [(_diagonals(k), one, 1.0), (one, _diagonals(k.conj()), 1.0)]
-    offsets = {oa * d + ob for a, b, _ in terms for oa in a for ob in b}
-    if len(offsets) * d * d > _LIOUVILLIAN_BUDGET:
-        raise ValueError(f"the Liouvillian needs {len(offsets)} diagonals of {d * d} "
-                         f"entries, over {_LIOUVILLIAN_BUDGET} entries")
     gen = {}
     for a, b, coeff in terms:
         for oa, va in a.items():
@@ -465,11 +453,11 @@ def evolve_master_equation(
     """Propagate a density matrix under a time-independent generator.
 
     Builds the Liouvillian of ``hamiltonian`` and the ``(L, rate)`` channels
-    once, stored by diagonals (``ValueError`` above ``_LIOUVILLIAN_BUDGET``
-    entries), then steps the vectorized density matrix from each grid point
-    to the next with a truncated Taylor series of its exponential, on
-    substeps of 1-norm at most ``_THETA``; a series not converged after 50
-    terms raises :class:`IntegrationError`.  Beyond
+    once, stored by diagonals whatever their number, then steps the
+    vectorized density matrix from each grid point to the next with a
+    truncated Taylor series of its exponential, on substeps of 1-norm at
+    most ``_THETA``; a series not converged after 50 terms raises
+    :class:`IntegrationError`.  Beyond
     :func:`_checked_channels`, the generator is taken as given; an unphysical
     one shows up in the checks of :func:`_checked_states`, which ``rho0``, a
     ``(d, d)`` density matrix, passes first and the whole trajectory after.
@@ -496,8 +484,6 @@ def evolve_master_equation(
     for i in range(1, len(t_grid)):
         vec = _expm_step(gen, norm, float(t_grid[i] - t_grid[i - 1]), vec, t_grid[i])
         rhos[i] = vec.reshape(rho.shape)
-    # The generator and the work vector are not needed for the check.
-    del gen, vec
     return _checked_states(rhos, t_grid)
 
 

@@ -2,6 +2,8 @@ import dataclasses
 import json
 import math
 import os
+import re
+import shutil
 import subprocess
 import sys
 import warnings
@@ -11,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import midpoint_gauss_weights, reference_text
+from helpers import liouvillian_gate_states, midpoint_gauss_weights, reference_text
 from topoqed import circuit as _circuit
 from topoqed import cli as _cli
 from topoqed import config as _config
@@ -63,6 +65,23 @@ def write_config(tmp_path: Path, doc: dict) -> str:
     return str(path)
 
 
+def assert_written_numbers_finite(paths):
+    """No NaN or infinity in any CSV, JSON or SVG file among ``paths``."""
+    for path in paths:
+        text = path.read_text()
+        if path.suffix == ".csv":
+            for field in text.replace("\n", ",").split(","):
+                try:
+                    number = float(field)
+                except ValueError:
+                    continue
+                assert math.isfinite(number), (path, field)
+        elif path.suffix == ".json":
+            json.loads(text, parse_constant=pytest.fail)
+        elif path.suffix == ".svg":
+            assert not re.search(r"(?i)\b(nan|inf)\b", text), path
+
+
 def test_child_imports_checkout_package(tmp_path):
     res = subprocess.run(
         [sys.executable, "-c", "import topoqed; print(topoqed.__file__)"],
@@ -77,53 +96,32 @@ def test_child_imports_checkout_package(tmp_path):
     assert origin.is_relative_to(SRC), f"child imported topoqed from {origin}, not from {SRC}"
 
 
-def test_cli_import_leaves_oracle_scipy_modules_unloaded(tmp_path):
-    # Only the RK45 oracle and test code use scipy; importing its
-    # scipy.sparse.linalg alone would double the start-up of every command.
-    # Only test code draws random numbers, and numpy.random alone costs
-    # every command about 6 MB of peak RSS.
-    code = ("import sys, topoqed.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), "
-            "'numpy.random' in sys.modules)")
-    res = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=child_env(),
-                         capture_output=True, text=True, timeout=60)
-    assert res.returncode == 0, res.stderr
-    assert res.stdout.strip() == "[] False"
-
-
-COMMANDS_AFTER_IMPORT = """
-import sys
-import topoqed.cli
-before = set(sys.modules)
-codes = [topoqed.cli.main([command, "--out", command]) for command in ("fig2", "validate")]
-print(codes, sorted(m for m in set(sys.modules) - before if m.startswith("numpy.")))
-"""
-
-
-def test_commands_load_no_numpy_submodule(tmp_path):
-    # numpy loads some submodules on first use (np.unique loads numpy.ma,
-    # np.polynomial loads itself); inside a command that time would count as
-    # the command's run time, not its start-up.
-    res = subprocess.run([sys.executable, "-c", COMMANDS_AFTER_IMPORT], cwd=tmp_path,
-                         env=child_env(), capture_output=True, text=True, timeout=120)
-    assert res.returncode == 0, res.stderr
-    assert res.stdout.splitlines()[-1] == "[0, 0] []"
-
-
 START_UP_STAYS_LIGHT = """
 import sys
 import topoqed.cli
-steps = [("import", 0, "numpy.polynomial" in sys.modules)]
+
+def loaded(prefixes):
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy" or m.startswith(prefixes))
+
+steps = [("import", 0, loaded(("numpy.random", "numpy.polynomial")))]
 for command in topoqed.cli.COMMANDS:
+    before = loaded("numpy.")
     code = topoqed.cli.main([command, "--out", command])
-    steps.append((command, code, "numpy.polynomial" in sys.modules))
-print([step for step in steps if step[1:] != (0, False)])
+    steps.append((command, code, sorted(set(loaded("numpy.")) - set(before))))
+print([step for step in steps if step[1:] != (0, [])])
 """
 
 
-def test_no_command_loads_numpy_polynomial(tmp_path):
-    # The jump-time quadrature's rules are constants, so neither the package
-    # nor any command loads numpy.polynomial (about 0.6 MB and 5 ms).
+def test_start_up_and_commands_load_no_optional_module(tmp_path):
+    # Importing the CLI loads no scipy module (only the RK45 oracle and test
+    # code use scipy; scipy.sparse.linalg alone would double the start-up of
+    # every command), no numpy.random (only test code draws random numbers,
+    # and it costs every command about 6 MB of peak RSS) and no
+    # numpy.polynomial (the quadrature rules are constants; about 0.6 MB and
+    # 5 ms).  Then every command runs in the same process and loads no numpy
+    # submodule and no scipy module: numpy loads some on first use (np.unique
+    # loads numpy.ma), and that time would count as the command's run time,
+    # not its start-up.
     res = subprocess.run([sys.executable, "-c", START_UP_STAYS_LIGHT], cwd=tmp_path,
                          env=child_env(), capture_output=True, text=True, timeout=120)
     assert res.returncode == 0, res.stderr
@@ -607,6 +605,31 @@ class TestGateCommand:
         assert abs(summary["F_at_tau"] - fids[-1]) <= 1e-14
         assert summary["lambda2_t_over_pi_at_gate"] == schedule.lambda2 * schedule.tau / math.pi
 
+    def test_cavity_that_decays_faster_than_it_turns_runs(self, tmp_path, monkeypatch):
+        # kappa = 10 MHz against nu = 2*pi x 0.12 MHz: a panel of half a
+        # cavity period spans about 42 cavity decay times 1/kappa, where the
+        # 10-node Gauss value missed the Kronrod value by 4.9e-10 and the
+        # run exited 3.  The panels now resolve the decay as well.
+        doc = default_config_dict()
+        doc["schedule"]["lambda2"] = {"value": 0.06, "unit": "MHz", "times_2pi": True}
+        doc["bath"]["kappa"]["value"] = 10.0
+        doc["bath"]["gamma"]["value"] = 0.1
+        blocks = []
+
+        def recorded(schedule, kappa, gamma, t_grid):
+            states, delta = branch_states(schedule, kappa, gamma, t_grid)
+            blocks.append((schedule, kappa, gamma, t_grid, states))
+            return states, delta
+
+        branch_states = _dyn._branch_states
+        monkeypatch.setattr(_dyn, "_branch_states", recorded)
+        argv = ["gate", "--config", write_config(tmp_path, doc), "--out", str(tmp_path / "o")]
+        assert main(argv) == 0
+        (schedule, kappa, gamma, t_grid, states), = blocks
+        assert kappa == 1e7 and 2.0 * kappa > schedule.nu
+        oracle = liouvillian_gate_states(schedule, kappa, gamma, t_grid, fock_cutoff=8)
+        assert np.max(np.abs(states - oracle)) <= 1e-8
+
 
 class TestFig2Command:
     def test_preset_outputs(self, tmp_path):
@@ -909,12 +932,12 @@ class TestErrorPaths:
         # (xi = g*E_J*sin(phi_e/2) would be inf * 0 = NaN).
         ("phij", {"g": 1e308}, {}, "non-finite product g*E_J = inf"),
         ("couplings", {"g": 1e308}, {}, "non-finite product g*E_J = inf"),
-        # g*E_J = 1e308 is finite, but phij's series takes 2*g = inf times a
-        # photon amplitude of 0, NaN, which write_csv refuses.
+        # g*E_J = 1e308 is finite, and the series forms its photon factor
+        # as 2*eta times g, 2e306, not as 2*g, which overflows: this run
+        # writes its table (message None).
         ("phij", {"g": 1e308, "E_J": {"value": 1.0, "unit": "rad_per_s"},
                   "E_J0": {"value": 100.0, "unit": "rad_per_s"},
-                  "E_c": {"value": 1000.0, "unit": "rad_per_s"}}, {},
-         "non-finite value in CSV column 'phi_J_series_rad'"),
+                  "E_c": {"value": 1000.0, "unit": "rad_per_s"}}, {}, None),
         # g*E_J is finite, but the unit of the lambda2 optimum is not.
         ("couplings", {"g": 1e299, "E_J": {"value": 0.1, "unit": "GHz", "times_2pi": True},
                        "E_J0": {"value": 1.0, "unit": "GHz", "times_2pi": True}},
@@ -929,6 +952,12 @@ class TestErrorPaths:
         doc["circuit"].update(circuit)
         doc["wire"].update(wire)
         argv = [command, "--config", write_config(tmp_path, doc), "--out", str(tmp_path / "o")]
+        if message is None:
+            assert main(argv) == 0
+            series = np.loadtxt(tmp_path / "o" / "phij.csv", delimiter=",", skiprows=1,
+                                usecols=1)
+            assert np.isfinite(series).all()
+            return
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             assert main(argv) == 2
@@ -969,15 +998,7 @@ class TestErrorPaths:
             out = tmp_path / f"o{next(runs)}"
             argv = [command, "--config", write_config(tmp_path, doc), "--out", str(out)]
             assert main(argv) in (0, 2, 3, 4)
-            for path in out.glob("*.csv"):
-                for field in path.read_text().replace("\n", ",").split(","):
-                    try:
-                        number = float(field)
-                    except ValueError:
-                        continue
-                    assert math.isfinite(number), (path.name, field)
-            for path in out.glob("*.json"):
-                json.loads(path.read_text(), parse_constant=pytest.fail)
+            assert_written_numbers_finite(out.glob("*"))
 
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -1019,13 +1040,56 @@ class TestErrorPaths:
             except SystemExit as exc:  # argparse refuses the flag or its value
                 code = exc.code
             assert code in (0, 2, 3, 4), argv
-            for path in tmp_path.rglob("*.csv"):
-                for field in path.read_text().replace("\n", ",").split(","):
-                    try:
-                        number = float(field)
-                    except ValueError:
-                        continue
-                    assert math.isfinite(number), (path, field)
+            assert_written_numbers_finite(tmp_path.rglob("*.csv"))
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            check()
+
+    def test_random_documents_keep_the_exit_contract(self, tmp_path, monkeypatch):
+        # Whole config documents: each value of the default document, and
+        # of its sections, is kept, deleted or replaced by random JSON of
+        # any type, extreme numbers included.  spectrum, phij, couplings
+        # and gate each run on every document: each returns 0, 2 or 3,
+        # raises nothing and writes no NaN or infinity.  Between the
+        # extremes the numbers stay small, because a valid k or curve.x_max
+        # of 10**6 makes a gate curve of about 10**7 quadrature panels,
+        # which takes minutes.
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        monkeypatch.chdir(tmp_path)
+        extremes = [0, -1, 0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e-300, 1e300, -1e300,
+                    1.7976931348623157e308, -1.7976931348623157e308, 10**13, 2**64, 10**400]
+        numbers = (st.sampled_from(extremes) | st.integers(-2, 16)
+                   | st.floats(-16.0, 16.0, allow_nan=False))
+        words = st.sampled_from(["MHz", "GHz", "rad_per_s", "plain", "angular", "eps", "phi",
+                                 "csv", ""]) | st.text(max_size=6)
+        scalars = numbers | words | st.booleans() | st.none()
+        values = st.recursive(scalars, lambda inner: st.lists(inner, max_size=3)
+                              | st.dictionaries(words, inner, max_size=3), max_leaves=5)
+        fates = st.sampled_from(["keep"] * 30 + ["delete", "replace"])
+        runs = iter(range(10**6))
+
+        def varied(data, node: dict) -> dict:
+            doc = {}
+            for key, value in node.items():
+                fate = data.draw(fates)
+                if fate == "replace":  # most values are numbers, so numbers are drawn most
+                    doc[key] = data.draw(numbers | values)
+                elif fate == "keep":
+                    doc[key] = varied(data, value) if isinstance(value, dict) else value
+            return doc
+
+        @hypothesis.settings(max_examples=500, deadline=None)
+        @hypothesis.given(st.data())
+        def check(data):
+            config = write_config(tmp_path, varied(data, default_config_dict()))
+            for command in ("spectrum", "phij", "couplings", "gate"):
+                out = tmp_path / f"o{next(runs)}"
+                assert main([command, "--config", config, "--out", str(out)]) in (0, 2, 3)
+                if out.exists():
+                    assert_written_numbers_finite(out.iterdir())
+                    shutil.rmtree(out)
 
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -1047,14 +1111,40 @@ class TestErrorPaths:
     def test_gate_over_too_many_decay_times_exits_2(self, lambda2, rate, tmp_path):
         # With lambda2 = 1e-90 rad/s the curve would run to pi/lambda2, about
         # 1e97 decay times at the default rates, and never finish; a
-        # subnormal lambda2 puts the end at infinity, even without decay.
+        # subnormal lambda2 puts the gate time itself at infinity, even
+        # without decay, and the schedule is refused for it.
         doc = default_config_dict()
         doc["schedule"]["lambda2"] = {"value": lambda2, "unit": "rad_per_s"}
         doc["bath"]["kappa"]["value"] = rate
         doc["bath"]["gamma"]["value"] = rate
         res = run_cli("gate", "--config", write_config(tmp_path, doc), "--out", "o", cwd=tmp_path)
         assert res.returncode == 2
-        assert "configuration error" in res.stderr and "decay times" in res.stderr
+        reason = "decay times" if rate else "gate time tau = inf s"
+        assert "configuration error" in res.stderr and reason in res.stderr
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("lambda2, rate, x_max, message", [
+        # nu = 2 lambda2 overflows, with and without decay.
+        (1e308, 0.0, 1.1, "lambda2 = 1e+308"),
+        (1e308, 1.0, 1.1, "lambda2 = 1e+308"),
+        # The gate time pi/lambda2 overflows.
+        (1e-320, 0.0, 1.1, "lambda2 = 1e-320"),
+        # The gate time is finite, but the curve's end x_max * pi/lambda2 is not.
+        (1e-10, 0.0, 1e300, "the curve ends at t = inf s; raise lambda2"),
+    ], ids=["nu", "nu-with-decay", "tau", "curve-end"])
+    def test_schedule_that_overflows_exits_2_without_warnings(self, lambda2, rate, x_max,
+                                                              message, tmp_path):
+        # The run is refused, with the cause named, before any numpy
+        # arithmetic can warn.
+        doc = default_config_dict()
+        doc["schedule"]["lambda2"] = {"value": lambda2, "unit": "rad_per_s"}
+        doc["bath"]["kappa"]["value"] = rate
+        doc["bath"]["gamma"]["value"] = rate
+        doc["curve"]["x_max"] = x_max
+        res = run_cli("gate", "--config", write_config(tmp_path, doc), "--out", "o", cwd=tmp_path)
+        assert res.returncode == 2
+        assert "configuration error" in res.stderr and message in res.stderr
+        assert "RuntimeWarning" not in res.stderr
         assert not (tmp_path / "o").exists()
 
     def test_curve_of_too_many_cavity_periods_exits_2(self, tmp_path, capsys):

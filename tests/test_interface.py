@@ -140,10 +140,6 @@ class TestOptimalWorkingPoint:
 
 
 class TestHamiltonianModel:
-    def test_minimum_cutoff_enforced(self):
-        with pytest.raises(ValueError):
-            HamiltonianModel(fock_cutoff=4)
-
     def test_dims(self):
         model = HamiltonianModel(fock_cutoff=10)
         assert model.dims == (2, 2, 10)
