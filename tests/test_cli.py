@@ -97,35 +97,61 @@ def test_child_imports_checkout_package(tmp_path):
 
 
 START_UP_STAYS_LIGHT = """
-import sys
+import json, sys
 import topoqed.cli
 
-def loaded(prefixes):
-    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy" or m.startswith(prefixes))
+def loaded(prefix):
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy" or m.startswith(prefix))
 
-steps = [("import", 0, loaded(("numpy.random", "numpy.polynomial")))]
+steps = [("import", 0, loaded("numpy."))]
 for command in topoqed.cli.COMMANDS:
     before = loaded("numpy.")
     code = topoqed.cli.main([command, "--out", command])
     steps.append((command, code, sorted(set(loaded("numpy.")) - set(before))))
-print([step for step in steps if step[1:] != (0, [])])
+print(json.dumps(steps))
 """
 
 
-def test_start_up_and_commands_load_no_optional_module(tmp_path):
-    # Importing the CLI loads no scipy module (only the RK45 oracle and test
-    # code use scipy; scipy.sparse.linalg alone would double the start-up of
-    # every command), no numpy.random (only test code draws random numbers,
-    # and it costs every command about 6 MB of peak RSS) and no
-    # numpy.polynomial (the quadrature rules are constants; about 0.6 MB and
-    # 5 ms).  Then every command runs in the same process and loads no numpy
-    # submodule and no scipy module: numpy loads some on first use (np.unique
-    # loads numpy.ma), and that time would count as the command's run time,
-    # not its start-up.
-    res = subprocess.run([sys.executable, "-c", START_UP_STAYS_LIGHT], cwd=tmp_path,
-                         env=child_env(), capture_output=True, text=True, timeout=120)
+@pytest.fixture(scope="module")
+def start_up_steps(tmp_path_factory):
+    """Import the CLI, then run every command, in one child interpreter.
+
+    Returns ``(step, exit code, modules)`` rows: the ``import`` row lists
+    every ``scipy*`` and ``numpy.*`` module loaded after the import, and
+    each command's row the ones that command loaded anew.
+    """
+    res = subprocess.run([sys.executable, "-c", START_UP_STAYS_LIGHT],
+                         cwd=tmp_path_factory.mktemp("start_up"), env=child_env(),
+                         capture_output=True, text=True, timeout=120)
     assert res.returncode == 0, res.stderr
-    assert res.stdout.splitlines()[-1] == "[]"
+    return json.loads(res.stdout.splitlines()[-1])
+
+
+def test_cli_import_leaves_oracle_scipy_modules_unloaded(start_up_steps):
+    # Only the RK45 oracle and test code use scipy; importing its
+    # scipy.sparse.linalg alone would double the start-up of every command.
+    # Only test code draws random numbers, and numpy.random alone costs
+    # every command about 6 MB of peak RSS.
+    (step, _, modules), *_ = start_up_steps
+    assert step == "import"
+    assert [m for m in modules if m.split(".")[0] == "scipy" or m.startswith("numpy.random")] == []
+
+
+def test_commands_load_no_numpy_submodule(start_up_steps):
+    # numpy loads some submodules on first use (np.unique loads numpy.ma,
+    # np.polynomial loads itself); inside a command that time would count as
+    # the command's run time, not its start-up.  No command loads a scipy
+    # module either.
+    commands = start_up_steps[1:]
+    assert [step for step, _, _ in commands] == list(_cli.COMMANDS)
+    assert [step for step in commands if step[1:] != [0, []]] == []
+
+
+def test_no_command_loads_numpy_polynomial(start_up_steps):
+    # The jump-time quadrature's rules are constants, so neither the package
+    # nor any command loads numpy.polynomial (about 0.6 MB and 5 ms).
+    assert [step for step, _, modules in start_up_steps
+            if any(m.startswith("numpy.polynomial") for m in modules)] == []
 
 
 RK45_FIRST_USE = """
