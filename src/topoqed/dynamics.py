@@ -230,12 +230,14 @@ QUADRATURE_TOL = 1e-10
 # Jump-time nodes evaluated in one pass, which bounds the quadrature's memory
 # within a block of the grid (about 8 MB).
 _NODE_BUDGET = 1 << 15
-# Quadrature panels beyond which a curve is refused rather than left to run
-# for hours.
-_MAX_PANELS = 10**8
+# The one bound on a gate curve's cost, in quadrature panels.  A panel takes
+# 5-7 us (one process, BLAS at one thread: 200,698 panels at k = 10**5 in
+# 1.0-1.2 s, 1,636,368 for 10**6 steps at k = 1 in 10-11 s), so 10**7 panels
+# run for about a minute; fig2 needs 73, and 10**6 steps at k = 100 1.2e7.
+_MAX_PANELS = 10**7
 
 
-def _branch(lam, z, kappa, m, m_bra, alpha, beta, s):
+def _branch(lam, z, m, m_bra, alpha, beta, s):
     """Advance the branch c |s><s'| (x) ||alpha>><<beta|| by s, with no jump.
 
     ||alpha>> = exp(alpha a+)|0> is the unnormalized coherent state.  Its
@@ -245,6 +247,7 @@ def _branch(lam, z, kappa, m, m_bra, alpha, beta, s):
     + 2 kappa alpha beta* before qubit decay, which integrates in closed form.
     Returns alpha and beta after s and the change of ln c.
     """
+    kappa = z.real
     a_inf, b_inf = 1j * lam * m / z, 1j * lam * m_bra / z
     da, db = alpha - a_inf, beta - b_inf
     int_e = -np.expm1(-z * s) / z  # the integral of exp(-z u) over [0, s]
@@ -278,8 +281,7 @@ def _jump_nodes(t: np.ndarray, panels: np.ndarray, ends: np.ndarray,
     return point, width, width[:, None] * (panel[:, None] + 0.5 * (_GK_NODES + 1.0))
 
 
-def _jump_terms(lam: float, z: complex, kappa: float, gamma: float,
-                t: np.ndarray) -> np.ndarray:
+def _jump_terms(lam: float, z: complex, gamma: float, t: np.ndarray) -> np.ndarray:
     """J, the single-jump part of the coherence |00><01|, shape (len(t), 2).
 
     A jump of qubit 1 at t1 takes |10><11| (J_z 0 and -1, three excitations)
@@ -298,8 +300,8 @@ def _jump_terms(lam: float, z: complex, kappa: float, gamma: float,
         rows = np.arange(first, min(first + rows_per_pass, int(ends[-1])))
         point, width, t1 = _jump_nodes(t, panels, ends, rows)
         rest = t[point][:, None] - t1
-        alpha, beta, log_c = _branch(lam, z, kappa, 0.0, -1.0, 0.0, 0.0, t1)
-        alpha, beta, d_log = _branch(lam, z, kappa, 1.0, 0.0, alpha, beta, rest)
+        alpha, beta, log_c = _branch(lam, z, 0.0, -1.0, 0.0, 0.0, t1)
+        alpha, beta, d_log = _branch(lam, z, 1.0, 0.0, alpha, beta, rest)
         log_c += d_log + np.conj(beta) * alpha - gamma * (3.0 * t1 + rest)
         # einsum, not a matmul, so that a curve makes no BLAS call; with the
         # weights cast to complex once, not per product, it runs twice as fast.
@@ -339,7 +341,7 @@ def _branch_states(
     lam, z = schedule.lambda2, complex(kappa, schedule.nu)
 
     m, m_bra = _J_Z[:, None, None], _J_Z[None, :, None]
-    alpha, beta, log_c = _branch(lam, z, kappa, m, m_bra, 0.0, 0.0, t_grid)
+    alpha, beta, log_c = _branch(lam, z, m, m_bra, 0.0, 0.0, t_grid)
     excited = _EXCITED[:, None, None] + _EXCITED[None, :, None]
     rho = 0.25 * np.exp(log_c - gamma * excited * t_grid + np.conj(beta) * alpha)
     rho = np.ascontiguousarray(rho.transpose(2, 0, 1))
@@ -349,7 +351,7 @@ def _branch_states(
 
     delta = 0.0
     if gamma > 0:
-        kronrod, gauss = _jump_terms(lam, z, kappa, gamma, t_grid).T
+        kronrod, gauss = _jump_terms(lam, z, gamma, t_grid).T
         delta = float(np.max(np.abs(kronrod - gauss)))
         if not delta <= QUADRATURE_TOL:
             raise IntegrationError(

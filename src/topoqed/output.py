@@ -71,9 +71,14 @@ def write_json(path: Path, payload: dict) -> None:
     Path(path).write_text(text)
 
 
+def _span(lo: float, hi: float) -> tuple[float, float]:
+    """lo and hi, or lo and lo + 1 where the %.12g tick labels cannot resolve the
+    span, which is drawn flat: its tick step can fall under half an ulp and never move a tick."""
+    return (lo, hi) if hi - lo > 1e-12 * max(abs(lo), abs(hi)) else (lo, lo + 1.0)
+
+
 def _ticks(lo: float, hi: float) -> list[float]:
-    if hi <= lo:
-        return [lo]
+    lo, hi = _span(lo, hi)
     raw = (hi - lo) / (_TICKS - 1)
     mag = 10.0 ** math.floor(math.log10(raw))
     step = min(s for s in (mag, 2 * mag, 2.5 * mag, 5 * mag, 10 * mag) if s >= raw)
@@ -101,12 +106,8 @@ def write_svg_plot(
     ph = height - margin_t - margin_b
     x = [float(v) for v in x]
     y = [float(v) for v in y]
-    x_lo, x_hi = min(x), max(x)
-    y_lo, y_hi = min(y), max(y)
-    if x_hi == x_lo:
-        x_hi = x_lo + 1.0
-    if y_hi == y_lo:
-        y_hi = y_lo + 1.0
+    x_lo, x_hi = _span(min(x), max(x))
+    y_lo, y_hi = _span(min(y), max(y))
     pad = 0.05 * (y_hi - y_lo)
     y_lo, y_hi = y_lo - pad, y_hi + pad
 

@@ -656,6 +656,33 @@ class TestGateCommand:
         oracle = liouvillian_gate_states(schedule, kappa, gamma, t_grid, fock_cutoff=8)
         assert np.max(np.abs(states - oracle)) <= 1e-8
 
+    def test_curve_of_thousands_of_decay_times_runs(self, tmp_path):
+        # lambda2 = 1e3 rad/s at the default rates of 1 MHz: the curve ends
+        # after about 6,900 decay times, but its jump-time quadrature needs
+        # only 49,525 panels.  Both qubits have decayed by the gate time, so
+        # F(tau) = |<target|00>|^2 = 1/4.
+        config = dataclasses.replace(load_config(None), lambda2_pinned=1e3,
+                                     out_dir=str(tmp_path / "o"))
+        assert _cli.cmd_gate(config) == 0
+        summary = json.loads((tmp_path / "o" / "gate_summary.json").read_text())
+        assert abs(summary["F_at_tau"] - 0.25) <= 1e-12
+
+    def test_curve_over_the_panel_budget_is_refused_before_the_quadrature(
+            self, tmp_path, monkeypatch, capsys):
+        # k = 10**7 on the default grid: the gate time sits at
+        # lambda2 t/pi = sqrt(k), where the quadrature needs 2e7 panels.
+        def quadrature(*args):
+            raise AssertionError("the jump-time quadrature ran")
+
+        monkeypatch.setattr(_dyn, "_jump_terms", quadrature)
+        doc = default_config_dict()
+        doc["schedule"]["k"] = 10**7
+        argv = ["gate", "--config", write_config(tmp_path, doc), "--out", str(tmp_path / "o")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "needs 2.02e+07 panels, over 1e+07" in err
+        assert not (tmp_path / "o").exists()
+
 
 class TestFig2Command:
     def test_preset_outputs(self, tmp_path):
@@ -1079,8 +1106,10 @@ class TestErrorPaths:
         # and gate each run on every document: each returns 0, 2 or 3,
         # raises nothing and writes no NaN or infinity.  Between the
         # extremes the numbers stay small, because a valid k or curve.x_max
-        # of 10**6 makes a gate curve of about 10**7 quadrature panels,
-        # which takes minutes.
+        # near 10**6 makes a gate curve of millions of quadrature panels,
+        # which the panel budget admits for up to about a minute;
+        # test_random_mid_range_gate_documents_keep_the_exit_contract draws
+        # the numbers between the extremes under a smaller budget.
         hypothesis = pytest.importorskip("hypothesis")
         st = hypothesis.strategies
         monkeypatch.chdir(tmp_path)
@@ -1121,6 +1150,49 @@ class TestErrorPaths:
             warnings.simplefilter("ignore")
             check()
 
+    def test_random_mid_range_gate_documents_keep_the_exit_contract(self, tmp_path,
+                                                                    monkeypatch):
+        # Gate documents with k, curve.x_max, curve.steps, lambda2 and the
+        # two rates drawn over many decades between the extremes.  With the
+        # panel budget at 10**4, no admitted curve runs long.  Each run
+        # returns 0, 2 or 3, raises nothing (a RuntimeWarning included) and
+        # writes no NaN or infinity, and at least a third of the runs write
+        # a curve.
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        monkeypatch.setattr(_dyn, "_MAX_PANELS", 10**4)
+
+        def decades(lo, hi):
+            return st.floats(lo, hi).map(lambda e: 10.0**e)
+
+        def mhz(value):
+            return {"value": value, "unit": "MHz", "times_2pi": False}
+
+        rates = st.just(0.0) | decades(-6, 10)
+        codes = []
+        runs = iter(range(10**6))
+
+        @hypothesis.settings(max_examples=300, deadline=None)
+        @hypothesis.given(decades(0, 6).map(round), decades(-6, 6), st.integers(1, 300),
+                          decades(-9, 9), rates, rates)
+        def check(k, x_max, steps, lambda2, kappa, gamma):
+            doc = default_config_dict()
+            doc["schedule"] = {"k": k, "lambda2": mhz(lambda2)}
+            doc["curve"] = {"x_max": x_max, "steps": steps}
+            doc["bath"]["kappa"], doc["bath"]["gamma"] = mhz(kappa), mhz(gamma)
+            out = tmp_path / f"o{next(runs)}"
+            codes.append(main(["gate", "--config", write_config(tmp_path, doc),
+                               "--out", str(out)]))
+            assert codes[-1] in (0, 2, 3)
+            if out.exists():
+                assert_written_numbers_finite(out.iterdir())
+                shutil.rmtree(out)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            check()
+        assert 3 * codes.count(0) >= len(codes)
+
     def test_overflowing_lambda_scale_exits_2(self, tmp_path, capsys):
         # v_F and L are finite, but Delta0*L/v_F overflows; the config is
         # rejected before any root solve.
@@ -1136,7 +1208,8 @@ class TestErrorPaths:
     @pytest.mark.parametrize("lambda2, rate", [(1e-90, 1.0), (1e-320, 0.0)])
     def test_gate_over_too_many_decay_times_exits_2(self, lambda2, rate, tmp_path):
         # With lambda2 = 1e-90 rad/s the curve would run to pi/lambda2, about
-        # 1e97 decay times at the default rates, and never finish; a
+        # 1e97 decay times at the default rates, and its jump-time quadrature
+        # would need about 5e97 panels: the panel budget refuses it.  A
         # subnormal lambda2 puts the gate time itself at infinity, even
         # without decay, and the schedule is refused for it.
         doc = default_config_dict()
@@ -1145,7 +1218,7 @@ class TestErrorPaths:
         doc["bath"]["gamma"]["value"] = rate
         res = run_cli("gate", "--config", write_config(tmp_path, doc), "--out", "o", cwd=tmp_path)
         assert res.returncode == 2
-        reason = "decay times" if rate else "gate time tau = inf s"
+        reason = "needs 4.95e+97 panels, over 1e+07" if rate else "gate time tau = inf s"
         assert "configuration error" in res.stderr and reason in res.stderr
         assert not (tmp_path / "o").exists()
 
@@ -1157,7 +1230,12 @@ class TestErrorPaths:
         (1e-320, 0.0, 1.1, "lambda2 = 1e-320"),
         # The gate time is finite, but the curve's end x_max * pi/lambda2 is not.
         (1e-10, 0.0, 1e300, "the curve ends at t = inf s; raise lambda2"),
-    ], ids=["nu", "nu-with-decay", "tau", "curve-end"])
+        # The curve's end is finite in seconds, but not in the nanoseconds
+        # of the t_ns column, nor times nu, nor times the rates of 1e10 MHz.
+        (1e-300, 0.0, 1.1, "the curve ends at t = 3.455751918948773e+300 s; raise lambda2"),
+        (1e10, 0.0, 5e307, "the curve ends at t = 1.5707963267948965e+298 s; raise lambda2"),
+        (1e-298, 1e10, 1.1, "the curve ends at t = 3.455751918948773e+298 s; raise lambda2"),
+    ], ids=["nu", "nu-with-decay", "tau", "curve-end", "ns", "nu-t", "rate-t"])
     def test_schedule_that_overflows_exits_2_without_warnings(self, lambda2, rate, x_max,
                                                               message, tmp_path):
         # The run is refused, with the cause named, before any numpy
@@ -1174,9 +1252,9 @@ class TestErrorPaths:
         assert not (tmp_path / "o").exists()
 
     def test_curve_of_too_many_cavity_periods_exits_2(self, tmp_path, capsys):
-        # Within 100 decay times at 1e-3 1/s, but 1e9 gate times long: the
-        # jump-time quadrature would need about 1e9 panels of half a cavity
-        # period, and the run is refused instead of going on for hours.
+        # At 1e-3 1/s, but 1e9 gate times long: the jump-time quadrature
+        # would need about 1e9 panels of half a cavity period, and the run is
+        # refused instead of going on for hours.
         doc = default_config_dict()
         doc["bath"]["kappa"]["value"] = 1e-9
         doc["bath"]["gamma"]["value"] = 1e-9

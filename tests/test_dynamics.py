@@ -318,7 +318,7 @@ class TestGaussKronrodRule:
 
         sch = GateSchedule(k=k, lambda2=LAMBDA2)
         t = np.linspace(0.0, x_max, points) * math.pi / LAMBDA2
-        args = (sch.lambda2, complex(1e6, sch.nu), 1e6, 1e6, t)
+        args = (sch.lambda2, complex(1e6, sch.nu), 1e6, t)
         kronrod = _dyn._jump_terms(*args)[:, 0]
         nodes, weights = leggauss(40)
         monkeypatch.setattr(_dyn, "_GK_NODES", nodes)
@@ -416,8 +416,8 @@ class TestCoherentStateBranches:
         t_grid = np.linspace(0.0, 1.0, 9) * sch.tau
         jump_terms = _dyn._jump_terms
 
-        def corrupted(lam, z, kappa, gamma, t):
-            terms = jump_terms(lam, z, kappa, gamma, t)
+        def corrupted(lam, z, gamma, t):
+            terms = jump_terms(lam, z, gamma, t)
             terms[np.isin(t, t_grid[[4, 7]])] += 0.4  # both rules, so they agree
             return terms
 

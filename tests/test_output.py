@@ -1,10 +1,13 @@
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from helpers import reference_text
-from topoqed.output import _SLICE_ROWS, write_csv, write_json, write_svg_plot
+from topoqed.output import _SLICE_ROWS, _ticks, write_csv, write_json, write_svg_plot
 
 SPECIAL_FLOATS = [0.0, -0.0, 1.0, -2.5, 1e-300, 5e-324, 1.7976931348623157e308, 1e22,
                   123456789012.5, 0.1 + 0.2, math.pi]
@@ -162,3 +165,24 @@ def test_writers_create_the_output_directory_only_to_write(tmp_path):
     write_svg_plot(tmp_path / "s" / "t.svg", [0.0, 1.0], [0.0, 1.0], "x", "y", "t")
     assert (out / "t.csv").read_bytes() == b"v\n1\n"
     assert (tmp_path / "j" / "t.json").is_file() and (tmp_path / "s" / "t.svg").is_file()
+
+
+class TestSvgPlot:
+    def test_span_below_label_resolution_is_ticked_as_a_unit_span(self):
+        # Rounded to the 12 digits of their labels, ticks 2e-14 apart all
+        # read 1.0; the span is ticked as a flat plot's is.
+        assert _ticks(1.0, 1.0 + 1e-13) == _ticks(1.0, 2.0)
+
+    def test_values_that_differ_below_label_resolution_are_drawn_flat(self, tmp_path):
+        # Two values one ulp apart are drawn as a constant.  Their tick step
+        # was under half an ulp of the tick, which it then never moved, so a
+        # child interpreter with a timeout draws them: a tick loop that never
+        # ends fails the test instead of hanging the suite.
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+                "from topoqed.output import write_svg_plot; "
+                "write_svg_plot(sys.argv[2], [0.0, 1.0], [0.5, 0.5 + 2**-53], 'x', 'y', 't'); "
+                "write_svg_plot(sys.argv[3], [0.0, 1.0], [0.5, 0.5], 'x', 'y', 't')")
+        src = Path(__file__).resolve().parents[1] / "src"
+        subprocess.run([sys.executable, "-c", code, str(src), str(tmp_path / "ulp.svg"),
+                        str(tmp_path / "flat.svg")], check=True, timeout=60)
+        assert (tmp_path / "ulp.svg").read_bytes() == (tmp_path / "flat.svg").read_bytes()
