@@ -12,8 +12,8 @@ and fig2 take no --fock flag (argparse rejects it with exit 2).
 Exit codes: 0 success, 2 configuration error (an output directory or file
 that cannot be created or written included; an output directory that is, or
 lies under, a file is refused before any work), 3 numerical-convergence
-failure (for gate and fig2: the jump-time quadrature is not converged, a
-reduced state fails its physicality check, or F leaves [-1e-8, 1 + 1e-8]),
+failure (for gate and fig2: a reduced state fails its physicality check,
+or F leaves [-1e-8, 1 + 1e-8]),
 4 invariant failure.
 """
 
@@ -32,7 +32,7 @@ import numpy as np
 from . import circuit as _circuit
 from . import validate as _validate
 from .config import ConfigError, RunConfig, SweepSpec, load_config
-from .dynamics import QUADRATURE_ORDER, GateSchedule, fidelity_curve
+from .dynamics import SERIES_ORDER, GateSchedule, fidelity_curve
 from .interface import couplings, optimal_working_point
 from .output import write_csv, write_json, write_svg_plot
 from .qcore import ConvergenceError, IntegrationError
@@ -187,10 +187,13 @@ def _write_curve(config: RunConfig, lambda2: float, stem: str) -> None:
     schedule = GateSchedule(k=config.k, lambda2=lambda2)
     # The grid's last time, a Python float in the grid's order of operations,
     # times the largest factor that a column or the closed form puts on it
-    # (1e9 for t_ns, nu, or 4 (kappa + gamma)): an overflow is refused before
-    # numpy sees it.  Only fidelity_curve's panel budget bounds the cost.
+    # (1e9 for t_ns, or 16 (nu + kappa) + 4 gamma, which bounds the rates of
+    # the jump series and of the branch weights): an overflow is refused
+    # before numpy sees it.  The cost grows with the grid alone, which
+    # curve.steps bounds.
     t_end = max(config.curve_x_max * math.pi / lambda2, schedule.tau)
-    if not math.isfinite(t_end * max(1e9, schedule.nu, 4.0 * (config.kappa + config.gamma))):
+    rate = 16.0 * (schedule.nu + config.kappa) + 4.0 * config.gamma
+    if not math.isfinite(t_end * max(1e9, rate)):
         raise ConfigError(f"the curve ends at t = {t_end} s; raise lambda2 or lower curve.x_max")
     xs = np.arange(config.curve_steps + 1) / config.curve_steps * config.curve_x_max
     # Make sure the gate time itself is on the grid (for k > 1 it sits at
@@ -211,7 +214,7 @@ def _write_curve(config: RunConfig, lambda2: float, stem: str) -> None:
             "kappa_per_s": config.kappa,
             "gamma_per_s": config.gamma,
         },
-        "quadrature_order": QUADRATURE_ORDER,
+        "series_order": SERIES_ORDER,
         "convergence_delta": delta,
         "F_at_tau": float(fidelities[gate_idx]),
         "lambda2_t_over_pi_at_gate": float(x_grid[gate_idx]),
@@ -222,7 +225,7 @@ def _write_curve(config: RunConfig, lambda2: float, stem: str) -> None:
         write_svg_plot(path.with_suffix(".svg"), x_grid, fidelities,
                        xlabel="λ₂t/π", ylabel="F", title="entangling-gate fidelity")
     print(f"F at gate time = {summary['F_at_tau']:.6f} "
-          f"(quadrature order {QUADRATURE_ORDER}, convergence delta {delta:.2e})")
+          f"(series order {SERIES_ORDER}, convergence delta {delta:.2e})")
     print(f"wrote {path}")
 
 

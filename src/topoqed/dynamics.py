@@ -38,16 +38,14 @@ c |s><s'| (x) |alpha><beta| whose amplitudes and weights integrate in closed
 form.  ``fidelity_curve`` sums them in numpy, with no cavity Hilbert space
 and no Fock cutoff: the spin-dependent-force algebra of the Molmer-Sorensen
 gate (Sorensen & Molmer, PRA 62, 022311 (2000)) in the coherent-state
-ansatz of Gambetta et al., PRA 77, 012112 (2008).  Only the coherences fed
-by one qubit jump need a quadrature, over the jump time: one pass of the
-Gauss-Kronrod pair G10/K21 on equal panels that resolve both the cavity's
-turn and its decay (at most pi / max(nu, 2 kappa) wide), whose embedded
-Gauss value checks the Kronrod value, with both rules written out as
-constants.  The Fock-truncated Liouvillian, stepped in numpy by
-``qcore.evolve_master_equation``, stays as the oracle that ``validate`` and
-the tests compare the closed form with; no command imports scipy.
-``validate`` seeds its defects in ``propagator_AB``, ``_branch`` and the
-quadrature's ``_jump_nodes``.
+ansatz of Gambetta et al., PRA 77, 012112 (2008).  The coherences fed by
+one qubit jump carry an integral over the jump time, which is an exact
+series of 136 exponential integrals, truncated at order 15 where the rest
+is below 3e-19 for every schedule.  The Fock-truncated Liouvillian, stepped
+in numpy by ``qcore.evolve_master_equation``, stays as the oracle that
+``validate`` and the tests compare the closed form with; no command imports
+scipy.  ``validate`` seeds its defects in ``propagator_AB``, ``_branch``
+and the jump series ``_jump_terms``.
 
 Dissipation follows the channel convention of :mod:`topoqed.qcore`: cavity
 channel (a, kappa) and one lowering channel (|0><1|, gamma) per qubit, each
@@ -198,43 +196,14 @@ def _qubit_states(
 _J_Z = np.array([1.0, 0.0, 0.0, -1.0])
 _EXCITED = np.array([0.0, 1.0, 1.0, 2.0])
 
-# The embedded Gauss-Kronrod pair G10/K21 on [-1, 1] (Piessens et al.,
-# QUADPACK, Springer 1983): 21 Kronrod nodes, of which the odd-numbered ten
-# are the Gauss-Legendre nodes of order 10.  Column 0 of the weights is the
-# Kronrod rule, column 1 the Gauss rule, which is zero on the even nodes.
-_KRONROD_POSITIVE = np.array([
-    0.148874338981631210884826001129720, 0.294392862701460198131126603103866,
-    0.433395394129247190799265943165784, 0.562757134668604683339000099272694,
-    0.679409568299024406234327365114874, 0.780817726586416897063717578345042,
-    0.865063366688984510732096688423493, 0.930157491355708226001207180059508,
-    0.973906528517171720077964012084452, 0.995657163025808080735527280689003])
-_KRONROD_WEIGHTS = np.array([
-    0.149445554002916905664936468389821, 0.147739104901338491374841515972068,
-    0.142775938577060080797094273138717, 0.134709217311473325928054001771707,
-    0.123491976262065851077958109831074, 0.109387158802297641899210590325805,
-    0.093125454583697605535065465083366, 0.075039674810919952767043140916190,
-    0.054755896574351996031381300244580, 0.032558162307964727478818972459390,
-    0.011694638867371874278064396062192])  # the centre node first
-_GAUSS_WEIGHTS = np.array([
-    0.295524224714752870173892994651338, 0.269266719309996355091226921569469,
-    0.219086362515982043995534934228163, 0.149451349150580593145776339657697,
-    0.066671344308688137593568809893332])
-_GK_NODES = np.concatenate([-_KRONROD_POSITIVE[::-1], [0.0], _KRONROD_POSITIVE])
-_GK_WEIGHTS = np.zeros((len(_GK_NODES), 2))
-_GK_WEIGHTS[:, 0] = np.concatenate([_KRONROD_WEIGHTS[:0:-1], _KRONROD_WEIGHTS])
-_GK_WEIGHTS[1::2, 1] = np.concatenate([_GAUSS_WEIGHTS[::-1], _GAUSS_WEIGHTS])
-# The summaries' quadrature_order: Kronrod nodes per panel.  The curve is the
-# Kronrod value, and its distance from the Gauss value is the convergence check.
-QUADRATURE_ORDER = len(_GK_NODES)
-QUADRATURE_TOL = 1e-10
-# Jump-time nodes evaluated in one pass, which bounds the quadrature's memory
-# within a block of the grid (about 8 MB).
-_NODE_BUDGET = 1 << 15
-# The one bound on a gate curve's cost, in quadrature panels.  A panel takes
-# 5-7 us (one process, BLAS at one thread: 200,698 panels at k = 10**5 in
-# 1.0-1.2 s, 1,636,368 for 10**6 steps at k = 1 in 10-11 s), so 10**7 panels
-# run for about a minute; fig2 needs 73, and 10**6 steps at k = 100 1.2e7.
-_MAX_PANELS = 10**7
+# The jump integral's series (see _jump_terms) sums the 136 terms (n, m) with
+# n + m <= SERIES_ORDER, and _FACTORIALS holds 0! to 16!.  A pass evaluates at
+# most _PASS_ENTRIES (term, time) entries: about 3 MB for a block of the grid.
+SERIES_ORDER = 15
+_N, _M = np.array([(n, m) for n in range(SERIES_ORDER + 1)
+                   for m in range(SERIES_ORDER + 1 - n)]).T
+_FACTORIALS = np.array([math.factorial(j) for j in range(SERIES_ORDER + 2)], dtype=float)
+_PASS_ENTRIES = 1 << 15
 
 
 def _branch(lam, z, m, m_bra, alpha, beta, s):
@@ -261,53 +230,67 @@ def _branch(lam, z, m, m_bra, alpha, beta, s):
     return a_inf + da * decay, b_inf + db * decay, d_log
 
 
-def _panel_counts(t: np.ndarray, z: complex) -> np.ndarray:
-    """Jump-time panels per grid time for z = kappa + i nu: equal panels at most
-    pi / max(nu, 2 kappa) wide, half a cavity period or less if it decays faster."""
-    return np.maximum(1.0, np.ceil(t * max(z.imag, 2.0 * z.real) / math.pi))
-
-
-def _jump_nodes(t: np.ndarray, panels: np.ndarray, ends: np.ndarray,
-                rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Place the Kronrod nodes of the quadrature panels numbered ``rows``.
-
-    The panels of all grid times are numbered in one run, and ``ends`` is the
-    cumulative count of ``panels``.  Returns each panel's grid index, its
-    width and its 21 jump times t1, shape ``(len(rows), 21)``.
-    """
-    point = np.searchsorted(ends, rows, side="right")
-    width = t[point] / panels[point]
-    panel = rows - ends[point] + panels[point]
-    return point, width, width[:, None] * (panel[:, None] + 0.5 * (_GK_NODES + 1.0))
-
-
-def _jump_terms(lam: float, z: complex, gamma: float, t: np.ndarray) -> np.ndarray:
-    """J, the single-jump part of the coherence |00><01|, shape (len(t), 2).
+def _jump_terms(lam: float, z: complex, gamma: float,
+                t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """J, the single-jump part of the coherence |00><01|, and what order 15 adds to it.
 
     A jump of qubit 1 at t1 takes |10><11| (J_z 0 and -1, three excitations)
     to |00><01| (J_z 1 and 0, one excitation): J is the integral over t1 in
     [0, t] of 2 gamma times that source branch at t1, continued in the target
-    branch from t1 to t.  The integral is split into the equal panels of
-    :func:`_panel_counts`, with the 21 Kronrod nodes on each, evaluated
-    ``_NODE_BUDGET`` nodes per pass.  Column 0 is the Kronrod value and
-    column 1 the embedded 10-node Gauss value, from the same nodes.
+    branch from t1 to t.  With r = t - t1, p = lambda2^2/z*^2, q = p*,
+    s = -lambda2^2/z* - 3 gamma and c = -lambda2^2/z - gamma, the two
+    branches of :func:`_branch` compose to the integrand
+    exp(s t1 + c r + q (1 - e^{-z r}) + p e^{-z* r} - p e^{-z* t}) / 4.
+    Expanding exp(-q e^{-z r}) exp(p e^{-z* r}) integrates term by term:
+
+        J = (gamma/2) e^{q - p e^{-z* t}} sum over n + m <= 15 of
+            (-q)^n p^m / (n! m!) (e^{s t} - e^{d t}) / (s - d),
+        with d = c - n z - m z*.
+
+    nu^2 = 4 k lambda2^2 gives |p| <= 1/4, so order N carries at most
+    (1/2)^N / N! of the sum, and each integral is at most t e^{-gamma t}:
+    the orders past 15 add less than 3e-19.  Im(s - d) is (n - m) nu minus
+    2 nu lambda2^2/|z|^2 < nu, so s - d never vanishes.  One exponential per
+    time gives e^{d t} = e^{c t} X^n X*^m with X = e^{-z t}, every factor of
+    modulus at most 1; where |(s - d) t| < 1/2, a Taylor series of
+    (1 - e^{-u})/u replaces the difference.  A pass evaluates at most
+    ``_PASS_ENTRIES`` (term, time) entries.  Both returned arrays have the
+    shape of t.
     """
-    panels = _panel_counts(t, z).astype(np.int64)
-    ends = np.cumsum(panels)
-    rows_per_pass = max(1, _NODE_BUDGET // len(_GK_NODES))
-    term = np.zeros((len(t), 2), dtype=complex)
-    for first in range(0, int(ends[-1]), rows_per_pass):
-        rows = np.arange(first, min(first + rows_per_pass, int(ends[-1])))
-        point, width, t1 = _jump_nodes(t, panels, ends, rows)
-        rest = t[point][:, None] - t1
-        alpha, beta, log_c = _branch(lam, z, 0.0, -1.0, 0.0, 0.0, t1)
-        alpha, beta, d_log = _branch(lam, z, 1.0, 0.0, alpha, beta, rest)
-        log_c += d_log + np.conj(beta) * alpha - gamma * (3.0 * t1 + rest)
-        # einsum, not a matmul, so that a curve makes no BLAS call; with the
-        # weights cast to complex once, not per product, it runs twice as fast.
-        rules = np.einsum("pn,nk->pk", np.exp(log_c), _GK_WEIGHTS.astype(complex))
-        np.add.at(term, point, 0.5 * width[:, None] * rules)
-    return 0.5 * gamma * term  # 2 gamma times the initial weight 1/4
+    ratio = lam / np.conj(z)
+    p = ratio * ratio
+    q = np.conj(p)
+    s, c = -lam * ratio - 3.0 * gamma, -lam * np.conj(ratio) - gamma
+    # s - d of each term, real and imaginary parts summed apart: for n = m
+    # the imaginary part is the small -2 nu lambda2^2/|z|^2 alone.
+    rates = (s - c + (_N + _M) * z.real + 1j * (_N - _M) * z.imag)[:, None]
+    # Column 0 sums every term, column 1 those of order 15.
+    weights = np.zeros((len(_N), 2), dtype=complex)
+    weights[:, 0] = (-q) ** _N * p ** _M / (_FACTORIALS[_N] * _FACTORIALS[_M])
+    weights[_N + _M == SERIES_ORDER, 1] = weights[_N + _M == SERIES_ORDER, 0]
+    terms = np.empty((len(t), 2), dtype=complex)
+    times_per_pass = max(1, _PASS_ENTRIES // len(_N))
+    for first in range(0, len(t), times_per_pass):
+        tt = t[first:first + times_per_pass]
+        x = np.exp(-z * tt)
+        powers = np.cumprod(np.vstack([np.ones_like(x)] + [x] * SERIES_ORDER), axis=0)
+        e_s = np.exp(s * tt)
+        e_d = np.exp(c * tt) * powers[_N] * np.conj(powers)[_M]
+        u = rates * tt
+        near = np.abs(u) < 0.5
+        integrals = np.divide(e_s - e_d, rates, out=np.empty_like(u), where=~near)
+        # There e^{s t} t (1 - e^{-u})/u instead, the ratio by Horner's rule.
+        u = u[near]
+        ratio_u = np.full_like(u, 1.0 / _FACTORIALS[-1])
+        for factorial in _FACTORIALS[-2:0:-1]:
+            ratio_u = 1.0 / factorial - u * ratio_u
+        integrals[near] = np.broadcast_to(e_s * tt, near.shape)[near] * ratio_u
+        # einsum, not a matmul, so that a curve makes no BLAS call, and each
+        # time's sum is the same bits whatever the pass holds.
+        prefactor = 0.5 * gamma * np.exp(q - p * np.conj(x))
+        terms[first:first + len(tt)] = prefactor[:, None] * np.einsum("pt,pk->tk", integrals,
+                                                                       weights)
+    return terms[:, 0], terms[:, 1]
 
 
 def _branch_states(
@@ -328,14 +311,11 @@ def _branch_states(
       single-jump part: J (:func:`_jump_terms`) in |00><01| and, by qubit
       exchange, in |00><10|, and conj(J) in their Hermitian conjugates.
 
-    J comes from one pass of the Gauss-Kronrod pair G10/K21, and the states
-    take the 21-node Kronrod value.  An IntegrationError is raised if it
-    differs from the embedded 10-node Gauss value by more than
-    QUADRATURE_TOL; the largest difference is returned with the states.
-    The states form one array of shape ``(len(t_grid), 4, 4)``, which passes
-    the propagators' stacked check (``qcore._checked_states``) once.  The
-    times are a whole grid or one block of it, and the rates non-negative:
-    :func:`fidelity_curve` checks both.
+    The largest modulus of what order 15 adds to J is returned with the
+    states.  The states form one array of shape ``(len(t_grid), 4, 4)``,
+    which passes the propagators' stacked check (``qcore._checked_states``)
+    once.  The times are a whole grid or one block of it, and the rates
+    non-negative: :func:`fidelity_curve` checks both.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     lam, z = schedule.lambda2, complex(kappa, schedule.nu)
@@ -343,23 +323,22 @@ def _branch_states(
     m, m_bra = _J_Z[:, None, None], _J_Z[None, :, None]
     alpha, beta, log_c = _branch(lam, z, m, m_bra, 0.0, 0.0, t_grid)
     excited = _EXCITED[:, None, None] + _EXCITED[None, :, None]
-    rho = 0.25 * np.exp(log_c - gamma * excited * t_grid + np.conj(beta) * alpha)
-    rho = np.ascontiguousarray(rho.transpose(2, 0, 1))
+    exponent = (log_c - gamma * excited * t_grid + np.conj(beta) * alpha).transpose(2, 0, 1)
+    # The populations replace the diagonal, whose exponent (0 in exact
+    # arithmetic) gains rounding that grows with t and can overflow.
+    off_diagonal = ~np.eye(4, dtype=bool)
+    rho = np.empty(exponent.shape, dtype=complex)
+    rho[:, off_diagonal] = 0.25 * np.exp(exponent[:, off_diagonal])
     up = 0.5 * np.exp(-2.0 * gamma * t_grid)
     populations = np.stack([1.0 - up, up], axis=1)
     rho[:, range(4), range(4)] = np.einsum("ti,tj->tij", populations, populations).reshape(-1, 4)
 
     delta = 0.0
     if gamma > 0:
-        kronrod, gauss = _jump_terms(lam, z, gamma, t_grid).T
-        delta = float(np.max(np.abs(kronrod - gauss)))
-        if not delta <= QUADRATURE_TOL:
-            raise IntegrationError(
-                f"jump-time quadrature not converged: a reduced-state entry differs by "
-                f"{delta:.3e} between the 10-node Gauss and 21-node Kronrod rules"
-            )
-        rho[:, 0, 1:3] += kronrod[:, None]
-        rho[:, 1:3, 0] += np.conj(kronrod)[:, None]
+        jump, last_order = _jump_terms(lam, z, gamma, t_grid)
+        delta = float(np.max(np.abs(last_order)))
+        rho[:, 0, 1:3] += jump[:, None]
+        rho[:, 1:3, 0] += np.conj(jump)[:, None]
     return _checked_states(rho, t_grid), delta
 
 
@@ -373,23 +352,18 @@ def fidelity_curve(
 
     Returns F(t) = <target| Tr_cav rho(t) |target> on the grid, from |++>
     and cavity vacuum, with the reduced states of :func:`_branch_states`:
-    closed-form coherent-state branches plus the single-jump quadrature,
-    whose Kronrod-Gauss difference is returned with F as the convergence
-    delta (an IntegrationError above QUADRATURE_TOL).  The grid is checked
-    once, then computed in blocks of ``qcore.BLOCK`` times: each block's
-    states pass ``qcore._checked_states`` once, and its F is one contraction
-    of them with the target vector, so the memory does not grow with the
-    grid beyond F itself.  The delta is the largest over the blocks.  A NaN
-    in F, or a value outside [-1e-8, 1 + 1e-8], raises IntegrationError.
+    closed-form coherent-state branches plus the single-jump series, whose
+    order-15 part is returned with F as the convergence delta.  The grid is
+    checked once, then computed in blocks of ``qcore.BLOCK`` times: each
+    block's states pass ``qcore._checked_states`` once, and its F is one
+    contraction of them with the target vector, so the memory does not grow
+    with the grid beyond F itself.  The delta is the largest over the
+    blocks.  A NaN in F, or a value outside [-1e-8, 1 + 1e-8], raises
+    IntegrationError.
     """
     if kappa < 0 or gamma < 0:
         raise ValueError("rates must be non-negative")
     t_grid = _time_grid(t_grid)
-    if gamma > 0:
-        panels = np.sum(_panel_counts(t_grid, complex(kappa, schedule.nu)))
-        if not panels <= _MAX_PANELS:
-            raise ValueError(f"the jump-time quadrature needs {panels:.3g} panels, "
-                             f"over {_MAX_PANELS:.0e}; shorten the curve or use fewer steps")
     target = target_entangled_state()
     fidelities = np.empty(len(t_grid))
     delta = 0.0

@@ -40,10 +40,8 @@ MUTATIONS = {
     "gate-phase-sign": ("propagator_oracle", "propagator_AB", lambda a, b: (-a, b)),
     "branch-phase-sign": ("coherent_state_branches", "_branch",
                           lambda alpha, beta, d_log: (alpha, beta, np.conj(d_log))),
-    # At t = 0 the panels have width 0, and their nodes stay at 0.
-    "jump-panel": ("coherent_state_branches", "_jump_nodes",
-                   lambda point, width, t1: (point, width, np.fmod(
-                       t1, width[:, None], out=np.zeros_like(t1), where=width[:, None] > 0))),
+    "jump-conjugate": ("coherent_state_branches", "_jump_terms",
+                       lambda jump, last_order: (np.conj(jump), last_order)),
 }
 
 
@@ -186,7 +184,6 @@ def _check_coherent_state_branches(ref) -> tuple[bool, str]:
     # the Fock-truncated Liouvillian with both decay channels, and the
     # closed-form propagator U on the truncated space without them.
     sch = GateSchedule(k=ref.k, lambda2=ref.lambda2_pinned)
-    # At 0.55 tau the jump quadrature has two panels, at 0.5 tau one.
     t_grid = [0.0, 0.5 * sch.tau, 0.55 * sch.tau]
     branches = _dyn._branch_states(sch, ref.kappa, ref.gamma, t_grid)[0]
     closed = _dyn._branch_states(sch, 0.0, 0.0, t_grid)[0][-1]

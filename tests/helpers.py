@@ -7,7 +7,8 @@ doubling, the splitting derivative from implicit differentiation of the
 quantization condition, in double precision or, for long wires, in mpmath,
 the charge-qubit gap from dense diagonalization in the charge basis, the
 dissipative gate's reduced states from the Fock-truncated Liouvillian with
-its N / N + 4 cutoff ladder, entanglement entropy from the spectrum of a
+its N / N + 4 cutoff ladder, the jump-time integral of the closed form from
+Gauss-Legendre panels, entanglement entropy from the spectrum of a
 reduced state, the qubit-qubit interface Hamiltonian as an explicit 4 x 4
 matrix, and CSV text from the row rule applied one value at a time.
 """
@@ -237,14 +238,28 @@ def liouvillian_gate_states(schedule, kappa: float, gamma: float, t_grid,
     return states
 
 
-def midpoint_gauss_weights() -> np.ndarray:
-    """The jump-time quadrature's G10/K21 weights with the embedded Gauss rule
-    cut to the 1-node midpoint rule (weight 2 on the centre node), a check
-    rule far too coarse to agree with the Kronrod value to 1e-10."""
-    weights = _dyn._GK_WEIGHTS.copy()
-    weights[:, 1] = 0.0
-    weights[len(weights) // 2, 1] = 2.0
-    return weights
+def jump_integral(lam: float, z: complex, gamma: float, t) -> np.ndarray:
+    """J of ``dynamics._jump_terms`` by brute-force quadrature, shape ``(len(t),)``.
+
+    40-node Gauss-Legendre on equal panels of the jump time t1, at most
+    pi / max(nu, 2 kappa) wide for z = kappa + i nu, over the integrand that
+    ``dynamics._branch`` composes: the source branch |10><11| from 0 to t1,
+    then the target branch |00><01| from t1 to t, with its weight 1/4, its
+    qubit decay and the jump rate 2 gamma.
+    """
+    from numpy.polynomial.legendre import leggauss
+
+    nodes, weights = leggauss(40)
+    result = np.zeros(len(t), dtype=complex)
+    for i, end in enumerate(t):
+        panels = max(1, math.ceil(end * max(z.imag, 2.0 * z.real) / math.pi))
+        width = end / panels
+        t1 = width * (np.arange(panels)[:, None] + 0.5 * (nodes + 1.0))
+        alpha, beta, log_c = _dyn._branch(lam, z, 0.0, -1.0, 0.0, 0.0, t1)
+        alpha, beta, d_log = _dyn._branch(lam, z, 1.0, 0.0, alpha, beta, end - t1)
+        integrand = np.exp(log_c + d_log + np.conj(beta) * alpha - gamma * (2.0 * t1 + end))
+        result[i] = 0.25 * gamma * width * np.sum(integrand * weights)
+    return result
 
 
 def entanglement_entropy(psi, dims, cut) -> float:

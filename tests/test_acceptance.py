@@ -74,8 +74,8 @@ def _initial_gate_state(model: HamiltonianModel) -> np.ndarray:
 
 
 def test_criterion_1_headline_fidelity(tmp_path):
-    """fig2 preset: F at the gate time in [0.90, 0.98], k=1, jump-time
-    quadrature converged to 1e-10, within 60 s."""
+    """fig2 preset: F at the gate time in [0.90, 0.98], k=1, the last order
+    of the jump-time series below 1e-10, within 60 s."""
     start = time.perf_counter()
     config = dataclasses.replace(load_config(None), out_dir=str(tmp_path / "fig2"))
     assert cmd_fig2(config) == 0

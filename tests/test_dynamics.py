@@ -1,6 +1,7 @@
 import math
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -33,8 +34,8 @@ from topoqed.qcore import (
 
 from helpers import (
     entanglement_entropy,
+    jump_integral,
     liouvillian_gate_states,
-    midpoint_gauss_weights,
     random_pure_state,
     rk4_columns_step_doubled,
     single_interface_hamiltonian,
@@ -277,7 +278,7 @@ class TestFidelityCurve:
         assert calls == [(45, 4, 4)]
 
     def test_one_jump_quadrature_pass_per_curve(self, monkeypatch):
-        # The Kronrod value and its Gauss check come from the same nodes.
+        # J and what its order 15 adds come from the same terms.
         calls = []
         jump_terms = _dyn._jump_terms
 
@@ -291,41 +292,83 @@ class TestFidelityCurve:
         assert len(calls) == 1
 
 
-class TestGaussKronrodRule:
-    """The G10/K21 constants of the jump-time quadrature."""
-
-    def test_weights_sum_to_two(self):
-        assert np.max(np.abs(_dyn._GK_WEIGHTS.sum(axis=0) - 2.0)) <= 1e-15
-
-    @pytest.mark.parametrize("column, degree", [(0, 30), (1, 18)])
-    def test_integrates_its_degree_exactly(self, column, degree):
-        weights = _dyn._GK_WEIGHTS[:, column]
-        for p in range(degree + 1):
-            exact = 2.0 / (p + 1) if p % 2 == 0 else 0.0
-            assert abs(_dyn._GK_NODES**p @ weights - exact) <= 1e-15, p
-
-    def test_gauss_nodes_are_the_odd_kronrod_nodes(self):
-        from numpy.polynomial.legendre import leggauss
-
-        nodes, weights = leggauss(10)
-        assert np.max(np.abs(_dyn._GK_NODES[1::2] - nodes)) <= 1e-15
-        assert np.max(np.abs(_dyn._GK_WEIGHTS[1::2, 1] - weights)) <= 1e-15
-        assert not _dyn._GK_WEIGHTS[::2, 1].any()
+class TestJumpSeries:
+    """The jump-time integral's series against brute-force quadrature."""
 
     @pytest.mark.parametrize("k, x_max, points", [(1, 1.1, 45), (9, 3.2, 641)])
-    def test_matches_40_node_gauss_legendre(self, monkeypatch, k, x_max, points):
-        from numpy.polynomial.legendre import leggauss
-
+    def test_matches_40_node_gauss_legendre(self, k, x_max, points):
         sch = GateSchedule(k=k, lambda2=LAMBDA2)
         t = np.linspace(0.0, x_max, points) * math.pi / LAMBDA2
         args = (sch.lambda2, complex(1e6, sch.nu), 1e6, t)
-        kronrod = _dyn._jump_terms(*args)[:, 0]
-        nodes, weights = leggauss(40)
-        monkeypatch.setattr(_dyn, "_GK_NODES", nodes)
-        monkeypatch.setattr(_dyn, "_GK_WEIGHTS", np.stack([weights, weights], axis=1))
-        reference = _dyn._jump_terms(*args)[:, 0]
+        jump, last_order = _dyn._jump_terms(*args)
+        reference = jump_integral(*args)
         assert np.max(np.abs(reference)) > 1e-3
-        assert np.max(np.abs(kronrod - reference)) <= 1e-15
+        assert np.max(np.abs(jump - reference)) <= 1e-15
+        assert np.max(np.abs(last_order)) <= 1e-18
+
+    def test_random_schedules_match_40_node_gauss_legendre(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        def decades(lo, hi):
+            return st.floats(lo, hi).map(lambda e: 10.0**e)
+
+        @hypothesis.settings(max_examples=40, deadline=None)
+        @hypothesis.given(st.integers(min_value=1, max_value=100),
+                          st.just(0.0) | decades(4, 9), decades(4, 7))
+        def check(k, kappa, gamma):
+            sch = GateSchedule(k=k, lambda2=LAMBDA2)
+            t = np.array([0.0, 1e-3, 0.37, 1.0, 2.3]) * sch.tau
+            args = (sch.lambda2, complex(kappa, sch.nu), gamma, t)
+            jump, last_order = _dyn._jump_terms(*args)
+            assert np.max(np.abs(jump - jump_integral(*args))) <= 1e-15
+            # |p| <= 1/(4k) bounds the order-15 coefficients by
+            # (1/2)^15/15!, the prefactor by (gamma/2) e^{1/2} and each
+            # integral by t e^{-gamma t} <= 1/(e gamma).
+            bound = 0.5 * math.exp(0.5 - 1.0) * 0.5**15 / math.factorial(15)
+            assert np.max(np.abs(last_order)) <= bound
+
+        check()
+
+    def test_passes_give_the_same_bits(self, monkeypatch):
+        # One time per pass, seven per pass and the default 240 per pass:
+        # each time's terms and sums do not depend on what else its pass
+        # holds.
+        sch = GateSchedule(k=4, lambda2=LAMBDA2)
+        args = (sch.lambda2, complex(1e6, sch.nu), 2e6, np.linspace(0.0, 1.3, 500) * sch.tau)
+        whole = _dyn._jump_terms(*args)
+        for entries in (1, 7 * len(_dyn._N)):
+            monkeypatch.setattr(_dyn, "_PASS_ENTRIES", entries)
+            split = _dyn._jump_terms(*args)
+            assert [part.tolist() for part in split] == [part.tolist() for part in whole]
+
+    def test_both_sides_of_each_switch_to_the_taylor_series(self):
+        # Each term switches from the difference of exponentials to the
+        # Taylor series of (1 - e^{-u})/u where |(s - d) t| = 1/2; J must
+        # not jump there.
+        sch = GateSchedule(k=1, lambda2=LAMBDA2)
+        z, gamma = complex(1e6, sch.nu), 1e6
+        ratio = sch.lambda2 / np.conj(z)
+        rate = (-sch.lambda2 * ratio - 3.0 * gamma + sch.lambda2 * np.conj(ratio) + gamma
+                + _dyn._N * z + _dyn._M * np.conj(z))
+        t = np.sort(np.multiply.outer(0.5 / np.abs(rate), [1.0 - 1e-9, 1.0 + 1e-9]).ravel())
+        jump, _ = _dyn._jump_terms(sch.lambda2, z, gamma, t)
+        assert np.max(np.abs(jump - jump_integral(sch.lambda2, z, gamma, t))) <= 1e-15
+
+    def test_vanishing_coupling_leaves_the_decay_of_the_source(self):
+        # As lambda2 -> 0 only the term n = m = 0 is left, and
+        # J = (gamma/2) (e^{-gamma t} - e^{-3 gamma t}) / (2 gamma).  At
+        # lambda2 = 1e-200 rad/s, lambda2^2/|z|^2 underflows to 0, so with
+        # kappa = gamma the term n = m = 1 has s - d = 0 exactly, and the
+        # Taylor series must take it without a warning.
+        sch = GateSchedule(k=1, lambda2=1e-200)
+        t = np.array([0.0, 1e-9, 3e-7, 1e-6, 2e-5])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            jump, last_order = _dyn._jump_terms(sch.lambda2, complex(1e6, sch.nu), 1e6, t)
+        exact = (np.exp(-1e6 * t) - np.exp(-3e6 * t)) / 4.0
+        assert np.max(np.abs(jump - exact)) <= 1e-16
+        assert not last_order.any()
 
 
 class TestCoherentStateBranches:
@@ -382,18 +425,12 @@ class TestCoherentStateBranches:
             ref = partial_trace(np.outer(psi, psi.conj()), model.dims, (0, 1))
             assert np.max(np.abs(rho - ref)) <= 1e-10
 
-    def test_low_quadrature_order_fails_the_check(self, monkeypatch):
-        monkeypatch.setattr(_dyn, "_GK_WEIGHTS", midpoint_gauss_weights())
-        sch = GateSchedule(k=1, lambda2=LAMBDA2)
-        with pytest.raises(IntegrationError, match="quadrature"):
-            fidelity_curve(sch, 1e6, 1e6, [0.0, 0.5 * sch.tau, sch.tau])
-
     def test_memory_budget_splits_the_grid(self, monkeypatch):
-        # One node per pass must give the same curve as the default passes.
+        # One time per pass must give the same curve as the default passes.
         sch = GateSchedule(k=4, lambda2=LAMBDA2)
         t_grid = np.linspace(0.0, 1.3, 9) * sch.tau
         whole, _ = fidelity_curve(sch, 1e6, 2e6, t_grid)
-        monkeypatch.setattr(_dyn, "_NODE_BUDGET", 1)
+        monkeypatch.setattr(_dyn, "_PASS_ENTRIES", 1)
         split, _ = fidelity_curve(sch, 1e6, 2e6, t_grid)
         assert np.max(np.abs(whole - split)) <= 1e-14
 
@@ -417,9 +454,9 @@ class TestCoherentStateBranches:
         jump_terms = _dyn._jump_terms
 
         def corrupted(lam, z, gamma, t):
-            terms = jump_terms(lam, z, gamma, t)
-            terms[np.isin(t, t_grid[[4, 7]])] += 0.4  # both rules, so they agree
-            return terms
+            jump, last_order = jump_terms(lam, z, gamma, t)
+            jump[np.isin(t, t_grid[[4, 7]])] += 0.4
+            return jump, last_order
 
         monkeypatch.setattr(_dyn, "_jump_terms", corrupted)
         monkeypatch.setattr(_qcore, "BLOCK", 3)
@@ -441,11 +478,15 @@ class TestCoherentStateBranches:
         assert len(fids) == len(t_grid)
         assert peak <= 24 * 2**20
 
-    def test_too_many_panels_is_refused(self, monkeypatch):
-        monkeypatch.setattr(_dyn, "_MAX_PANELS", 10)
-        sch = GateSchedule(k=1, lambda2=LAMBDA2)
-        with pytest.raises(ValueError, match="panels"):
-            fidelity_curve(sch, 1e6, 1e6, np.linspace(0.0, 3.0, 8) * sch.tau)
+    def test_populations_replace_the_diagonal_without_overflow(self):
+        # At t = 3.1e297 s the diagonal's exponent, 0 in exact arithmetic,
+        # is about 1e282 through rounding; only the off-diagonal exponents
+        # are exponentiated, so nothing overflows.
+        sch = GateSchedule(k=1, lambda2=1e3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            states, _ = _dyn._branch_states(sch, 1e6, 0.0, [0.0, 3.1e297])
+        assert np.diagonal(states, axis1=1, axis2=2).tolist() == [[0.25] * 4] * 2
 
     def test_rejects_negative_rates(self):
         sch = GateSchedule(k=1, lambda2=LAMBDA2)
