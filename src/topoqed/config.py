@@ -232,7 +232,15 @@ def default_config_dict() -> dict:
 
 
 def parse_config(doc: dict) -> RunConfig:
-    """Validate a config document; an omitted key takes its ``default_config_dict`` value."""
+    """Validate a config document into a :class:`RunConfig`.
+
+    A missing required key raises ConfigError.  An omitted ``wire`` or
+    ``circuit`` key takes the default of its parameter class, not its
+    ``default_config_dict`` value: without ``circuit.phi_c_rad`` the phase is
+    0.0, not 0.5.  Without ``schedule.lambda2``, ``gate`` derives lambda2 from
+    the device.  An omitted ``bath.rate_convention``, ``curve`` or ``output``
+    takes its ``default_config_dict`` value.
+    """
     defaults = default_config_dict()
     _require_keys(
         doc,

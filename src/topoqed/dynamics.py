@@ -1,4 +1,4 @@
-"""Closed-form gate propagator, scheduling, and dissipative fidelity curves.
+"""Gate scheduling, the propagator's phase and displacement, and fidelity curves.
 
 The interaction-picture Hamiltonian -lambda2 (a e^{-i nu t} + a+ e^{i nu t}) J_z
 closes on the operator algebra {a J_z, a+ J_z, J_z^2}, so its propagator has
@@ -10,13 +10,12 @@ with B(t) = -i (lambda2/nu) (e^{-i nu t} - 1) and a phase whose real part is
 A_r(t) = -(lambda2^2/nu) (t - sin(nu t)/nu).  The full phase in the ordered
 product above also carries the imaginary part |B(t)|^2 / 2, which exactly
 compensates the reordering factor of the two displacement-like exponentials;
-equivalently, and as implemented here,
+equivalently,
 
-    U(t) = exp(-i A_r(t) J_z^2) * exp( -i (B a + B* a+) J_z )
+    U(t) = exp(-i A_r(t) J_z^2) * exp( -i (B a + B* a+) J_z ).
 
-whose second factor is the exponential of -i times a Hermitian matrix and is
-therefore unitary at any Fock truncation.  ``propagator_AB`` returns the real
-phase A_r together with B.
+``propagator_AB`` returns the real phase A_r together with B, from which
+``oracle.analytic_U`` builds U on the Fock-truncated space.
 
 Scheduling: B vanishes whenever nu*t = 2*pi*k, and with nu = 2*lambda2*sqrt(k)
 the gate time tau = sqrt(k)*pi/lambda2 gives A_r(tau) = -pi/2, turning
@@ -41,11 +40,10 @@ gate (Sorensen & Molmer, PRA 62, 022311 (2000)) in the coherent-state
 ansatz of Gambetta et al., PRA 77, 012112 (2008).  The coherences fed by
 one qubit jump carry an integral over the jump time, which is an exact
 series of 136 exponential integrals, truncated at order 15 where the rest
-is below 3e-19 for every schedule.  The Fock-truncated Liouvillian, stepped
-in numpy by ``qcore.evolve_master_equation``, stays as the oracle that
-``validate`` and the tests compare the closed form with; no command imports
-scipy.  ``validate`` seeds its defects in ``propagator_AB``, ``_branch``
-and the jump series ``_jump_terms``.
+is below 3e-19 for every schedule.  The Fock-truncated Liouvillian of
+:mod:`topoqed.oracle` is what ``validate`` and the tests compare the closed
+form with; no command runs it or imports scipy.  ``validate`` seeds its
+defects in ``propagator_AB``, ``_branch`` and the jump series ``_jump_terms``.
 
 Dissipation follows the channel convention of :mod:`topoqed.qcore`: cavity
 channel (a, kappa) and one lowering channel (|0><1|, gamma) per qubit, each
@@ -62,24 +60,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .interface import HamiltonianModel
-from .qcore import (
-    TAU_MINUS,
-    IntegrationError,
-    basis_state,
-    evolve_master_equation,
-    expm_hermitian,
-    eye,
-    partial_trace,
-    tensor,
-    _checked_states,
-    _time_grid,
-    blocks,
-)
+from .qcore import IntegrationError, _checked_states, _time_grid, blocks
 
 __all__ = [
     "GateSchedule",
-    "analytic_U",
     "fidelity_curve",
     "plus_plus_state",
     "propagator_AB",
@@ -122,24 +106,6 @@ def propagator_AB(lambda2: float, nu: float, t: float) -> tuple[float, complex]:
     return a, b
 
 
-def analytic_U(lambda2: float, nu: float, t: float, model: HamiltonianModel) -> np.ndarray:
-    """Closed-form propagator on the truncated qubit-qubit-cavity space.
-
-    The displacement factor is exp(-i H) of the Hermitian generator
-    H = (B a + B* a+) J_z, by eigendecomposition (``expm_hermitian``, which
-    verifies it unitary to 1e-10), and the phase factor a unit-modulus
-    diagonal, so U is unitary at every cutoff and cannot show truncation.  The
-    states do: ``validate`` compares U with the exact propagation of the
-    truncated closed gate's pure state under the rotating-frame generator
-    (``propagator_oracle``) and with the untruncated coherent-state branches
-    at N = 16 (``coherent_state_branches``).
-    """
-    a_r, b = propagator_AB(lambda2, nu, t)
-    a_jz = model.a_j_z
-    return np.exp(-1j * a_r * np.diag(model.j_z @ model.j_z))[:, None] * expm_hermitian(
-        b * a_jz + np.conj(b) * a_jz.conj().T, 1.0)
-
-
 def plus_plus_state() -> np.ndarray:
     """Both qubits in (|0> + |1>)/sqrt(2), as a vector of the two-qubit space."""
     return np.full(4, 0.5, dtype=complex)
@@ -149,46 +115,6 @@ def target_entangled_state() -> np.ndarray:
     """The maximally entangled gate target (|++> + i|-->)/sqrt(2), as a vector."""
     minus_minus = 0.5 * np.array([1.0, -1.0, -1.0, 1.0], dtype=complex)
     return (plus_plus_state() + 1j * minus_minus) / math.sqrt(2.0)
-
-
-def _gate_start(fock_cutoff: int) -> np.ndarray:
-    """|++> with the cavity in vacuum, the initial state of every gate run."""
-    return np.kron(plus_plus_state(), basis_state(fock_cutoff, 0))
-
-
-def _rotating_frame_hamiltonian(schedule: GateSchedule, model: HamiltonianModel) -> np.ndarray:
-    """The gate's generator nu a+a - lambda2 (a + a+) J_z in the cavity frame."""
-    return schedule.nu * model.n_photon - schedule.lambda2 * (
-        model.a_j_z + model.a_j_z.conj().T
-    )
-
-
-def _qubit_states(
-    schedule: GateSchedule,
-    kappa: float,
-    gamma: float,
-    t_grid: np.ndarray,
-    fock_cutoff: int,
-) -> np.ndarray:
-    """Reduced qubit states from the Fock-truncated Liouvillian (the oracle).
-
-    Propagates |++> and vacuum in the cavity's rotating frame with
-    ``evolve_master_equation``, and traces the cavity out of the whole
-    trajectory at once; returns shape ``(len(t_grid), 4, 4)``.  ``validate``
-    and the tests compare the closed form of :func:`fidelity_curve` with it.
-    """
-    model = HamiltonianModel(fock_cutoff)
-    n = fock_cutoff
-    channels = []
-    if kappa > 0:
-        channels.append((model.a_op, kappa))
-    if gamma > 0:
-        channels.append((tensor([TAU_MINUS, eye(2), eye(n)]), gamma))
-        channels.append((tensor([eye(2), TAU_MINUS, eye(n)]), gamma))
-    psi0 = _gate_start(n)
-    rhos = evolve_master_equation(_rotating_frame_hamiltonian(schedule, model), channels,
-                                  np.outer(psi0, psi0.conj()), t_grid)
-    return partial_trace(rhos, model.dims, (0, 1))
 
 
 # The two-qubit basis |00>, |01>, |10>, |11>, with |0> the tau_z = +1 ground
@@ -275,10 +201,12 @@ def _jump_terms(lam: float, z: complex, gamma: float,
         x = np.exp(-z * tt)
         powers = np.cumprod(np.vstack([np.ones_like(x)] + [x] * SERIES_ORDER), axis=0)
         e_s = np.exp(s * tt)
-        e_d = np.exp(c * tt) * powers[_N] * np.conj(powers)[_M]
+        # e^{d t}, then e^{s t} - e^{d t} and its ratio to s - d, in one array.
+        integrals = np.exp(c * tt) * powers[_N] * np.conj(powers)[_M]
+        np.subtract(e_s, integrals, out=integrals)
         u = rates * tt
         near = np.abs(u) < 0.5
-        integrals = np.divide(e_s - e_d, rates, out=np.empty_like(u), where=~near)
+        np.divide(integrals, rates, out=integrals, where=~near)
         # There e^{s t} t (1 - e^{-u})/u instead, the ratio by Horner's rule.
         u = u[near]
         ratio_u = np.full_like(u, 1.0 / _FACTORIALS[-1])

@@ -1,4 +1,4 @@
-"""Effective interface couplings and concrete Hamiltonian matrices.
+"""Effective interface couplings, and the gate's interaction-picture Hamiltonian.
 
 The wire splitting evaluated at the working phase ``phi_c + f1`` yields the
 topological-qubit frequency ``omega_t``; its phase derivative, weighted by
@@ -12,29 +12,24 @@ with f3 the ``f3_coeff`` of the effective qubit, so lambda1 vanishes
 identically at phi_e = 0 and lambda2 at phi_e = pi.  The circuit evaluates
 the half-angle factors so those zeros are exact in floating point.
 
-The Hamiltonian builders take the couplings, frequencies and detuning as
-plain numbers, and the operators of the qubit (x) qubit (x) cavity space,
-with the cavity truncated at ``fock_cutoff`` Fock states, from
-:class:`HamiltonianModel`.  They serve ``validate`` and the tests as
-oracles; the gate's curve is the closed form of :mod:`topoqed.dynamics`.
+``build_H_I`` is the gate's interaction-picture Hamiltonian on the
+Fock-truncated space of an ``oracle.HamiltonianModel``.  Only ``validate``
+and the tests call it; the gate's curve is the closed form of
+:mod:`topoqed.dynamics`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .circuit import CircuitParams, EffectiveQubit, effective_qubit
-from .qcore import destroy, eye, number_op, tensor
 from .wire import WireParams, splitting_derivative, wire_splitting
 
 __all__ = [
     "CouplingSet",
-    "HamiltonianModel",
-    "build_H_CT",
     "build_H_I",
     "couplings",
     "optimal_working_point",
@@ -61,38 +56,6 @@ class CouplingSet:
     working_phi: float
     de_dphi: float
     effective: EffectiveQubit
-
-
-@dataclass(frozen=True)
-class HamiltonianModel:
-    """Operators of the qubit (x) qubit (x) cavity space, dims (2, 2, fock_cutoff)."""
-
-    fock_cutoff: int = 16
-
-    @property
-    def dims(self) -> tuple[int, int, int]:
-        return (2, 2, self.fock_cutoff)
-
-    @property
-    def dim(self) -> int:
-        return 4 * self.fock_cutoff
-
-    @cached_property
-    def a_op(self) -> np.ndarray:
-        return tensor([eye(2), eye(2), destroy(self.fock_cutoff)])
-
-    @cached_property
-    def n_photon(self) -> np.ndarray:
-        return tensor([eye(2), eye(2), number_op(self.fock_cutoff)])
-
-    @cached_property
-    def j_z(self) -> np.ndarray:
-        # (tau1_z + tau2_z)/2 on the qubit basis |00>, |01>, |10>, |11>.
-        return tensor([np.diag([1.0, 0.0, 0.0, -1.0]), eye(self.fock_cutoff)])
-
-    @cached_property
-    def a_j_z(self) -> np.ndarray:
-        return self.a_op @ self.j_z
 
 
 def couplings(wire: WireParams, circ: CircuitParams) -> CouplingSet:
@@ -130,24 +93,11 @@ def optimal_working_point(wire: WireParams, circ: CircuitParams) -> tuple[float,
     return PHI_C_MIN, circ.eta * d, circ.eta * circ.g * d
 
 
-def build_H_CT(omega_t: float, lambda1: float, lambda2: float, omega_r: float,
-               model: HamiltonianModel) -> np.ndarray:
-    """Lab-frame Hamiltonian of two identical qubits coupled to the cavity.
+def build_H_I(lambda2: float, nu: float, model, t: float) -> np.ndarray:
+    """Interaction-picture Hamiltonian -lambda2 (a e^{-i nu t} + h.c.) J_z, detuning nu > 0.
 
-    H = omega_r a+a - (omega_t + lambda1)/2 * (tau1_z + tau2_z)
-        - lambda2 * (tau1_z + tau2_z) * (a + a+)
+    ``model`` is an ``oracle.HamiltonianModel``; only its ``a_j_z`` is read.
     """
-    tau_sum = 2 * model.j_z
-    quad = model.a_op + model.a_op.conj().T
-    return (
-        omega_r * model.n_photon
-        - 0.5 * (omega_t + lambda1) * tau_sum
-        - lambda2 * (tau_sum @ quad)
-    )
-
-
-def build_H_I(lambda2: float, nu: float, model: HamiltonianModel, t: float) -> np.ndarray:
-    """Interaction-picture Hamiltonian -lambda2 (a e^{-i nu t} + h.c.) J_z, detuning nu > 0."""
     if nu <= 0:
         raise ValueError("the interaction picture requires detuning nu > 0")
     a_jz = model.a_j_z

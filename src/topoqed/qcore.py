@@ -1,32 +1,4 @@
-"""Dense complex linear algebra and open-system primitives.
-
-Operators are plain ``numpy`` arrays of complex doubles; helpers below build
-Pauli and truncated-oscillator matrices and combine them with Kronecker
-products.  States are plain arrays too: a pure state is a complex vector,
-a density matrix a square array, and a trajectory one ``(n, d, d)`` stack.
-
-``_checked_states`` is the one physicality check: finite entries, unit
-trace, Hermiticity, and positivity from one batched ``eigvalsh``, each taken
-over the whole stack at once, so once per state.  Two propagators pass
-their initial state and their trajectory through it, as do the closed-form
-gate states of :mod:`topoqed.dynamics`, one block of the grid at a time.
-Both propagators take ``(hamiltonian, channels, rho0, t_grid)``, with
-``channels`` a sequence of ``(L, rate)`` pairs that ``_checked_channels``
-checks for both: each L of H's shape, each rate >= 0.
-
-* ``evolve_master_equation`` takes a time-independent Hamiltonian matrix.  It
-  builds the Liouvillian once, stored by diagonals, and steps the vectorized
-  density matrix between grid points with the action of its exponential: a
-  truncated Taylor series on substeps of bounded 1-norm, the scheme of
-  Al-Mohy & Higham, SIAM J. Sci. Comput. 33 (2011) 488-511, in numpy alone.
-  It is the oracle of the gate's closed-form fidelity curve under
-  dissipation, in the frame that rotates with the cavity, for ``validate``
-  (``coherent_state_branches``) and the tests.  ``validate`` checks the
-  closed gate against the pure state propagated with ``expm_hermitian``.
-* ``integrate_master_equation`` takes the Hamiltonian as a callable of t and
-  runs adaptive RK45.  It is the independent oracle of the first, for tests
-  only; it loads ``scipy.integrate`` on first use, so importing the package
-  does not.
+"""Root finding, grid blocks and the density-matrix check that the commands share.
 
 ``newton_bisect`` is the safeguarded root finder that the wire and circuit
 layers share, and the one owner of its brackets: it reads f once at both
@@ -40,6 +12,21 @@ sweeps and the gate's fidelity curve compute one block at a time into
 preallocated outputs, so the temporaries of one block, not of the whole
 grid, set their peak memory.
 
+``_checked_states`` is the one physicality check of a stack of density
+matrices (square complex arrays, a trajectory one ``(n, d, d)`` stack):
+finite entries, unit trace, Hermiticity, and positivity from one batched
+``eigvalsh``, each taken over the whole stack at once, so once per state.
+The closed-form gate states of :mod:`topoqed.dynamics` pass it one block of
+the grid at a time.
+
+The rest serves the tests and :mod:`topoqed.oracle`: ``partial_trace``,
+``state_fidelity`` and ``integrate_master_equation``, an adaptive RK45
+propagator for a Hamiltonian that depends on t.  It loads
+``scipy.integrate`` on first use, so importing the package does not.  It and
+``oracle.evolve_master_equation`` take ``(hamiltonian, channels, rho0,
+t_grid)``, with ``channels`` a sequence of ``(L, rate)`` pairs that
+``_checked_channels`` checks for both: each L of H's shape, each rate >= 0.
+
 Decay-rate convention
 ---------------------
 Both propagators implement the master equation in the form
@@ -50,15 +37,14 @@ i.e. each channel ``(L, r)`` enters with the prefactor written out above.
 A cavity channel ``(a, kappa)`` therefore decays photon number as
 ``exp(-2*kappa*t)`` and a qubit channel ``(tau_minus, gamma)`` decays the
 excited population as ``exp(-2*gamma*t)``: the *energy* decay rates are twice
-the quoted channel rates.  This matters when comparing fidelity curves
-against rates quoted in MHz.
+the quoted channel rates.  The closed form of :mod:`topoqed.dynamics` keeps
+the same convention.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from functools import reduce
 from typing import Callable, Sequence
 
 import numpy as np
@@ -66,31 +52,16 @@ import numpy as np
 __all__ = [
     "ConvergenceError",
     "IntegrationError",
-    "SIGMA_X",
-    "SIGMA_Z",
-    "TAU_MINUS",
-    "basis_state",
-    "destroy",
-    "evolve_master_equation",
-    "expm_hermitian",
-    "eye",
     "integrate_master_equation",
     "newton_bisect",
-    "number_op",
     "partial_trace",
     "state_fidelity",
-    "tensor",
 ]
 
 # The physicality bounds of a density matrix (see _checked_states).
 TRACE_TOL = 1e-8
 HERMITICITY_TOL = 1e-9
 EIGENVALUE_FLOOR = -1e-8
-
-SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-# Lowering operator toward the tau_z = +1 ground state: |0><1|.
-TAU_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 
 
 class ConvergenceError(RuntimeError):
@@ -205,53 +176,6 @@ def newton_bisect(f, df, lo, hi, f_tol):
     )
 
 
-def eye(dim: int) -> np.ndarray:
-    return np.eye(dim, dtype=complex)
-
-
-def destroy(n: int) -> np.ndarray:
-    """Truncated oscillator lowering operator, a|k> = sqrt(k)|k-1>."""
-    if n < 1:
-        raise ValueError("Fock dimension must be at least 1")
-    return np.diag(np.sqrt(np.arange(1, n, dtype=float)), k=1).astype(complex)
-
-
-def number_op(n: int) -> np.ndarray:
-    return np.diag(np.arange(n, dtype=float)).astype(complex)
-
-
-def basis_state(dim: int, k: int) -> np.ndarray:
-    vec = np.zeros(dim, dtype=complex)
-    vec[k] = 1.0
-    return vec
-
-
-def tensor(ops: Sequence[np.ndarray]) -> np.ndarray:
-    """Kronecker product of the given operators, in order."""
-    if len(ops) == 0:
-        raise ValueError("tensor() requires at least one operator")
-    return reduce(np.kron, [np.asarray(op, dtype=complex) for op in ops])
-
-
-def expm_hermitian(h: np.ndarray, t: float) -> np.ndarray:
-    """exp(-i*h*t) for Hermitian ``h``, via eigendecomposition.
-
-    Hermiticity is checked against a tolerance of 1e-10 relative to the
-    largest matrix entry; the result is verified unitary to 1e-10.
-    """
-    h = np.asarray(h, dtype=complex)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ValueError("expm_hermitian expects a square matrix")
-    scale = max(1.0, float(np.max(np.abs(h))) if h.size else 1.0)
-    if not np.max(np.abs(h - h.conj().T)) <= 1e-10 * scale:
-        raise ValueError("matrix is not Hermitian within tolerance")
-    w, v = np.linalg.eigh(h)
-    u = (v * np.exp(-1j * w * t)) @ v.conj().T
-    if not np.max(np.abs(u @ u.conj().T - np.eye(h.shape[0]))) <= 1e-10:
-        raise IntegrationError("eigendecomposition produced a non-unitary result")
-    return u
-
-
 def partial_trace(rho: np.ndarray, dims: Sequence[int], keep: Sequence[int]) -> np.ndarray:
     """Reduced density matrices over the subsystems listed in ``keep``.
 
@@ -354,139 +278,6 @@ def _checked_states(rhos: np.ndarray, t_grid: np.ndarray) -> np.ndarray:
     return herm
 
 
-# A Taylor substep's generator has 1-norm at most theta_50 (Al-Mohy & Higham
-# 2011, Table 3.1); its series stops when two consecutive terms fall below
-# the unit roundoff relative to the sum, and fails after 50 terms.
-_THETA = 8.5
-_MAX_TERMS = 50
-_TERM_TOL = 2.0**-53
-
-
-def _diagonals(op: np.ndarray) -> dict[int, np.ndarray]:
-    """The nonzero diagonals of a square matrix, ``{offset: values by row}``.
-
-    Row i of diagonal ``o`` holds ``op[i, i + o]``, and 0 where that column
-    lies outside the matrix.
-    """
-    d = op.shape[0]
-    rows, cols = np.nonzero(op)
-    present = np.zeros(2 * d - 1, dtype=bool)
-    present[cols - rows + d - 1] = True
-    diagonals = {}
-    for o in (np.flatnonzero(present) - (d - 1)).tolist():
-        values = np.zeros(d, dtype=complex)
-        values[max(0, -o):d - max(0, o)] = np.diagonal(op, o)
-        diagonals[o] = values
-    return diagonals
-
-
-def _liouvillian(h: np.ndarray, channels) -> list[tuple[slice, slice, np.ndarray]]:
-    """The row-major Liouvillian as ``(rows, columns, values)`` per diagonal.
-
-    The generator is ``K (x) 1 + 1 (x) conj(K) + sum 2 r L (x) conj(L)`` with
-    ``K = -i H - sum r L+ L``.  The Kronecker product of diagonal ``oa`` of a
-    d x d matrix with diagonal ``ob`` of another is the diagonal at
-    ``oa * d + ob``, with values ``outer(a, b)`` by row, so no d**2 x d**2
-    matrix is formed.  ``rows`` is the slice of the output that a diagonal
-    writes, ``columns`` the slice of the input that it reads.
-    """
-    d = h.shape[0]
-    k = -1j * h
-    terms = []
-    for op, rate in channels:
-        k = k - rate * (op.conj().T @ op)
-        terms.append((_diagonals(op), _diagonals(op.conj()), 2.0 * rate))
-    one = {0: np.ones(d, dtype=complex)}
-    terms += [(_diagonals(k), one, 1.0), (one, _diagonals(k.conj()), 1.0)]
-    gen = {}
-    for a, b, coeff in terms:
-        for oa, va in a.items():
-            for ob, vb in b.items():
-                values = coeff * np.outer(va, vb).ravel()
-                o = oa * d + ob
-                gen[o] = gen[o] + values if o in gen else values
-    n = d * d
-    return [(slice(max(0, -o), n - max(0, o)), slice(max(0, o), n + min(0, o)),
-             values[max(0, -o):n - max(0, o)]) for o, values in sorted(gen.items())]
-
-
-def _apply(gen, vec: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(vec)
-    for rows, cols, values in gen:
-        out[rows] += values * vec[cols]
-    return out
-
-
-def _size(vec: np.ndarray) -> float:
-    # The largest real or imaginary part: a norm, and about three times
-    # cheaper than the largest modulus.
-    return np.max(np.abs(vec.view(float)))
-
-
-def _expm_step(gen, norm: float, dt: float, vec: np.ndarray, t: float) -> np.ndarray:
-    """exp(dt * gen) vec by truncated Taylor series on substeps (``_THETA``)."""
-    substeps = max(1, math.ceil(dt * norm / _THETA))
-    h = dt / substeps
-    for _ in range(substeps):
-        total, term = vec, vec
-        c1 = _size(term)
-        for j in range(1, _MAX_TERMS + 1):
-            term = _apply(gen, term) * (h / j)
-            c2 = _size(term)
-            total = total + term
-            if c1 + c2 <= _TERM_TOL * _size(total):
-                break
-            c1 = c2
-        else:
-            raise IntegrationError(
-                f"Taylor series not converged after {_MAX_TERMS} terms before t={t:.3e}")
-        vec = total
-    return vec
-
-
-def evolve_master_equation(
-    hamiltonian: np.ndarray,
-    channels: Sequence[tuple[np.ndarray, float]],
-    rho0: np.ndarray,
-    t_grid: Sequence[float],
-) -> np.ndarray:
-    """Propagate a density matrix under a time-independent generator.
-
-    Builds the Liouvillian of ``hamiltonian`` and the ``(L, rate)`` channels
-    once, stored by diagonals whatever their number, then steps the
-    vectorized density matrix from each grid point to the next with a
-    truncated Taylor series of its exponential, on substeps of 1-norm at
-    most ``_THETA``; a series not converged after 50 terms raises
-    :class:`IntegrationError`.  Beyond
-    :func:`_checked_channels`, the generator is taken as given; an unphysical
-    one shows up in the checks of :func:`_checked_states`, which ``rho0``, a
-    ``(d, d)`` density matrix, passes first and the whole trajectory after.
-    Returns the density matrices on the grid, shape ``(len(t_grid), d, d)``.
-    """
-    t_grid = _time_grid(t_grid)
-    h = np.asarray(hamiltonian, dtype=complex)
-    rho = np.asarray(rho0, dtype=complex)
-    if rho.shape != h.shape:
-        raise ValueError("initial state dimension does not match the Hamiltonian")
-    _checked_states(rho[None], t_grid[:1])
-    gen = _liouvillian(h, _checked_channels(channels, h.shape))
-    # The exact 1-norm, the largest column sum of |gen|.
-    col_sums = np.zeros(rho.size)
-    for rows, cols, values in gen:
-        col_sums[cols] += np.abs(values)
-    norm = float(np.max(col_sums))
-    if not math.isfinite(norm):
-        raise ValueError("the Liouvillian has entries that are not finite")
-
-    rhos = np.empty((len(t_grid),) + rho.shape, dtype=complex)
-    rhos[0] = rho
-    vec = rho.ravel()
-    for i in range(1, len(t_grid)):
-        vec = _expm_step(gen, norm, float(t_grid[i] - t_grid[i - 1]), vec, t_grid[i])
-        rhos[i] = vec.reshape(rho.shape)
-    return _checked_states(rhos, t_grid)
-
-
 def integrate_master_equation(
     hamiltonian: Callable[[float], np.ndarray],
     channels: Sequence[tuple[np.ndarray, float]],
@@ -495,10 +286,10 @@ def integrate_master_equation(
 ) -> np.ndarray:
     """Propagate a density matrix under a Hamiltonian that depends on time.
 
-    ``hamiltonian`` maps a time (seconds) to a Hermitian matrix; the channels
-    are those of :func:`evolve_master_equation`.  Uses an adaptive embedded
-    Runge-Kutta 4(5) pair (rtol 1e-9, atol 1e-12) on the vectorized density
-    matrix.  ``rho0``, a ``(d, d)`` density matrix, and the trajectory,
+    ``hamiltonian`` maps a time (seconds) to a Hermitian matrix, and the
+    ``(L, rate)`` channels follow the module docstring.  Uses an adaptive
+    embedded Runge-Kutta 4(5) pair (rtol 1e-9, atol 1e-12) on the vectorized
+    density matrix.  ``rho0``, a ``(d, d)`` density matrix, and the trajectory,
     shape ``(len(t_grid), d, d)``, pass :func:`_checked_states`: finite
     entries, unit trace (1e-8), Hermiticity (1e-9) and positivity
     (eigenvalues >= -1e-8), each raising IntegrationError naming the time.

@@ -4,11 +4,12 @@ Each group re-derives a handful of the package's load-bearing identities in
 seconds.  A group is a function ``_check_<name>(ref)`` of the reference
 configuration, parsed once per run, and ``<name>`` is its key in the report.
 ``closed_gate`` and ``coherent_state_branches`` check the fidelity curve
-that ``gate`` and ``fig2`` run.  ``MUTATIONS`` is the table of seeded
-defects: each row names the group it corrupts, a ``dynamics`` attribute and
-a corruption of that attribute's result, which ``run_validation`` installs
-only while that group runs; the group must then fail.  Every group's inputs
-are fixed, so two runs check the same numbers.
+that ``gate`` and ``fig2`` run.  The Fock-space oracles of the gate come from
+:mod:`topoqed.oracle`, which no command module imports.  ``MUTATIONS`` is
+the table of seeded defects: each row names the group it corrupts, a
+``dynamics`` attribute and a corruption of that attribute's result, which
+``run_validation`` installs only while that group runs; the group must then
+fail.  Every group's inputs are fixed, so two runs check the same numbers.
 """
 
 from __future__ import annotations
@@ -22,15 +23,11 @@ from . import dynamics as _dyn
 from .circuit import effective_qubit, phi_J_exact, phi_J_series
 from .config import load_config
 from .dynamics import GateSchedule, fidelity_curve, propagator_AB
-from .interface import HamiltonianModel, build_H_CT, build_H_I, couplings
-from .qcore import (
-    basis_state,
-    destroy,
-    evolve_master_equation,
-    expm_hermitian,
-    number_op,
-    partial_trace,
-)
+from .interface import build_H_I, couplings
+from .oracle import (HamiltonianModel, analytic_U, basis_state, build_H_CT, destroy,
+                     evolve_master_equation, expm_hermitian, gate_start, number_op,
+                     qubit_states, rotating_frame_hamiltonian)
+from .qcore import partial_trace
 from .wire import inverse_x_over_tan, wire_splitting
 
 __all__ = ["MUTATIONS", "run_validation"]
@@ -156,13 +153,13 @@ def _check_propagator_oracle(ref) -> tuple[bool, str]:
     """
     sch = GateSchedule(k=ref.k, lambda2=ref.lambda2_pinned)
     model = HamiltonianModel(fock_cutoff=16)
-    start = _dyn._gate_start(model.fock_cutoff)
-    h_rotating = _dyn._rotating_frame_hamiltonian(sch, model)
+    start = gate_start(model.fock_cutoff)
+    h_rotating = rotating_frame_hamiltonian(sch, model)
     photons = np.real(np.diag(model.n_photon))
     worst = 0.0
     for t in (0.31 * sch.tau, 0.77 * sch.tau):
         psi = np.exp(1j * sch.nu * t * photons) * (expm_hermitian(h_rotating, t) @ start)
-        expected = _dyn.analytic_U(sch.lambda2, sch.nu, t, model) @ start
+        expected = analytic_U(sch.lambda2, sch.nu, t, model) @ start
         dev = np.outer(expected, expected.conj()) - np.outer(psi, psi.conj())
         worst = max(worst, float(np.max(np.abs(dev))))
     return worst <= 1e-6, f"max |U rho0 U+ - rho| = {worst:.2e} (rotating frame)"
@@ -187,11 +184,11 @@ def _check_coherent_state_branches(ref) -> tuple[bool, str]:
     t_grid = [0.0, 0.5 * sch.tau, 0.55 * sch.tau]
     branches = _dyn._branch_states(sch, ref.kappa, ref.gamma, t_grid)[0]
     closed = _dyn._branch_states(sch, 0.0, 0.0, t_grid)[0][-1]
-    liouvillian = _dyn._qubit_states(sch, ref.kappa, ref.gamma, t_grid, 12)
+    liouvillian = qubit_states(sch, ref.kappa, ref.gamma, t_grid, 12)
     dev_open = float(np.max(np.abs(branches - liouvillian)))
 
     model = HamiltonianModel(fock_cutoff=16)
-    psi = _dyn.analytic_U(sch.lambda2, sch.nu, t_grid[-1], model) @ _dyn._gate_start(16)
+    psi = analytic_U(sch.lambda2, sch.nu, t_grid[-1], model) @ gate_start(16)
     unitary = partial_trace(np.outer(psi, psi.conj()), model.dims, (0, 1))
     dev_closed = float(np.max(np.abs(closed - unitary)))
     ok = dev_open <= 1e-8 and dev_closed <= 1e-10

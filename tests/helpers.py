@@ -10,7 +10,8 @@ dissipative gate's reduced states from the Fock-truncated Liouvillian with
 its N / N + 4 cutoff ladder, the jump-time integral of the closed form from
 Gauss-Legendre panels, entanglement entropy from the spectrum of a
 reduced state, the qubit-qubit interface Hamiltonian as an explicit 4 x 4
-matrix, and CSV text from the row rule applied one value at a time.
+matrix with the Pauli matrices it is checked against, and CSV text from the
+row rule applied one value at a time.
 """
 
 import math
@@ -19,8 +20,12 @@ import numpy as np
 import pytest
 
 from topoqed import dynamics as _dyn
+from topoqed import oracle
 from topoqed.circuit import effective_qubit
 from topoqed.qcore import ConvergenceError, IntegrationError, partial_trace
+
+SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
 def bisect_root(f, lo: float, hi: float, iters: int = 200) -> float:
@@ -225,11 +230,11 @@ def liouvillian_gate_states(schedule, kappa: float, gamma: float, t_grid,
                             fock_cutoff: int = 16) -> np.ndarray:
     """Reduced gate states from the Fock-truncated Liouvillian, shape (len(t), 4, 4).
 
-    Propagates at cutoffs N and N + 4 (``dynamics._qubit_states``) and
+    Propagates at cutoffs N and N + 4 (``oracle.qubit_states``) and
     raises IntegrationError if any entry of a reduced state moves by more
     than 1e-10 between them; returns the states at cutoff N.
     """
-    states, check = (_dyn._qubit_states(schedule, kappa, gamma, t_grid, n)
+    states, check = (oracle.qubit_states(schedule, kappa, gamma, t_grid, n)
                      for n in (fock_cutoff, fock_cutoff + 4))
     delta = float(np.max(np.abs(states - check)))
     if delta > 1e-10:

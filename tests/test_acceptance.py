@@ -15,26 +15,20 @@ import numpy as np
 from topoqed.circuit import effective_qubit, phi_J_exact, phi_J_series, tunneling_leakage
 from topoqed.cli import cmd_fig2
 from topoqed.config import load_config
-from topoqed.dynamics import (
-    GateSchedule,
-    analytic_U,
-    _gate_start,
-    fidelity_curve,
-    propagator_AB,
-    target_entangled_state,
-)
-from topoqed.interface import HamiltonianModel, build_H_I, couplings, optimal_working_point
-from topoqed.qcore import (
+from topoqed.dynamics import GateSchedule, fidelity_curve, propagator_AB, target_entangled_state
+from topoqed.interface import build_H_I, couplings, optimal_working_point
+from topoqed.oracle import (
     TAU_MINUS,
+    HamiltonianModel,
+    analytic_U,
     basis_state,
     destroy,
     eye,
-    integrate_master_equation,
+    gate_start,
     number_op,
-    partial_trace,
-    state_fidelity,
     tensor,
 )
+from topoqed.qcore import integrate_master_equation, partial_trace, state_fidelity
 from topoqed.wire import inverse_x_over_tan, thermal_leakage, wire_splitting
 
 from helpers import charge_basis_oracle, rk4_columns, x_over_tan
@@ -103,7 +97,7 @@ def test_criterion_2_closed_system_gate_exactness():
     model = HamiltonianModel(fock_cutoff=16)
 
     # Analytic propagator route.
-    psi = analytic_U(sch.lambda2, sch.nu, sch.tau, model) @ _gate_start(model.fock_cutoff)
+    psi = analytic_U(sch.lambda2, sch.nu, sch.tau, model) @ gate_start(model.fock_cutoff)
     vac_analytic = float(np.sum(np.abs(psi[_vacuum_columns(model)]) ** 2))
     fid_analytic = state_fidelity(partial_trace(np.outer(psi, psi.conj()), model.dims, (0, 1)),
                                   target_entangled_state())

@@ -20,6 +20,7 @@ from topoqed import cli as _cli
 from topoqed import config as _config
 from topoqed import dynamics as _dyn
 from topoqed import interface as _interface
+from topoqed import oracle as _oracle
 from topoqed import qcore as _qcore
 from topoqed import validate as _validate
 from topoqed import wire as _wire
@@ -160,6 +161,7 @@ import math, sys
 import numpy as np
 import topoqed.cli
 from topoqed import qcore
+from topoqed.oracle import basis_state
 assert "scipy.integrate" not in sys.modules
 original = qcore.solve_ivp
 assert original is sys.modules["scipy.integrate"].solve_ivp
@@ -170,8 +172,9 @@ def counted(*args, **kwargs):
     return original(*args, **kwargs)
 
 qcore.solve_ivp = counted  # rebinding the module attribute, as a tracer does
-start = np.diag(qcore.basis_state(2, 0))
-states = qcore.integrate_master_equation(lambda t: qcore.SIGMA_X, (), start, [0.0, 0.5 * math.pi])
+start = np.diag(basis_state(2, 0))
+sigma_x = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+states = qcore.integrate_master_equation(lambda t: sigma_x, (), start, [0.0, 0.5 * math.pi])
 print(len(calls), round(states[-1][1, 1].real, 6))
 """
 
@@ -734,8 +737,7 @@ class TestFig2Command:
         def refuse(*args, **kwargs):
             raise AssertionError("the fig2 curve stepped the Liouvillian")
 
-        for module in (_qcore, _dyn):
-            monkeypatch.setattr(module, "evolve_master_equation", refuse)
+        monkeypatch.setattr(_oracle, "evolve_master_equation", refuse)
         config = dataclasses.replace(load_config(None), out_dir=str(tmp_path / "o"))
         assert cmd_fig2(config) == 0
         summary = json.loads((tmp_path / "o" / "fig2_summary.json").read_text())

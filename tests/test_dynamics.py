@@ -7,32 +7,36 @@ import numpy as np
 import pytest
 
 from topoqed import dynamics as _dyn
+from topoqed import oracle as _oracle
 from topoqed import qcore as _qcore
 from topoqed import validate as _validate
 from topoqed.dynamics import (
     GateSchedule,
-    analytic_U,
     fidelity_curve,
     plus_plus_state,
     propagator_AB,
     target_entangled_state,
 )
-from topoqed.interface import HamiltonianModel, build_H_I
-from topoqed.qcore import (
+from topoqed.interface import build_H_I
+from topoqed.oracle import (
     TAU_MINUS,
-    IntegrationError,
+    HamiltonianModel,
+    analytic_U,
     basis_state,
     expm_hermitian,
+    tensor,
+    eye,
+)
+from topoqed.qcore import (
+    IntegrationError,
     integrate_master_equation,
     partial_trace,
     state_fidelity,
-    tensor,
-    eye,
-    SIGMA_X,
-    SIGMA_Z,
 )
 
 from helpers import (
+    SIGMA_X,
+    SIGMA_Z,
     entanglement_entropy,
     jump_integral,
     liouvillian_gate_states,
@@ -178,7 +182,7 @@ class TestIdealGateState:
     def reduced_gate_state(sch):
         # U(tau)|++, 0> returns the cavity to vacuum; the qubit pair's state.
         model = HamiltonianModel(fock_cutoff=16)
-        psi = analytic_U(sch.lambda2, sch.nu, sch.tau, model) @ _dyn._gate_start(16)
+        psi = analytic_U(sch.lambda2, sch.nu, sch.tau, model) @ _oracle.gate_start(16)
         assert np.sum(np.abs(psi[np.arange(4) * 16]) ** 2) >= 1.0 - 1e-8
         return partial_trace(np.outer(psi, psi.conj()), (2, 2, 16), (0, 1))
 
@@ -241,7 +245,7 @@ class TestFidelityCurve:
         start = np.outer(psi0, psi0.conj())
         oracle = integrate_master_equation(
             lambda t: build_H_I(sch.lambda2, sch.nu, model, t), channels, start, t_grid)
-        production = _dyn._qubit_states(sch, kappa, gamma, t_grid, n)
+        production = _oracle.qubit_states(sch, kappa, gamma, t_grid, n)
         assert len(production) == len(t_grid)
         worst = float(np.max(np.abs(partial_trace(oracle, model.dims, (0, 1)) - production)))
         assert worst <= 1e-8
@@ -421,7 +425,7 @@ class TestCoherentStateBranches:
         t_grid = np.array([0.0, 0.21, 0.5, 0.83]) * sch.tau
         states, _ = _dyn._branch_states(sch, 0.0, 0.0, t_grid)
         for t, rho in zip(t_grid, states):
-            psi = analytic_U(sch.lambda2, sch.nu, t, model) @ _dyn._gate_start(16)
+            psi = analytic_U(sch.lambda2, sch.nu, t, model) @ _oracle.gate_start(16)
             ref = partial_trace(np.outer(psi, psi.conj()), model.dims, (0, 1))
             assert np.max(np.abs(rho - ref)) <= 1e-10
 
@@ -501,11 +505,11 @@ class TestClosedGateOracles:
         # generator, at the two times of validate's propagator_oracle.
         sch = GateSchedule(k=1, lambda2=LAMBDA2)
         model = HamiltonianModel(fock_cutoff=16)
-        h_rotating = _dyn._rotating_frame_hamiltonian(sch, model)
-        start = _dyn._gate_start(model.fock_cutoff)
+        h_rotating = _oracle.rotating_frame_hamiltonian(sch, model)
+        start = _oracle.gate_start(model.fock_cutoff)
         t_grid = [0.0, 0.31 * sch.tau, 0.77 * sch.tau]
-        states = _qcore.evolve_master_equation(h_rotating, (), np.outer(start, start.conj()),
-                                               t_grid)
+        states = _oracle.evolve_master_equation(h_rotating, (), np.outer(start, start.conj()),
+                                                t_grid)
         for t, rho in zip(t_grid, states):
             psi = expm_hermitian(h_rotating, t) @ start
             assert np.max(np.abs(rho - np.outer(psi, psi.conj()))) <= 1e-10
@@ -514,7 +518,7 @@ class TestClosedGateOracles:
                                                                              monkeypatch):
         # Each evolve_master_equation call is booked to the validate group
         # whose frame is on the stack.
-        original = _qcore.evolve_master_equation
+        original = _oracle.evolve_master_equation
         groups = []
 
         def counting(*args, **kwargs):
@@ -524,7 +528,7 @@ class TestClosedGateOracles:
             groups.append(frame.f_code.co_name.removeprefix("_check_"))
             return original(*args, **kwargs)
 
-        for module in (_qcore, _dyn, _validate):
+        for module in (_oracle, _validate):
             monkeypatch.setattr(module, "evolve_master_equation", counting)
         report = _validate.run_validation()
         assert all(entry["passed"] for entry in report.values())

@@ -4,18 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from topoqed.interface import (
-    PHI_C_MIN,
-    HamiltonianModel,
-    build_H_CT,
-    build_H_I,
-    couplings,
-    optimal_working_point,
-)
-from topoqed.qcore import basis_state, newton_bisect, tensor, eye
+from topoqed.interface import PHI_C_MIN, build_H_I, couplings, optimal_working_point
+from topoqed.oracle import HamiltonianModel, basis_state, build_H_CT, tensor, eye
+from topoqed.qcore import newton_bisect
 from topoqed.wire import WireParams, splitting_derivative
 
 from helpers import (
+    SIGMA_X,
+    SIGMA_Z,
     entanglement_entropy,
     expm_taylor,
     random_pure_state,
@@ -205,8 +201,6 @@ class TestBuildHSingleInterface:
     out in helpers.single_interface_hamiltonian, against the Pauli matrices."""
 
     def test_matches_pauli_product(self):
-        from topoqed.qcore import SIGMA_X, SIGMA_Z
-
         expected = -0.4 * tensor([SIGMA_X, SIGMA_Z])
         assert np.array_equal(single_interface_hamiltonian(0.8), expected)
 
@@ -216,8 +210,6 @@ class TestBuildHSingleInterface:
         assert np.allclose(eigs, [-0.4, -0.4, 0.4, 0.4], atol=1e-14)
 
     def test_commutes_with_both_qubit_axes(self):
-        from topoqed.qcore import SIGMA_X, SIGMA_Z
-
         h = single_interface_hamiltonian(0.8)
         sx = tensor([SIGMA_X, eye(2)])
         tz = tensor([eye(2), SIGMA_Z])

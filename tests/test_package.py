@@ -63,3 +63,27 @@ def test_no_unused_imports():
     files = sorted((ROOT / "src" / "topoqed").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
     unused = [entry for path in files for entry in unused_imports(path)]
     assert not unused, f"imported but never used: {unused}"
+
+
+def imported_modules(path: Path) -> set[str]:
+    """The modules a file imports anywhere, ``topoqed.`` and relative prefixes removed."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.removeprefix("topoqed.") for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            if node.module in (None, "topoqed"):  # from . import x, from topoqed import x
+                names.update(alias.name for alias in node.names)
+            else:
+                names.add(node.module.removeprefix("topoqed."))
+    return names
+
+
+def test_command_modules_import_neither_the_oracle_nor_validate():
+    # The Fock-space oracle and the checks built on it stay off the path
+    # that the commands run.
+    layers = ("qcore", "wire", "circuit", "interface", "dynamics", "config", "output")
+    imports = {name: imported_modules(ROOT / "src" / "topoqed" / f"{name}.py") for name in layers}
+    offenders = {name: sorted(found & {"oracle", "validate"}) for name, found in imports.items()
+                 if found & {"oracle", "validate"}}
+    assert not offenders, f"command modules import the oracle or validate: {offenders}"

@@ -4,29 +4,31 @@ import numpy as np
 import pytest
 
 from topoqed.qcore import (
-    SIGMA_X,
-    SIGMA_Z,
-    TAU_MINUS,
     ConvergenceError,
     IntegrationError,
+    integrate_master_equation,
+    newton_bisect,
+    partial_trace,
+    state_fidelity,
+)
+from topoqed import oracle as _oracle
+from topoqed import qcore as _qcore
+from topoqed.dynamics import GateSchedule, plus_plus_state, target_entangled_state
+from topoqed.oracle import (
+    TAU_MINUS,
+    HamiltonianModel,
     basis_state,
     destroy,
     evolve_master_equation,
     expm_hermitian,
     eye,
-    integrate_master_equation,
-    newton_bisect,
     number_op,
-    partial_trace,
-    state_fidelity,
     tensor,
 )
-from topoqed import dynamics as _dyn
-from topoqed import qcore as _qcore
-from topoqed.dynamics import GateSchedule, plus_plus_state, target_entangled_state
-from topoqed.interface import HamiltonianModel
 
 from helpers import (
+    SIGMA_X,
+    SIGMA_Z,
     entanglement_entropy,
     expm_taylor,
     random_density_matrix,
@@ -431,7 +433,7 @@ class TestLiouvillianByDiagonals:
         h = random_hermitian(rng, 6)
         channels = ((destroy(6), 0.4), (random_hermitian(rng, 6, scale=0.3), 0.2))
         dense = np.zeros((36, 36), dtype=complex)
-        diagonals = _qcore._liouvillian(h, channels)
+        diagonals = _oracle._liouvillian(h, channels)
         for rows, cols, values in diagonals:
             dense[np.arange(36)[rows], np.arange(36)[cols]] = values
         assert np.max(np.abs(dense - vectorized_liouvillian(h, channels))) <= 1e-14
@@ -441,19 +443,19 @@ class TestLiouvillianByDiagonals:
     def test_gate_generators_have_few_diagonals(self):
         sch = GateSchedule(k=1, lambda2=2 * math.pi * 32e6)
         closed = HamiltonianModel(fock_cutoff=16)
-        h = _dyn._rotating_frame_hamiltonian(sch, closed)
-        assert len(_qcore._liouvillian(h, ())) == 5
+        h = _oracle.rotating_frame_hamiltonian(sch, closed)
+        assert len(_oracle._liouvillian(h, ())) == 5
         n = 12
         model = HamiltonianModel(fock_cutoff=n)
         channels = ((model.a_op, 1e6), (tensor([TAU_MINUS, eye(2), eye(n)]), 1e6),
                     (tensor([eye(2), TAU_MINUS, eye(n)]), 1e6))
-        h = _dyn._rotating_frame_hamiltonian(sch, model)
-        assert len(_qcore._liouvillian(h, channels)) == 8
+        h = _oracle.rotating_frame_hamiltonian(sch, model)
+        assert len(_oracle._liouvillian(h, channels)) == 8
 
     def test_unconverged_series_raises_integration_error(self, monkeypatch):
         # With room for two terms per substep the series cannot reach the
         # unit roundoff.
-        monkeypatch.setattr(_qcore, "_MAX_TERMS", 2)
+        monkeypatch.setattr(_oracle, "_MAX_TERMS", 2)
         rho0 = np.diag(basis_state(2, 0))
         with pytest.raises(IntegrationError, match="not converged after 2 terms"):
             evolve_master_equation(SIGMA_X, (), rho0, [0.0, 1.0])
