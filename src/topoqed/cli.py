@@ -1,10 +1,11 @@
 """Command-line surface: sweeps, coupling reports, gate curves, self-checks.
 
 ``COMMANDS`` is the command list: it maps each subcommand to its handler, its
-help text and the flags it takes besides ``--config`` and ``--out``.  Every
-command but ``validate`` writes its table and summary through
-``_write_table``.  ``fig2`` is a preset with hard-wired parameters (k = 1,
-kappa = gamma = 1 MHz, lambda2 = 2*pi*32 MHz).
+help text and the flags it takes besides ``--out``.  Every command but
+``validate`` takes ``--config`` and writes its table and summary through
+``_write_table``; ``validate`` checks the built-in reference device.
+``fig2`` is a preset with hard-wired parameters (k = 1, kappa = gamma =
+1 MHz, lambda2 = 2*pi*32 MHz).
 
 The gate curves are computed in closed form, with no Fock cutoff, so gate
 and fig2 take no --fock flag (argparse rejects it with exit 2).
@@ -281,17 +282,20 @@ def cmd_validate(config: RunConfig, mutations: tuple[str, ...]) -> int:
 
 # Each command registers only the flags it uses, so argparse rejects the
 # others instead of ignoring them.
+_CONFIG = ("--config", {"metavar": "PATH", "help": "JSON run configuration"})
 _SWEEP = ("--sweep", {"metavar": "VAR:MIN:MAX:STEPS", "help": "sweep override"})
 _MUTATE = ("--mutate", {"choices": list(_validate.MUTATIONS), "action": "append", "default": [],
                         "help": "seed a known defect (test fixture for the oracle groups)"})
 
-# name -> (handler, help text, flags besides --config and --out)
+# name -> (handler, help text, flags besides --out)
 COMMANDS = {
-    "spectrum": (cmd_spectrum, "sweep the wire splitting over the superconducting phase", [_SWEEP]),
-    "phij": (cmd_phij, "compare series and exact large-junction phase drop", [_SWEEP]),
-    "couplings": (cmd_couplings, "report interface couplings, optima and leakage diagnostics", []),
-    "gate": (cmd_gate, "dissipative entangling-gate fidelity curve", []),
-    "fig2": (cmd_fig2, "headline fidelity-curve preset (hard-wired parameters)", []),
+    "spectrum": (cmd_spectrum, "sweep the wire splitting over the superconducting phase",
+                 [_CONFIG, _SWEEP]),
+    "phij": (cmd_phij, "compare series and exact large-junction phase drop", [_CONFIG, _SWEEP]),
+    "couplings": (cmd_couplings, "report interface couplings, optima and leakage diagnostics",
+                  [_CONFIG]),
+    "gate": (cmd_gate, "dissipative entangling-gate fidelity curve", [_CONFIG]),
+    "fig2": (cmd_fig2, "headline fidelity-curve preset (hard-wired parameters)", [_CONFIG]),
     "validate": (cmd_validate, "run the invariant self-check suite", [_MUTATE]),
 }
 
@@ -304,7 +308,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, help_text, flags) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", metavar="PATH", help="JSON run configuration")
         p.add_argument("--out", metavar="DIR", help="output directory")
         for flag, kwargs in flags:
             p.add_argument(flag, **kwargs)
@@ -315,10 +318,10 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     handler = COMMANDS[args.command][0]
     try:
-        config = _apply_overrides(load_config(args.config), args)
+        config = _apply_overrides(load_config(getattr(args, "config", None)), args)
         _check_out_dir(config)
-        if "mutate" in args:  # validate's seeded defects
-            return handler(config, tuple(args.mutate))
+        if "mutate" in args:  # validate's seeded defects, each applied once
+            return handler(config, tuple(dict.fromkeys(args.mutate)))
         return handler(config)
     except ValueError as exc:  # ConfigError, or a value the parsers let through
         print(f"configuration error: {exc}", file=sys.stderr)

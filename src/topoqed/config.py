@@ -12,7 +12,9 @@ setting instead of their ``times_2pi`` flags: "plain" keeps them as written
 
 Unknown keys anywhere in the document are errors: a silently ignored typo in
 a physics parameter is the main operational hazard this format guards
-against.
+against.  A document holds no sweep: ``spectrum`` and ``phij`` take theirs
+from the ``--sweep`` flag, which sets ``RunConfig.sweep``, and a ``sweep``
+key is unknown like any other.
 
 Each wire and circuit key is declared once, in the ``_WIRE_KEYS`` and
 ``_CIRCUIT_KEYS`` tables, which drive its parse and its echo.  Whether a key is
@@ -40,14 +42,14 @@ SCHEMA_VERSION = 1
 
 _UNIT_SCALE = {"GHz": 1e9, "MHz": 1e6, "rad_per_s": 1.0}
 
-# Largest sweep.steps and curve.steps.  A command holds its grid and result
-# arrays in memory, computes them a block of points at a time (qcore.BLOCK)
-# and writes one CSV line per grid point.  A 2*10**5-step spectrum peaks at
-# 47 MB of resident memory and writes 14 MB (59 MB while one root solve
-# covered the whole sweep), and at 10**6 steps a spectrum peaks at 113 MB
-# and a gate curve at 235 MB, so the limit stays well below a gigabyte.
-# Larger counts end in a memory error rather than a result (10**13 steps
-# would need 80 TB for the grid alone).
+# Largest STEPS of --sweep and curve.steps.  A command holds its grid and
+# result arrays in memory, computes them a block of points at a time
+# (qcore.BLOCK) and writes one CSV line per grid point.  A 2*10**5-step
+# spectrum peaks at 47 MB of resident memory and writes 14 MB (59 MB while
+# one root solve covered the whole sweep), and at 10**6 steps a spectrum
+# peaks at 113 MB and a gate curve at 235 MB, so the limit stays well below
+# a gigabyte.  Larger counts end in a memory error rather than a result
+# (10**13 steps would need 80 TB for the grid alone).
 MAX_STEPS = 10**6
 
 
@@ -174,11 +176,11 @@ class RunConfig:
     rate_convention: str
     k: int
     lambda2_pinned: Optional[float]
-    sweep: Optional[SweepSpec]
     out_dir: str
     formats: tuple[str, ...]
     curve_x_max: float
     curve_steps: int
+    sweep: Optional[SweepSpec] = None  # from the --sweep flag; a document has no sweep
 
     def normalized(self) -> dict:
         """Normalized parameter echo (rad/s everywhere) for output metadata."""
@@ -226,7 +228,6 @@ def default_config_dict() -> dict:
             "lambda2": {"value": 32.0, "unit": "MHz", "times_2pi": True},
         },
         "curve": {"x_max": 1.1, "steps": 44},
-        "sweep": None,
         "output": {"directory": "out", "formats": ["csv", "json", "svg"]},
     }
 
@@ -239,12 +240,13 @@ def parse_config(doc: dict) -> RunConfig:
     ``default_config_dict`` value: without ``circuit.phi_c_rad`` the phase is
     0.0, not 0.5.  Without ``schedule.lambda2``, ``gate`` derives lambda2 from
     the device.  An omitted ``bath.rate_convention``, ``curve`` or ``output``
-    takes its ``default_config_dict`` value.
+    takes its ``default_config_dict`` value.  The result has no sweep
+    (``sweep`` is not a key of the document).
     """
     defaults = default_config_dict()
     _require_keys(
         doc,
-        {"schema_version", "wire", "circuit", "bath", "schedule", "curve", "sweep", "output"},
+        {"schema_version", "wire", "circuit", "bath", "schedule", "curve", "output"},
         {"schema_version", "wire", "circuit", "bath", "schedule"},
         "config document",
     )
@@ -292,18 +294,6 @@ def parse_config(doc: dict) -> RunConfig:
     if x_max <= 0:
         raise ConfigError("curve.x_max must be positive")
 
-    sweep = None
-    if doc.get("sweep") is not None:
-        sw = doc["sweep"]
-        keys = {"variable", "min", "max", "steps"}
-        _require_keys(sw, keys, keys, "sweep")
-        sweep = SweepSpec(
-            variable=str(sw["variable"]),
-            min=_number(sw["min"], "sweep.min"),
-            max=_number(sw["max"], "sweep.max"),
-            steps=_count(sw["steps"], "sweep.steps"),
-        )
-
     out = {} if doc.get("output") is None else doc["output"]
     _require_keys(out, {"directory", "formats"}, set(), "output")
     directory = out.get("directory", defaults["output"]["directory"])
@@ -324,7 +314,6 @@ def parse_config(doc: dict) -> RunConfig:
         rate_convention=convention,
         k=k,
         lambda2_pinned=lambda2_pinned,
-        sweep=sweep,
         out_dir=directory,
         formats=tuple(formats),
         curve_x_max=x_max,

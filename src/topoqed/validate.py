@@ -244,7 +244,7 @@ def run_validation(mutations: tuple[str, ...] = ()) -> dict:
     report = {}
     for check in _GROUPS:
         name = check.__name__.removeprefix("_check_")
-        patches = [MUTATIONS[m][1:] for m in mutations if MUTATIONS[m][0] == name]
+        patches = [row[1:] for m, row in MUTATIONS.items() if m in mutations and row[0] == name]
         originals = {attribute: getattr(_dyn, attribute) for attribute, _ in patches}
         start = time.perf_counter()
         try:

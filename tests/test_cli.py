@@ -254,7 +254,7 @@ class TestConfig:
             load_config(str(path))
 
     @pytest.mark.parametrize("section", ["wire", "circuit", "bath", "schedule", "curve",
-                                         "sweep", "output"])
+                                         "output"])
     @pytest.mark.parametrize("value", [2.5, "x", [1]])
     def test_section_that_is_not_an_object_rejected(self, section, value):
         doc = default_config_dict()
@@ -262,9 +262,18 @@ class TestConfig:
         with pytest.raises(ConfigError, match=f"{section} must be an object"):
             parse_config(doc)
 
+    @pytest.mark.parametrize("value", [2.5, "x", [1]])
+    def test_sweep_section_is_an_unknown_key(self, value):
+        # A sweep comes from the --sweep flag alone: a document's sweep of any
+        # value is refused like any other unknown key.  An object and null
+        # go through the commands in test_config_sweep_section_exits_2.
+        doc = default_config_dict()
+        doc["sweep"] = value
+        with pytest.raises(ConfigError, match=r"^unknown keys \['sweep'\] in config document$"):
+            parse_config(doc)
+
     @pytest.mark.parametrize("section, body", [
         ("curve", {"x_max": 1.1, "steps": True}),
-        ("sweep", {"variable": "eps", "min": 0.0, "max": 1.0, "steps": True}),
     ])
     def test_boolean_step_count_rejected(self, section, body):
         doc = default_config_dict()
@@ -276,19 +285,18 @@ class TestConfig:
     def test_step_counts_up_to_the_limit_parse(self, steps):
         doc = default_config_dict()
         doc["curve"] = {"x_max": 1.1, "steps": steps}
-        doc["sweep"] = {"variable": "eps", "min": 0.0, "max": 1.0, "steps": steps}
-        config = parse_config(doc)
-        assert config.curve_steps == steps and config.sweep.steps == steps
+        assert parse_config(doc).curve_steps == steps
         assert SweepSpec(variable="phi", min=0.0, max=1.0, steps=steps).steps == steps
 
     @pytest.mark.parametrize("section", ["curve", "sweep"])
     def test_step_count_over_the_limit_rejected(self, section):
         doc = default_config_dict()
-        doc[section] = {"x_max": 1.1} if section == "curve" else {
-            "variable": "eps", "min": 0.0, "max": 1.0}
-        doc[section]["steps"] = MAX_STEPS + 1
+        doc["curve"] = {"x_max": 1.1, "steps": MAX_STEPS + 1}
         with pytest.raises(ConfigError, match=f"{section}.steps = {MAX_STEPS + 1} exceeds"):
-            parse_config(doc)
+            if section == "curve":
+                parse_config(doc)
+            else:
+                SweepSpec(variable="eps", min=0.0, max=1.0, steps=MAX_STEPS + 1)
 
     def test_any_single_replaced_key_parses_or_raises_config_error(self):
         hypothesis = pytest.importorskip("hypothesis")
@@ -768,6 +776,18 @@ class TestValidateCommand:
         summary = json.loads((tmp_path / "o" / "fig2_summary.json").read_text())
         assert summary["F_at_tau"] == 0.9695548405521919
 
+    @pytest.mark.parametrize("name, mutation", _validate.MUTATIONS.items(),
+                             ids=list(_validate.MUTATIONS))
+    def test_repeated_mutate_flag_applies_the_defect_once(self, tmp_path, name, mutation):
+        # Each corruption undoes itself when applied twice, so a repeated
+        # flag must not apply it twice; the summary lists it once.
+        argv = ["validate", "--out", str(tmp_path), "--mutate", name, "--mutate", name]
+        assert main(argv) == 4
+        summary = json.loads((tmp_path / "validate_summary.json").read_text())
+        assert summary["mutations"] == [name]
+        assert [group for group, entry in summary["report"].items()
+                if not entry["passed"]] == [mutation[0]]
+
     def test_seeded_defect_in_the_closed_form_curve_is_caught(self, tmp_path):
         # branch-phase-sign corrupts the branches that gate and fig2 run;
         # only the group that checks them fails, also in a separate process.
@@ -824,6 +844,8 @@ class TestErrorPaths:
             "validate --fock 16",
             "validate --rate-convention angular",
             "validate --sweep eps:0:1:3",
+            # validate checks the built-in device, so it reads no document.
+            "validate --config x.json",
             # The gate curves have no Fock cutoff, so no command takes --fock.
             "gate --fock 0",
             "gate --fock 16",
@@ -842,6 +864,19 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert "unrecognized arguments" in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["spectrum", "phij", "couplings", "gate", "fig2"])
+    @pytest.mark.parametrize("sweep", [{"variable": "eps", "min": 0.0, "max": 1.0, "steps": 4},
+                                       None], ids=["object", "null"])
+    def test_config_sweep_section_exits_2(self, command, sweep, tmp_path, capsys):
+        # A sweep comes from --sweep alone: every command that reads a
+        # document refuses one there instead of echoing it unused.
+        doc = default_config_dict()
+        doc["sweep"] = sweep
+        argv = [command, "--config", write_config(tmp_path, doc), "--out", str(tmp_path / "o")]
+        assert main(argv) == 2
+        assert "unknown keys ['sweep'] in config document" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_unknown_config_key_exits_2(self, tmp_path):
         doc = default_config_dict()
@@ -958,12 +993,10 @@ class TestErrorPaths:
 
     @pytest.mark.parametrize("command, bound", [("phij", "abc"), ("spectrum", "inf")])
     def test_sweep_bound_given_as_string_exits_2(self, command, bound, tmp_path, capsys):
-        # A JSON string reaches float() in the config parser: "abc" raises a
-        # plain ValueError there, "inf" parses to a non-finite bound.
-        doc = default_config_dict()
-        doc["sweep"] = {"variable": "phi" if command == "phij" else "eps",
-                        "min": 0.0, "max": bound, "steps": 3}
-        argv = [command, "--config", write_config(tmp_path, doc), "--out", str(tmp_path / "o")]
+        # The bound reaches float() in the flag parser: "abc" raises a plain
+        # ValueError there, "inf" parses to a non-finite bound.
+        variable = "phi" if command == "phij" else "eps"
+        argv = [command, "--sweep", f"{variable}:0:{bound}:3", "--out", str(tmp_path / "o")]
         assert main(argv) == 2
         assert "configuration error" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
@@ -1038,9 +1071,9 @@ class TestErrorPaths:
 
     def test_random_finite_config_values_keep_the_exit_contract(self, tmp_path):
         # Finite values of any magnitude, subnormal and near-overflow
-        # included, in up to three numeric keys of the device and the sweep:
-        # every run returns 0, 2, 3 or 4, raises nothing and writes no NaN or
-        # infinity.
+        # included, in up to three numeric keys of the device and the bounds
+        # of the --sweep flag, written with repr: every run returns 0, 2, 3
+        # or 4, raises nothing and writes no NaN or infinity.
         hypothesis = pytest.importorskip("hypothesis")
         st = hypothesis.strategies
         keys = [("wire", "v_F_m_per_s"), ("wire", "L_m"), ("wire", "W_m"), ("wire", "T_K"),
@@ -1052,7 +1085,8 @@ class TestErrorPaths:
         magnitudes = st.sampled_from([5e-324, 1e-310, 1e-300, 1e-30, 1e30, 1e300, 1.7e308])
         values = (st.floats(allow_nan=False, allow_infinity=False)
                   | st.builds(lambda m, sign: sign * m, magnitudes, st.sampled_from([1, -1])))
-        sweeps = {"spectrum": "eps", "phij": "phi_e", "couplings": "eps"}
+        # couplings takes no --sweep; its drawn bounds go unused.
+        sweeps = {"spectrum": "eps", "phij": "phi_e", "couplings": None}
         runs = iter(range(10**6))
 
         @hypothesis.settings(max_examples=60, deadline=None)
@@ -1061,14 +1095,17 @@ class TestErrorPaths:
                                    min_size=1, max_size=3))
         def check(command, replacements):
             doc = default_config_dict()
-            doc["sweep"] = {"variable": sweeps[command], "min": 0.1, "max": 3.0, "steps": 4}
+            doc["sweep"] = {"min": 0.1, "max": 3.0}
             for path, value in replacements:
                 node = doc
                 for key in path[:-1]:
                     node = node[key]
                 node[path[-1]] = value
+            bounds = doc.pop("sweep")
             out = tmp_path / f"o{next(runs)}"
             argv = [command, "--config", write_config(tmp_path, doc), "--out", str(out)]
+            if sweeps[command] is not None:
+                argv += ["--sweep", f"{sweeps[command]}:{bounds['min']!r}:{bounds['max']!r}:4"]
             assert main(argv) in (0, 2, 3, 4)
             assert_written_numbers_finite(out.glob("*"))
 
@@ -1096,8 +1133,8 @@ class TestErrorPaths:
         # Valid values are drawn more often, so that runs also get to write.
         config = ("--config", st.sampled_from(["small.json"] * 3 + ["", "missing.json", "f", "."]))
         mutate = ("--mutate", st.sampled_from([*_validate.MUTATIONS, ""]))
-        own = {"gate": [out, config], "fig2": [out, config], "validate": [out, config, mutate]}
-        foreign = [("--sweep", st.sampled_from(["", "eps:0:1:3"])),
+        own = {"gate": [out, config], "fig2": [out, config], "validate": [out, mutate]}
+        foreign = [("--sweep", st.sampled_from(["", "eps:0:1:3"])), config,
                    ("--rate-convention", st.sampled_from(["plain", "angular", ""]))]
 
         @hypothesis.settings(max_examples=50, deadline=None)
@@ -1332,20 +1369,21 @@ class TestErrorPaths:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command, section", [
-        ("gate", "curve"), ("spectrum", "sweep"), ("phij", "sweep"), ("spectrum", "flag"),
+        ("gate", "curve"), ("spectrum", "sweep"), ("phij", "flag"), ("spectrum", "flag"),
     ])
     def test_step_count_of_ten_trillion_exits_2(self, command, section, tmp_path, capsys):
-        # np.arange would ask for 80 TB; the count is refused before that.
+        # np.arange would ask for 80 TB; the count is refused before that.  A
+        # "sweep" case gives the --sweep flag alone, a "flag" case gives it
+        # beside a config document.
         doc = default_config_dict()
         argv = [command, "--out", str(tmp_path / "o")]
         variable = "phi" if command == "phij" else "eps"
         if section == "curve":
             doc["curve"] = {"x_max": 1.1, "steps": 10**13}
-        elif section == "sweep":
-            doc["sweep"] = {"variable": variable, "min": 0.0, "max": 1.0, "steps": 10**13}
         else:
             argv += ["--sweep", f"{variable}:0:1:{10**13}"]
-        argv += ["--config", write_config(tmp_path, doc)]
+        if section != "sweep":
+            argv += ["--config", write_config(tmp_path, doc)]
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert "configuration error" in err and "exceeds the limit" in err
