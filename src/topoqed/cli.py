@@ -2,10 +2,10 @@
 
 ``COMMANDS`` is the command list: it maps each subcommand to its handler, its
 help text and the flags it takes besides ``--out``.  Every command but
-``validate`` takes ``--config`` and writes its table and summary through
-``_write_table``; ``validate`` checks the built-in reference device.
-``fig2`` is a preset with hard-wired parameters (k = 1, kappa = gamma =
-1 MHz, lambda2 = 2*pi*32 MHz).
+``validate`` and ``fig2`` takes ``--config``, and every command but
+``validate`` writes its table and summary through ``_write_table``;
+``validate`` checks the built-in reference device.  ``fig2`` is ``gate`` on
+the built-in config, ``default_config_dict()``, so it takes only ``--out``.
 
 The gate curves are computed in closed form, with no Fock cutoff, so gate
 and fig2 take no --fock flag (argparse rejects it with exit 2).
@@ -247,20 +247,7 @@ def cmd_gate(config: RunConfig) -> int:
 
 
 def cmd_fig2(config: RunConfig) -> int:
-    # The preset pins the headline parameters of the built-in defaults
-    # regardless of the configured device: k = 1, kappa = gamma = 1 MHz (plain
-    # rates), lambda2 = 2*pi*32 MHz.  Only the output location and the curve
-    # grid are taken from the config/flags.
-    ref = load_config(None)
-    pinned = dataclasses.replace(
-        config,
-        k=ref.k,
-        kappa=ref.kappa,
-        gamma=ref.gamma,
-        rate_convention=ref.rate_convention,
-        lambda2_pinned=ref.lambda2_pinned,
-    )
-    _write_curve(pinned, pinned.lambda2_pinned, "fig2")
+    _write_curve(config, config.lambda2_pinned, "fig2")
     return EXIT_OK
 
 
@@ -295,7 +282,7 @@ COMMANDS = {
     "couplings": (cmd_couplings, "report interface couplings, optima and leakage diagnostics",
                   [_CONFIG]),
     "gate": (cmd_gate, "dissipative entangling-gate fidelity curve", [_CONFIG]),
-    "fig2": (cmd_fig2, "headline fidelity-curve preset (hard-wired parameters)", [_CONFIG]),
+    "fig2": (cmd_fig2, "headline fidelity curve of the built-in device", []),
     "validate": (cmd_validate, "run the invariant self-check suite", [_MUTATE]),
 }
 

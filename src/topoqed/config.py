@@ -47,7 +47,7 @@ _UNIT_SCALE = {"GHz": 1e9, "MHz": 1e6, "rad_per_s": 1.0}
 # (qcore.BLOCK) and writes one CSV line per grid point.  A 2*10**5-step
 # spectrum peaks at 47 MB of resident memory and writes 14 MB (59 MB while
 # one root solve covered the whole sweep), and at 10**6 steps a spectrum
-# peaks at 113 MB and a gate curve at 235 MB, so the limit stays well below
+# peaks at 113 MB and a gate curve at 72 MB, so the limit stays well below
 # a gigabyte.  Larger counts end in a memory error rather than a result
 # (10**13 steps would need 80 TB for the grid alone).
 MAX_STEPS = 10**6
@@ -156,7 +156,7 @@ class SweepSpec:
         if self.steps < 1:
             raise ConfigError("sweep needs at least 1 step")
         if self.steps > MAX_STEPS:
-            raise ConfigError(f"sweep.steps = {self.steps} exceeds the limit of {MAX_STEPS}")
+            raise ConfigError(f"--sweep STEPS = {self.steps} exceeds the limit of {MAX_STEPS}")
         if not self.max > self.min:
             raise ConfigError("sweep requires max > min")
         if not math.isfinite(self.max - self.min):

@@ -290,9 +290,12 @@ class TestConfig:
 
     @pytest.mark.parametrize("section", ["curve", "sweep"])
     def test_step_count_over_the_limit_rejected(self, section):
+        # The message names the input that set the count: the config key
+        # curve.steps, or the STEPS of the --sweep flag.
         doc = default_config_dict()
         doc["curve"] = {"x_max": 1.1, "steps": MAX_STEPS + 1}
-        with pytest.raises(ConfigError, match=f"{section}.steps = {MAX_STEPS + 1} exceeds"):
+        name = {"curve": "curve.steps", "sweep": "--sweep STEPS"}[section]
+        with pytest.raises(ConfigError, match=f"^{name} = {MAX_STEPS + 1} exceeds"):
             if section == "curve":
                 parse_config(doc)
             else:
@@ -714,10 +717,7 @@ class TestGateCommand:
 
 class TestFig2Command:
     def test_preset_outputs(self, tmp_path):
-        doc = default_config_dict()
-        doc["curve"] = {"x_max": 1.1, "steps": 11}
-        config = write_config(tmp_path, doc)
-        res = run_cli("fig2", "--config", config, "--out", "a", cwd=tmp_path)
+        res = run_cli("fig2", "--out", "a", cwd=tmp_path)
         assert res.returncode == 0, res.stderr
         csv_a = (tmp_path / "a" / "fig2.csv").read_bytes()
         lines = csv_a.decode().strip().splitlines()
@@ -726,7 +726,7 @@ class TestFig2Command:
         assert any(abs(x - 1.0) < 1e-9 for x in xs)
         summary = json.loads((tmp_path / "a" / "fig2_summary.json").read_text())
         assert 0.90 <= summary["F_at_tau"] <= 0.98
-        # the preset pins the headline parameters
+        # the headline parameters of the built-in config
         assert summary["schedule"]["k"] == 1
         assert summary["schedule"]["kappa_per_s"] == 1e6
         assert abs(summary["schedule"]["lambda2_rad_per_s"] - 2 * math.pi * 32e6) < 1e-3
@@ -734,10 +734,23 @@ class TestFig2Command:
         tree = ET.parse(tmp_path / "a" / "fig2.svg")
         assert tree.getroot().tag.endswith("svg")
 
-        res2 = run_cli("fig2", "--config", config, "--out", "b", cwd=tmp_path)
+        res2 = run_cli("fig2", "--out", "b", cwd=tmp_path)
         assert res2.returncode == 0
         assert csv_a == (tmp_path / "b" / "fig2.csv").read_bytes()
 
+    def test_fig2_is_gate_on_the_built_in_config(self, tmp_path):
+        # The same curve, plot and summary; only the output directory that
+        # the config echo names differs.
+        assert main(["fig2", "--out", str(tmp_path / "a")]) == 0
+        assert main(["gate", "--out", str(tmp_path / "b")]) == 0
+        for suffix in (".csv", ".svg"):
+            assert ((tmp_path / "a" / f"fig2{suffix}").read_bytes()
+                    == (tmp_path / "b" / f"gate{suffix}").read_bytes())
+        fig2, gate = (json.loads((tmp_path / out / f"{stem}_summary.json").read_text())
+                      for out, stem in (("a", "fig2"), ("b", "gate")))
+        assert fig2["config"]["output"].pop("directory") == str(tmp_path / "a")
+        assert gate["config"]["output"].pop("directory") == str(tmp_path / "b")
+        assert fig2 == gate
 
     def test_fig2_runs_without_the_liouvillian(self, tmp_path, monkeypatch):
         # The curve is the closed form: the Liouvillian propagator, the oracle
@@ -844,8 +857,10 @@ class TestErrorPaths:
             "validate --fock 16",
             "validate --rate-convention angular",
             "validate --sweep eps:0:1:3",
-            # validate checks the built-in device, so it reads no document.
+            # validate checks the built-in device, so it reads no document;
+            # fig2 is gate on the built-in config, so it reads none either.
             "validate --config x.json",
+            "fig2 --config x.json",
             # The gate curves have no Fock cutoff, so no command takes --fock.
             "gate --fock 0",
             "gate --fock 16",
@@ -863,9 +878,9 @@ class TestErrorPaths:
         assert code == 2
         err = capsys.readouterr().err
         assert "unrecognized arguments" in err
-        assert not (tmp_path / "out").exists()
+        assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("command", ["spectrum", "phij", "couplings", "gate", "fig2"])
+    @pytest.mark.parametrize("command", ["spectrum", "phij", "couplings", "gate"])
     @pytest.mark.parametrize("sweep", [{"variable": "eps", "min": 0.0, "max": 1.0, "steps": 4},
                                        None], ids=["object", "null"])
     def test_config_sweep_section_exits_2(self, command, sweep, tmp_path, capsys):
@@ -1133,7 +1148,7 @@ class TestErrorPaths:
         # Valid values are drawn more often, so that runs also get to write.
         config = ("--config", st.sampled_from(["small.json"] * 3 + ["", "missing.json", "f", "."]))
         mutate = ("--mutate", st.sampled_from([*_validate.MUTATIONS, ""]))
-        own = {"gate": [out, config], "fig2": [out, config], "validate": [out, mutate]}
+        own = {"gate": [out, config], "fig2": [out], "validate": [out, mutate]}
         foreign = [("--sweep", st.sampled_from(["", "eps:0:1:3"])), config,
                    ("--rate-convention", st.sampled_from(["plain", "angular", ""]))]
 

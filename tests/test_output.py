@@ -1,6 +1,7 @@
 import math
 import subprocess
 import sys
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
@@ -186,3 +187,36 @@ class TestSvgPlot:
         subprocess.run([sys.executable, "-c", code, str(src), str(tmp_path / "ulp.svg"),
                         str(tmp_path / "flat.svg")], check=True, timeout=60)
         assert (tmp_path / "ulp.svg").read_bytes() == (tmp_path / "flat.svg").read_bytes()
+
+    @pytest.mark.parametrize("n", [1100, 5000])
+    def test_dense_curve_is_drawn_through_each_columns_extremes(self, tmp_path, n):
+        # The plot area is 550 pixel columns wide.  Up to two points per
+        # column every point is drawn; beyond that, the first and the last
+        # point and each column's lowest and highest, in input order.
+        x = np.linspace(0.0, 2.0, n)
+        y = np.sin(7.0 * x) + 0.3 * np.cos(911.0 * x)
+        write_svg_plot(tmp_path / "d.svg", x, y, "x", "y", "t")
+        root = ET.parse(tmp_path / "d.svg").getroot()
+        ns = "{http://www.w3.org/2000/svg}"
+        frame = root.findall(f"{ns}rect")[1]
+        left, top, width, height = (float(frame.get(k)) for k in ("x", "y", "width", "height"))
+        pad = 0.05 * (y.max() - y.min())
+        y_lo, y_hi = y.min() - pad, y.max() + pad
+
+        def pixel(i):
+            px = left + width * (x[i] - x[0]) / (x[-1] - x[0])
+            py = top + height * (1.0 - (y[i] - y_lo) / (y_hi - y_lo))
+            return f"{px:.2f},{py:.2f}"
+
+        drawn = root.find(f"{ns}polyline").get("points").split()
+        columns = np.array_split(np.arange(n), int(width))
+        if n <= 2 * len(columns):
+            assert drawn == [pixel(i) for i in range(n)]
+            return
+        assert len(drawn) <= 2 * len(columns) + 2
+        assert drawn[0] == pixel(0) and drawn[-1] == pixel(n - 1)
+        xs = [float(point.split(",")[0]) for point in drawn]
+        assert xs == sorted(xs)
+        for cols in columns:
+            assert pixel(cols[y[cols].argmin()]) in drawn
+            assert pixel(cols[y[cols].argmax()]) in drawn
