@@ -7,6 +7,12 @@ help text and the flags it takes besides ``--out``.  Every command but
 ``validate`` checks the built-in reference device.  ``fig2`` is ``gate`` on
 the built-in config, ``default_config_dict()``, so it takes only ``--out``.
 
+A run builds the parser of its own command alone, ``topoqed <command>``,
+which reports a flag that the command does not take with that command's
+usage line.  Any other argument list (none, ``-h``, an unknown command, a
+flag before the command) goes to the command list, a parser that only
+prints the help listing or a usage error.
+
 The gate curves are computed in closed form, with no Fock cutoff, so gate
 and fig2 take no --fock flag (argparse rejects it with exit 2).
 
@@ -287,23 +293,35 @@ COMMANDS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _command_list_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="topoqed",
         description="Tunable Majorana / charge-qubit / cavity interface simulator",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text, flags) in COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--out", metavar="DIR", help="output directory")
-        for flag, kwargs in flags:
-            p.add_argument(flag, **kwargs)
+    for name, (_, help_text, _) in COMMANDS.items():
+        sub.add_parser(name, help=help_text)
+    return parser
+
+
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog=f"topoqed {name}")
+    parser.add_argument("--out", metavar="DIR", help="output directory")
+    for flag, kwargs in COMMANDS[name][2]:
+        parser.add_argument(flag, **kwargs)
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    handler = COMMANDS[args.command][0]
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if not argv or argv[0] not in COMMANDS:
+        # Prints the help listing or a usage error, and exits.  It returns
+        # only where argparse takes a command after a leading "--".
+        parser = _command_list_parser()
+        parser.parse_args(argv)
+        parser.error(f"the command must come first, not {argv[0]!r}")
+    handler = COMMANDS[argv[0]][0]
+    args = _command_parser(argv[0]).parse_args(argv[1:])
     try:
         config = _apply_overrides(load_config(getattr(args, "config", None)), args)
         _check_out_dir(config)

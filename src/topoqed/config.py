@@ -157,10 +157,12 @@ class SweepSpec:
             raise ConfigError("sweep needs at least 1 step")
         if self.steps > MAX_STEPS:
             raise ConfigError(f"--sweep STEPS = {self.steps} exceeds the limit of {MAX_STEPS}")
-        if not self.max > self.min:
-            raise ConfigError("sweep requires max > min")
+        # Finiteness first: a NaN bound also fails max > min, but the NaN is
+        # what is wrong.
         if not math.isfinite(self.max - self.min):
             raise ConfigError("sweep bounds and their difference must be finite")
+        if not self.max > self.min:
+            raise ConfigError("sweep requires max > min")
 
     def values(self) -> np.ndarray:
         step = (self.max - self.min) / self.steps

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import hashlib
 import json
@@ -839,6 +840,80 @@ class TestValidateCommand:
         assert all(entry["passed"] for entry in report.values())
 
 
+COMMAND_LIST_USAGE = "usage: topoqed [-h] {spectrum,phij,couplings,gate,fig2,validate} ...\n"
+COMMAND_LIST_HELP = COMMAND_LIST_USAGE + """
+Tunable Majorana / charge-qubit / cavity interface simulator
+
+positional arguments:
+  {spectrum,phij,couplings,gate,fig2,validate}
+    spectrum            sweep the wire splitting over the superconducting
+                        phase
+    phij                compare series and exact large-junction phase drop
+    couplings           report interface couplings, optima and leakage
+                        diagnostics
+    gate                dissipative entangling-gate fidelity curve
+    fig2                headline fidelity curve of the built-in device
+    validate            run the invariant self-check suite
+
+options:
+  -h, --help            show this help message and exit
+"""
+COMMAND_CHOICES = "(choose from 'spectrum', 'phij', 'couplings', 'gate', 'fig2', 'validate')"
+
+
+class TestArgumentParsing:
+    @pytest.mark.parametrize("command", list(_cli.COMMANDS))
+    def test_a_run_builds_its_command_parser_alone(self, command, tmp_path, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        assert main([command, "--out", str(tmp_path)]) == 0
+        assert built == [f"topoqed {command}"]
+
+    def test_main_without_argv_reads_sys_argv(self, tmp_path, monkeypatch):
+        # The console script calls main() with no argument.
+        monkeypatch.setattr(sys, "argv", ["topoqed", "fig2", "--out", str(tmp_path)])
+        assert main() == 0
+        assert (tmp_path / "fig2.csv").exists()
+
+    @pytest.mark.parametrize("argv, code, out, err", [
+        ([], 2, "",
+         COMMAND_LIST_USAGE + "topoqed: error: the following arguments are required: command\n"),
+        (["-h"], 0, COMMAND_LIST_HELP, ""),
+        (["--help"], 0, COMMAND_LIST_HELP, ""),
+        (["bogus"], 2, "", COMMAND_LIST_USAGE
+         + f"topoqed: error: argument command: invalid choice: 'bogus' {COMMAND_CHOICES}\n"),
+        (["--out", "x", "fig2"], 2, "", COMMAND_LIST_USAGE
+         + f"topoqed: error: argument command: invalid choice: 'x' {COMMAND_CHOICES}\n"),
+        # Python's argparse has read "-- fig2" both as the unknown command "--"
+        # and as fig2 after the separator; either way the command list refuses it.
+        (["--", "fig2"], 2, "", None),
+    ], ids=["bare", "-h", "--help", "bogus", "out_before_command", "separator"])
+    def test_command_list_prints_help_and_usage_errors(self, argv, code, out, err, tmp_path,
+                                                        monkeypatch, capsys):
+        # Any argument list that does not start with a command goes to the
+        # command list, whose text is pinned as it read when one parser held
+        # every command.
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == code
+        captured = capsys.readouterr()
+        assert captured.out == out
+        if err is None:
+            assert captured.err.startswith(COMMAND_LIST_USAGE + "topoqed: error: ")
+            assert captured.err.count("\n") == 2 and "Traceback" not in captured.err
+        else:
+            assert captured.err == err
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestErrorPaths:
     @pytest.mark.parametrize(
         "argv",
@@ -878,6 +953,8 @@ class TestErrorPaths:
         assert code == 2
         err = capsys.readouterr().err
         assert "unrecognized arguments" in err
+        # The command's own parser reports it, with the command's usage line.
+        assert f"usage: topoqed {argv.split()[0]} " in err
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("command", ["spectrum", "phij", "couplings", "gate"])
@@ -996,14 +1073,18 @@ class TestErrorPaths:
             "phij --sweep phi_e:-inf:0:3",
             "phij --sweep phi:0:nan:3",
             "spectrum --sweep eps:0:inf:5",
+            "spectrum --sweep eps:nan:1:5",
             # Finite bounds whose difference, and so the step, overflows.
             "spectrum --sweep eps:-1e308:1e308:5",
         ],
     )
     def test_non_finite_sweep_exits_2(self, argv, tmp_path, monkeypatch, capsys):
+        # A NaN bound also fails max > min, but the message names the NaN.
         monkeypatch.chdir(tmp_path)
         assert main(argv.split()) == 2
-        assert "configuration error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "configuration error" in err
+        assert "sweep bounds and their difference must be finite" in err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command, bound", [("phij", "abc"), ("spectrum", "inf")])
