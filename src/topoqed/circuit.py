@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -103,12 +103,6 @@ class CircuitParams:
     @property
     def eta(self) -> float:
         return self.E_J / self.E_J0
-
-    def with_phases(self, **phases: float) -> CircuitParams:
-        """A copy with new phi_e/phi_c: no warning depends on them, so none repeats."""
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            return replace(self, **phases)
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,10 @@ help text and the flags it takes besides ``--out``.  Every command but
 ``validate`` checks the built-in reference device.  ``fig2`` is ``gate`` on
 the built-in config, ``default_config_dict()``, so it takes only ``--out``.
 
+Flags other than ``--out`` and ``--config`` are handler arguments: ``sweep``
+of ``spectrum`` and ``phij``, which record the sweep they ran in their
+summary, and ``mutate`` of ``validate``.
+
 A run builds the parser of its own command alone, ``topoqed <command>``,
 which reports a flag that the command does not take with that command's
 usage line.  Any other argument list (none, ``-h``, an unknown command, a
@@ -62,17 +66,6 @@ def _parse_sweep_flag(text: str) -> SweepSpec:
         raise ConfigError(f"bad --sweep value {text!r}: {exc}") from exc
 
 
-def _apply_overrides(config: RunConfig, args: argparse.Namespace) -> RunConfig:
-    updates = {}
-    # An empty value is a value: --out '' is the working directory, and
-    # --sweep '' is refused.
-    if args.out is not None:
-        updates["out_dir"] = args.out
-    if getattr(args, "sweep", None) is not None:
-        updates["sweep"] = _parse_sweep_flag(args.sweep)
-    return dataclasses.replace(config, **updates) if updates else config
-
-
 def _check_out_dir(config: RunConfig) -> None:
     """Refuse an output directory that is, or lies under, a file.
 
@@ -88,7 +81,7 @@ def _check_out_dir(config: RunConfig) -> None:
 
 
 def _write_table(config: RunConfig, stem: str, header, columns, summary: dict) -> Path:
-    """Write ``<stem>.csv``, then ``<stem>_summary.json`` with the config echo.
+    """Write ``<stem>.csv``, then ``<stem>_summary.json`` with the document's echo.
 
     Returns the CSV path.
     """
@@ -98,8 +91,9 @@ def _write_table(config: RunConfig, stem: str, header, columns, summary: dict) -
     return path
 
 
-def cmd_spectrum(config: RunConfig) -> int:
-    sweep = config.sweep or SweepSpec(variable="eps", min=0.0, max=math.pi, steps=200)
+def cmd_spectrum(config: RunConfig, sweep: str | None = None) -> int:
+    sweep = (SweepSpec(variable="eps", min=0.0, max=math.pi, steps=200) if sweep is None
+             else _parse_sweep_flag(sweep))
     if sweep.variable != "eps":
         raise ConfigError(f"spectrum sweeps over 'eps', got {sweep.variable!r}")
 
@@ -109,14 +103,15 @@ def cmd_spectrum(config: RunConfig) -> int:
         config, "spectrum",
         ["eps_rad", "Lambda", "E_rad_per_s", "E_GHz_over_2pi", "branch"],
         [eps, res.Lambda, res.E, res.E / (2.0 * math.pi * 1e9), res.branch],
-        {"rows": len(eps)},
+        {"rows": len(eps), "sweep": dataclasses.asdict(sweep)},
     )
     print(f"wrote {path} ({len(eps)} rows)")
     return EXIT_OK
 
 
-def cmd_phij(config: RunConfig) -> int:
-    sweep = config.sweep or SweepSpec(variable="phi", min=0.0, max=2.0 * math.pi, steps=200)
+def cmd_phij(config: RunConfig, sweep: str | None = None) -> int:
+    sweep = (SweepSpec(variable="phi", min=0.0, max=2.0 * math.pi, steps=200) if sweep is None
+             else _parse_sweep_flag(sweep))
     if sweep.variable not in ("phi", "phi_e"):
         raise ConfigError(f"phij sweeps over 'phi' or 'phi_e', got {sweep.variable!r}")
 
@@ -128,7 +123,7 @@ def cmd_phij(config: RunConfig) -> int:
         config, "phij",
         [f"{sweep.variable}_rad", "phi_J_series_rad", "phi_J_exact_rad", "abs_diff_rad"],
         [values, series, exact, np.abs(series - exact)],
-        {"rows": len(values)},
+        {"rows": len(values), "sweep": dataclasses.asdict(sweep)},
     )
     print(f"wrote {path} ({len(values)} rows)")
     return EXIT_OK
@@ -257,7 +252,8 @@ def cmd_fig2(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_validate(config: RunConfig, mutations: tuple[str, ...]) -> int:
+def cmd_validate(config: RunConfig, mutate: list[str] | tuple[str, ...] = ()) -> int:
+    mutations = tuple(dict.fromkeys(mutate))  # each seeded defect applied once
     report = _validate.run_validation(mutations=mutations)
     failed = [name for name, r in report.items() if not r["passed"]]
     for name, r in report.items():
@@ -315,19 +311,24 @@ def _command_parser(name: str) -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     if not argv or argv[0] not in COMMANDS:
-        # Prints the help listing or a usage error, and exits.  It returns
-        # only where argparse takes a command after a leading "--".
+        # The command list prints the help listing or a usage error, and
+        # exits.  A flag other than help before the command, "--" included,
+        # is refused by name.
         parser = _command_list_parser()
-        parser.parse_args(argv)
+        if not argv or argv[0] in ("-h", "--help") or not argv[0].startswith("-"):
+            parser.parse_args(argv)
         parser.error(f"the command must come first, not {argv[0]!r}")
     handler = COMMANDS[argv[0]][0]
-    args = _command_parser(argv[0]).parse_args(argv[1:])
+    # The flags besides --out and --config are the handler's keyword arguments.
+    flags = vars(_command_parser(argv[0]).parse_args(argv[1:]))
+    out = flags.pop("out")
     try:
-        config = _apply_overrides(load_config(getattr(args, "config", None)), args)
+        config = load_config(flags.pop("config", None))
+        # An empty value is a value: --out '' is the working directory.
+        if out is not None:
+            config = dataclasses.replace(config, out_dir=out)
         _check_out_dir(config)
-        if "mutate" in args:  # validate's seeded defects, each applied once
-            return handler(config, tuple(dict.fromkeys(args.mutate)))
-        return handler(config)
+        return handler(config, **flags)
     except ValueError as exc:  # ConfigError, or a value the parsers let through
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -13,8 +13,8 @@ setting instead of their ``times_2pi`` flags: "plain" keeps them as written
 Unknown keys anywhere in the document are errors: a silently ignored typo in
 a physics parameter is the main operational hazard this format guards
 against.  A document holds no sweep: ``spectrum`` and ``phij`` take theirs
-from the ``--sweep`` flag, which sets ``RunConfig.sweep``, and a ``sweep``
-key is unknown like any other.
+from the ``--sweep`` flag, which ``SweepSpec`` checks, and a ``sweep`` key is
+unknown like any other.
 
 Each wire and circuit key is declared once, in the ``_WIRE_KEYS`` and
 ``_CIRCUIT_KEYS`` tables, which drive its parse and its echo.  Whether a key is
@@ -27,7 +27,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import MISSING, asdict, dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 from typing import Optional
 
@@ -182,7 +182,6 @@ class RunConfig:
     formats: tuple[str, ...]
     curve_x_max: float
     curve_steps: int
-    sweep: Optional[SweepSpec] = None  # from the --sweep flag; a document has no sweep
 
     def normalized(self) -> dict:
         """Normalized parameter echo (rad/s everywhere) for output metadata."""
@@ -194,7 +193,6 @@ class RunConfig:
                      "rate_convention": self.rate_convention},
             "schedule": {"k": self.k, "lambda2_rad_per_s": self.lambda2_pinned},
             "curve": {"x_max": self.curve_x_max, "steps": self.curve_steps},
-            "sweep": None if self.sweep is None else asdict(self.sweep),
             "output": {"directory": self.out_dir, "formats": list(self.formats)},
         }
 
@@ -242,8 +240,7 @@ def parse_config(doc: dict) -> RunConfig:
     ``default_config_dict`` value: without ``circuit.phi_c_rad`` the phase is
     0.0, not 0.5.  Without ``schedule.lambda2``, ``gate`` derives lambda2 from
     the device.  An omitted ``bath.rate_convention``, ``curve`` or ``output``
-    takes its ``default_config_dict`` value.  The result has no sweep
-    (``sweep`` is not a key of the document).
+    takes its ``default_config_dict`` value.
     """
     defaults = default_config_dict()
     _require_keys(
@@ -357,4 +354,11 @@ def load_config(path: Optional[str] = None) -> RunConfig:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
-    return parse_config(doc)
+    # A warning names the file, at line 0 so that no source line is printed.
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            return parse_config(doc)
+    finally:
+        for w in caught:
+            warnings.warn_explicit(w.message, w.category, str(path), 0)

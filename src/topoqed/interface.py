@@ -20,7 +20,6 @@ and the tests call it; the gate's curve is the closed form of
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,7 +53,6 @@ class CouplingSet:
     lambda1: float
     lambda2: float
     working_phi: float
-    de_dphi: float
     effective: EffectiveQubit
 
 
@@ -74,7 +72,6 @@ def couplings(wire: WireParams, circ: CircuitParams) -> CouplingSet:
         lambda1=eff.f2 * de_dphi,
         lambda2=eff.f3_coeff * de_dphi,
         working_phi=working_phi,
-        de_dphi=de_dphi,
         effective=eff,
     )
 
@@ -89,7 +86,7 @@ def optimal_working_point(wire: WireParams, circ: CircuitParams) -> tuple[float,
     derivative D = dE/dphi at phi_c = PHI_C_MIN gives both.  Returns
     (PHI_C_MIN, eta * D, eta * g * D); the flux phi_e of ``circ`` is not used.
     """
-    d = couplings(wire, circ.with_phases(phi_e=math.pi, phi_c=PHI_C_MIN)).de_dphi
+    d = splitting_derivative(wire, PHI_C_MIN)
     return PHI_C_MIN, circ.eta * d, circ.eta * circ.g * d
 
 

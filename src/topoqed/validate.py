@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -116,9 +117,9 @@ def _check_circuit_series_vs_exact(ref) -> tuple[bool, str]:
 
 def _check_switching_exactness(ref) -> tuple[bool, str]:
     wire, circ = ref.wire, ref.circuit
-    lam1_off = couplings(wire, circ.with_phases(phi_e=0.0)).lambda1
-    lam2_off = couplings(wire, circ.with_phases(phi_e=math.pi)).lambda2
-    eff = effective_qubit(circ.with_phases(phi_e=math.pi))
+    lam1_off = couplings(wire, replace(circ, phi_e=0.0)).lambda1
+    lam2_off = couplings(wire, replace(circ, phi_e=math.pi)).lambda2
+    eff = effective_qubit(replace(circ, phi_e=math.pi))
     ok = lam1_off == 0.0 and lam2_off == 0.0 and eff.E_J_bar == 0.0
     return ok, f"lambda1(phi_e=0) = {lam1_off!r}, lambda2(phi_e=pi) = {lam2_off!r}"
 

@@ -310,7 +310,7 @@ class TestPhiJArrays:
     def test_blocks_give_the_same_sweep(self, monkeypatch):
         # A phi sweep, a phi_e sweep and a 2-D grid, in blocks of three
         # elements against one block: the same bits and the same shape.
-        circ = load_config(None).circuit.with_phases(phi_e=0.8)
+        circ = dataclasses.replace(load_config(None).circuit, phi_e=0.8)
         grid = np.linspace(0.0, 2 * math.pi, 301)
         calls = [(grid, 0.0, None), (0.3, 0.0, grid), (0.3, np.linspace(-1.0, 1.0, 301), grid),
                  (grid[None, :20], 0.0, grid[::30, None])]

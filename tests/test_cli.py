@@ -1,6 +1,7 @@
 import argparse
 import dataclasses
 import hashlib
+import inspect
 import json
 import math
 import os
@@ -357,9 +358,12 @@ class TestConfig:
         doc = default_config_dict()
         doc["schedule"]["fock_cutoff"] = 16
         doc["curve"] = {"x_max": 0.5, "steps": 2}
-        res = run_cli("gate", "--config", write_config(tmp_path, doc), "--out", "o", cwd=tmp_path)
+        path = write_config(tmp_path, doc)
+        res = run_cli("gate", "--config", path, "--out", "o", cwd=tmp_path)
         assert res.returncode == 0, res.stderr
-        assert "fock_cutoff is ignored" in res.stderr
+        # The warning names the file, with no source line of the package.
+        assert f"{path}:0: UserWarning: schedule.fock_cutoff is ignored" in res.stderr
+        assert str(Path("src", "topoqed")) not in res.stderr
         doc["schedule"]["fock_cutoff"] = 7
         res = run_cli("gate", "--config", write_config(tmp_path, doc), "--out", "p", cwd=tmp_path)
         assert res.returncode == 2
@@ -400,7 +404,6 @@ class TestConfig:
             "bath": {"kappa_per_s": 1e6, "gamma_per_s": 1e6, "rate_convention": "plain"},
             "schedule": schedule,
             "curve": {"x_max": 1.1, "steps": 44},
-            "sweep": None,
             "output": {"directory": "out", "formats": ["csv", "json", "svg"]},
         }
 
@@ -458,6 +461,24 @@ class TestSpectrumCommand:
         assert res.returncode == 0
         summary = json.loads((tmp_path / "o" / "spectrum_summary.json").read_text())
         assert summary["config"]["wire"]["v_F_m_per_s"] == 1e5
+
+    @pytest.mark.parametrize("command, sweep", [
+        ("spectrum", {"variable": "eps", "min": 0.0, "max": math.pi, "steps": 200}),
+        ("phij", {"variable": "phi", "min": 0.0, "max": 2.0 * math.pi, "steps": 200}),
+        ("phij", {"variable": "phi_e", "min": -0.3, "max": 6.5, "steps": 7}),
+    ], ids=["spectrum-default", "phij-default", "phij-flag"])
+    def test_summary_records_the_sweep_it_ran(self, command, sweep, tmp_path):
+        # The default sweep, or the one the flag gave, sits beside the rows;
+        # the config echo is the document alone.
+        argv = [command, "--out", str(tmp_path)]
+        if sweep["steps"] != 200:
+            argv += ["--sweep", "{variable}:{min!r}:{max!r}:{steps}".format(**sweep)]
+        assert main(argv) == 0
+        summary = json.loads((tmp_path / f"{command}_summary.json").read_text())
+        assert summary["sweep"] == sweep
+        assert summary["rows"] == sweep["steps"] + 1
+        assert summary["config"] == load_config(None).normalized() | {
+            "output": {"directory": str(tmp_path), "formats": ["csv", "json", "svg"]}}
 
     def test_long_wire_splitting_is_finite(self, tmp_path):
         # Delta0*L/v_F is about 1005: u/tanh(u) is inverted for u up to 1005,
@@ -595,15 +616,17 @@ class TestCouplingsCommand:
         ("E_c", {"value": 8.0, "unit": "GHz", "times_2pi": True}, "E_J >= E_c"),
     ], ids=["n_g", "E_c"])
     def test_device_warning_appears_once_from_the_package(self, tmp_path, key, value, message):
-        # The couplings report copies the circuit with other phases; the copies
-        # must neither repeat the warning nor blame the stdlib for it.
+        # The couplings report must neither repeat the warning nor blame the
+        # stdlib for it, and a device read from a file warns at the file.
         doc = default_config_dict()
         doc["circuit"][key] = value
-        res = run_cli("couplings", "--config", write_config(tmp_path, doc), "--out", "o", cwd=tmp_path)
+        path = write_config(tmp_path, doc)
+        res = run_cli("couplings", "--config", path, "--out", "o", cwd=tmp_path)
         assert res.returncode == 0, res.stderr
         assert res.stderr.count(message) == 1, res.stderr
         assert "dataclasses.py" not in res.stderr
-        assert str(SRC / "topoqed") in res.stderr
+        assert f"{path}:0: UserWarning: {message}" in res.stderr
+        assert str(SRC / "topoqed") not in res.stderr
 
 
 class TestBathRates:
@@ -875,6 +898,19 @@ class TestArgumentParsing:
         assert main([command, "--out", str(tmp_path)]) == 0
         assert built == [f"topoqed {command}"]
 
+    @pytest.mark.parametrize("command", list(_cli.COMMANDS))
+    def test_each_flag_is_a_handler_parameter(self, command):
+        # Flags besides --out and --config reach the handler by name, so a
+        # flag registered for a command that its handler does not take fails
+        # here instead of being ignored.
+        parser = _cli._command_parser(command)
+        dests = {action.dest for action in parser._actions} - {"help", "out", "config"}
+        handler = _cli.COMMANDS[command][0]
+        params = list(inspect.signature(handler).parameters.values())[1:]
+        assert all(p.kind is p.POSITIONAL_OR_KEYWORD and p.default is not p.empty
+                   for p in params)
+        assert dests == {p.name for p in params}
+
     def test_main_without_argv_reads_sys_argv(self, tmp_path, monkeypatch):
         # The console script calls main() with no argument.
         monkeypatch.setattr(sys, "argv", ["topoqed", "fig2", "--out", str(tmp_path)])
@@ -889,16 +925,16 @@ class TestArgumentParsing:
         (["bogus"], 2, "", COMMAND_LIST_USAGE
          + f"topoqed: error: argument command: invalid choice: 'bogus' {COMMAND_CHOICES}\n"),
         (["--out", "x", "fig2"], 2, "", COMMAND_LIST_USAGE
-         + f"topoqed: error: argument command: invalid choice: 'x' {COMMAND_CHOICES}\n"),
-        # Python's argparse has read "-- fig2" both as the unknown command "--"
-        # and as fig2 after the separator; either way the command list refuses it.
-        (["--", "fig2"], 2, "", None),
+         + "topoqed: error: the command must come first, not '--out'\n"),
+        (["--", "fig2"], 2, "", COMMAND_LIST_USAGE
+         + "topoqed: error: the command must come first, not '--'\n"),
     ], ids=["bare", "-h", "--help", "bogus", "out_before_command", "separator"])
     def test_command_list_prints_help_and_usage_errors(self, argv, code, out, err, tmp_path,
                                                         monkeypatch, capsys):
         # Any argument list that does not start with a command goes to the
-        # command list, whose text is pinned as it read when one parser held
-        # every command.
+        # command list.  Its help and its error for a missing or unknown
+        # command read as when one parser held every command; a flag before
+        # the command, "--" included, is refused by name.
         monkeypatch.chdir(tmp_path)
         monkeypatch.setenv("COLUMNS", "80")
         with pytest.raises(SystemExit) as exc:
@@ -906,11 +942,7 @@ class TestArgumentParsing:
         assert exc.value.code == code
         captured = capsys.readouterr()
         assert captured.out == out
-        if err is None:
-            assert captured.err.startswith(COMMAND_LIST_USAGE + "topoqed: error: ")
-            assert captured.err.count("\n") == 2 and "Traceback" not in captured.err
-        else:
-            assert captured.err == err
+        assert captured.err == err
         assert list(tmp_path.iterdir()) == []
 
 
@@ -1005,6 +1037,8 @@ class TestErrorPaths:
     @pytest.mark.parametrize("argv", [
         "validate --out f",
         "spectrum --sweep eps:0:3:200000 --out f/x",
+        # A bad --sweep is the handler's to refuse, after --out is checked.
+        "spectrum --sweep bad --out f/x",
         "phij --out f",
         "fig2 --out f/x/y",
     ])
