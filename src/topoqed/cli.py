@@ -223,9 +223,8 @@ def _write_curve(config: RunConfig, lambda2: float, stem: str) -> None:
     }
     path = _write_table(config, stem, ["t_ns", "lambda2_t_over_pi", "F"],
                         [t_grid * 1e9, x_grid, fidelities], summary)
-    if "svg" in config.formats:
-        write_svg_plot(path.with_suffix(".svg"), x_grid, fidelities,
-                       xlabel="λ₂t/π", ylabel="F", title="entangling-gate fidelity")
+    write_svg_plot(path.with_suffix(".svg"), x_grid, fidelities,
+                   xlabel="λ₂t/π", ylabel="F", title="entangling-gate fidelity")
     print(f"F at gate time = {summary['F_at_tau']:.6f} "
           f"(series order {SERIES_ORDER}, convergence delta {delta:.2e})")
     print(f"wrote {path}")

@@ -5,10 +5,11 @@ Every frequency-like quantity in the config carries an explicit unit tag
 everything to angular frequency (rad/s) and the normalized values are echoed
 into every output summary so a run can be reproduced from its own metadata.
 
-Decay rates kappa/gamma take the factor 2*pi from the ``bath.rate_convention``
-setting instead of their ``times_2pi`` flags: "plain" keeps them as written
-(1 MHz -> 1e6 1/s), "angular" multiplies them by 2*pi.  A rate flagged
-``times_2pi: true`` is an error, so the flag cannot be silently overridden.
+Decay rates kappa/gamma are plain rates, read as written (1 MHz -> 1e6 1/s):
+an angular rate carries its 2*pi in its value, so a rate flagged
+``times_2pi: true`` is an error.  A document may still give
+``bath.rate_convention`` and ``output.formats``, but only with the one value
+that the commands honour: ``"plain"``, and a list of csv, json and svg.
 
 Unknown keys anywhere in the document are errors: a silently ignored typo in
 a physics parameter is the main operational hazard this format guards
@@ -85,7 +86,7 @@ def _count(value, where: str) -> int:
     return value
 
 
-def _frequency(node, where: str, rate_convention: Optional[str] = None) -> float:
+def _frequency(node, where: str, rate: bool = False) -> float:
     """Normalize a tagged frequency field to rad/s (or 1/s for rates)."""
     _require_keys(node, {"value", "unit", "times_2pi"}, {"value", "unit"}, where)
     unit = node["unit"]
@@ -95,11 +96,9 @@ def _frequency(node, where: str, rate_convention: Optional[str] = None) -> float
     times_2pi = node.get("times_2pi", False)
     if not isinstance(times_2pi, bool):
         raise ConfigError(f"{where}.times_2pi must be true or false")
-    if rate_convention is not None:
-        if times_2pi:
-            raise ConfigError(f"{where}: a rate takes its 2*pi from bath.rate_convention; "
-                              "set times_2pi false and bath.rate_convention to 'angular'")
-        times_2pi = rate_convention == "angular"
+    if rate and times_2pi:
+        raise ConfigError(f"{where}: a rate is read as written (1 MHz -> 1e6 1/s); "
+                          "set times_2pi false and give an angular rate its 2*pi in its value")
     base = value * _UNIT_SCALE[unit]
     scaled = base * (2.0 * math.pi) if times_2pi else base
     if not math.isfinite(scaled):
@@ -175,11 +174,9 @@ class RunConfig:
     circuit: CircuitParams
     kappa: float
     gamma: float
-    rate_convention: str
     k: int
     lambda2_pinned: Optional[float]
     out_dir: str
-    formats: tuple[str, ...]
     curve_x_max: float
     curve_steps: int
 
@@ -189,11 +186,10 @@ class RunConfig:
             "schema_version": SCHEMA_VERSION,
             "wire": _echo(self.wire, _WIRE_KEYS),
             "circuit": {**_echo(self.circuit, _CIRCUIT_KEYS), "eta": self.circuit.eta},
-            "bath": {"kappa_per_s": self.kappa, "gamma_per_s": self.gamma,
-                     "rate_convention": self.rate_convention},
+            "bath": {"kappa_per_s": self.kappa, "gamma_per_s": self.gamma},
             "schedule": {"k": self.k, "lambda2_rad_per_s": self.lambda2_pinned},
             "curve": {"x_max": self.curve_x_max, "steps": self.curve_steps},
-            "output": {"directory": self.out_dir, "formats": list(self.formats)},
+            "output": {"directory": self.out_dir},
         }
 
 
@@ -221,14 +217,13 @@ def default_config_dict() -> dict:
         "bath": {
             "kappa": {"value": 1.0, "unit": "MHz", "times_2pi": False},
             "gamma": {"value": 1.0, "unit": "MHz", "times_2pi": False},
-            "rate_convention": "plain",
         },
         "schedule": {
             "k": 1,
             "lambda2": {"value": 32.0, "unit": "MHz", "times_2pi": True},
         },
         "curve": {"x_max": 1.1, "steps": 44},
-        "output": {"directory": "out", "formats": ["csv", "json", "svg"]},
+        "output": {"directory": "out"},
     }
 
 
@@ -239,8 +234,8 @@ def parse_config(doc: dict) -> RunConfig:
     ``circuit`` key takes the default of its parameter class, not its
     ``default_config_dict`` value: without ``circuit.phi_c_rad`` the phase is
     0.0, not 0.5.  Without ``schedule.lambda2``, ``gate`` derives lambda2 from
-    the device.  An omitted ``bath.rate_convention``, ``curve`` or ``output``
-    takes its ``default_config_dict`` value.
+    the device.  An omitted ``curve`` or ``output`` takes its
+    ``default_config_dict`` value.
     """
     defaults = default_config_dict()
     _require_keys(
@@ -259,11 +254,10 @@ def parse_config(doc: dict) -> RunConfig:
 
     b = doc["bath"]
     _require_keys(b, {"kappa", "gamma", "rate_convention"}, {"kappa", "gamma"}, "bath")
-    convention = b.get("rate_convention", defaults["bath"]["rate_convention"])
-    if convention not in ("plain", "angular"):
-        raise ConfigError(f"bath.rate_convention must be 'plain' or 'angular', got {convention!r}")
-    kappa = _frequency(b["kappa"], "bath.kappa", rate_convention=convention)
-    gamma = _frequency(b["gamma"], "bath.gamma", rate_convention=convention)
+    if b.get("rate_convention", "plain") != "plain":
+        raise ConfigError(f"bath.rate_convention must be 'plain', got {b['rate_convention']!r}")
+    kappa = _frequency(b["kappa"], "bath.kappa", rate=True)
+    gamma = _frequency(b["gamma"], "bath.gamma", rate=True)
     if kappa < 0 or gamma < 0:
         raise ConfigError("bath rates must be non-negative")
 
@@ -298,23 +292,21 @@ def parse_config(doc: dict) -> RunConfig:
     directory = out.get("directory", defaults["output"]["directory"])
     if not isinstance(directory, str):
         raise ConfigError("output.directory must be a string")
-    formats = out.get("formats", defaults["output"]["formats"])
-    # Every command writes its CSV table and JSON summary; only svg is optional.
+    # Every command writes its CSV table and JSON summary, and a gate curve
+    # its SVG.  The strings are checked first: a set of a dict is a TypeError.
+    formats = out.get("formats", ["csv", "json", "svg"])
     if not (isinstance(formats, list) and all(isinstance(f, str) for f in formats)
-            and {"csv", "json"} <= set(formats) <= {"csv", "json", "svg"}):
-        raise ConfigError(f"output.formats must list 'csv' and 'json' and may add 'svg', "
-                          f"got {formats!r}")
+            and set(formats) == {"csv", "json", "svg"}):
+        raise ConfigError(f"output.formats must list 'csv', 'json' and 'svg', got {formats!r}")
 
     return RunConfig(
         wire=wire,
         circuit=circuit,
         kappa=kappa,
         gamma=gamma,
-        rate_convention=convention,
         k=k,
         lambda2_pinned=lambda2_pinned,
         out_dir=directory,
-        formats=tuple(formats),
         curve_x_max=x_max,
         curve_steps=steps,
     )

@@ -212,11 +212,42 @@ class TestConfig:
         config = parse_config(doc)
         assert config.wire.Delta0 == 2.0e11
 
-    def test_angular_rate_convention(self):
+    def test_angular_rate_convention(self, tmp_path, capsys):
+        # A rate is read as written; the only other convention a document
+        # could once name exits 2, and so does any value but "plain".
         doc = default_config_dict()
-        doc["bath"]["rate_convention"] = "angular"
-        config = parse_config(doc)
-        assert abs(config.kappa - 2 * math.pi * 1e6) < 1e-9
+        assert "rate_convention" not in doc["bath"]
+        doc["bath"]["rate_convention"] = "plain"
+        assert parse_config(doc).kappa == 1e6
+        for value in ("angular", "", None, ["plain"]):
+            doc["bath"]["rate_convention"] = value
+            argv = ["gate", "--config", write_config(tmp_path, doc), "--out", str(tmp_path / "o")]
+            assert main(argv) == 2
+            assert capsys.readouterr().err == (
+                f"configuration error: bath.rate_convention must be 'plain', got {value!r}\n")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("formats", [
+        ["csv", "json"], ["csv", "json", "svg", "png"], "csv,json,svg", [{}], None,
+    ])
+    def test_output_formats_must_list_all_three(self, formats, tmp_path, capsys):
+        # Every command writes its CSV and JSON, and a gate curve its SVG.
+        # The element types are checked before the set is built, so an
+        # unhashable element is a configuration error, not a traceback.
+        doc = default_config_dict()
+        doc["output"]["formats"] = formats
+        argv = ["gate", "--config", write_config(tmp_path, doc), "--out", str(tmp_path / "o")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == ("configuration error: output.formats must list "
+                                           f"'csv', 'json' and 'svg', got {formats!r}\n")
+        assert not (tmp_path / "o").exists()
+
+    def test_output_formats_in_any_order_parse(self):
+        doc = default_config_dict()
+        assert "formats" not in doc["output"]
+        for formats in (["csv", "json", "svg"], ["svg", "json", "csv", "svg"]):
+            doc["output"]["formats"] = formats
+            assert parse_config(doc).normalized() == load_config(None).normalized()
 
     def test_unknown_keys_rejected(self):
         doc = default_config_dict()
@@ -401,10 +432,10 @@ class TestConfig:
             "schema_version": 1,
             "wire": wire,
             "circuit": circuit,
-            "bath": {"kappa_per_s": 1e6, "gamma_per_s": 1e6, "rate_convention": "plain"},
+            "bath": {"kappa_per_s": 1e6, "gamma_per_s": 1e6},
             "schedule": schedule,
             "curve": {"x_max": 1.1, "steps": 44},
-            "output": {"directory": "out", "formats": ["csv", "json", "svg"]},
+            "output": {"directory": "out"},
         }
 
     @pytest.mark.parametrize("section, key", [
@@ -427,20 +458,18 @@ class TestConfig:
         # The defaults are stated once, in default_config_dict, so a changed
         # default reaches a document that leaves the key out.
         doc = default_config_dict()
-        del doc["curve"], doc["output"], doc["bath"]["rate_convention"]
+        del doc["curve"], doc["output"]
         built_in = default_config_dict
 
         def changed():
             defaults = built_in()
             defaults["curve"] = {"x_max": 0.5, "steps": 60}
-            defaults["output"] = {"directory": "elsewhere", "formats": ["csv", "json"]}
-            defaults["bath"]["rate_convention"] = "angular"
+            defaults["output"] = {"directory": "elsewhere"}
             return defaults
 
         monkeypatch.setattr(_config, "default_config_dict", changed)
         config = parse_config(doc)
-        assert (config.curve_x_max, config.curve_steps, config.out_dir, config.formats,
-                config.rate_convention) == (0.5, 60, "elsewhere", ("csv", "json"), "angular")
+        assert (config.curve_x_max, config.curve_steps, config.out_dir) == (0.5, 60, "elsewhere")
 
 
 class TestSpectrumCommand:
@@ -478,7 +507,7 @@ class TestSpectrumCommand:
         assert summary["sweep"] == sweep
         assert summary["rows"] == sweep["steps"] + 1
         assert summary["config"] == load_config(None).normalized() | {
-            "output": {"directory": str(tmp_path), "formats": ["csv", "json", "svg"]}}
+            "output": {"directory": str(tmp_path)}}
 
     def test_long_wire_splitting_is_finite(self, tmp_path):
         # Delta0*L/v_F is about 1005: u/tanh(u) is inverted for u up to 1005,
@@ -633,19 +662,34 @@ class TestBathRates:
     @pytest.mark.parametrize("convention", ["plain", "angular"])
     @pytest.mark.parametrize("rate", ["kappa", "gamma"])
     def test_times_2pi_on_a_rate_exits_2(self, convention, rate, tmp_path, capsys):
-        # rate_convention decides the 2*pi of the rates; a flag it would
-        # override is an error rather than silently ignored.
+        # A rate is read as written, so an angular rate carries its 2*pi in
+        # its value; a flag that would add one is an error, whatever the
+        # document's convention key says.
         doc = default_config_dict()
         doc["bath"]["rate_convention"] = convention
         doc["bath"][rate]["times_2pi"] = True
         argv = ["gate", "--config", write_config(tmp_path, doc), "--out", str(tmp_path / "o")]
         assert main(argv) == 2
-        err = capsys.readouterr().err
-        assert "configuration error" in err and "bath.rate_convention" in err
+        expected = (f"bath.{rate}: a rate is read as written (1 MHz -> 1e6 1/s); set "
+                    "times_2pi false and give an angular rate its 2*pi in its value"
+                    if convention == "plain" else
+                    "bath.rate_convention must be 'plain', got 'angular'")
+        assert capsys.readouterr().err == f"configuration error: {expected}\n"
         assert not (tmp_path / "o").exists()
 
 
 class TestGateCommand:
+    def test_document_without_output_writes_the_svg(self, tmp_path):
+        # Every gate curve writes its plot: the same bytes as fig2's, whose
+        # physics the document keeps.
+        doc = default_config_dict()
+        del doc["output"]
+        argv = ["gate", "--config", write_config(tmp_path, doc), "--out", str(tmp_path / "o")]
+        assert main(argv) == 0
+        assert main(["fig2", "--out", str(tmp_path / "f")]) == 0
+        assert ((tmp_path / "o" / "gate.svg").read_bytes()
+                == (tmp_path / "f" / "fig2.svg").read_bytes())
+
     def test_closed_system_summary(self, tmp_path):
         doc = default_config_dict()
         doc["bath"]["kappa"] = {"value": 0.0, "unit": "MHz", "times_2pi": False}
@@ -843,6 +887,22 @@ class TestValidateCommand:
         assert cmd_fig2(config) == 0
         summary = json.loads((tmp_path / "o" / "fig2_summary.json").read_text())
         assert summary["F_at_tau"] == 0.9695548405521919
+
+    def test_early_jump_series_error_fails_its_group(self, monkeypatch):
+        # The jump series takes its short-time Taylor branch only early in
+        # the gate: an error of 1e-7 in J confined to t < 0.1 tau fails
+        # coherent_state_branches, and no other group.
+        tau = _dyn.GateSchedule(k=1, lambda2=load_config(None).lambda2_pinned).tau
+        jump_terms = _dyn._jump_terms
+
+        def early_error(lam, z, gamma, t):
+            jump, last_order = jump_terms(lam, z, gamma, t)
+            return jump + np.where((t > 0.0) & (t < 0.1 * tau), 1e-7, 0.0), last_order
+
+        monkeypatch.setattr(_dyn, "_jump_terms", early_error)
+        report = _validate.run_validation()
+        assert [name for name, entry in report.items() if not entry["passed"]] == [
+            "coherent_state_branches"]
 
     def test_reference_is_parsed_once_per_run(self, monkeypatch):
         calls = []

@@ -1,17 +1,23 @@
 import ast
 import importlib
+import importlib.util
+import json
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import topoqed
+from topoqed.config import parse_config
 
 # __main__ runs the command line when imported.
 MODULES = sorted(m.name for m in pkgutil.iter_modules(topoqed.__path__) if m.name != "__main__")
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "perfbench" / "tracer.py"
+WORKLOADS = ROOT / "perfbench" / "workloads.py"
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -87,3 +93,53 @@ def test_command_modules_import_neither_the_oracle_nor_validate():
     offenders = {name: sorted(found & {"oracle", "validate"}) for name, found in imports.items()
                  if found & {"oracle", "validate"}}
     assert not offenders, f"command modules import the oracle or validate: {offenders}"
+
+
+def test_benchmark_documents_parse(monkeypatch):
+    # The benchmark's device documents still write bath.rate_convention,
+    # output.formats and schedule.fock_cutoff, each with the one value
+    # that is accepted; a change that drops one of these keys from the
+    # config contract fails here, not in a benchmark run.
+    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # dataclasses look it up
+    spec.loader.exec_module(workloads)
+    files, _ = workloads.make_inputs("gate_k9_dense", seed=1)
+    dense = json.loads(files["inputs/gate.json"])
+    assert dense["schedule"]["k"] == 9
+    for doc in (workloads.device_config(), dense):
+        assert doc["bath"]["rate_convention"] == "plain"
+        with pytest.warns(UserWarning, match="schedule.fock_cutoff is ignored"):
+            config = parse_config(doc)
+        assert (config.kappa, config.gamma) == (1e6, 1e6)
+
+
+def test_ci_run_blocks_pass_bash_syntax_check():
+    # The workflow runs only on a CI runner, so each shell step is at least
+    # parsed where the tests run.
+    yaml = pytest.importorskip("yaml")
+    workflow = yaml.safe_load((ROOT / ".github" / "workflows" / "tests.yml").read_text())
+    blocks = [(step.get("name", step["run"]), step["run"])
+              for job in workflow["jobs"].values() for step in job["steps"] if "run" in step]
+    assert blocks
+    errors = {}
+    for name, script in blocks:
+        res = subprocess.run(["bash", "-n"], input=script, capture_output=True, text=True)
+        if res.returncode != 0:
+            errors[name] = res.stderr
+    assert not errors, f"run blocks that bash -n refuses: {errors}"
+
+
+def test_sources_parse_as_python_3_10():
+    # Python 3.10 is the oldest version pyproject.toml admits, and a test run
+    # on a newer interpreter would not see syntax that 3.10 refuses.
+    files = [path for folder in ("src", "tests", "perfbench")
+             for path in sorted((ROOT / folder).rglob("*.py"))]
+    assert ROOT / "perfbench" / "workloads.py" in files
+    errors = []
+    for path in files:
+        try:
+            ast.parse(path.read_text(), str(path), feature_version=(3, 10))
+        except SyntaxError as exc:
+            errors.append(f"{path.relative_to(ROOT)}:{exc.lineno} {exc.msg}")
+    assert not errors, f"syntax newer than Python 3.10: {errors}"
